@@ -19,8 +19,13 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    return float(np.mean(diff * diff))
+    # one working array, int32 for 8-bit samples: the int64 sum is an exact
+    # integer below 2^53, so dividing it gives the same float as the mean of
+    # int64 squares (nan for empty input, like that mean)
+    sq = a.astype(np.int32 if a.dtype.itemsize == b.dtype.itemsize == 1 else np.int64)
+    sq -= b
+    np.square(sq, out=sq)
+    return float(sq.sum(dtype=np.int64) / sq.size)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -147,3 +148,71 @@ def test_ctr_bit_locality():
         diff = [i for i in range(len(data)) if back[i] != data[i]]
         assert diff == [bit // 8]
         assert back[bit // 8] ^ data[bit // 8] == 0x80 >> (bit % 8)
+
+
+# SHA-256 of keystream(schedule(GOLDEN_KEY), nonce, nbytes), pinned from the
+# earlier unfused, unchunked implementation
+GOLDEN_KEY = b"rdhkit-benchmark-image-key"
+GOLDEN_KEYSTREAMS = [
+    (0x0123456789ABCDEF, 786_432, "9c077bba7ee65a67e5799ac1aa5ea75d372404b9a662a193cdb45788433d9ab6"),
+    (0xFFFFFFFFFFFFFF00, 300_001, "9ea4ba4f4c8c61673d9e059b72f1ca64415b6eb40e1ffc28251961d7bbef4d06"),
+    (0x00000000FFFFF000, 262_147, "88eaef0b1135232b67c66e9994903beb0c6910b24aa6def5f9a74c7e28b65c9a"),
+]
+CHUNK = bf._CHUNK_BLOCKS
+MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("nonce,nbytes,digest", GOLDEN_KEYSTREAMS)
+def test_keystream_golden_digests(nonce, nbytes, digest):
+    stream = bf.keystream(bf.bf_key_schedule(GOLDEN_KEY), nonce, nbytes)
+    assert len(stream) == nbytes
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
+def _counter_blocks(nonce: int, nbytes: int) -> bytes:
+    nblocks = (nbytes + 7) // 8
+    return b"".join(((nonce + i) & MASK64).to_bytes(8, "big") for i in range(nblocks))
+
+
+def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
+    state = bf.bf_key_schedule(b"chunked!")
+    nonce = 0x00000000FFFFFFF0 - CHUNK  # low-word carry lands just after the boundary
+    stream = bf.keystream(state, nonce, 8 * (CHUNK + 40) + 3)
+    for i in list(range(CHUNK - 20, CHUNK + 40)) + [0, 1]:
+        counter = ((nonce + i) & MASK64).to_bytes(8, "big")
+        assert stream[8 * i : 8 * i + 8] == bf.bf_encrypt_block(state, counter)
+    assert len(stream) == 8 * (CHUNK + 40) + 3
+
+
+@pytest.mark.parametrize(
+    "nonce,nbytes",
+    [
+        (0, 13),
+        (0x0123456789ABCDEF, 8 * 2 * CHUNK + 5),  # three chunks, ragged tail
+        (0x00000000FFFFFF00, 4099),  # low-word carry inside a chunk
+        ((1 << 32) - CHUNK, 8 * (CHUNK + 17) + 1),  # carry exactly at a chunk boundary
+        (MASK64 - 100, 8 * 300 + 7),  # wraps at 2^64 inside a chunk
+        ((1 << 64) - CHUNK, 8 * (CHUNK + 9)),  # wraps at 2^64 at a chunk boundary
+    ],
+)
+def test_keystream_matches_independent_blowfish(nonce, nbytes):
+    # the decrepit module (cryptography >= 43) is where Blowfish lives now
+    decrepit = pytest.importorskip("cryptography.hazmat.decrepit.ciphers.algorithms")
+    from cryptography.hazmat.primitives.ciphers import Cipher, modes
+
+    key = bytes(range(3, 40))
+    # the library refuses Blowfish-CTR, so encrypt the counter blocks in ECB
+    enc = Cipher(decrepit.Blowfish(key), modes.ECB()).encryptor()
+    expect = (enc.update(_counter_blocks(nonce, nbytes)) + enc.finalize())[:nbytes]
+    state = bf.bf_key_schedule(key)
+    assert bf.keystream(state, nonce, nbytes) == expect
+    data = random.Random(nbytes).randbytes(nbytes)
+    assert bf.bf_ctr_transform(state, nonce, data) == bytes(a ^ b for a, b in zip(data, expect))
+
+
+def test_fused_table_is_s0_plus_s1():
+    state = bf.bf_key_schedule(b"fusedtab")
+    s0, s1 = state.s[0], state.s[1]
+    assert state._t01.shape == (65536,)
+    for a, b in ((0, 0), (0, 255), (255, 0), (255, 255), (17, 200), (128, 1)):
+        assert state._t01[(a << 8) | b] == (s0[a] + s1[b]) & 0xFFFFFFFF

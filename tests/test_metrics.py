@@ -74,3 +74,40 @@ def test_full_capacity_red_lsb_expectation():
 def test_format_psnr():
     assert metrics.format_psnr(math.inf) == "inf"
     assert metrics.format_psnr(48.1308) == "48.13 dB"
+
+
+def _mse_int64(a, b):
+    # the reference formula: the mean of full-width int64 squares
+    diff = a.astype(np.int64) - b.astype(np.int64)
+    return float(np.mean(diff * diff))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 5), (64, 64, 3), (512, 512, 3), (33, 1001)])
+def test_mse_equals_the_int64_formula_exactly(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        b = rng.integers(0, 256, shape, dtype=np.uint8)
+        assert metrics.mse(a, b) == _mse_int64(a, b)
+        near = a ^ rng.integers(0, 2, shape, dtype=np.uint8)
+        assert metrics.mse(a, near) == _mse_int64(a, near)
+
+
+def test_mse_extreme_difference_on_a_large_raster_does_not_overflow():
+    # 786,432 squares of 65025 sum to about 5.1e10, far past the int32 range
+    a = np.zeros((512, 512, 3), dtype=np.uint8)
+    b = np.full((512, 512, 3), 255, dtype=np.uint8)
+    assert metrics.mse(a, b) == _mse_int64(a, b) == 65025.0
+    assert metrics.mse(b, a) == 65025.0
+
+
+def test_mse_of_wider_samples_keeps_the_int64_formula():
+    a = np.zeros((4, 4), dtype=np.uint16)
+    b = np.full((4, 4), 65535, dtype=np.uint16)
+    assert metrics.mse(a, b) == 65535.0**2
+
+
+def test_mse_of_empty_input_is_nan():
+    empty = np.zeros((0, 3), dtype=np.uint8)
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(metrics.mse(empty, empty))
