@@ -1,0 +1,82 @@
+"""Golden digests: hide and video_hide output pinned for fixed inputs.
+
+The on-disk formats are the behavioural contract, so a refactor of the
+embedding code must reproduce these bytes exactly.  Each digest is the
+SHA-256 of the file the CLI would write (PPM with its nonce comment, or the
+Y4M stream as video_hide returns it).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import make_cover
+from rdhkit import netpbm, pipeline, video
+
+KEYS = pipeline.StegoKeys(
+    data_key=bytes.fromhex("00112233445566778899aabbccddeeff"),
+    image_key=b"golden image key",
+    nonce=0x0F1E2D3C4B5A6978,
+)
+IV = bytes.fromhex("a0a1a2a3a4a5a6a7a8a9aaabacadaeaf")
+SECRET = b"golden digests pin the embedding bytes " * 3
+
+IMAGE_DIGESTS = {
+    False: "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4",
+    True: "16c2c0e6d8d74b26bed8a4cd426fde152244355b759f50337410c0c04f7b3cf7",
+}
+# the secret spans two frames; the third carries an empty segment
+VIDEO_DIGESTS = {
+    "C420": "4dc643e8177c503bcaf95223b6edf9ada4d1f1c3ad0d4bf50fc329554d31b964",
+    "C444": "45033669738f63eca70171d365b6bf229e9cc6a56e14209de0e27a85780dbce6",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cover():
+    return make_cover(np.random.default_rng(2024), 64, 64)
+
+
+def _clip(colorspace: str) -> video.Y4mVideo:
+    rng = np.random.default_rng(2025)
+    size = 48
+    ch = size // 2 if colorspace == "C420" else size
+    frames = []
+    for _ in range(3):
+        y = np.full((size, size), 90, dtype=np.uint8)
+        y[rng.random((size, size)) < 0.4] = 91
+        u = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
+        v = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
+        frames.append(video.YuvFrame(y, u, v))
+    params = [b"W%d" % size, b"H%d" % size, b"F25:1", colorspace.encode()]
+    return video.Y4mVideo(size, size, colorspace, params, frames, [b""] * 3)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_image_hide_digest_and_roundtrip(skip):
+    cover = _cover()
+    result = pipeline.hide(cover, SECRET, KEYS, iv=IV, skip_image_encryption=skip)
+    assert _sha(netpbm.save_ppm(result.image, KEYS.nonce)) == IMAGE_DIGESTS[skip]
+
+    secret, original = pipeline.reveal(result.image, KEYS, skip_image_encryption=skip)
+    assert secret == SECRET
+    assert np.array_equal(original, cover)
+    recovered = pipeline.recover_original(
+        result.image, KEYS.image_key, KEYS.nonce, skip_image_encryption=skip
+    )
+    assert np.array_equal(recovered, cover)
+
+
+@pytest.mark.parametrize("colorspace", ["C420", "C444"])
+def test_video_hide_digest_and_roundtrip(colorspace):
+    clip = _clip(colorspace)
+    marked = video.video_hide(clip, SECRET, KEYS, iv=IV)
+    assert _sha(video.write_y4m(marked)) == VIDEO_DIGESTS[colorspace]
+
+    secret, original = video.video_reveal(marked, KEYS)
+    assert secret == SECRET
+    assert video.write_y4m(original) == video.write_y4m(clip)
