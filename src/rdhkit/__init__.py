@@ -8,10 +8,10 @@ bit-exactly, and data extraction / image recovery need only their own key.
 """
 
 from .errors import RdhError
-from .histshift import HsSideInfo, hs_embed, hs_extract, lsb_read, lsb_replace, plan_hs
+from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import mse, psnr
-from .netpbm import load_pgm, load_ppm, red_plane, save_pgm, save_ppm, set_red_plane
+from .netpbm import load_ppm, save_ppm
 from .pipeline import (
     HideResult,
     PayloadFrame,
@@ -21,40 +21,24 @@ from .pipeline import (
     hide,
     parse_frame,
     recover_original,
-    reserve_room,
     reveal,
 )
-from .video import (
-    Y4mVideo,
-    YuvFrame,
-    parse_y4m,
-    rgb_to_yuv,
-    video_hide,
-    video_reveal,
-    write_y4m,
-    yuv_to_rgb,
-)
+from .video import Y4mVideo, YuvFrame, parse_y4m, video_hide, video_reveal, write_y4m
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RdhError",
-    "HsSideInfo",
     "plan_hs",
     "hs_embed",
     "hs_extract",
     "lsb_read",
-    "lsb_replace",
     "huffman_compress",
     "huffman_decompress",
     "mse",
     "psnr",
     "load_ppm",
     "save_ppm",
-    "load_pgm",
-    "save_pgm",
-    "red_plane",
-    "set_red_plane",
     "StegoKeys",
     "HideResult",
     "PayloadFrame",
@@ -64,13 +48,10 @@ __all__ = [
     "hide",
     "reveal",
     "recover_original",
-    "reserve_room",
     "Y4mVideo",
     "YuvFrame",
     "parse_y4m",
     "write_y4m",
     "video_hide",
     "video_reveal",
-    "rgb_to_yuv",
-    "yuv_to_rgb",
 ]

@@ -33,17 +33,6 @@ class BitWriter:
             self._buf.append((self._acc >> self._nacc) & 0xFF)
         self._acc &= (1 << self._nacc) - 1
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit & 1, 1)
-
-    def write_bytes(self, data: bytes) -> None:
-        if self._nacc == 0:
-            self._buf.extend(data)
-            self.bit_count += 8 * len(data)
-        else:
-            for b in data:
-                self.write_bits(b, 8)
-
     def getvalue(self) -> bytes:
         """Buffer contents with the partial byte padded; the writer stays usable."""
         if self._nacc == 0:
@@ -83,6 +72,3 @@ class BitReader:
 
     def read_bit(self) -> int:
         return self.read_bits(1)
-
-    def read_bytes(self, n: int) -> bytes:
-        return bytes(self.read_bits(8) for _ in range(n))

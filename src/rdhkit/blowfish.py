@@ -88,20 +88,6 @@ def bf_key_schedule(key: bytes) -> BlowfishState:
     return BlowfishState(p, s)
 
 
-def bf_f(state: BlowfishState, x: int) -> int:
-    """The round function: S-box mixes with mod-2^32 additions."""
-    s = state.s
-    return _f(s[0], s[1], s[2], s[3], x)
-
-
-def _f(s0, s1, s2, s3, x: int) -> int:
-    a = (x >> 24) & 0xFF
-    b = (x >> 16) & 0xFF
-    c = (x >> 8) & 0xFF
-    d = x & 0xFF
-    return ((((s0[a] + s1[b]) & _MASK32) ^ s2[c]) + s3[d]) & _MASK32
-
-
 def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
     # F inlined, two rounds per pass so the halves never swap; one mask per
     # round suffices because the low 32 bits of a sum or xor depend only on
@@ -119,33 +105,12 @@ def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
     return xr ^ p[17], xl ^ p[16]
 
 
-def _decrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
-    s0, s1, s2, s3 = s
-    for i in range(17, 1, -1):
-        xl ^= p[i]
-        xr ^= _f(s0, s1, s2, s3, xl)
-        xl, xr = xr, xl
-    xl, xr = xr, xl
-    xr ^= p[1]
-    xl ^= p[0]
-    return xl, xr
-
-
 def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
     if len(block) != 8:
         raise ValueError(f"block must be 8 bytes, got {len(block)}")
     xl = int.from_bytes(block[:4], "big")
     xr = int.from_bytes(block[4:], "big")
     xl, xr = _encrypt_words(state.p, state.s, xl, xr)
-    return xl.to_bytes(4, "big") + xr.to_bytes(4, "big")
-
-
-def bf_decrypt_block(state: BlowfishState, block: bytes) -> bytes:
-    if len(block) != 8:
-        raise ValueError(f"block must be 8 bytes, got {len(block)}")
-    xl = int.from_bytes(block[:4], "big")
-    xr = int.from_bytes(block[4:], "big")
-    xl, xr = _decrypt_words(state.p, state.s, xl, xr)
     return xl.to_bytes(4, "big") + xr.to_bytes(4, "big")
 
 

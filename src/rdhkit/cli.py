@@ -30,6 +30,8 @@ EXIT_PAYLOAD = 3
 EXIT_FORMAT = 4
 EXIT_KEYS = 5
 
+_NONCE_HELP = "16 hex chars; hide: random if omitted; reveal: default 0, used if the file has none"
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iv", help="32 hex chars; random when omitted")
     p.add_argument("--skip-image-encryption", action="store_true",
                    help="debug: leave the cover unencrypted")
-    p.set_defaults(func=_cmd_hide)
+    p.set_defaults(func=_cmd_hide, nonce=None)
 
     p = sub.add_parser("reveal", help="extract the secret and restore the cover")
     p.add_argument("--input", required=True)
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--image-key")
     p.add_argument("--image-key-file")
-    p.add_argument("--nonce", default="0" * 16, help="16 hex chars (default 0)")
+    p.add_argument("--nonce", default="0" * 16, help=_NONCE_HELP)
     p.add_argument("--skip-image-encryption", action="store_true")
     p.set_defaults(func=_cmd_recover)
 
@@ -100,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _key_args(p)
     p.add_argument("--iv")
-    p.set_defaults(func=_cmd_video_hide)
+    p.set_defaults(func=_cmd_video_hide, nonce=None)
 
     p = sub.add_parser("video-reveal", help="extract the secret and restore the video")
     p.add_argument("--input", required=True)
@@ -120,7 +122,7 @@ def _key_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-key-file", help="file holding the hex data key")
     p.add_argument("--image-key", help="8..112 hex chars, even length (Blowfish)")
     p.add_argument("--image-key-file", help="file holding the hex image key")
-    p.add_argument("--nonce", default="0" * 16, help="16 hex chars (default 0)")
+    p.add_argument("--nonce", default="0" * 16, help=_NONCE_HELP)
 
 
 def _hex_bytes(value: str, what: str, nbytes: int | None = None) -> bytes:
@@ -156,6 +158,9 @@ def _image_key(args) -> bytes:
 
 
 def _nonce(args) -> int:
+    if args.nonce is None:
+        # hide commands only: a fixed default reuses one keystream for every cover
+        return int.from_bytes(os.urandom(8), "big")
     if len(args.nonce) != 16:
         raise KeyEncodingError(f"nonce must be 16 hex chars, got {len(args.nonce)}")
     return int.from_bytes(_hex_bytes(args.nonce, "nonce", 8), "big")

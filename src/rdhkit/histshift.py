@@ -1,4 +1,4 @@
-"""Histogram-shift reversible embedding on gray planes, plus raw LSB helpers.
+"""Histogram-shift reversible embedding on gray planes, plus an LSB reader.
 
 Histogram shifting is the reversible host primitive: samples strictly
 between the peak bin (most frequent value) and an empty zero bin move one
@@ -14,8 +14,6 @@ planes included) and return arrays of the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -25,15 +23,6 @@ from .errors import (
     PayloadOverrun,
     ZeroBinNotEmpty,
 )
-
-
-@dataclass(frozen=True)
-class HsSideInfo:
-    """What the extractor needs to invert an embedding."""
-
-    peak: int
-    zero: int
-    payload_bits: int
 
 
 def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
@@ -63,7 +52,9 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
 def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     """Shift the open interval between peak and zero, then encode bits at the peak."""
     _check_bins(peak, zero)
-    bits = _bit_array(bits)
+    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    if bits.size and bits.max() > 1:
+        raise ValueError("payload bits must be 0 or 1")
     out = np.array(plane, dtype=np.uint8, copy=True)
     flat = out.reshape(-1)
     if np.any(flat == zero):
@@ -82,35 +73,23 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     return out
 
 
-def hs_extract(plane: np.ndarray, side: HsSideInfo) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of hs_embed: (restored plane, payload bits)."""
-    peak, zero = side.peak, side.zero
+def hs_extract(
+    plane: np.ndarray, peak: int, zero: int, nbits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of hs_embed: (restored plane, the nbits payload bits)."""
     _check_bins(peak, zero)
     out = np.array(plane, dtype=np.uint8, copy=True)
     flat = out.reshape(-1)
     mark = peak + 1 if peak < zero else peak - 1
     candidates = np.flatnonzero((flat == peak) | (flat == mark))
-    if candidates.size < side.payload_bits:
-        raise PayloadOverrun(
-            f"need {side.payload_bits} payload slots, plane holds {candidates.size}"
-        )
-    bits = (flat[candidates[: side.payload_bits]] == mark).astype(np.uint8)
+    if candidates.size < nbits:
+        raise PayloadOverrun(f"need {nbits} payload slots, plane holds {candidates.size}")
+    bits = (flat[candidates[:nbits]] == mark).astype(np.uint8)
     if peak < zero:
         flat[(flat >= peak + 1) & (flat <= zero)] -= 1
     else:
         flat[(flat <= peak - 1) & (flat >= zero)] += 1
     return out, bits
-
-
-def lsb_replace(plane: np.ndarray, start: int, bits) -> np.ndarray:
-    """Overwrite the least significant bits of samples start..start+len(bits)."""
-    bits = _bit_array(bits)
-    out = np.array(plane, dtype=np.uint8, copy=True)
-    flat = out.reshape(-1)
-    if start < 0 or start + bits.size > flat.size:
-        raise OutOfRange(f"slice [{start}, {start + bits.size}) exceeds plane of {flat.size}")
-    flat[start : start + bits.size] = (flat[start : start + bits.size] & 0xFE) | bits
-    return out
 
 
 def lsb_read(plane: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -123,13 +102,6 @@ def lsb_read(plane: np.ndarray, start: int, n: int) -> np.ndarray:
 
 def _flat(plane: np.ndarray) -> np.ndarray:
     return np.asarray(plane, dtype=np.uint8).reshape(-1)
-
-
-def _bit_array(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    if arr.size and arr.max() > 1:
-        raise ValueError("payload bits must be 0 or 1")
-    return arr
 
 
 def _check_bins(peak: int, zero: int) -> None:

@@ -1,7 +1,6 @@
-"""Bit-exact binary netpbm load/save (PPM P6 covers, PGM P5 gray planes).
+"""Bit-exact binary PPM (P6) load/save for the cover images.
 
-Images are plain numpy arrays: RGB covers are (height, width, 3) uint8,
-gray planes (height, width) uint8.  The writer is canonical — one space
+Images are plain (height, width, 3) uint8 numpy arrays.  The writer is canonical — one space
 between width and height, newline separators — so saving the same image
 twice yields identical bytes and load inverts save exactly.
 
@@ -68,9 +67,10 @@ class _Scanner:
         return int(tok)
 
 
-def _parse(data: bytes, magic: bytes, channels: int):
-    if data[:2] != magic:
-        raise BadImageMagic(f"expected {magic.decode()}, got {data[:2]!r}")
+def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
+    """Parse a binary PPM; returns (image, embedded counter nonce or None)."""
+    if data[:2] != b"P6":
+        raise BadImageMagic(f"expected P6, got {data[:2]!r}")
     sc = _Scanner(data)
     sc.pos = 2
     sc.skip_ws()
@@ -86,7 +86,7 @@ def _parse(data: bytes, magic: bytes, channels: int):
     if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WS:
         raise MalformedHeader("missing whitespace before the raster")
     sc.pos += 1
-    n = width * height * channels
+    n = width * height * 3
     raster = data[sc.pos : sc.pos + n]
     if len(raster) < n:
         raise TruncatedFile(f"raster needs {n} bytes, file holds {len(raster)}")
@@ -98,60 +98,20 @@ def _parse(data: bytes, magic: bytes, channels: int):
         m = _NONCE_RE.match(leading_comments[0])
         if m:
             nonce = int(m.group(1), 16)
-    shape = (height, width, channels) if channels == 3 else (height, width)
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
+    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
     return img, nonce
 
 
-def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
-    """Parse a binary PPM; returns (image, embedded counter nonce or None)."""
-    return _parse(data, b"P6", 3)
-
-
-def load_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM gray plane."""
-    return _parse(data, b"P5", 1)[0]
-
-
-def _serialize(img: np.ndarray, magic: bytes, channels: int, nonce: int | None) -> bytes:
+def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
+    """Canonical binary PPM bytes; load_ppm inverts this exactly."""
     img = np.asarray(img, dtype=np.uint8)
-    expected = 3 if channels == 3 else 2
-    if img.ndim != expected:
-        raise DimensionMismatch(f"expected a {expected}-dimensional raster, got shape {img.shape}")
-    if channels == 3 and img.shape[2] != 3:
-        raise DimensionMismatch(f"expected 3 channels, got {img.shape[2]}")
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise DimensionMismatch(f"expected an RGB (h, w, 3) raster, got shape {img.shape}")
     height, width = img.shape[:2]
-    head = bytearray(magic + b"\n")
+    head = bytearray(b"P6\n")
     if nonce is not None:
         if not 0 <= nonce <= 0xFFFFFFFFFFFFFFFF:
             raise ValueError(f"nonce must fit 64 bits, got {nonce:#x}")
         head += b"# RDHCTR %016x\n" % nonce
     head += b"%d %d\n255\n" % (width, height)
     return bytes(head) + img.tobytes()
-
-
-def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
-    """Canonical binary PPM bytes; load_ppm inverts this exactly."""
-    return _serialize(img, b"P6", 3, nonce)
-
-
-def save_pgm(plane: np.ndarray) -> bytes:
-    return _serialize(plane, b"P5", 1, None)
-
-
-def red_plane(img: np.ndarray) -> np.ndarray:
-    """Copy of the R channel as a gray plane."""
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DimensionMismatch(f"expected an RGB image, got shape {img.shape}")
-    return img[:, :, 0].copy()
-
-
-def set_red_plane(img: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """New image with the R channel replaced; G and B are untouched."""
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DimensionMismatch(f"expected an RGB image, got shape {img.shape}")
-    if plane.shape != img.shape[:2]:
-        raise DimensionMismatch(f"plane {plane.shape} does not match image {img.shape[:2]}")
-    out = img.copy()
-    out[:, :, 0] = plane
-    return out

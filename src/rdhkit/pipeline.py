@@ -1,7 +1,10 @@
 """End-to-end hide/reveal: framing, room reservation, encrypted-domain embedding.
 
-A host plane (the red channel of a cover, or a video frame's Y plane) is
-split row-major into three regions::
+One core, ``embed``, ``recover`` and ``extract``, serves images and video.
+It works on a flat uint8 cover buffer plus a host slice into it: ``[0::3]``,
+the red samples of an interleaved RGB raster, or ``[:w*h]``, the Y plane of
+a video frame's Y+U+V buffer.  The host is split row-major into three
+regions::
 
     [0, L)       region A   payload frame, one bit per sample LSB
     [L, L+64)    header     side header, one bit per sample LSB
@@ -10,8 +13,8 @@ split row-major into three regions::
 Room is reserved before encryption: the original LSBs of region A and the
 header slots are tucked reversibly into region B, the side header (peak,
 zero, L, checksum) overwrites the header-slot LSBs, and only then is the
-whole cover encrypted with the Blowfish counter keystream.  The payload
-frame is finally substituted into region A's LSBs of the *encrypted* cover.
+whole buffer encrypted as one Blowfish counter run.  The payload frame is
+finally substituted into region A's LSBs of the *encrypted* buffer.
 
 Decryption restores every bit the embedder did not touch after encrypting,
 so the side header becomes readable again while region A stays garbled until
@@ -48,7 +51,7 @@ from .errors import (
     NoZeroBin,
     PayloadError,
 )
-from .histshift import HsSideInfo, hs_embed, hs_extract, lsb_read, plan_hs
+from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import psnr
 
@@ -186,7 +189,7 @@ def _ones_complement_sum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> tuple[np.ndarray, HsSideInfo]:
+def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     """Room-reserve a flat host plane for a frame_bits-long region A.
 
     Region A itself is left untouched; its original LSBs plus the header
@@ -221,7 +224,7 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> tuple[np.ndarray, H
     out[frame_bits:header_end] = _with_lsbs(
         flat[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8))
     )
-    return out, HsSideInfo(peak, zero, backup_bits)
+    return out
 
 
 def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
@@ -241,7 +244,7 @@ def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
             f"the payload frame occupies {frame_bits} bits"
         )
     region_b, backup = hs_extract(
-        flat[header_end:], HsSideInfo(header.peak, header.zero, HEADER_SLOTS + frame_bits)
+        flat[header_end:], header.peak, header.zero, HEADER_SLOTS + frame_bits
     )
     out = flat.copy()
     out[header_end:] = region_b
@@ -254,14 +257,50 @@ def _with_lsbs(samples: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return (samples & 0xFE) | bits
 
 
-def reserve_room(img: np.ndarray, frame_bits: int) -> tuple[np.ndarray, HsSideInfo]:
-    """Image-level room reservation on the red channel; G and B are untouched."""
-    _check_rgb(img)
-    flat = img.reshape(-1, 3)
-    new_red, side = reserve_room_plane(flat[:, 0].copy(), frame_bits)
-    out = img.copy()
-    out.reshape(-1, 3)[:, 0] = new_red
-    return out, side
+def embed(
+    raw: np.ndarray, host: slice, frame: bytes, state: BlowfishState | None, nonce: int
+) -> np.ndarray:
+    """Hide one serialized payload frame in a flat uint8 cover buffer.
+
+    Room is reserved in raw[host] and the frame written into its region-A
+    LSBs, both in place, so raw ends as the plain-domain marked cover.  The
+    returned buffer is raw encrypted as one counter run from nonce, with the
+    frame written again over the encrypted host; with state None the cover
+    stays unencrypted and raw itself is returned.
+    """
+    bits = np.unpackbits(np.frombuffer(frame, np.uint8))
+    raw[host] = reserve_room_plane(raw[host], bits.size)
+    _write_region_a(raw[host], bits)
+    if state is None:
+        return raw
+    out = _ctr(state, nonce, raw)
+    _write_region_a(out[host], bits)
+    return out
+
+
+def recover(
+    raw: np.ndarray, host: slice, frame_bits: int, state: BlowfishState | None, nonce: int
+) -> np.ndarray:
+    """Invert embed: a new buffer, decrypted, with raw[host] restored."""
+    out = raw.copy() if state is None else _ctr(state, nonce, raw)
+    out[host] = recover_plane(out[host], frame_bits)
+    return out
+
+
+def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
+    """Parse the payload frame from the LSBs of raw[host]; needs no key material."""
+    return parse_frame(np.packbits(raw[host] & 1).tobytes())
+
+
+def _write_region_a(host: np.ndarray, bits: np.ndarray) -> None:
+    host[: bits.size] = _with_lsbs(host[: bits.size], bits)
+
+
+def _ctr(state: BlowfishState, nonce: int, raw: np.ndarray) -> np.ndarray:
+    return np.frombuffer(bf_ctr_transform(state, nonce, raw), dtype=np.uint8).copy()
+
+
+RED = np.s_[0::3]  # an image's host: the red samples of its interleaved RGB raster
 
 
 @dataclass(frozen=True)
@@ -280,7 +319,7 @@ def hide(
     skip_image_encryption: bool = False,
 ) -> HideResult:
     """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
-    _check_rgb(cover)
+    raw = _raster(cover).copy()
     n = cover.shape[0] * cover.shape[1]
     capacity_bits = n - HEADER_SLOTS
     if capacity_bits < frame_num_bits(MIN_CIPHERTEXT):
@@ -290,24 +329,11 @@ def hide(
         )
     if iv is None:
         iv = os.urandom(16)
-    frames = build_frames(secret, keys.data_key, iv, [capacity_bits])
-    frame_bytes = frames[0].serialize()
-    frame_bits = 8 * len(frame_bytes)
-
-    reserved, _side = reserve_room(cover, frame_bits)
-    bits = np.unpackbits(np.frombuffer(frame_bytes, np.uint8))
-
-    plain_marked = reserved.copy()
-    _write_region_a(plain_marked, bits)
-    quality = psnr(cover, plain_marked)
-
-    if skip_image_encryption:
-        out = plain_marked
-    else:
-        state = bf_key_schedule(keys.image_key)
-        out = _ctr_image(state, keys.nonce, reserved)
-        _write_region_a(out, bits)
-    return HideResult(out, quality, frame_bits, capacity_bits)
+    frame = build_frames(secret, keys.data_key, iv, [capacity_bits])[0].serialize()
+    # the cipher state (its 256 KB fused table) is not held while psnr runs
+    out = embed(raw, RED, frame, _cover_state(keys.image_key, skip_image_encryption), keys.nonce)
+    quality = psnr(cover, raw.reshape(cover.shape))
+    return HideResult(out.reshape(cover.shape), quality, 8 * len(frame), capacity_bits)
 
 
 def reveal(
@@ -322,9 +348,9 @@ def reveal(
         )
     container = aes_cbc_decrypt(frame.ciphertext, keys.data_key, frame.iv)
     secret = huffman_decompress(container)
-    original = _recover_image(marked, frame.num_bits, keys.image_key, keys.nonce,
-                              skip_image_encryption)
-    return secret, original
+    state = _cover_state(keys.image_key, skip_image_encryption)
+    original = recover(_raster(marked), RED, frame.num_bits, state, keys.nonce)
+    return secret, original.reshape(marked.shape)
 
 
 def recover_original(
@@ -342,37 +368,17 @@ def recover_original(
         frame = extract_frame(marked)
     except PayloadError as exc:
         raise HeaderChecksum(f"cannot locate the side header: {exc}") from exc
-    return _recover_image(marked, frame.num_bits, image_key, nonce, skip_image_encryption)
+    state = _cover_state(image_key, skip_image_encryption)
+    return recover(_raster(marked), RED, frame.num_bits, state, nonce).reshape(marked.shape)
 
 
 def extract_frame(marked: np.ndarray) -> PayloadFrame:
     """Read the payload frame from the red LSBs; needs no key material."""
-    _check_rgb(marked)
-    red = marked.reshape(-1, 3)[:, 0]
-    return parse_frame(np.packbits(red & 1).tobytes())
+    return extract(_raster(marked), RED)
 
 
-def _recover_image(
-    marked: np.ndarray, frame_bits: int, image_key: bytes, nonce: int, skip: bool
-) -> np.ndarray:
-    if skip:
-        plain = marked.copy()
-    else:
-        state = bf_key_schedule(image_key)
-        plain = _ctr_image(state, nonce, marked)
-    flat = plain.reshape(-1, 3)
-    flat[:, 0] = recover_plane(flat[:, 0].copy(), frame_bits)
-    return plain
-
-
-def _write_region_a(img: np.ndarray, bits: np.ndarray) -> None:
-    red = img.reshape(-1, 3)[:, 0]
-    red[: bits.size] = (red[: bits.size] & 0xFE) | bits
-
-
-def _ctr_image(state: BlowfishState, nonce: int, img: np.ndarray) -> np.ndarray:
-    raw = bf_ctr_transform(state, nonce, img.tobytes())
-    return np.frombuffer(raw, dtype=np.uint8).reshape(img.shape).copy()
+def _cover_state(image_key: bytes, skip: bool) -> BlowfishState | None:
+    return None if skip else bf_key_schedule(image_key)
 
 
 def max_embeddable_bits(plane: np.ndarray) -> int | None:
@@ -407,8 +413,10 @@ def max_embeddable_bits(plane: np.ndarray) -> int | None:
     return lo
 
 
-def _check_rgb(img: np.ndarray) -> None:
+def _raster(img: np.ndarray) -> np.ndarray:
+    """The interleaved RGB samples of an (h, w, 3) uint8 image as one contiguous run."""
     if not isinstance(img, np.ndarray) or img.ndim != 3 or img.shape[2] != 3:
         raise DimensionMismatch(f"expected an RGB (h, w, 3) array, got {getattr(img, 'shape', None)}")
     if img.dtype != np.uint8:
         raise DimensionMismatch(f"expected uint8 samples, got {img.dtype}")
+    return np.ascontiguousarray(img).reshape(-1)

@@ -1,15 +1,13 @@
 """Y4M (YUV4MPEG2) parsing/writing and frame-looped hiding.
 
-Each video frame is an independent host: its Y plane is room-reserved
-exactly like a cover image's red channel, the whole frame (Y then U then V)
-is encrypted with the counter keystream under nonce + frame_index, and one
-payload segment lands in the frame's region-A Y LSBs.  Frames beyond the
-last segment carry zero-length segments so every frame stays recoverable on
-its own.  Reassembly orders segments by their index, not by frame position.
-
-Embedding operates on native YUV input.  The RGB conversions below are
-utilities for RGB-sourced frame sequences and are lossy (rounding); the
-bit-exact reversibility guarantee holds for YUV-native video only.
+Each video frame is an independent host for the embedding core in
+``pipeline`` (``embed``, ``recover``, ``extract``): the core sees the frame as
+one flat Y+U+V buffer whose host slice is the Y plane, ``[:w*h]``, just as
+an image's host is its red channel.  The buffer is encrypted with the
+counter keystream under nonce + frame_index, and one payload segment lands
+in the frame's region-A Y LSBs.  Frames beyond the last segment carry
+zero-length segments so every frame stays recoverable on its own.
+Reassembly orders segments by their index, not by frame position.
 
 Unknown stream-header parameters round-trip verbatim, so a marked video can
 carry its counter nonce as an ``XRDHCTR=<16 hex>`` extension token that
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blowfish import BlowfishState, bf_ctr_transform, bf_key_schedule
+from .blowfish import BlowfishState, bf_key_schedule
 from .errors import (
     BadSignature,
     CapacityExceeded,
@@ -38,14 +36,21 @@ from .pipeline import (
     PayloadFrame,
     StegoKeys,
     build_frames,
+    embed,
+    extract,
     frame_num_bits,
     max_embeddable_bits,
-    parse_frame,
-    recover_plane,
+    recover,
     reserve_room_plane,
 )
+
 from .aes import aes_cbc_decrypt
 from .huffman import huffman_decompress
+
+# bench/spans.py traces layers through the names this module binds, so these
+# stay bound here although the calls are made in pipeline
+from .blowfish import bf_ctr_transform  # noqa: F401
+from .pipeline import recover_plane  # noqa: F401
 
 _SIGNATURE = b"YUV4MPEG2"
 _NONCE_PREFIX = b"XRDHCTR="
@@ -130,7 +135,8 @@ def parse_y4m(data: bytes) -> Y4mVideo:
             raise TruncatedFrame(
                 f"frame needs {frame_len} plane bytes, stream holds {len(raw)}"
             )
-        video.frames.append(_split_planes(raw, width, height, ch, cw))
+        planes = np.frombuffer(raw, dtype=np.uint8).copy()
+        video.frames.append(_split_planes(planes, (height, width), (ch, cw)))
         video.frame_headers.append(suffix)
         pos += frame_len
     return video
@@ -144,12 +150,19 @@ def write_y4m(video: Y4mVideo) -> bytes:
     return bytes(out)
 
 
-def _split_planes(raw: bytes, w: int, h: int, ch: int, cw: int) -> YuvFrame:
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    y = arr[: w * h].reshape(h, w).copy()
-    u = arr[w * h : w * h + ch * cw].reshape(ch, cw).copy()
-    v = arr[w * h + ch * cw :].reshape(ch, cw).copy()
-    return YuvFrame(y, u, v)
+def _split_planes(raw: np.ndarray, y_shape: tuple, c_shape: tuple) -> YuvFrame:
+    """Y, U and V as views of one flat Y+U+V buffer."""
+    ny = y_shape[0] * y_shape[1]
+    nc = c_shape[0] * c_shape[1]
+    return YuvFrame(
+        raw[:ny].reshape(y_shape),
+        raw[ny : ny + nc].reshape(c_shape),
+        raw[ny + nc :].reshape(c_shape),
+    )
+
+
+def _frame_buffer(frame: YuvFrame) -> np.ndarray:
+    return np.concatenate((frame.y, frame.u, frame.v), axis=None)
 
 
 def _positive_int(tok: bytes, what: str) -> int:
@@ -174,9 +187,7 @@ def video_nonce(video: Y4mVideo) -> int | None:
 def with_video_nonce(video: Y4mVideo, nonce: int) -> Y4mVideo:
     """Copy of the video with its nonce token replaced or appended."""
     token = _NONCE_PREFIX + b"%016x" % (nonce & _MASK64)
-    params = [t for t in video.params if not t.startswith(_NONCE_PREFIX)]
-    params.append(token)
-    return replace(video, params=params)
+    return replace(video, params=[*without_video_nonce(video).params, token])
 
 
 def without_video_nonce(video: Y4mVideo) -> Y4mVideo:
@@ -184,61 +195,24 @@ def without_video_nonce(video: Y4mVideo) -> Y4mVideo:
     return replace(video, params=[t for t in video.params if not t.startswith(_NONCE_PREFIX)])
 
 
-# full-range BT.601 coefficients, rounded and clamped to [0, 255]
-
-
-def rgb_to_yuv(r: int, g: int, b: int) -> tuple[int, int, int]:
-    y = _clamp(round(0.299 * r + 0.587 * g + 0.114 * b))
-    u = _clamp(round(-0.168736 * r - 0.331264 * g + 0.5 * b + 128))
-    v = _clamp(round(0.5 * r - 0.418688 * g - 0.081312 * b + 128))
-    return y, u, v
-
-
-def yuv_to_rgb(y: int, u: int, v: int) -> tuple[int, int, int]:
-    r = _clamp(round(y + 1.402 * (v - 128)))
-    g = _clamp(round(y - 0.344136 * (u - 128) - 0.714136 * (v - 128)))
-    b = _clamp(round(y + 1.772 * (u - 128)))
-    return r, g, b
-
-
-def _clamp(x: int) -> int:
-    return 0 if x < 0 else 255 if x > 255 else x
-
-
 def embed_frame_payload(
     frame: YuvFrame, payload: bytes, state: BlowfishState, nonce: int
 ) -> YuvFrame:
     """Room-reserve the Y plane, encrypt the whole frame, substitute the payload."""
-    shape_y, shape_c = frame.y.shape, frame.u.shape
-    bits = 8 * len(payload)
-    reserved_y, _ = reserve_room_plane(frame.y.reshape(-1), bits)
-    raw = reserved_y.tobytes() + frame.u.tobytes() + frame.v.tobytes()
-    enc = np.frombuffer(bf_ctr_transform(state, nonce, raw), dtype=np.uint8).copy()
-    ny = frame.y.size
-    payload_bits = np.unpackbits(np.frombuffer(payload, np.uint8))
-    enc[:bits] = (enc[:bits] & 0xFE) | payload_bits
-    return YuvFrame(
-        enc[:ny].reshape(shape_y),
-        enc[ny : ny + frame.u.size].reshape(shape_c),
-        enc[ny + frame.u.size :].reshape(shape_c),
-    )
+    out = embed(_frame_buffer(frame), np.s_[: frame.y.size], payload, state, nonce)
+    return _split_planes(out, frame.y.shape, frame.u.shape)
 
 
 def extract_frame_payload(frame: YuvFrame) -> PayloadFrame:
     """Parse the payload segment from the Y LSBs; needs no key material."""
-    return parse_frame(np.packbits(frame.y.reshape(-1) & 1).tobytes())
+    return extract(frame.y.reshape(-1), np.s_[:])
 
 
 def recover_frame(frame: YuvFrame, state: BlowfishState, nonce: int) -> YuvFrame:
     """Decrypt one marked frame and restore its original planes."""
-    payload = extract_frame_payload(frame)
-    raw = frame.y.tobytes() + frame.u.tobytes() + frame.v.tobytes()
-    dec = np.frombuffer(bf_ctr_transform(state, nonce, raw), dtype=np.uint8).copy()
-    ny = frame.y.size
-    y = recover_plane(dec[:ny], payload.num_bits).reshape(frame.y.shape)
-    u = dec[ny : ny + frame.u.size].reshape(frame.u.shape)
-    v = dec[ny + frame.u.size :].reshape(frame.v.shape)
-    return YuvFrame(y, u, v)
+    frame_bits = extract_frame_payload(frame).num_bits
+    out = recover(_frame_buffer(frame), np.s_[: frame.y.size], frame_bits, state, nonce)
+    return _split_planes(out, frame.y.shape, frame.u.shape)
 
 
 def video_hide(

@@ -95,16 +95,3 @@ def test_padding_determinism(chunks):
         buffers.append(w.getvalue())
     assert buffers[0] == buffers[1]
     assert len(buffers[0]) == (sum(n for _, n in chunks) + 7) // 8
-
-
-def test_write_bytes_matches_bitwise_writes():
-    data = bytes(range(32))
-    w1 = BitWriter()
-    w1.write_bits(0b1, 1)
-    w1.write_bytes(data)
-    w2 = BitWriter()
-    w2.write_bits(0b1, 1)
-    for b in data:
-        w2.write_bits(b, 8)
-    assert w1.getvalue() == w2.getvalue()
-    assert BitReader(w1.getvalue()).read_bits(1) == 1

@@ -73,6 +73,24 @@ def test_hide_reveal_happy_path(tmp_path, cover_file, capsys):
     assert np.array_equal(back, cover)
 
 
+def test_hide_without_nonce_draws_a_fresh_one_per_cover(tmp_path, cover_file):
+    cover_path, cover = cover_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"two covers, two keystreams")
+    nonces = []
+    for name in ("a", "b"):
+        marked = tmp_path / f"{name}.ppm"
+        assert run(["hide", "--cover", cover_path, "--data", secret, "--out", marked,
+                    "--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--iv", IV]) == 0
+        nonces.append(netpbm.load_ppm(marked.read_bytes())[1])
+        out, rec = tmp_path / f"{name}.bin", tmp_path / f"{name}-rec.ppm"
+        assert run(["reveal", "--input", marked, "--out", out, "--recovered", rec,
+                    "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 0
+        assert out.read_bytes() == secret.read_bytes()
+        assert np.array_equal(netpbm.load_ppm(rec.read_bytes())[0], cover)
+    assert None not in nonces and nonces[0] != nonces[1]
+
+
 def test_recover_image_without_data_key(tmp_path, cover_file):
     cover_path, cover = cover_file
     secret_path = tmp_path / "s.bin"

@@ -5,7 +5,6 @@ from rdhkit import netpbm
 from rdhkit.errors import (
     BadImageMagic,
     BadMaxval,
-    DimensionMismatch,
     FormatError,
     MalformedHeader,
     TruncatedFile,
@@ -52,8 +51,6 @@ def test_comment_that_merely_resembles_a_nonce_is_ignored():
 def test_bad_magic():
     with pytest.raises(BadImageMagic):
         netpbm.load_ppm(b"P5\n2 1\n255\n\x00\x00")
-    with pytest.raises(BadImageMagic):
-        netpbm.load_pgm(b"P6\n2 1\n255\n" + bytes(6))
 
 
 def test_bad_maxval():
@@ -132,38 +129,3 @@ def test_save_is_deterministic_and_roundtrips():
         back, got_nonce = netpbm.load_ppm(out)
         assert np.array_equal(back, img)
         assert got_nonce == nonce
-
-
-def test_pgm_roundtrip():
-    rng = np.random.default_rng(8)
-    plane = rng.integers(0, 256, size=(9, 5), dtype=np.uint8)
-    back = netpbm.load_pgm(netpbm.save_pgm(plane))
-    assert np.array_equal(back, plane)
-
-
-def test_red_plane_extraction():
-    img = np.full((4, 3, 3), (7, 8, 9), dtype=np.uint8)
-    plane = netpbm.red_plane(img)
-    assert np.array_equal(plane, np.full((4, 3), 7, dtype=np.uint8))
-
-
-def test_set_red_plane_identity():
-    rng = np.random.default_rng(9)
-    img = rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)
-    assert np.array_equal(netpbm.set_red_plane(img, netpbm.red_plane(img)), img)
-
-
-def test_set_red_plane_leaves_green_blue_untouched():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        img = rng.integers(0, 256, size=(5, 8, 3), dtype=np.uint8)
-        plane = rng.integers(0, 256, size=(5, 8), dtype=np.uint8)
-        out = netpbm.set_red_plane(img, plane)
-        assert np.array_equal(out[:, :, 0], plane)
-        assert np.array_equal(out[:, :, 1:], img[:, :, 1:])  # every G and B byte
-
-
-def test_set_red_plane_dimension_mismatch():
-    img = np.zeros((4, 4, 3), dtype=np.uint8)
-    with pytest.raises(DimensionMismatch):
-        netpbm.set_red_plane(img, np.zeros((4, 5), dtype=np.uint8))

@@ -110,27 +110,6 @@ def test_nonce_token_helpers():
     assert vid.video_nonce(vid.parse_y4m(vid.write_y4m(stamped))) == 0xDEADBEEF
 
 
-# --- color conversion -----------------------------------------------------
-
-
-def test_gray_is_a_fixed_point():
-    assert vid.rgb_to_yuv(128, 128, 128) == (128, 128, 128)
-
-
-def test_white_maps_to_neutral_chroma():
-    assert vid.rgb_to_yuv(255, 255, 255) == (255, 128, 128)
-
-
-def test_yuv_roundtrip_error_within_two():
-    rng = np.random.default_rng(5)
-    worst = 0
-    for _ in range(100_000):
-        r, g, b = (int(x) for x in rng.integers(0, 256, 3))
-        r2, g2, b2 = vid.yuv_to_rgb(*vid.rgb_to_yuv(r, g, b))
-        worst = max(worst, abs(r - r2), abs(g - g2), abs(b - b2))
-    assert worst <= 2
-
-
 # --- hide / reveal --------------------------------------------------------
 
 
