@@ -1,12 +1,24 @@
-"""AES-128 for the payload path: block primitives plus CBC with PKCS#7.
+"""AES-128 for the payload path: T-table block cipher plus CBC with PKCS#7.
 
-The cipher is implemented directly from the round structure (SubBytes,
-ShiftRows, MixColumns, AddRoundKey over a 4x4 column-major state) with the
-S-boxes as constant tables, so the published FIPS-197 known-answer vectors
-are checkable byte for byte.  Only the 128-bit key size is supported.
+Rounds use the 32-bit T-table form of Rijndael (FIPS-197 §5; Daemen and
+Rijmen, *The Design of Rijndael*, §4.2): SubBytes, ShiftRows and MixColumns
+fold into four 256-entry word tables, so a round is 16 table lookups XORed
+into four column words.  CBC encryption chains each block into the next, so
+it runs block by block on Python ints.  CBC decryption has no chain between
+blocks, so ``decrypt_block`` runs the equivalent inverse cipher (FIPS-197
+§5.3.5: InvMixColumns applied to round keys 1-9) on every block at once,
+with numpy uint32 inverse T-tables gathered over all blocks.
+
+``encrypt_block`` and ``decrypt_block`` are the round code CBC runs, so the
+FIPS-197 known-answer block and the NIST SP 800-38A F.2.1 CBC vectors check
+it byte for byte.  Only the 128-bit key size is supported.
 """
 
 from __future__ import annotations
+
+import struct
+
+import numpy as np
 
 from .errors import BadKeyLength, BadLength, BadPadding
 
@@ -95,82 +107,84 @@ _MUL13 = tuple(_gmul(x, 13) for x in range(256))
 _MUL14 = tuple(_gmul(x, 14) for x in range(256))
 
 
-def _sub_bytes(state: bytearray, box) -> None:
-    for i in range(16):
-        state[i] = box[state[i]]
+def _ror8(word: int) -> int:
+    return (word >> 8) | (word & 0xFF) << 24
 
 
-# flat index r + 4c; row r lives at indices r, r+4, r+8, r+12
-def _shift_rows(state: bytearray) -> None:
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        for c in range(4):
-            state[r + 4 * c] = row[(c + r) % 4]
-
-
-def _inv_shift_rows(state: bytearray) -> None:
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        for c in range(4):
-            state[r + 4 * c] = row[(c - r) % 4]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-        state[4 * c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-        state[4 * c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-        state[4 * c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-
-def _inv_mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-        state[4 * c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-        state[4 * c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-        state[4 * c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-
-
-def _add_round_key(state: bytearray, rk: bytes) -> None:
-    for i in range(16):
-        state[i] ^= rk[i]
-
-
-def aes_round(state: bytes, round_key: bytes, last: bool = False) -> bytes:
-    """One forward round: SubBytes, ShiftRows, MixColumns (skipped when last), AddRoundKey."""
-    s = bytearray(state)
-    _sub_bytes(s, SBOX)
-    _shift_rows(s)
-    if not last:
-        _mix_columns(s)
-    _add_round_key(s, round_key)
-    return bytes(s)
+# _TE<j>[x]: what byte x in row j adds to its column word after SubBytes and
+# MixColumns, row 0 in the top byte
+_TE0 = tuple(_MUL2[s] << 24 | s << 16 | s << 8 | _MUL3[s] for s in SBOX)
+_TE1 = tuple(map(_ror8, _TE0))
+_TE2 = tuple(map(_ror8, _TE1))
+_TE3 = tuple(map(_ror8, _TE2))
 
 
 def encrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
+    """One block through the T-table rounds; CBC encryption calls this per block."""
     if len(block) != BLOCK_SIZE:
         raise BadLength(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    state = bytes(a ^ b for a, b in zip(block, round_keys[0]))
-    for i in range(1, NUM_ROUNDS):
-        state = aes_round(state, round_keys[i])
-    return aes_round(state, round_keys[NUM_ROUNDS], last=True)
+    t0, t1, t2, t3, s = _TE0, _TE1, _TE2, _TE3, SBOX
+    rk = struct.unpack(">44I", b"".join(round_keys))
+    w0, w1, w2, w3 = struct.unpack(">4I", block)
+    s0, s1, s2, s3 = w0 ^ rk[0], w1 ^ rk[1], w2 ^ rk[2], w3 ^ rk[3]
+    for r in range(4, 4 * NUM_ROUNDS, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
+        )
+    # the last round has no MixColumns: S-box bytes in ShiftRows order
+    return struct.pack(
+        ">4I",
+        rk[40] ^ s[s0 >> 24] << 24 ^ s[s1 >> 16 & 255] << 16 ^ s[s2 >> 8 & 255] << 8 ^ s[s3 & 255],
+        rk[41] ^ s[s1 >> 24] << 24 ^ s[s2 >> 16 & 255] << 16 ^ s[s3 >> 8 & 255] << 8 ^ s[s0 & 255],
+        rk[42] ^ s[s2 >> 24] << 24 ^ s[s3 >> 16 & 255] << 16 ^ s[s0 >> 8 & 255] << 8 ^ s[s1 & 255],
+        rk[43] ^ s[s3 >> 24] << 24 ^ s[s0 >> 16 & 255] << 16 ^ s[s1 >> 8 & 255] << 8 ^ s[s2 & 255],
+    )
+
+
+# The inverse cipher works on (nblocks, 16) state bytes, byte 4c + j being
+# row j of column c.  _TD[256 j + x] is what byte x in row j adds to its
+# column after InvSubBytes and InvMixColumns, as a uint32 whose memory bytes
+# are rows 0-3, so a word XOR is a bytewise XOR in either byte order.
+_SBOX_NP = np.array(SBOX, np.uint8)
+_INV_SBOX_NP = np.array(INV_SBOX, np.uint8)
+_INV_MIX_COL0 = np.stack(  # InvMixColumns' first column, (14, 9, 13, 11), times InvSubBytes
+    [np.array(m, np.uint8)[_INV_SBOX_NP] for m in (_MUL14, _MUL9, _MUL13, _MUL11)], axis=1
+)
+_TD = np.stack([np.roll(_INV_MIX_COL0, j, axis=1) for j in range(4)]).view(np.uint32).reshape(-1)
+_BY_ROW = np.array([4 * c + j for j in range(4) for c in range(4)])  # state bytes grouped by row
+_TD_OFFSET = np.repeat(np.arange(0, 1024, 256, dtype=np.uint16), 4)  # 256 j for each of _BY_ROW
+_INV_SHIFT_ROWS = np.array([(p - 4 * (p % 4)) % 16 for p in range(16)])  # source byte of each byte
+_ROUND_ORDER = _INV_SHIFT_ROWS[_BY_ROW]  # a round's gather: InvShiftRows, grouped by row
+
+
+def _inv_mix(state: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """InvSubBytes and InvMixColumns of the state bytes taken in order, grouped by row.
+
+    Returns (nblocks, 4) column words, ready to be viewed as state bytes again.
+    """
+    t = _TD.take(state.take(order, axis=1) + _TD_OFFSET)
+    return t[:, 0:4] ^ t[:, 4:8] ^ t[:, 8:12] ^ t[:, 12:16]
 
 
 def decrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
-    if len(block) != BLOCK_SIZE:
-        raise BadLength(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    s = bytearray(a ^ b for a, b in zip(block, round_keys[NUM_ROUNDS]))
+    """The inverse cipher on every 16-byte block of block at once (ECB).
+
+    CBC decryption calls this once on its whole ciphertext.  Each round is
+    one gather of all state bytes through _TD, keyed by the equivalent
+    inverse cipher's round keys.
+    """
+    if not block or len(block) % BLOCK_SIZE:
+        raise BadLength(f"block length {len(block)} is not a positive multiple of {BLOCK_SIZE}")
+    rk = np.frombuffer(b"".join(round_keys), np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    # equivalent-inverse-cipher keys; the S-box cancels the InvSubBytes inside _TD
+    inv_mixed_keys = _inv_mix(_SBOX_NP[rk], _BY_ROW)
+    state = np.frombuffer(block, np.uint8).reshape(-1, BLOCK_SIZE) ^ rk[NUM_ROUNDS]
     for i in range(NUM_ROUNDS - 1, 0, -1):
-        _inv_shift_rows(s)
-        _sub_bytes(s, INV_SBOX)
-        _add_round_key(s, round_keys[i])
-        _inv_mix_columns(s)
-    _inv_shift_rows(s)
-    _sub_bytes(s, INV_SBOX)
-    _add_round_key(s, round_keys[0])
-    return bytes(s)
+        state = (_inv_mix(state, _ROUND_ORDER) ^ inv_mixed_keys[i]).view(np.uint8)
+    return (_INV_SBOX_NP[state.take(_INV_SHIFT_ROWS, axis=1)] ^ rk[0]).tobytes()
 
 
 def _pad(data: bytes) -> bytes:
@@ -194,9 +208,9 @@ def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     out = bytearray()
     prev = iv
     for i in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(a ^ b for a, b in zip(padded[i : i + BLOCK_SIZE], prev))
-        prev = encrypt_block(block, round_keys)
-        out.extend(prev)
+        block = int.from_bytes(padded[i : i + BLOCK_SIZE], "big") ^ int.from_bytes(prev, "big")
+        prev = encrypt_block(block.to_bytes(BLOCK_SIZE, "big"), round_keys)
+        out += prev
     return bytes(out)
 
 
@@ -205,11 +219,6 @@ def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
         raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
     if len(data) == 0 or len(data) % BLOCK_SIZE:
         raise BadLength(f"ciphertext length {len(data)} is not a positive multiple of {BLOCK_SIZE}")
-    round_keys = expand_key(key)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(data), BLOCK_SIZE):
-        block = data[i : i + BLOCK_SIZE]
-        out.extend(a ^ b for a, b in zip(decrypt_block(block, round_keys), prev))
-        prev = block
-    return _unpad(bytes(out))
+    decrypted = np.frombuffer(decrypt_block(data, expand_key(key)), np.uint8)
+    chain = np.frombuffer(iv + data[:-BLOCK_SIZE], np.uint8)
+    return _unpad((decrypted ^ chain).tobytes())

@@ -10,10 +10,6 @@ class RdhError(Exception):
     """Base class for every error raised by this package."""
 
 
-class OutOfBits(RdhError):
-    """A bit reader was asked for more bits than remain."""
-
-
 class OutOfRange(RdhError):
     """An LSB slice falls outside the plane."""
 

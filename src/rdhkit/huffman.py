@@ -8,6 +8,16 @@ lengths, ordered by (length, symbol value).
 Layout, all integers big-endian::
 
     "HUF1" | original_len u32 | symbol_count u16 | symbol_count x (symbol u8, length u8) | bitstream
+
+The bitstream is MSB-first.  Encoding lays every byte value's codeword out
+as a row of bits and packs the rows of the whole input with ``np.packbits``.
+Decoding peeks ``_PEEK_BITS`` bits at a time out of 24-bit windows, one per
+stream byte, and looks the symbol and its code length up together in a
+canonical table.  A code longer than the peek, which only the rarest symbols
+get, is looked up length by length; lengths are bounded by the u8 length
+field, so a code is at most 255 bits.  Prefixes that start no codeword raise ``Truncated``, and a
+declared length that needs more symbols than the stream has bits is rejected
+before any output is allocated.
 """
 
 from __future__ import annotations
@@ -16,20 +26,20 @@ import heapq
 import struct
 from dataclasses import dataclass
 
-from .bitio import BitReader, BitWriter
-from .errors import BadMagic, CorruptTable, EmptyInput, OutOfBits, TooLarge, Truncated
+import numpy as np
+
+from .errors import BadMagic, CorruptTable, EmptyInput, TooLarge, Truncated
 
 MAGIC = b"HUF1"
 _MAX_INPUT = 0xFFFFFFFF
 _HEADER = struct.Struct(">4sIH")
+_PEEK_BITS = 11  # codes up to this long decode with one table lookup
+_PACK_CHUNK = 1 << 16  # symbols laid out as bit rows at a time, to bound the rows' memory
 
 
 def build_frequency_table(data: bytes) -> list[int]:
     """Occurrence count for each of the 256 byte values."""
-    counts = [0] * 256
-    for b in data:
-        counts[b] += 1
-    return counts
+    return np.bincount(np.frombuffer(data, np.uint8), minlength=256).tolist()
 
 
 @dataclass
@@ -104,12 +114,21 @@ def huffman_compress(data: bytes) -> bytes:
     for s in present:
         out.append(s)
         out.append(table.lengths[s])
-    w = BitWriter()
-    codes, lengths = table.codes, table.lengths
-    for b in data:
-        w.write_bits(codes[b], lengths[b])
-    out.extend(w.getvalue())
+    out += _pack_codes(data, table)
     return bytes(out)
+
+
+def _pack_codes(data: bytes, table: CodeTable) -> bytes:
+    """Every byte's codeword in turn, MSB first, zero-padded to a whole byte."""
+    width = max(table.lengths)
+    rows = np.zeros((256, width), np.uint8)  # row s: the bits of s's codeword
+    for s, length in enumerate(table.lengths):
+        if length:
+            rows[s, :length] = [int(bit) for bit in format(table.codes[s], f"0{length}b")]
+    used = np.arange(width) < np.array(table.lengths)[:, None]
+    symbols = np.frombuffer(data, np.uint8)
+    chunks = (symbols[i : i + _PACK_CHUNK] for i in range(0, symbols.size, _PACK_CHUNK))
+    return np.packbits(np.concatenate([rows[c][used[c]] for c in chunks])).tobytes()
 
 
 def huffman_decompress(container: bytes) -> bytes:
@@ -140,39 +159,57 @@ def huffman_decompress(container: bytes) -> bytes:
     if symbol_count == 0:
         raise CorruptTable("no symbols but a nonzero original length")
     _check_kraft(lengths)
-    codes = _assign_canonical(lengths)
+    stream = container[table_end:]
+    # every codeword has at least one bit
+    if original_len > 8 * len(stream):
+        raise Truncated(f"{original_len} symbols cannot fit a {8 * len(stream)}-bit stream")
+    return _decode(stream, lengths, original_len)
 
-    # canonical decode: (first code, symbol list) per length
-    by_length: dict[int, tuple[int, list[int]]] = {}
-    for s in range(256):
-        if lengths[s] > 0:
-            first, syms = by_length.setdefault(lengths[s], (codes[s], []))
-            by_length[lengths[s]] = (min(first, codes[s]), syms)
-            syms.append(s)
-    for length in by_length:
-        by_length[length][1].sort()
 
-    r = BitReader(container[table_end:])
-    out = bytearray()
-    max_len = max(by_length)
+def _decode(stream: bytes, lengths: list[int], count: int) -> bytes:
+    peek = min(max(lengths), _PEEK_BITS)
+    # lookup[p]: symbol << 8 | length of the codeword that starts the peek p,
+    # 0 where that codeword is longer than the peek or where no codeword fits
+    lookup = [0] * (1 << peek)
+    long_codes = {}  # (length, codeword) -> symbol, for lengths beyond the peek
+    for s, code in enumerate(_assign_canonical(lengths)):
+        length = lengths[s]
+        if length > peek:
+            long_codes[length, code] = s
+        elif length:
+            span = 1 << (peek - length)
+            lookup[code * span : (code + 1) * span] = [s << 8 | length] * span
+    long_lengths = sorted({length for length, _ in long_codes})
+    padded = np.frombuffer(stream + bytes(2), np.uint8).astype(np.uint32)
+    window = (padded[:-2] << 16 | padded[1:-1] << 8 | padded[2:]).tolist()
+    shift, mask = 24 - peek, (1 << peek) - 1
+    out = bytearray(count)
+    pos = 0
     try:
-        while len(out) < original_len:
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | r.read_bit()
-                length += 1
-                entry = by_length.get(length)
-                if entry is not None:
-                    first, syms = entry
-                    idx = code - first
-                    if 0 <= idx < len(syms):
-                        out.append(syms[idx])
-                        break
-                if length >= max_len:
-                    raise Truncated("bit pattern matches no codeword")
-    except OutOfBits:
-        raise Truncated(
-            f"bitstream exhausted after {len(out)} of {original_len} symbols"
-        ) from None
+        for i in range(count):
+            # window has one entry per stream byte: a read past the end raises IndexError
+            entry = lookup[window[pos >> 3] >> (shift - (pos & 7)) & mask]
+            if entry:
+                out[i] = entry >> 8
+                pos += entry & 0xFF
+            else:
+                out[i], length = _long_code(stream, pos, long_lengths, long_codes)
+                pos += length
+    except IndexError:
+        raise Truncated(f"bitstream exhausted after {i} of {count} symbols") from None
+    if pos > 8 * len(stream):
+        raise Truncated(f"bitstream exhausted inside symbol {count - 1}")
     return bytes(out)
+
+
+def _long_code(stream: bytes, pos: int, long_lengths: list, long_codes: dict) -> tuple[int, int]:
+    """(symbol, length) of a codeword longer than the peek, tried length by length."""
+    for length in long_lengths:
+        end = pos + length
+        if end > 8 * len(stream):
+            raise Truncated("bitstream exhausted inside a codeword")
+        first, last = pos >> 3, (end + 7) >> 3
+        code = int.from_bytes(stream[first:last], "big") >> (8 * last - end) & ((1 << length) - 1)
+        if (length, code) in long_codes:
+            return long_codes[length, code], length
+    raise Truncated("bit pattern matches no codeword")

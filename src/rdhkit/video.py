@@ -208,9 +208,8 @@ def extract_frame_payload(frame: YuvFrame) -> PayloadFrame:
     return extract(frame.y.reshape(-1), np.s_[:])
 
 
-def recover_frame(frame: YuvFrame, state: BlowfishState, nonce: int) -> YuvFrame:
-    """Decrypt one marked frame and restore its original planes."""
-    frame_bits = extract_frame_payload(frame).num_bits
+def recover_frame(frame: YuvFrame, state: BlowfishState, nonce: int, frame_bits: int) -> YuvFrame:
+    """Decrypt one marked frame whose payload frame is frame_bits long; restore its planes."""
     out = recover(_frame_buffer(frame), np.s_[: frame.y.size], frame_bits, state, nonce)
     return _split_planes(out, frame.y.shape, frame.u.shape)
 
@@ -249,6 +248,8 @@ def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
         payload = extract_frame_payload(frame)
         if count is None:
             count, iv = payload.segment_count, payload.iv
+            if count == 0:
+                raise MissingSegment(f"frame {i} declares zero segments")
         elif payload.segment_count != count:
             raise MissingSegment(
                 f"frame {i} declares {payload.segment_count} segments, expected {count}"
@@ -257,7 +258,8 @@ def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
             if payload.segment_index in segments:
                 raise MissingSegment(f"segment {payload.segment_index} appears twice")
             segments[payload.segment_index] = payload.ciphertext
-        originals.append(recover_frame(frame, state, (keys.nonce + i) & _MASK64))
+        nonce = (keys.nonce + i) & _MASK64
+        originals.append(recover_frame(frame, state, nonce, payload.num_bits))
     missing = [k for k in range(count) if k not in segments]
     if missing:
         raise MissingSegment(f"segments {missing} are absent")

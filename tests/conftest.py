@@ -47,3 +47,20 @@ def max_secret_bytes(cover):
     if small <= 256:
         return small
     return max(256, budget - 523)
+
+
+def zero_segment_clip(clip, keys, iv=bytes(16)):
+    """Copy of a Y4M clip whose every frame carries a payload frame declaring
+    zero segments, embedded under the given keys."""
+    from dataclasses import replace
+
+    from rdhkit import video
+    from rdhkit.blowfish import bf_key_schedule
+    from rdhkit.pipeline import PayloadFrame
+
+    state = bf_key_schedule(keys.image_key)
+    empty = PayloadFrame(0, 0, iv, b"").serialize()
+    frames = [
+        video.embed_frame_payload(f, empty, state, keys.nonce + i) for i, f in enumerate(clip.frames)
+    ]
+    return replace(clip, frames=frames)

@@ -1,15 +1,32 @@
 import random
 
+import numpy as np
 import pytest
 
 from rdhkit import aes
-from rdhkit.errors import BadKeyLength, BadLength, BadPadding
+from rdhkit.errors import BadKeyLength, BadLength, BadPadding, RdhError
 
 # published FIPS-197 walkthrough values
 KEY_EXPANSION_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 KAT_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 KAT_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 KAT_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+
+# NIST SP 800-38A, F.2.1 CBC-AES128.Encrypt
+SP800_38A_KEY = KEY_EXPANSION_KEY
+SP800_38A_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+SP800_38A_PLAIN = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+SP800_38A_CIPHER = bytes.fromhex(
+    "7649abac8119b246cee98e9b12e9197d"
+    "5086cb9b507219ee95db113a917678b2"
+    "73bed6b8e3c1743b7116e69e22229516"
+    "3ff1caa1681fac09120eca307586e1a7"
+)
 
 
 def test_round_key_zero_is_the_key():
@@ -42,17 +59,24 @@ def test_known_answer_block():
 
 
 def test_sub_bytes_component_via_final_round():
-    # last round with a zero key reduces to SubBytes + ShiftRows; an all-equal
-    # state is a ShiftRows fixed point and a zero round key is an XOR identity
-    out = aes.aes_round(bytes(16), bytes(16), last=True)
-    assert out == bytes([0x63]) * 16
-    out = aes.aes_round(bytes([0x00, 0x01] * 8), bytes(16), last=False)
-    assert out != bytes([0x63]) * 16  # MixColumns engaged on a non-uniform state
+    # under all-zero round keys a uniform state is a fixed point of ShiftRows
+    # and of MixColumns (2 ^ 3 ^ 1 ^ 1 = 1), so each T-table round, the last
+    # one included, reduces to SubBytes on every byte
+    zero_keys = [bytes(16)] * 11
+    sub10 = list(range(256))
+    for _ in range(10):
+        sub10 = [aes.SBOX[y] for y in sub10]
+    for x in range(256):
+        assert aes.encrypt_block(bytes([x]) * 16, zero_keys) == bytes([sub10[x]]) * 16
+        assert aes.decrypt_block(bytes([sub10[x]]) * 16, zero_keys) == bytes([x]) * 16
+    # ShiftRows and MixColumns engaged on a non-uniform state
+    assert aes.encrypt_block(bytes(range(16)), zero_keys) != bytes(sub10[:16])
 
 
 def test_shift_rows_rotates_row_one():
-    state = bytearray(range(16))
-    aes._shift_rows(state)
+    # the inverse cipher gathers state bytes through InvShiftRows; the inverse
+    # of that permutation is ShiftRows, applied here to bytes 0..15
+    state = np.argsort(aes._INV_SHIFT_ROWS).tolist()
     # row r sits at flat indices r, r+4, r+8, r+12 (column-major state)
     assert [state[1], state[5], state[9], state[13]] == [5, 9, 13, 1]
     assert [state[0], state[4], state[8], state[12]] == [0, 4, 8, 12]
@@ -141,3 +165,68 @@ def test_wrong_key_raises_bad_padding_almost_always():
             assert out != b"secret"  # a padding fluke must still not reveal the plaintext
     # expected rate ~255/256; leave slack for the seeded fluke count
     assert bad_padding >= trials * 0.98
+
+
+def test_decrypt_block_works_on_every_block_at_once():
+    rng = random.Random(6)
+    ks = aes.expand_key(rng.randbytes(16))
+    blocks = [rng.randbytes(16) for _ in range(40)]
+    ciphertext = b"".join(aes.encrypt_block(b, ks) for b in blocks)
+    assert aes.decrypt_block(ciphertext, ks) == b"".join(blocks)
+    for bad in (b"", bytes(15), bytes(33)):
+        with pytest.raises(BadLength):
+            aes.decrypt_block(bad, ks)
+
+
+def test_sp800_38a_cbc_vectors():
+    out = aes.aes_cbc_encrypt(SP800_38A_PLAIN, SP800_38A_KEY, SP800_38A_IV)
+    assert out[:64] == SP800_38A_CIPHER
+    assert len(out) == 80  # the PKCS#7 block follows the four vector blocks
+    assert aes.aes_cbc_decrypt(out, SP800_38A_KEY, SP800_38A_IV) == SP800_38A_PLAIN
+    # the vector blocks alone: block decryptions XORed with the IV and the shifted ciphertext
+    blocks = aes.decrypt_block(SP800_38A_CIPHER, aes.expand_key(SP800_38A_KEY))
+    chain = SP800_38A_IV + SP800_38A_CIPHER[:48]
+    assert bytes(a ^ b for a, b in zip(blocks, chain)) == SP800_38A_PLAIN
+
+
+def test_cbc_matches_cryptography_both_ways():
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    from cryptography.hazmat.primitives import padding
+
+    rng = random.Random(38)
+    for _ in range(4):
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        cipher = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CBC(iv))
+        for n in range(301):
+            data = rng.randbytes(n)
+            padder = padding.PKCS7(128).padder()
+            enc = cipher.encryptor()
+            expect = enc.update(padder.update(data) + padder.finalize()) + enc.finalize()
+            ours = aes.aes_cbc_encrypt(data, key, iv)
+            assert ours == expect
+            assert aes.aes_cbc_decrypt(expect, key, iv) == data
+            dec, unpadder = cipher.decryptor(), padding.PKCS7(128).unpadder()
+            padded = dec.update(ours) + dec.finalize()
+            assert unpadder.update(padded) + unpadder.finalize() == data
+
+
+def test_mutated_ciphertexts_raise_only_package_errors():
+    rng = random.Random(2025)
+    key, iv = rng.randbytes(16), rng.randbytes(16)
+    ciphertext = aes.aes_cbc_encrypt(rng.randbytes(90), key, iv)
+    for _ in range(3000):
+        mutant = bytearray(ciphertext)
+        kind = rng.randrange(4)
+        if kind == 0:
+            for _ in range(rng.randrange(1, 4)):
+                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        elif kind == 2:
+            del mutant[rng.randrange(len(mutant) + 1) :]
+        else:
+            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 33))
+        try:
+            aes.aes_cbc_decrypt(bytes(mutant), key, iv)
+        except RdhError:
+            pass

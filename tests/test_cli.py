@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_cover
+from conftest import make_cover, zero_segment_clip
 from rdhkit import cli, netpbm, video as vid
 from rdhkit.pipeline import StegoKeys, hide
 
@@ -248,6 +248,15 @@ def test_video_hide_reveal_cli(tmp_path, clip_file, capsys):
     text = capsys.readouterr().out
     assert "FORMAT: y4m" in text
     assert "FRAMES: 3" in text
+
+
+def test_video_reveal_of_zero_segments_exits_3(tmp_path, clip_file):
+    _, clip = clip_file
+    keys = StegoKeys(bytes.fromhex(DATA_KEY), bytes.fromhex(IMAGE_KEY), int(NONCE, 16))
+    marked = tmp_path / "m.y4m"
+    marked.write_bytes(vid.write_y4m(vid.with_video_nonce(zero_segment_clip(clip, keys), keys.nonce)))
+    assert run(["video-reveal", "--input", marked, "--out", tmp_path / "o.bin",
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 3
 
 
 def test_inspect_unknown_format_exits_4(tmp_path):

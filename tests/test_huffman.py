@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdhkit import huffman
-from rdhkit.errors import BadMagic, CorruptTable, EmptyInput, TooLarge, Truncated
+from rdhkit.errors import BadMagic, CorruptTable, EmptyInput, RdhError, TooLarge, Truncated
 
 
 def optimal_code_cost(freqs: list[int]) -> int:
@@ -179,3 +179,70 @@ def test_thousand_random_roundtrips():
 @given(st.binary(max_size=400))
 def test_roundtrip_property(data):
     assert huffman.huffman_decompress(huffman.huffman_compress(data)) == data
+
+
+def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
+    """Shuffled bytes whose counts are Fibonacci numbers: the most skewed tree,
+    with codes up to nsymbols - 1 bits long."""
+    weights = [1, 1]
+    while len(weights) < nsymbols:
+        weights.append(weights[-1] + weights[-2])
+    data = bytearray()
+    for sym, weight in enumerate(weights):
+        data += bytes([sym]) * weight
+    random.Random(seed).shuffle(data)
+    return bytes(data)
+
+
+def test_codes_longer_than_the_peek_round_trip():
+    data = fibonacci_weighted(22, seed=21)
+    table = huffman.build_canonical_codes(huffman.build_frequency_table(data))
+    assert max(table.lengths) >= 20 > huffman._PEEK_BITS
+    container = huffman.huffman_compress(bytes(data))
+    assert huffman.huffman_decompress(container) == data
+    with pytest.raises(Truncated):
+        huffman.huffman_decompress(container[:-1])
+
+
+def test_unfilled_table_slots_raise_rather_than_decode_symbol_zero():
+    # one symbol, 0, with a 5-bit code 00000: no codeword starts with a 1 bit
+    header = b"HUF1" + struct.pack(">IH", 1, 1) + bytes([0, 5])
+    assert huffman.huffman_decompress(header + b"\x00") == b"\x00"
+    with pytest.raises(Truncated):
+        huffman.huffman_decompress(header + b"\xff")
+
+
+def test_declared_length_beyond_the_stream_is_rejected_before_allocating():
+    import tracemalloc
+
+    container = b"HUF1" + struct.pack(">IH", 0xFFFFFFFF, 2) + bytes([65, 1, 66, 1]) + b"\x55"
+    tracemalloc.start()
+    try:
+        with pytest.raises(Truncated):
+            huffman.huffman_decompress(container)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mutated_containers_raise_only_package_errors():
+    rng = random.Random(4096)
+    # codes of 1 to 13 bits, so mutants reach the long-code path too
+    container = huffman.huffman_compress(fibonacci_weighted(14, seed=14))
+    for _ in range(3000):
+        mutant = bytearray(container)
+        kind = rng.randrange(4)
+        if kind == 0:
+            for _ in range(rng.randrange(1, 4)):
+                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        elif kind == 2:
+            del mutant[rng.randrange(len(mutant) + 1) :]
+        else:
+            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 9))
+        try:
+            huffman.huffman_decompress(bytes(mutant))
+        except RdhError:
+            pass

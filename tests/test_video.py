@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import zero_segment_clip
 from rdhkit import video as vid
 from rdhkit.blowfish import bf_key_schedule
 from rdhkit.errors import (
@@ -213,3 +214,22 @@ def test_empty_video_rejected():
     clip = vid.Y4mVideo(4, 4, "C444", [b"W4", b"H4", b"F1:1", b"C444"], [], [])
     with pytest.raises(MissingSegment):
         vid.video_reveal(clip, KEYS)
+
+
+def test_zero_segment_count_is_a_missing_segment():
+    # there is no ciphertext to decrypt: a payload error, not an AES length error
+    clip = zero_segment_clip(make_clip(np.random.default_rng(13), nframes=2), KEYS, IV)
+    with pytest.raises(MissingSegment):
+        vid.video_reveal(clip, KEYS)
+
+
+def test_video_reveal_parses_each_frame_once(monkeypatch):
+    clip = make_clip(np.random.default_rng(14), nframes=4)
+    marked = vid.video_hide(clip, b"parse me once", KEYS, iv=IV)
+    calls = []
+    extract = vid.extract
+    monkeypatch.setattr(vid, "extract", lambda *args: calls.append(args) or extract(*args))
+    got, original = vid.video_reveal(marked, KEYS)
+    assert got == b"parse me once"
+    assert vid.write_y4m(original) == vid.write_y4m(clip)
+    assert len(calls) == len(clip.frames)
