@@ -8,8 +8,13 @@ sample moves by exactly 1, and the inverse walk restores the plane
 bit-exactly.  Plain LSB substitution is NOT reversible on its own and is
 used only where the original bits are preserved elsewhere.
 
-All functions accept numpy uint8 arrays of any shape (flat views of image
-planes included) and return arrays of the same shape.
+Embedding and extraction each make a few whole-plane passes and do their
+per-bin work on 256-entry arrays: the zero-bin and capacity checks read one
+``np.bincount``, and the shift (or its inverse) is one gather through a
+table of all 256 byte values.
+
+All functions accept numpy uint8 arrays of any shape (flat and strided
+views of image planes included) and return new arrays of the same shape.
 """
 
 from __future__ import annotations
@@ -55,21 +60,24 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     if bits.size and bits.max() > 1:
         raise ValueError("payload bits must be 0 or 1")
-    out = np.array(plane, dtype=np.uint8, copy=True)
-    flat = out.reshape(-1)
-    if np.any(flat == zero):
+    plane = np.asarray(plane, dtype=np.uint8)
+    hist = np.bincount(plane.reshape(-1), minlength=256)
+    if hist[zero]:
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
+    if bits.size > hist[peak]:
+        raise CapacityExceeded(needed=bits.size, available=int(hist[peak]), detail="peak bin")
+    shift = np.arange(256, dtype=np.uint8)
     if peak < zero:
-        flat[(flat > peak) & (flat < zero)] += 1
+        shift[peak + 1 : zero] += 1
     else:
-        flat[(flat < peak) & (flat > zero)] -= 1
-    slots = np.flatnonzero(flat == peak)
-    if bits.size > slots.size:
-        raise CapacityExceeded(needed=bits.size, available=slots.size, detail="peak bin")
+        shift[zero + 1 : peak] -= 1
+    out = np.take(shift, plane)
+    flat = out.reshape(-1)
+    slots = np.flatnonzero(flat == peak)[: bits.size]
     if peak < zero:
-        flat[slots[: bits.size]] += bits
+        flat[slots] += bits
     else:
-        flat[slots[: bits.size]] -= bits
+        flat[slots] -= bits
     return out
 
 
@@ -78,17 +86,21 @@ def hs_extract(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of hs_embed: (restored plane, the nbits payload bits)."""
     _check_bins(peak, zero)
-    out = np.array(plane, dtype=np.uint8, copy=True)
-    flat = out.reshape(-1)
+    plane = np.asarray(plane, dtype=np.uint8)
+    # unshift first, so its gather's index copy is not alive beside the candidates
+    unshift = np.arange(256, dtype=np.uint8)
+    if peak < zero:
+        unshift[peak + 1 : zero + 1] -= 1
+    else:
+        unshift[zero:peak] += 1
+    out = np.take(unshift, plane)
+    # peak and mark are adjacent bins, so one wrapping uint8 subtraction finds both
     mark = peak + 1 if peak < zero else peak - 1
-    candidates = np.flatnonzero((flat == peak) | (flat == mark))
+    flat = plane.reshape(-1)
+    candidates = np.flatnonzero(flat - np.uint8(min(peak, mark)) < 2)
     if candidates.size < nbits:
         raise PayloadOverrun(f"need {nbits} payload slots, plane holds {candidates.size}")
     bits = (flat[candidates[:nbits]] == mark).astype(np.uint8)
-    if peak < zero:
-        flat[(flat >= peak + 1) & (flat <= zero)] -= 1
-    else:
-        flat[(flat <= peak - 1) & (flat >= zero)] += 1
     return out, bits
 
 

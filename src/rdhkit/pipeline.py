@@ -48,7 +48,6 @@ from .errors import (
     DimensionMismatch,
     HeaderChecksum,
     MissingSegment,
-    NoZeroBin,
     PayloadError,
 )
 from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
@@ -384,29 +383,37 @@ def _cover_state(image_key: bytes, skip: bool) -> BlowfishState | None:
 def max_embeddable_bits(plane: np.ndarray) -> int | None:
     """Largest region-A bit length this host plane can reserve room for.
 
-    None when not even an empty region is feasible.  The search exploits
-    that histogram-shift capacity of region B can only shrink as region A
-    grows, so feasibility is a prefix in L.
+    Length L is feasible when region B, the samples after L + HEADER_SLOTS,
+    has an empty bin and a peak bin of at least HEADER_SLOTS + L samples.
+    The result is the largest L for which every length 0..L is feasible, or
+    None when L = 0 is not.  Region B only loses samples as L grows, so its
+    peak can only shrink while the need grows, and an empty bin stays empty:
+    once L = 0 is feasible the feasible lengths form a prefix.  (When L = 0
+    has no empty bin, one can appear at a larger L; the result is None all
+    the same.)  A binary search finds the end of the prefix, which is at
+    most region B's peak at L = 0 minus HEADER_SLOTS.  It keeps one region-B
+    histogram and moves it between probes by counting only the samples that
+    enter or leave region B, fewer than 2n samples in all.
     """
     flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
     n = flat.size
-
-    def feasible(length: int) -> bool:
-        region_b = flat[length + HEADER_SLOTS :]
-        if region_b.size == 0:
-            return False
-        try:
-            _, _, capacity = plan_hs(region_b)
-        except NoZeroBin:
-            return False
-        return capacity >= HEADER_SLOTS + length
-
-    if n <= HEADER_SLOTS or not feasible(0):
+    if n <= HEADER_SLOTS:
         return None
-    lo, hi = 0, n - HEADER_SLOTS
+    hist = np.bincount(flat[HEADER_SLOTS:], minlength=256)  # region B at L = 0
+    if hist.min() > 0 or hist.max() < HEADER_SLOTS:
+        return None
+    lo, hi, at = 0, int(hist.max()) - HEADER_SLOTS, 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if feasible(mid):
+        moved = np.bincount(
+            flat[HEADER_SLOTS + min(at, mid) : HEADER_SLOTS + max(at, mid)], minlength=256
+        )
+        if mid > at:
+            hist -= moved
+        else:
+            hist += moved
+        at = mid
+        if hist.max() >= HEADER_SLOTS + mid:
             lo = mid
         else:
             hi = mid - 1

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
+from rdhkit.histshift import plan_hs
 from rdhkit.errors import (
     BadCrc,
     BadMagic,
@@ -17,6 +18,7 @@ from rdhkit.errors import (
     NoZeroBin,
 )
 from rdhkit.pipeline import (
+    HEADER_SLOTS,
     PayloadFrame,
     SideHeader,
     StegoKeys,
@@ -207,6 +209,97 @@ def test_max_embeddable_bits_is_the_exact_boundary():
         with pytest.raises((CapacityExceeded, CoverTooSmall)):
             reserve_room_plane(plane, limit + 1)
     assert max_embeddable_bits(np.arange(256, dtype=np.uint8)) is None
+
+
+def bincount_max_embeddable_bits(plane):
+    """Reference max_embeddable_bits: a full plan_hs of region B at every probe."""
+    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
+    n = flat.size
+
+    def feasible(length):
+        region_b = flat[length + HEADER_SLOTS :]
+        if region_b.size == 0:
+            return False
+        try:
+            _, _, capacity = plan_hs(region_b)
+        except NoZeroBin:
+            return False
+        return capacity >= HEADER_SLOTS + length
+
+    if n <= HEADER_SLOTS or not feasible(0):
+        return None
+    lo, hi = 0, n - HEADER_SLOTS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def seeded_plane(rng, kind, n):
+    if kind == "constant":
+        return np.full(n, rng.integers(0, 256), dtype=np.uint8)
+    if kind == "two-valued":
+        return rng.choice(rng.integers(0, 256, size=2).astype(np.uint8), size=n)
+    if kind == "gaussian":
+        return np.clip(rng.normal(rng.integers(0, 256), rng.uniform(0.5, 8), n), 0, 255).astype(
+            np.uint8
+        )
+    if kind == "every-value":  # region B at L = 0 holds all 256 values once n >= 320
+        values = np.resize(np.arange(256, dtype=np.uint8), max(0, n - HEADER_SLOTS))
+        head = rng.integers(0, 256, min(n, HEADER_SLOTS), dtype=np.uint8)
+        return np.concatenate([head, rng.permutation(values)])
+    return rng.integers(0, 256, size=n, dtype=np.uint8)  # uniform
+
+
+def test_max_embeddable_bits_matches_bincount_reference_at_every_size():
+    rng = np.random.default_rng(31)
+    kinds = ["constant", "two-valued", "gaussian", "uniform", "every-value"]
+    results = set()
+    for n in range(3001):
+        kind = kinds[n % len(kinds)]
+        plane = seeded_plane(rng, kind, n)
+        want = bincount_max_embeddable_bits(plane)
+        assert max_embeddable_bits(plane) == want, (n, kind)
+        if kind == "every-value" and n >= HEADER_SLOTS + 256:
+            assert want is None
+        results.add(want is None)
+    assert results == {True, False}
+
+
+def test_max_embeddable_bits_none_when_only_a_longer_region_a_empties_a_bin():
+    # region B at L = 0 holds every value, but value 0 only in its first sample,
+    # so from L = 1 on region B has an empty bin and a peak big enough
+    body = np.concatenate([np.arange(1, 256), np.full(4000, 100)]).astype(np.uint8)
+    plane = np.concatenate([np.full(HEADER_SLOTS, 100, np.uint8), [0], body]).astype(np.uint8)
+    reserve_room_plane(plane, 16)  # a longer region A is feasible
+    with pytest.raises(NoZeroBin):
+        reserve_room_plane(plane, 0)
+    assert bincount_max_embeddable_bits(plane) is None
+    assert max_embeddable_bits(plane) is None
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "peaked", "uniform"])
+def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
+    rng = np.random.default_rng(33)
+    n = 512 * 512
+    if kind == "peaked":
+        plane = make_cover(rng, 512, 512)[:, :, 0]
+    else:
+        plane = seeded_plane(rng, kind, n).reshape(512, 512)
+    want = bincount_max_embeddable_bits(plane)
+    counted = []
+    bincount = np.bincount
+
+    def counting_bincount(x, *args, **kwargs):
+        counted.append(np.asarray(x).size)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    assert max_embeddable_bits(plane) == want
+    assert 0 < sum(counted) <= 2 * n
 
 
 # --- hide / reveal --------------------------------------------------------

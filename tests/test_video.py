@@ -233,3 +233,22 @@ def test_video_reveal_parses_each_frame_once(monkeypatch):
     assert got == b"parse me once"
     assert vid.write_y4m(original) == vid.write_y4m(clip)
     assert len(calls) == len(clip.frames)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="frame i+1's counter base is frame i's plus one block, so its keystream is "
+    "frame i's shifted by 8 bytes (one CTR run per video would fix it)",
+)
+def test_adjacent_frames_never_share_keystream():
+    clip = make_clip(np.random.default_rng(15), nframes=3)
+    marked = vid.video_hide(clip, b"one key, one keystream", KEYS, iv=IV)
+    # embedding leaves U and V alone, so marked ^ plain is the frame's keystream there
+    keystreams = [
+        np.concatenate((m.u, m.v), axis=None) ^ np.concatenate((p.u, p.v), axis=None)
+        for m, p in zip(marked.frames, clip.frames)
+    ]
+    for this, following in zip(keystreams, keystreams[1:]):
+        # byte k of this frame against byte k - 8 of the next one
+        assert not np.array_equal(this[8:], following[:-8])
