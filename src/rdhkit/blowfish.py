@@ -153,15 +153,9 @@ def _keystream_u8(state: BlowfishState, nonce: int, nbytes: int) -> np.ndarray:
     return words.view(np.uint8).reshape(-1)[:nbytes]
 
 
-def keystream(state: BlowfishState, nonce: int, nbytes: int) -> bytes:
-    """Big-endian counter blocks (nonce + i) mod 2^64, each Blowfish-encrypted."""
-    if nbytes == 0:
-        return b""
-    return _keystream_u8(state, nonce, nbytes).tobytes()
-
-
 def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes) -> bytes:
-    """XOR with the counter keystream; applying it twice is the identity."""
+    """XOR with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
+    each Blowfish-encrypted; applying it twice is the identity."""
     if len(data) == 0:
         return b""
     ks = _keystream_u8(state, nonce, len(data))

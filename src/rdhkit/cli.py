@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 capacity exceeded, 3 bad magic/CRC/checksum (wrong
 key or not a marked file), 4 file-format error, 5 bad key/nonce/IV encoding,
-1 anything else.  Outputs are written atomically (temp file + rename) and
-summary lines are stable "KEY: VALUE" pairs.
+1 anything else, command-line usage errors included.  Outputs are written
+atomically (temp file + rename) and summary lines are stable "KEY: VALUE"
+pairs.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ _NONCE_HELP = "16 hex chars; hide: random if omitted; reveal: default 0, used if
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means "capacity exceeded"
+        return EXIT_OK if exc.code == 0 else EXIT_OTHER
     try:
         return args.func(args)
     except CapacityError as exc:
@@ -70,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _key_args(p)
     p.add_argument("--iv", help="32 hex chars; random when omitted")
-    p.add_argument("--skip-image-encryption", action="store_true",
-                   help="debug: leave the cover unencrypted")
     p.set_defaults(func=_cmd_hide, nonce=None)
 
     p = sub.add_parser("reveal", help="extract the secret and restore the cover")
@@ -79,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="where the secret is written")
     p.add_argument("--recovered", help="optional path for the restored cover")
     _key_args(p)
-    p.add_argument("--skip-image-encryption", action="store_true")
     p.set_defaults(func=_cmd_reveal)
 
     p = sub.add_parser("recover-image", help="restore the cover without the data key")
@@ -88,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-key")
     p.add_argument("--image-key-file")
     p.add_argument("--nonce", default="0" * 16, help=_NONCE_HELP)
-    p.add_argument("--skip-image-encryption", action="store_true")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("psnr", help="PSNR between two PPM images")
@@ -139,8 +139,10 @@ def _key_material(inline: str | None, path: str | None, what: str, nbytes: int |
     if inline and path:
         raise KeyEncodingError(f"give {what} either inline or as a file, not both")
     if path:
-        with open(path, "r", encoding="ascii") as f:
-            inline = f.read().strip()
+        try:
+            inline = _read(path).decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise KeyEncodingError(f"{what} file {path} is not ASCII hex") from None
     if not inline:
         raise KeyEncodingError(f"{what} is required")
     return _hex_bytes(inline, what, nbytes)
@@ -197,9 +199,7 @@ def _cmd_hide(args) -> int:
     keys = _keys(args)
     cover, _ = netpbm.load_ppm(_read(args.cover))
     secret = _read(args.data)
-    result = pipeline.hide(
-        cover, secret, keys, iv=_iv(args), skip_image_encryption=args.skip_image_encryption
-    )
+    result = pipeline.hide(cover, secret, keys, iv=_iv(args))
     _write_atomic(args.out, netpbm.save_ppm(result.image, nonce=keys.nonce))
     print(f"CAPACITY-BITS: {result.capacity_bits}")
     print(f"FRAME-BITS: {result.frame_bits}")
@@ -213,9 +213,7 @@ def _cmd_reveal(args) -> int:
     keys = _keys(args)
     if file_nonce is not None:
         keys = pipeline.StegoKeys(keys.data_key, keys.image_key, file_nonce)
-    secret, original = pipeline.reveal(
-        img, keys, skip_image_encryption=args.skip_image_encryption
-    )
+    secret, original = pipeline.reveal(img, keys)
     _write_atomic(args.out, secret)
     print(f"SECRET-BYTES: {len(secret)}")
     print(f"OUT: {args.out}")
@@ -229,9 +227,7 @@ def _cmd_recover(args) -> int:
     img, file_nonce = netpbm.load_ppm(_read(args.input))
     key = _image_key(args)
     nonce = file_nonce if file_nonce is not None else _nonce(args)
-    original = pipeline.recover_original(
-        img, key, nonce, skip_image_encryption=args.skip_image_encryption
-    )
+    original = pipeline.recover_original(img, key, nonce)
     _write_atomic(args.out, netpbm.save_ppm(original))
     print(f"OUT: {args.out}")
     return EXIT_OK

@@ -1,10 +1,18 @@
 """End-to-end hide/reveal: framing, room reservation, encrypted-domain embedding.
 
-One core, ``embed``, ``recover`` and ``extract``, serves images and video.
-It works on a flat uint8 cover buffer plus a host slice into it: ``[0::3]``,
-the red samples of an interleaved RGB raster, or ``[:w*h]``, the Y plane of
-a video frame's Y+U+V buffer.  The host is split row-major into three
-regions::
+One driver serves images and video.  A cover is a sequence of units, each
+a flat uint8 buffer, plus one host slice into every unit: an image is one
+unit, its interleaved RGB raster with host ``RED`` (``[0::3]``); a video
+has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
+``embed_segments`` gives unit i segment i of the encrypted secret (an empty
+segment past the last) and encrypts the unit from counter ``nonce + i``,
+under one key schedule per call.  ``reveal_units`` reads every unit's
+frame, checks that all declare one non-zero segment count and that each
+index appears once, recovers each unit, and joins the segments by index,
+not by unit position, before decrypting the secret.
+
+Per unit the core is ``embed``, ``recover`` and ``extract``.  The host is
+split row-major into three regions::
 
     [0, L)       region A   payload frame, one bit per sample LSB
     [L, L+64)    header     side header, one bit per sample LSB
@@ -16,11 +24,12 @@ zero, L, checksum) overwrites the header-slot LSBs, and only then is the
 whole buffer encrypted as one Blowfish counter run.  The payload frame is
 finally substituted into region A's LSBs of the *encrypted* buffer.
 
-Decryption restores every bit the embedder did not touch after encrypting,
-so the side header becomes readable again while region A stays garbled until
-the histogram-shift backup puts the original LSBs back.  Data extraction
-never needs the image key (frames are read straight from the encrypted
-cover) and image recovery never needs the data key.
+Every cover is encrypted; there is no plain-domain output.  Decryption
+restores every bit the embedder did not touch after encrypting, so the side
+header becomes readable again while region A stays garbled until the
+histogram-shift backup puts the original LSBs back.  Data extraction never
+needs the image key (frames are read straight from the encrypted cover) and
+image recovery never needs the data key.
 
 The payload frame is self-delimiting, all integers big-endian::
 
@@ -33,6 +42,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +82,7 @@ class StegoKeys:
 
     data_key: bytes  # AES-128, 16 bytes
     image_key: bytes  # Blowfish, 4..56 bytes
-    nonce: int = 0  # 64-bit counter base for the cover keystream
+    nonce: int  # 64-bit counter base for the cover keystream
 
 
 @dataclass(frozen=True)
@@ -257,31 +267,28 @@ def _with_lsbs(samples: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def embed(
-    raw: np.ndarray, host: slice, frame: bytes, state: BlowfishState | None, nonce: int
+    raw: np.ndarray, host: slice, frame: bytes, state: BlowfishState, nonce: int
 ) -> np.ndarray:
     """Hide one serialized payload frame in a flat uint8 cover buffer.
 
     Room is reserved in raw[host] and the frame written into its region-A
     LSBs, both in place, so raw ends as the plain-domain marked cover.  The
     returned buffer is raw encrypted as one counter run from nonce, with the
-    frame written again over the encrypted host; with state None the cover
-    stays unencrypted and raw itself is returned.
+    frame written again over the encrypted host.
     """
     bits = np.unpackbits(np.frombuffer(frame, np.uint8))
     raw[host] = reserve_room_plane(raw[host], bits.size)
     _write_region_a(raw[host], bits)
-    if state is None:
-        return raw
     out = _ctr(state, nonce, raw)
     _write_region_a(out[host], bits)
     return out
 
 
 def recover(
-    raw: np.ndarray, host: slice, frame_bits: int, state: BlowfishState | None, nonce: int
+    raw: np.ndarray, host: slice, frame_bits: int, state: BlowfishState, nonce: int
 ) -> np.ndarray:
     """Invert embed: a new buffer, decrypted, with raw[host] restored."""
-    out = raw.copy() if state is None else _ctr(state, nonce, raw)
+    out = _ctr(state, nonce, raw)
     out[host] = recover_plane(out[host], frame_bits)
     return out
 
@@ -299,6 +306,61 @@ def _ctr(state: BlowfishState, nonce: int, raw: np.ndarray) -> np.ndarray:
     return np.frombuffer(bf_ctr_transform(state, nonce, raw), dtype=np.uint8).copy()
 
 
+def embed_segments(
+    units: Iterable[np.ndarray], host: slice, segments: list[PayloadFrame], keys: StegoKeys
+) -> list[np.ndarray]:
+    """Embed segment i in unit i under counter base nonce + i; the encrypted units.
+
+    Units beyond the last segment carry an empty one, so every unit is
+    recoverable on its own.  Each unit is left as its plain-domain marked
+    cover (see embed).
+    """
+    state = bf_key_schedule(keys.image_key)
+    count, iv = len(segments), segments[0].iv
+    marked = []
+    for i, raw in enumerate(units):
+        segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
+        marked.append(embed(raw, host, segment.serialize(), state, keys.nonce + i))
+    return marked
+
+
+def reveal_units(
+    units: Iterable[np.ndarray], host: slice, keys: StegoKeys
+) -> tuple[bytes, list[np.ndarray]]:
+    """Inverse of embed_segments: the secret, and each unit decrypted and restored.
+
+    Every unit's frame must declare the same non-zero segment count, and
+    each segment index below it must appear exactly once; segments are
+    joined by index, not by unit position.
+    """
+    state = bf_key_schedule(keys.image_key)
+    segments: dict[int, bytes] = {}
+    count = iv = None
+    recovered = []
+    for i, raw in enumerate(units):
+        frame = extract(raw, host)
+        if count is None:
+            count, iv = frame.segment_count, frame.iv
+            if count == 0:
+                raise MissingSegment(f"unit {i} declares zero segments")
+        elif frame.segment_count != count:
+            raise MissingSegment(
+                f"unit {i} declares {frame.segment_count} segments, expected {count}"
+            )
+        if frame.segment_index < count:
+            if frame.segment_index in segments:
+                raise MissingSegment(f"segment {frame.segment_index} appears twice")
+            segments[frame.segment_index] = frame.ciphertext
+        recovered.append(recover(raw, host, frame.num_bits, state, keys.nonce + i))
+    if count is None:
+        raise MissingSegment("cover has no units")
+    missing = [k for k in range(count) if k not in segments]
+    if missing:
+        raise MissingSegment(f"segments {missing} are absent")
+    ciphertext = b"".join(segments[k] for k in range(count))
+    return huffman_decompress(aes_cbc_decrypt(ciphertext, keys.data_key, iv)), recovered
+
+
 RED = np.s_[0::3]  # an image's host: the red samples of its interleaved RGB raster
 
 
@@ -310,13 +372,7 @@ class HideResult:
     capacity_bits: int  # region-A LSB slots available on this cover
 
 
-def hide(
-    cover: np.ndarray,
-    secret: bytes,
-    keys: StegoKeys,
-    iv: bytes | None = None,
-    skip_image_encryption: bool = False,
-) -> HideResult:
+def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = None) -> HideResult:
     """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
     raw = _raster(cover).copy()
     n = cover.shape[0] * cover.shape[1]
@@ -328,36 +384,20 @@ def hide(
         )
     if iv is None:
         iv = os.urandom(16)
-    frame = build_frames(secret, keys.data_key, iv, [capacity_bits])[0].serialize()
+    segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
     # the cipher state (its 256 KB fused table) is not held while psnr runs
-    out = embed(raw, RED, frame, _cover_state(keys.image_key, skip_image_encryption), keys.nonce)
+    (out,) = embed_segments([raw], RED, segments, keys)
     quality = psnr(cover, raw.reshape(cover.shape))
-    return HideResult(out.reshape(cover.shape), quality, 8 * len(frame), capacity_bits)
+    return HideResult(out.reshape(cover.shape), quality, segments[0].num_bits, capacity_bits)
 
 
-def reveal(
-    marked: np.ndarray, keys: StegoKeys, skip_image_encryption: bool = False
-) -> tuple[bytes, np.ndarray]:
+def reveal(marked: np.ndarray, keys: StegoKeys) -> tuple[bytes, np.ndarray]:
     """Extract the secret and restore the original cover, both bit-exact."""
-    frame = extract_frame(marked)
-    if frame.segment_index != 0 or frame.segment_count != 1:
-        raise MissingSegment(
-            f"cover holds segment {frame.segment_index} of {frame.segment_count}; "
-            "a single image must carry exactly one segment"
-        )
-    container = aes_cbc_decrypt(frame.ciphertext, keys.data_key, frame.iv)
-    secret = huffman_decompress(container)
-    state = _cover_state(keys.image_key, skip_image_encryption)
-    original = recover(_raster(marked), RED, frame.num_bits, state, keys.nonce)
+    secret, (original,) = reveal_units([_raster(marked)], RED, keys)
     return secret, original.reshape(marked.shape)
 
 
-def recover_original(
-    marked: np.ndarray,
-    image_key: bytes,
-    nonce: int,
-    skip_image_encryption: bool = False,
-) -> np.ndarray:
+def recover_original(marked: np.ndarray, image_key: bytes, nonce: int) -> np.ndarray:
     """Restore the original cover without the data key.
 
     The payload frame's plaintext header supplies only the region length;
@@ -367,17 +407,13 @@ def recover_original(
         frame = extract_frame(marked)
     except PayloadError as exc:
         raise HeaderChecksum(f"cannot locate the side header: {exc}") from exc
-    state = _cover_state(image_key, skip_image_encryption)
+    state = bf_key_schedule(image_key)
     return recover(_raster(marked), RED, frame.num_bits, state, nonce).reshape(marked.shape)
 
 
 def extract_frame(marked: np.ndarray) -> PayloadFrame:
     """Read the payload frame from the red LSBs; needs no key material."""
     return extract(_raster(marked), RED)
-
-
-def _cover_state(image_key: bytes, skip: bool) -> BlowfishState | None:
-    return None if skip else bf_key_schedule(image_key)
 
 
 def max_embeddable_bits(plane: np.ndarray) -> int | None:

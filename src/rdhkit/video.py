@@ -1,13 +1,13 @@
-"""Y4M (YUV4MPEG2) parsing/writing and frame-looped hiding.
+"""Y4M (YUV4MPEG2) parsing/writing, and hiding across a clip's frames.
 
-Each video frame is an independent host for the embedding core in
-``pipeline`` (``embed``, ``recover``, ``extract``): the core sees the frame as
-one flat Y+U+V buffer whose host slice is the Y plane, ``[:w*h]``, just as
-an image's host is its red channel.  The buffer is encrypted with the
-counter keystream under nonce + frame_index, and one payload segment lands
-in the frame's region-A Y LSBs.  Frames beyond the last segment carry
-zero-length segments so every frame stays recoverable on its own.
-Reassembly orders segments by their index, not by frame position.
+``video_hide`` and ``video_reveal`` hand the clip to the driver in
+``pipeline`` (``embed_segments``, ``reveal_units``) with one unit per frame:
+the frame's Y+U+V planes as one flat buffer, host slice ``[:w*h]`` (the Y
+plane), just as an image is one unit whose host is its red samples.  This
+module adds only what is video's own: each frame's capacity, which sets
+how the encrypted secret splits into segments, and the conversion between
+frames and buffers, made one frame at a time so that the input buffers are
+never all held at once.
 
 Unknown stream-header parameters round-trip verbatim, so a marked video can
 carry its counter nonce as an ``XRDHCTR=<16 hex>`` extension token that
@@ -17,16 +17,15 @@ players ignore.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blowfish import BlowfishState, bf_key_schedule
 from .errors import (
     BadSignature,
     CapacityExceeded,
     CoverTooSmall,
-    MissingSegment,
     NoZeroBin,
     TruncatedFrame,
     UnsupportedColorspace,
@@ -36,20 +35,19 @@ from .pipeline import (
     PayloadFrame,
     StegoKeys,
     build_frames,
-    embed,
+    embed_segments,
     extract,
     frame_num_bits,
     max_embeddable_bits,
-    recover,
     reserve_room_plane,
+    reveal_units,
 )
-
-from .aes import aes_cbc_decrypt
-from .huffman import huffman_decompress
 
 # bench/spans.py traces layers through the names this module binds, so these
 # stay bound here although the calls are made in pipeline
-from .blowfish import bf_ctr_transform  # noqa: F401
+from .aes import aes_cbc_decrypt  # noqa: F401
+from .blowfish import bf_ctr_transform, bf_key_schedule  # noqa: F401
+from .huffman import huffman_decompress  # noqa: F401
 from .pipeline import recover_plane  # noqa: F401
 
 _SIGNATURE = b"YUV4MPEG2"
@@ -161,10 +159,6 @@ def _split_planes(raw: np.ndarray, y_shape: tuple, c_shape: tuple) -> YuvFrame:
     )
 
 
-def _frame_buffer(frame: YuvFrame) -> np.ndarray:
-    return np.concatenate((frame.y, frame.u, frame.v), axis=None)
-
-
 def _positive_int(tok: bytes, what: str) -> int:
     if not tok.isdigit() or int(tok) <= 0:
         raise BadSignature(f"{what} must be a positive integer, got {tok!r}")
@@ -195,23 +189,9 @@ def without_video_nonce(video: Y4mVideo) -> Y4mVideo:
     return replace(video, params=[t for t in video.params if not t.startswith(_NONCE_PREFIX)])
 
 
-def embed_frame_payload(
-    frame: YuvFrame, payload: bytes, state: BlowfishState, nonce: int
-) -> YuvFrame:
-    """Room-reserve the Y plane, encrypt the whole frame, substitute the payload."""
-    out = embed(_frame_buffer(frame), np.s_[: frame.y.size], payload, state, nonce)
-    return _split_planes(out, frame.y.shape, frame.u.shape)
-
-
 def extract_frame_payload(frame: YuvFrame) -> PayloadFrame:
     """Parse the payload segment from the Y LSBs; needs no key material."""
     return extract(frame.y.reshape(-1), np.s_[:])
-
-
-def recover_frame(frame: YuvFrame, state: BlowfishState, nonce: int, frame_bits: int) -> YuvFrame:
-    """Decrypt one marked frame whose payload frame is frame_bits long; restore its planes."""
-    out = recover(_frame_buffer(frame), np.s_[: frame.y.size], frame_bits, state, nonce)
-    return _split_planes(out, frame.y.shape, frame.u.shape)
 
 
 def video_hide(
@@ -224,48 +204,28 @@ def video_hide(
         _frame_capacity(i, frame.y.reshape(-1)) for i, frame in enumerate(video.frames)
     ]
     segments = build_frames(secret, keys.data_key, iv, capacities)
-    count = len(segments)
-    state = bf_key_schedule(keys.image_key)
-    marked = []
-    for i, frame in enumerate(video.frames):
-        segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
-        marked.append(
-            embed_frame_payload(frame, segment.serialize(), state, (keys.nonce + i) & _MASK64)
-        )
-    return replace(video, frames=marked, frame_headers=list(video.frame_headers))
+    buffers = embed_segments(_frame_buffers(video), _y_plane(video), segments, keys)
+    return _with_frames(video, buffers)
 
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined by index."""
-    if not video.frames:
-        raise MissingSegment("video has no frames")
-    state = bf_key_schedule(keys.image_key)
-    segments: dict[int, bytes] = {}
-    count = None
-    iv = None
-    originals = []
-    for i, frame in enumerate(video.frames):
-        payload = extract_frame_payload(frame)
-        if count is None:
-            count, iv = payload.segment_count, payload.iv
-            if count == 0:
-                raise MissingSegment(f"frame {i} declares zero segments")
-        elif payload.segment_count != count:
-            raise MissingSegment(
-                f"frame {i} declares {payload.segment_count} segments, expected {count}"
-            )
-        if payload.segment_index < count:
-            if payload.segment_index in segments:
-                raise MissingSegment(f"segment {payload.segment_index} appears twice")
-            segments[payload.segment_index] = payload.ciphertext
-        nonce = (keys.nonce + i) & _MASK64
-        originals.append(recover_frame(frame, state, nonce, payload.num_bits))
-    missing = [k for k in range(count) if k not in segments]
-    if missing:
-        raise MissingSegment(f"segments {missing} are absent")
-    ciphertext = b"".join(segments[k] for k in range(count))
-    secret = huffman_decompress(aes_cbc_decrypt(ciphertext, keys.data_key, iv))
-    return secret, replace(video, frames=originals, frame_headers=list(video.frame_headers))
+    secret, buffers = reveal_units(_frame_buffers(video), _y_plane(video), keys)
+    return secret, _with_frames(video, buffers)
+
+
+def _frame_buffers(video: Y4mVideo) -> Iterator[np.ndarray]:
+    # one frame's buffer at a time: the driver keeps only what it returns
+    return (np.concatenate((f.y, f.u, f.v), axis=None) for f in video.frames)
+
+
+def _y_plane(video: Y4mVideo) -> slice:
+    return np.s_[: video.width * video.height]
+
+
+def _with_frames(video: Y4mVideo, buffers: list[np.ndarray]) -> Y4mVideo:
+    frames = [_split_planes(b, f.y.shape, f.u.shape) for b, f in zip(buffers, video.frames)]
+    return replace(video, frames=frames, frame_headers=list(video.frame_headers))
 
 
 def _frame_capacity(index: int, y_flat: np.ndarray) -> int:

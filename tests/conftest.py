@@ -49,18 +49,31 @@ def max_secret_bytes(cover):
     return max(256, budget - 523)
 
 
+def image_with_frame(cover, frame, keys):
+    """Encrypted copy of an RGB cover carrying the given payload frame in its
+    red LSBs, embedded under the given keys."""
+    from rdhkit.blowfish import bf_key_schedule
+    from rdhkit.pipeline import RED, embed
+
+    raw = cover.reshape(-1).copy()
+    out = embed(raw, RED, frame.serialize(), bf_key_schedule(keys.image_key), keys.nonce)
+    return out.reshape(cover.shape)
+
+
+def embed_clip(clip, segments, keys):
+    """Copy of a Y4M clip whose frame i carries segments[i] (an empty segment
+    past the last), embedded under the given keys."""
+    from rdhkit import pipeline, video
+
+    buffers = pipeline.embed_segments(
+        video._frame_buffers(clip), video._y_plane(clip), segments, keys
+    )
+    return video._with_frames(clip, buffers)
+
+
 def zero_segment_clip(clip, keys, iv=bytes(16)):
     """Copy of a Y4M clip whose every frame carries a payload frame declaring
     zero segments, embedded under the given keys."""
-    from dataclasses import replace
-
-    from rdhkit import video
-    from rdhkit.blowfish import bf_key_schedule
     from rdhkit.pipeline import PayloadFrame
 
-    state = bf_key_schedule(keys.image_key)
-    empty = PayloadFrame(0, 0, iv, b"").serialize()
-    frames = [
-        video.embed_frame_payload(f, empty, state, keys.nonce + i) for i, f in enumerate(clip.frames)
-    ]
-    return replace(clip, frames=frames)
+    return embed_clip(clip, [PayloadFrame(0, 0, iv, b"")] * len(clip.frames), keys)

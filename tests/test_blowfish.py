@@ -120,7 +120,8 @@ def test_ctr_bit_locality():
         assert back[bit // 8] ^ data[bit // 8] == 0x80 >> (bit % 8)
 
 
-# SHA-256 of keystream(schedule(GOLDEN_KEY), nonce, nbytes), pinned from the
+# SHA-256 of the keystream under schedule(GOLDEN_KEY), read as
+# bf_ctr_transform(state, nonce, bytes(nbytes)), pinned from the
 # earlier unfused, unchunked implementation
 GOLDEN_KEY = b"rdhkit-benchmark-image-key"
 GOLDEN_KEYSTREAMS = [
@@ -134,7 +135,7 @@ MASK64 = (1 << 64) - 1
 
 @pytest.mark.parametrize("nonce,nbytes,digest", GOLDEN_KEYSTREAMS)
 def test_keystream_golden_digests(nonce, nbytes, digest):
-    stream = bf.keystream(bf.bf_key_schedule(GOLDEN_KEY), nonce, nbytes)
+    stream = bf.bf_ctr_transform(bf.bf_key_schedule(GOLDEN_KEY), nonce, bytes(nbytes))
     assert len(stream) == nbytes
     assert hashlib.sha256(stream).hexdigest() == digest
 
@@ -147,7 +148,7 @@ def _counter_blocks(nonce: int, nbytes: int) -> bytes:
 def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
     state = bf.bf_key_schedule(b"chunked!")
     nonce = 0x00000000FFFFFFF0 - CHUNK  # low-word carry lands just after the boundary
-    stream = bf.keystream(state, nonce, 8 * (CHUNK + 40) + 3)
+    stream = bf.bf_ctr_transform(state, nonce, bytes(8 * (CHUNK + 40) + 3))
     for i in list(range(CHUNK - 20, CHUNK + 40)) + [0, 1]:
         counter = ((nonce + i) & MASK64).to_bytes(8, "big")
         assert stream[8 * i : 8 * i + 8] == bf.bf_encrypt_block(state, counter)
@@ -175,7 +176,7 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
     enc = Cipher(decrepit.Blowfish(key), modes.ECB()).encryptor()
     expect = (enc.update(_counter_blocks(nonce, nbytes)) + enc.finalize())[:nbytes]
     state = bf.bf_key_schedule(key)
-    assert bf.keystream(state, nonce, nbytes) == expect
+    assert bf.bf_ctr_transform(state, nonce, bytes(nbytes)) == expect
     data = random.Random(nbytes).randbytes(nbytes)
     assert bf.bf_ctr_transform(state, nonce, data) == bytes(a ^ b for a, b in zip(data, expect))
 

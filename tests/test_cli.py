@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_cover, zero_segment_clip
+from conftest import image_with_frame, make_cover, zero_segment_clip
 from rdhkit import cli, netpbm, video as vid
-from rdhkit.pipeline import StegoKeys, hide
+from rdhkit.pipeline import PayloadFrame, StegoKeys, hide
 
 DATA_KEY = "000102030405060708090a0b0c0d0e0f"
 IMAGE_KEY = "deadbeefcafebabe"
@@ -175,6 +175,30 @@ def test_key_files(tmp_path, cover_file):
     assert out.read_bytes() == b"via key files"
 
 
+def test_non_ascii_key_files_exit_5(tmp_path, cover_file):
+    cover_path, _ = cover_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"x")
+    bad = tmp_path / "key.hex"
+    bad.write_bytes("é".encode() + DATA_KEY.encode())  # UTF-8, not ASCII
+    args = ["hide", "--cover", cover_path, "--data", secret, "--out", tmp_path / "m.ppm"]
+    assert run(args + ["--data-key-file", bad, "--image-key", IMAGE_KEY]) == 5
+    assert run(args + ["--data-key", DATA_KEY, "--image-key-file", bad]) == 5
+
+
+def test_usage_errors_exit_1_not_the_capacity_code(tmp_path, cover_file, capsys):
+    cover_path, _ = cover_file
+    assert run([]) == 1
+    assert run(["hide"]) == 1
+    assert run(["hide", "--cover", cover_path, "--data", cover_path,
+                "--out", tmp_path / "m.ppm", "--data-key", DATA_KEY, "--image-key", IMAGE_KEY,
+                "--skip-image-encryption"]) == 1
+    assert not (tmp_path / "m.ppm").exists()
+    assert run(["--help"]) == 0
+    assert run(["reveal", "--help"]) == 0
+    assert "usage: rdhkit" in capsys.readouterr().out
+
+
 def test_psnr_identical_prints_inf(tmp_path, cover_file, capsys):
     cover_path, _ = cover_file
     assert run(["psnr", cover_path, cover_path]) == 0
@@ -188,24 +212,6 @@ def test_psnr_between_files(tmp_path, cover_file, capsys):
     assert run(["psnr", cover_path, other]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PSNR: ") and out.strip().endswith(" dB")
-
-
-def test_skip_image_encryption_flag(tmp_path, cover_file):
-    cover_path, cover = cover_file
-    secret = tmp_path / "s.bin"
-    secret.write_bytes(b"debug mode")
-    marked = tmp_path / "m.ppm"
-    assert run(["hide", "--cover", cover_path, "--data", secret, "--out", marked,
-                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY,
-                "--skip-image-encryption"]) == 0
-    out = tmp_path / "o.bin"
-    rec = tmp_path / "r.ppm"
-    assert run(["reveal", "--input", marked, "--out", out, "--recovered", rec,
-                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY,
-                "--skip-image-encryption"]) == 0
-    assert out.read_bytes() == b"debug mode"
-    back, _ = netpbm.load_ppm(rec.read_bytes())
-    assert np.array_equal(back, cover)
 
 
 def test_inspect_reports_and_does_not_modify(tmp_path, cover_file, capsys):
@@ -256,6 +262,17 @@ def test_video_reveal_of_zero_segments_exits_3(tmp_path, clip_file):
     marked = tmp_path / "m.y4m"
     marked.write_bytes(vid.write_y4m(vid.with_video_nonce(zero_segment_clip(clip, keys), keys.nonce)))
     assert run(["video-reveal", "--input", marked, "--out", tmp_path / "o.bin",
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 3
+
+
+@pytest.mark.parametrize("index,count", [(1, 2), (0, 2), (0, 0)])
+def test_reveal_of_anything_but_segment_0_of_1_exits_3(tmp_path, cover_file, index, count):
+    _, cover = cover_file
+    keys = StegoKeys(bytes.fromhex(DATA_KEY), bytes.fromhex(IMAGE_KEY), int(NONCE, 16))
+    frame = PayloadFrame(index, count, bytes.fromhex(IV), bytes(32) if count else b"")
+    marked = tmp_path / "m.ppm"
+    marked.write_bytes(netpbm.save_ppm(image_with_frame(cover, frame, keys), nonce=keys.nonce))
+    assert run(["reveal", "--input", marked, "--out", tmp_path / "o.bin",
                 "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 3
 
 

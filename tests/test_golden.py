@@ -22,10 +22,7 @@ KEYS = pipeline.StegoKeys(
 IV = bytes.fromhex("a0a1a2a3a4a5a6a7a8a9aaabacadaeaf")
 SECRET = b"golden digests pin the embedding bytes " * 3
 
-IMAGE_DIGESTS = {
-    False: "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4",
-    True: "16c2c0e6d8d74b26bed8a4cd426fde152244355b759f50337410c0c04f7b3cf7",
-}
+IMAGE_DIGEST = "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4"
 # the secret spans two frames; the third carries an empty segment
 VIDEO_DIGESTS = {
     "C420": "4dc643e8177c503bcaf95223b6edf9ada4d1f1c3ad0d4bf50fc329554d31b964",
@@ -56,18 +53,15 @@ def _clip(colorspace: str) -> video.Y4mVideo:
     return video.Y4mVideo(size, size, colorspace, params, frames, [b""] * 3)
 
 
-@pytest.mark.parametrize("skip", [False, True])
-def test_image_hide_digest_and_roundtrip(skip):
+def test_image_hide_digest_and_roundtrip():
     cover = _cover()
-    result = pipeline.hide(cover, SECRET, KEYS, iv=IV, skip_image_encryption=skip)
-    assert _sha(netpbm.save_ppm(result.image, KEYS.nonce)) == IMAGE_DIGESTS[skip]
+    result = pipeline.hide(cover, SECRET, KEYS, iv=IV)
+    assert _sha(netpbm.save_ppm(result.image, KEYS.nonce)) == IMAGE_DIGEST
 
-    secret, original = pipeline.reveal(result.image, KEYS, skip_image_encryption=skip)
+    secret, original = pipeline.reveal(result.image, KEYS)
     assert secret == SECRET
     assert np.array_equal(original, cover)
-    recovered = pipeline.recover_original(
-        result.image, KEYS.image_key, KEYS.nonce, skip_image_encryption=skip
-    )
+    recovered = pipeline.recover_original(result.image, KEYS.image_key, KEYS.nonce)
     assert np.array_equal(recovered, cover)
 
 

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_cover, max_secret_bytes, random_keys
+from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
+from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import plan_hs
 from rdhkit.errors import (
     BadCrc,
@@ -35,6 +36,18 @@ from rdhkit.pipeline import (
 
 KEYS = StegoKeys(data_key=bytes(range(16)), image_key=b"image key bytes", nonce=77)
 IV = bytes(range(16, 32))
+
+
+def decrypted(marked):
+    """The plain-domain view of a marked image: its cover keystream removed."""
+    plain = bf_ctr_transform(bf_key_schedule(KEYS.image_key), KEYS.nonce, marked.tobytes())
+    return np.frombuffer(plain, dtype=np.uint8).reshape(marked.shape)
+
+
+def test_keys_have_no_default_nonce():
+    # a shared default would give every cover under one image key one keystream
+    with pytest.raises(TypeError):
+        StegoKeys(data_key=bytes(16), image_key=b"image key bytes")
 
 
 # --- payload frames -------------------------------------------------------
@@ -176,7 +189,7 @@ def test_reserve_room_zero_length_region():
 def test_reserve_room_image_level_touches_only_red():
     rng = np.random.default_rng(23)
     img = make_cover(rng, 40, 40)  # a 32x32 cover cannot hold the smallest frame
-    reserved = hide(img, b"red only", KEYS, iv=IV, skip_image_encryption=True).image
+    reserved = decrypted(hide(img, b"red only", KEYS, iv=IV).image)
     assert np.array_equal(reserved[:, :, 1:], img[:, :, 1:])
     assert not np.array_equal(reserved[:, :, 0], img[:, :, 0])
 
@@ -327,18 +340,17 @@ def test_hide_is_deterministic_given_fixed_inputs():
 def test_hide_plain_domain_changes_only_red():
     rng = np.random.default_rng(27)
     cover = make_cover(rng, 40, 40)
-    result = hide(cover, b"xyz", KEYS, iv=IV, skip_image_encryption=True)
-    assert np.array_equal(result.image[:, :, 1:], cover[:, :, 1:])
+    result = hide(cover, b"xyz", KEYS, iv=IV)
+    assert np.array_equal(decrypted(result.image)[:, :, 1:], cover[:, :, 1:])
     assert result.plain_psnr > 30
 
 
-def test_skip_encryption_roundtrip():
-    rng = np.random.default_rng(28)
-    cover = make_cover(rng, 40, 40)
-    result = hide(cover, b"plain domain", KEYS, iv=IV, skip_image_encryption=True)
-    got, original = reveal(result.image, KEYS, skip_image_encryption=True)
-    assert got == b"plain domain"
-    assert np.array_equal(original, cover)
+@pytest.mark.parametrize("index,count", [(1, 2), (0, 2), (0, 0)])
+def test_reveal_of_anything_but_segment_0_of_1_is_a_missing_segment(index, count):
+    cover = make_cover(np.random.default_rng(36), 48, 48)
+    frame = PayloadFrame(index, count, IV, bytes(32) if count else b"")
+    with pytest.raises(MissingSegment):
+        reveal(image_with_frame(cover, frame, KEYS), KEYS)
 
 
 def test_reveal_needs_matching_nonce():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import zero_segment_clip
+from conftest import embed_clip, zero_segment_clip
+from rdhkit import pipeline
 from rdhkit import video as vid
-from rdhkit.blowfish import bf_key_schedule
 from rdhkit.errors import (
     BadSignature,
     HeaderChecksum,
@@ -158,15 +158,8 @@ def test_segments_reassemble_by_index_not_position():
     capacities = [1700, 1700]
     segments = build_frames(secret, KEYS.data_key, IV, capacities)
     assert len(segments) == 2
-    state = bf_key_schedule(KEYS.image_key)
     # embed segment 1 into frame 0 and segment 0 into frame 1
-    swapped = [
-        vid.embed_frame_payload(clip.frames[0], segments[1].serialize(), state, KEYS.nonce),
-        vid.embed_frame_payload(clip.frames[1], segments[0].serialize(), state, KEYS.nonce + 1),
-    ]
-    shuffled = vid.Y4mVideo(
-        clip.width, clip.height, clip.colorspace, clip.params, swapped, [b""] * 2
-    )
+    shuffled = embed_clip(clip, [segments[1], segments[0]], KEYS)
     got, original = vid.video_reveal(shuffled, KEYS)
     assert got == secret
     assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
@@ -178,15 +171,8 @@ def test_missing_segment_detected():
     secret = bytes(rng.integers(0, 4, size=900, dtype=np.uint8))
     segments = build_frames(secret, KEYS.data_key, IV, [1700, 1700])
     assert len(segments) == 2
-    state = bf_key_schedule(KEYS.image_key)
     # both frames carry segment 1; segment 0 never appears
-    doubled = [
-        vid.embed_frame_payload(clip.frames[0], segments[1].serialize(), state, KEYS.nonce),
-        vid.embed_frame_payload(clip.frames[1], segments[1].serialize(), state, KEYS.nonce + 1),
-    ]
-    broken = vid.Y4mVideo(
-        clip.width, clip.height, clip.colorspace, clip.params, doubled, [b""] * 2
-    )
+    broken = embed_clip(clip, [segments[1], segments[1]], KEYS)
     with pytest.raises(MissingSegment):
         vid.video_reveal(broken, KEYS)
 
@@ -227,8 +213,8 @@ def test_video_reveal_parses_each_frame_once(monkeypatch):
     clip = make_clip(np.random.default_rng(14), nframes=4)
     marked = vid.video_hide(clip, b"parse me once", KEYS, iv=IV)
     calls = []
-    extract = vid.extract
-    monkeypatch.setattr(vid, "extract", lambda *args: calls.append(args) or extract(*args))
+    extract = pipeline.extract
+    monkeypatch.setattr(pipeline, "extract", lambda *args: calls.append(args) or extract(*args))
     got, original = vid.video_reveal(marked, KEYS)
     assert got == b"parse me once"
     assert vid.write_y4m(original) == vid.write_y4m(clip)
