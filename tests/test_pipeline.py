@@ -44,12 +44,6 @@ def decrypted(marked):
     return np.frombuffer(plain, dtype=np.uint8).reshape(marked.shape)
 
 
-def test_keys_have_no_default_nonce():
-    # a shared default would give every cover under one image key one keystream
-    with pytest.raises(TypeError):
-        StegoKeys(data_key=bytes(16), image_key=b"image key bytes")
-
-
 # --- payload frames -------------------------------------------------------
 
 
@@ -316,6 +310,12 @@ def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
 
 
 # --- hide / reveal --------------------------------------------------------
+
+
+def test_keys_have_no_default_nonce():
+    # a shared default would give every cover under one image key one keystream
+    with pytest.raises(TypeError):
+        StegoKeys(data_key=bytes(16), image_key=b"image key bytes")
 
 
 def test_hide_reveal_roundtrip():
