@@ -5,7 +5,7 @@ import pytest
 
 from conftest import image_with_frame, make_cover, zero_segment_clip
 from rdhkit import cli, netpbm, video as vid
-from rdhkit.pipeline import PayloadFrame, StegoKeys, hide
+from rdhkit.pipeline import PayloadFrame, StegoKeys
 
 DATA_KEY = "000102030405060708090a0b0c0d0e0f"
 IMAGE_KEY = "deadbeefcafebabe"
