@@ -256,6 +256,19 @@ def test_video_hide_reveal_cli(tmp_path, clip_file, capsys):
     assert "FRAMES: 3" in text
 
 
+def test_video_hide_of_a_frame_without_an_empty_bin_exits_2(tmp_path, clip_file):
+    _, clip = clip_file
+    clip.frames[1].y.reshape(-1)[-256:] = np.arange(256)
+    cover = tmp_path / "full.y4m"
+    cover.write_bytes(vid.write_y4m(clip))
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"x")
+    out = tmp_path / "m.y4m"
+    assert run(["video-hide", "--cover", cover, "--data", secret, "--out", out,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 2
+    assert not out.exists()
+
+
 def test_video_reveal_of_zero_segments_exits_3(tmp_path, clip_file):
     _, clip = clip_file
     keys = StegoKeys(bytes.fromhex(DATA_KEY), bytes.fromhex(IMAGE_KEY), int(NONCE, 16))

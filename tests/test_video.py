@@ -6,8 +6,10 @@ from rdhkit import pipeline
 from rdhkit import video as vid
 from rdhkit.errors import (
     BadSignature,
+    CapacityError,
     HeaderChecksum,
     MissingSegment,
+    NoZeroBin,
     TruncatedFrame,
     UnsupportedColorspace,
 )
@@ -194,6 +196,26 @@ def test_c444_video_roundtrip():
     got, original = vid.video_reveal(marked, KEYS)
     assert got == secret
     assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
+
+
+def test_frame_without_an_empty_bin_is_rejected():
+    clip = make_clip(np.random.default_rng(16), nframes=3)
+    # frame 1's Y region B holds every value, so no bin is free to shift into
+    clip.frames[1].y.reshape(-1)[-256:] = np.arange(256)
+    with pytest.raises(NoZeroBin):
+        vid.video_hide(clip, b"no room in frame 1", KEYS, iv=IV)
+
+
+@pytest.mark.parametrize("kind", ["tiny", "noise"])
+def test_frame_that_cannot_hold_an_empty_segment_is_rejected(kind):
+    rng = np.random.default_rng(17)
+    if kind == "tiny":  # 256 Y samples cannot hold a 264-bit frame and the header
+        clip = make_clip(rng, nframes=2, size=16)
+    else:  # uniform noise: region B's peak is far below the header and frame
+        clip = make_clip(rng, nframes=2, size=32)
+        clip.frames[0].y[:] = rng.integers(0, 256, (32, 32), dtype=np.uint8)
+    with pytest.raises(CapacityError):
+        vid.video_hide(clip, b"", KEYS, iv=IV)
 
 
 def test_empty_video_rejected():
