@@ -18,6 +18,11 @@ split row-major into three regions::
     [L, L+64)    header     side header, one bit per sample LSB
     [L+64, n)    region B   histogram-shift host for the 64+L original LSBs
 
+How long region A may be is decided in one place, ``max_embeddable_bits``:
+the longest L whose region B can still take the 64+L backup bits.  Every
+cover is sized by it, an image's red samples and each video frame's Y
+plane alike, and a host that cannot carry even L = 0 raises the reason.
+
 Room is reserved before encryption: the original LSBs of region A and the
 header slots are tucked reversibly into region B, the side header (peak,
 zero, L, checksum) overwrites the header-slot LSBs, and only then is the
@@ -53,11 +58,13 @@ from .errors import (
     BadCrc,
     BadMagic,
     BadVersion,
+    CapacityError,
     CapacityExceeded,
     CoverTooSmall,
     DimensionMismatch,
     HeaderChecksum,
     MissingSegment,
+    NoZeroBin,
     PayloadError,
 )
 from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
@@ -69,7 +76,6 @@ FRAME_VERSION = 1
 _FRAME_FIXED = struct.Struct(">4sBHHI")  # magic, version, index, count, ct_len
 FRAME_OVERHEAD_BYTES = _FRAME_FIXED.size + 16 + 4  # + iv + crc = 33
 HEADER_SLOTS = 64
-MIN_CIPHERTEXT = 16  # an empty secret still encrypts to one padded block
 
 
 def frame_num_bits(ct_len: int) -> int:
@@ -135,8 +141,14 @@ def build_frames(
 
     Unit u receives the largest ciphertext slice whose whole frame fits
     capacities[u] bits.  All frames repeat the same IV; CBC runs once over
-    the full ciphertext before splitting.
+    the full ciphertext before splitting.  Each unit's frame carries its
+    index and the segment count as u16 fields, so there are at most 65535
+    units.
     """
+    if len(capacities) > 0xFFFF:
+        raise CapacityError(
+            f"{len(capacities)} units, but u16 segment indices and counts number at most 65535"
+        )
     ciphertext = aes_cbc_encrypt(huffman_compress(secret), data_key, iv)
     pieces: list[bytes] = []
     offset = 0
@@ -369,19 +381,13 @@ class HideResult:
     image: np.ndarray
     plain_psnr: float  # original vs plain-domain marked image, pre-encryption
     frame_bits: int
-    capacity_bits: int  # region-A LSB slots available on this cover
+    capacity_bits: int  # max_embeddable_bits of the red plane: the longest frame it holds
 
 
 def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = None) -> HideResult:
     """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
     raw = _raster(cover).copy()
-    n = cover.shape[0] * cover.shape[1]
-    capacity_bits = n - HEADER_SLOTS
-    if capacity_bits < frame_num_bits(MIN_CIPHERTEXT):
-        raise CoverTooSmall(
-            f"cover of {n} pixels cannot hold the minimum "
-            f"{frame_num_bits(MIN_CIPHERTEXT)}-bit frame"
-        )
+    capacity_bits = max_embeddable_bits(raw[RED])
     if iv is None:
         iv = os.urandom(16)
     segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
@@ -416,28 +422,35 @@ def extract_frame(marked: np.ndarray) -> PayloadFrame:
     return extract(_raster(marked), RED)
 
 
-def max_embeddable_bits(plane: np.ndarray) -> int | None:
+def max_embeddable_bits(plane: np.ndarray) -> int:
     """Largest region-A bit length this host plane can reserve room for.
 
     Length L is feasible when region B, the samples after L + HEADER_SLOTS,
     has an empty bin and a peak bin of at least HEADER_SLOTS + L samples.
-    The result is the largest L for which every length 0..L is feasible, or
-    None when L = 0 is not.  Region B only loses samples as L grows, so its
-    peak can only shrink while the need grows, and an empty bin stays empty:
-    once L = 0 is feasible the feasible lengths form a prefix.  (When L = 0
-    has no empty bin, one can appear at a larger L; the result is None all
-    the same.)  A binary search finds the end of the prefix, which is at
-    most region B's peak at L = 0 minus HEADER_SLOTS.  It keeps one region-B
-    histogram and moves it between probes by counting only the samples that
-    enter or leave region B, fewer than 2n samples in all.
+    The result is the largest L for which every length 0..L is feasible;
+    when L = 0 is not, the reason is raised: CoverTooSmall (no region B),
+    NoZeroBin (region B holds all 256 values) or CapacityExceeded (region
+    B's peak is below HEADER_SLOTS).  Region B only loses samples as L
+    grows, so its peak can only shrink while the need grows, and an empty
+    bin stays empty: once L = 0 is feasible the feasible lengths form a
+    prefix.  (When L = 0 has no empty bin, one can appear at a larger L;
+    NoZeroBin is raised all the same.)  A binary search finds the end of
+    the prefix, which is at most region B's peak at L = 0 minus
+    HEADER_SLOTS.  It keeps one region-B histogram and moves it between
+    probes by counting only the samples that enter or leave region B, fewer
+    than 2n samples in all.
     """
     flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
     n = flat.size
     if n <= HEADER_SLOTS:
-        return None
+        raise CoverTooSmall(f"host of {n} samples leaves no region B after the header")
     hist = np.bincount(flat[HEADER_SLOTS:], minlength=256)  # region B at L = 0
-    if hist.min() > 0 or hist.max() < HEADER_SLOTS:
-        return None
+    if hist.min() > 0:
+        raise NoZeroBin("all 256 gray values occur in region B")
+    if hist.max() < HEADER_SLOTS:
+        raise CapacityExceeded(
+            needed=HEADER_SLOTS, available=int(hist.max()), detail="peak bin of region B"
+        )
     lo, hi, at = 0, int(hist.max()) - HEADER_SLOTS, 0
     while lo < hi:
         mid = (lo + hi + 1) // 2

@@ -3,11 +3,13 @@
 ``video_hide`` and ``video_reveal`` hand the clip to the driver in
 ``pipeline`` (``embed_segments``, ``reveal_units``) with one unit per frame:
 the frame's Y+U+V planes as one flat buffer, host slice ``[:w*h]`` (the Y
-plane), just as an image is one unit whose host is its red samples.  This
-module adds only what is video's own: each frame's capacity, which sets
-how the encrypted secret splits into segments, and the conversion between
-frames and buffers, made one frame at a time so that the input buffers are
-never all held at once.
+plane), just as an image is one unit whose host is its red samples.  Each
+frame's capacity is ``pipeline.max_embeddable_bits`` of its Y plane, the
+same rule an image's red plane follows; it sets how the encrypted secret
+splits into segments, and a frame that cannot carry one raises the reason.
+This module adds only what is video's own: the conversion between frames
+and buffers, made one frame at a time so that the input buffers are never
+all held at once.
 
 Unknown stream-header parameters round-trip verbatim, so a marked video can
 carry its counter nonce as an ``XRDHCTR=<16 hex>`` extension token that
@@ -22,24 +24,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    BadSignature,
-    CapacityExceeded,
-    CoverTooSmall,
-    NoZeroBin,
-    TruncatedFrame,
-    UnsupportedColorspace,
-)
+from .errors import BadSignature, TruncatedFrame, UnsupportedColorspace
 from .pipeline import (
-    HEADER_SLOTS,
     PayloadFrame,
     StegoKeys,
     build_frames,
     embed_segments,
     extract,
-    frame_num_bits,
     max_embeddable_bits,
-    reserve_room_plane,
     reveal_units,
 )
 
@@ -48,7 +40,7 @@ from .pipeline import (
 from .aes import aes_cbc_decrypt  # noqa: F401
 from .blowfish import bf_ctr_transform, bf_key_schedule  # noqa: F401
 from .huffman import huffman_decompress  # noqa: F401
-from .pipeline import recover_plane  # noqa: F401
+from .pipeline import recover_plane, reserve_room_plane  # noqa: F401
 
 _SIGNATURE = b"YUV4MPEG2"
 _NONCE_PREFIX = b"XRDHCTR="
@@ -200,9 +192,7 @@ def video_hide(
     """Split the encrypted secret across frames; every frame carries a segment."""
     if iv is None:
         iv = os.urandom(16)
-    capacities = [
-        _frame_capacity(i, frame.y.reshape(-1)) for i, frame in enumerate(video.frames)
-    ]
+    capacities = [max_embeddable_bits(frame.y) for frame in video.frames]
     segments = build_frames(secret, keys.data_key, iv, capacities)
     buffers = embed_segments(_frame_buffers(video), _y_plane(video), segments, keys)
     return _with_frames(video, buffers)
@@ -227,22 +217,3 @@ def _with_frames(video: Y4mVideo, buffers: list[np.ndarray]) -> Y4mVideo:
     frames = [_split_planes(b, f.y.shape, f.u.shape) for b, f in zip(buffers, video.frames)]
     return replace(video, frames=frames, frame_headers=list(video.frame_headers))
 
-
-def _frame_capacity(index: int, y_flat: np.ndarray) -> int:
-    capacity = max_embeddable_bits(y_flat)
-    if capacity is None or capacity < frame_num_bits(0):
-        # re-derive the reason for a precise per-frame error
-        if y_flat.size <= HEADER_SLOTS + frame_num_bits(0):
-            raise CoverTooSmall(
-                f"frame {index}: Y plane of {y_flat.size} samples cannot hold a segment"
-            )
-        try:
-            reserve_room_plane(y_flat, frame_num_bits(0))
-        except NoZeroBin as exc:
-            raise NoZeroBin(f"frame {index}: {exc}") from exc
-        except CapacityExceeded as exc:
-            raise CapacityExceeded(
-                needed=exc.needed, available=exc.available, detail=f"frame {index}"
-            ) from exc
-        raise CoverTooSmall(f"frame {index}: no room for a segment")
-    return capacity

@@ -28,13 +28,13 @@ def random_keys(rng):
 
 def max_secret_bytes(cover):
     """Conservative upper bound on a random-bytes secret that must fit this cover."""
-    from rdhkit.pipeline import FRAME_OVERHEAD_BYTES, HEADER_SLOTS, max_embeddable_bits
+    from rdhkit.errors import CapacityError
+    from rdhkit.pipeline import FRAME_OVERHEAD_BYTES, max_embeddable_bits
 
-    red = cover[:, :, 0].reshape(-1)
-    limit = max_embeddable_bits(red)
-    if limit is None:
+    try:
+        limit = max_embeddable_bits(cover[:, :, 0])
+    except CapacityError:
         return None
-    limit = min(limit, red.size - HEADER_SLOTS)
     max_ct = limit // 8 - FRAME_OVERHEAD_BYTES
     if max_ct < 16:
         return None

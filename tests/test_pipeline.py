@@ -12,13 +12,16 @@ from rdhkit.errors import (
     BadMagic,
     BadPadding,
     BadVersion,
+    CapacityError,
     CapacityExceeded,
     CoverTooSmall,
     HeaderChecksum,
     MissingSegment,
     NoZeroBin,
 )
+from rdhkit.huffman import huffman_compress
 from rdhkit.pipeline import (
+    FRAME_OVERHEAD_BYTES,
     HEADER_SLOTS,
     PayloadFrame,
     SideHeader,
@@ -157,6 +160,18 @@ def test_build_frames_capacity_error_reports_numbers():
     assert info.value.needed > info.value.available
 
 
+def test_build_frames_numbers_at_most_65535_units(monkeypatch):
+    # segment_index and segment_count are u16 fields of every unit's frame
+    assert len(build_frames(b"x", KEYS.data_key, IV, [10**6] * 0xFFFF)) == 1
+
+    def never(*args):
+        raise AssertionError("encrypted before the unit count was checked")
+
+    monkeypatch.setattr(pipeline, "aes_cbc_encrypt", never)
+    with pytest.raises(CapacityError):
+        build_frames(b"x", KEYS.data_key, IV, [10**6] * 65537)
+
+
 # --- room reservation -----------------------------------------------------
 
 
@@ -215,11 +230,16 @@ def test_max_embeddable_bits_is_the_exact_boundary():
         reserve_room_plane(plane, limit)  # must succeed
         with pytest.raises((CapacityExceeded, CoverTooSmall)):
             reserve_room_plane(plane, limit + 1)
-    assert max_embeddable_bits(np.arange(256, dtype=np.uint8)) is None
+    with pytest.raises(CapacityExceeded):  # region B's peak holds 1 of 64 header bits
+        max_embeddable_bits(np.arange(256, dtype=np.uint8))
 
 
 def bincount_max_embeddable_bits(plane):
-    """Reference max_embeddable_bits: a full plan_hs of region B at every probe."""
+    """Reference max_embeddable_bits: a full plan_hs of region B at every probe.
+
+    Where no length is feasible it returns the class of error that
+    max_embeddable_bits must raise.
+    """
     flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
     n = flat.size
 
@@ -233,8 +253,14 @@ def bincount_max_embeddable_bits(plane):
             return False
         return capacity >= HEADER_SLOTS + length
 
-    if n <= HEADER_SLOTS or not feasible(0):
-        return None
+    if n <= HEADER_SLOTS:
+        return CoverTooSmall
+    try:
+        plan_hs(flat[HEADER_SLOTS:])
+    except NoZeroBin:
+        return NoZeroBin
+    if not feasible(0):
+        return CapacityExceeded
     lo, hi = 0, n - HEADER_SLOTS
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -261,6 +287,13 @@ def seeded_plane(rng, kind, n):
     return rng.integers(0, 256, size=n, dtype=np.uint8)  # uniform
 
 
+def embeddable_or_reason(plane):
+    try:
+        return max_embeddable_bits(plane)
+    except (CapacityExceeded, CoverTooSmall, NoZeroBin) as exc:
+        return type(exc)
+
+
 def test_max_embeddable_bits_matches_bincount_reference_at_every_size():
     rng = np.random.default_rng(31)
     kinds = ["constant", "two-valued", "gaussian", "uniform", "every-value"]
@@ -269,14 +302,14 @@ def test_max_embeddable_bits_matches_bincount_reference_at_every_size():
         kind = kinds[n % len(kinds)]
         plane = seeded_plane(rng, kind, n)
         want = bincount_max_embeddable_bits(plane)
-        assert max_embeddable_bits(plane) == want, (n, kind)
+        assert embeddable_or_reason(plane) == want, (n, kind)
         if kind == "every-value" and n >= HEADER_SLOTS + 256:
-            assert want is None
-        results.add(want is None)
-    assert results == {True, False}
+            assert want is NoZeroBin
+        results.add(want if isinstance(want, type) else int)
+    assert results == {int, CoverTooSmall, NoZeroBin, CapacityExceeded}
 
 
-def test_max_embeddable_bits_none_when_only_a_longer_region_a_empties_a_bin():
+def test_max_embeddable_bits_raises_when_only_a_longer_region_a_empties_a_bin():
     # region B at L = 0 holds every value, but value 0 only in its first sample,
     # so from L = 1 on region B has an empty bin and a peak big enough
     body = np.concatenate([np.arange(1, 256), np.full(4000, 100)]).astype(np.uint8)
@@ -284,8 +317,14 @@ def test_max_embeddable_bits_none_when_only_a_longer_region_a_empties_a_bin():
     reserve_room_plane(plane, 16)  # a longer region A is feasible
     with pytest.raises(NoZeroBin):
         reserve_room_plane(plane, 0)
-    assert bincount_max_embeddable_bits(plane) is None
-    assert max_embeddable_bits(plane) is None
+    assert bincount_max_embeddable_bits(plane) is NoZeroBin
+    with pytest.raises(NoZeroBin):
+        max_embeddable_bits(plane)
+    # so hide rejects a cover with this red plane up front
+    cover = np.zeros((plane.size, 1, 3), dtype=np.uint8)
+    cover[:, 0, 0] = plane
+    with pytest.raises(NoZeroBin):
+        hide(cover, b"", KEYS, iv=IV)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "peaked", "uniform"])
@@ -305,7 +344,7 @@ def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
         return bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
-    assert max_embeddable_bits(plane) == want
+    assert embeddable_or_reason(plane) == want
     assert 0 < sum(counted) <= 2 * n
 
 
@@ -403,6 +442,25 @@ def test_cover_too_small_for_any_frame():
     tiny = np.zeros((8, 8, 3), dtype=np.uint8)
     with pytest.raises(CoverTooSmall):
         hide(tiny, b"", KEYS, iv=IV)
+
+
+def test_hide_reports_and_enforces_the_true_capacity():
+    cover = make_cover(np.random.default_rng(37), 64, 64)
+    cap = max_embeddable_bits(cover[:, :, 0])
+    assert hide(cover, b"fits", KEYS, iv=IV).capacity_bits == cap
+    room = cap // 8 - FRAME_OVERHEAD_BYTES
+
+    def ciphertext_len(secret):  # PKCS#7 pads the compressed secret to whole blocks
+        return len(huffman_compress(secret)) // 16 * 16 + 16
+
+    # the shortest prefix of a 4-symbol text whose ciphertext overruns the room
+    text = bytes(np.random.default_rng(38).integers(0, 4, size=8 * room, dtype=np.uint8))
+    secret = text[: next(k for k in range(len(text)) if ciphertext_len(text[:k]) > room)]
+    assert ciphertext_len(secret) == room // 16 * 16 + 16  # one block over the limit
+    with pytest.raises(CapacityExceeded) as info:
+        hide(cover, secret, KEYS, iv=IV)
+    assert info.traceback[-1].name == "build_frames"
+    assert info.value.available == 8 * (cap // 8 - FRAME_OVERHEAD_BYTES)
 
 
 def test_capacity_accounting_matches_oracle():

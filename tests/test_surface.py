@@ -47,3 +47,16 @@ def test_every_public_name_has_a_caller_in_the_package():
         if name not in referenced and name not in ALLOWED_UNCALLED
     }
     assert not unused, f"public names nothing in the package calls: {sorted(unused)}"
+
+
+def test_only_pipeline_knows_the_host_layout():
+    # the header-slot count is part of the capacity rule, which pipeline keeps
+    outside = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if "HEADER_SLOTS" in _references(tree) | imported:
+            outside.add(path.name)
+    assert not outside, f"modules besides pipeline.py refer to HEADER_SLOTS: {sorted(outside)}"
