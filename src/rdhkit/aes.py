@@ -9,9 +9,13 @@ blocks, so ``decrypt_block`` runs the equivalent inverse cipher (FIPS-197
 §5.3.5: InvMixColumns applied to round keys 1-9) on every block at once,
 with numpy uint32 inverse T-tables gathered over all blocks.
 
-``encrypt_block`` and ``decrypt_block`` are the round code CBC runs, so the
-FIPS-197 known-answer block and the NIST SP 800-38A F.2.1 CBC vectors check
-it byte for byte.  Only the 128-bit key size is supported.
+``expand_key`` returns the 44 schedule words w[0..43] of FIPS-197 §5.2,
+the form both directions read.  The encryption rounds live inside
+``aes_cbc_encrypt``, which unpacks its input to words once and packs the
+ciphertext once; ``decrypt_block`` is the inverse cipher CBC decryption
+runs.  The FIPS-197 known-answer block (the first block of a zero-IV CBC
+encryption is ECB) and the NIST SP 800-38A F.2.1 CBC vectors check both
+byte for byte.  Only the 128-bit key size is supported.
 """
 
 from __future__ import annotations
@@ -44,43 +48,28 @@ SBOX = (
     0x8C, 0xA1, 0x89, 0x0D, 0xBF, 0xE6, 0x42, 0x68, 0x41, 0x99, 0x2D, 0x0F, 0xB0, 0x54, 0xBB, 0x16,
 )
 
-INV_SBOX = (
-    0x52, 0x09, 0x6A, 0xD5, 0x30, 0x36, 0xA5, 0x38, 0xBF, 0x40, 0xA3, 0x9E, 0x81, 0xF3, 0xD7, 0xFB,
-    0x7C, 0xE3, 0x39, 0x82, 0x9B, 0x2F, 0xFF, 0x87, 0x34, 0x8E, 0x43, 0x44, 0xC4, 0xDE, 0xE9, 0xCB,
-    0x54, 0x7B, 0x94, 0x32, 0xA6, 0xC2, 0x23, 0x3D, 0xEE, 0x4C, 0x95, 0x0B, 0x42, 0xFA, 0xC3, 0x4E,
-    0x08, 0x2E, 0xA1, 0x66, 0x28, 0xD9, 0x24, 0xB2, 0x76, 0x5B, 0xA2, 0x49, 0x6D, 0x8B, 0xD1, 0x25,
-    0x72, 0xF8, 0xF6, 0x64, 0x86, 0x68, 0x98, 0x16, 0xD4, 0xA4, 0x5C, 0xCC, 0x5D, 0x65, 0xB6, 0x92,
-    0x6C, 0x70, 0x48, 0x50, 0xFD, 0xED, 0xB9, 0xDA, 0x5E, 0x15, 0x46, 0x57, 0xA7, 0x8D, 0x9D, 0x84,
-    0x90, 0xD8, 0xAB, 0x00, 0x8C, 0xBC, 0xD3, 0x0A, 0xF7, 0xE4, 0x58, 0x05, 0xB8, 0xB3, 0x45, 0x06,
-    0xD0, 0x2C, 0x1E, 0x8F, 0xCA, 0x3F, 0x0F, 0x02, 0xC1, 0xAF, 0xBD, 0x03, 0x01, 0x13, 0x8A, 0x6B,
-    0x3A, 0x91, 0x11, 0x41, 0x4F, 0x67, 0xDC, 0xEA, 0x97, 0xF2, 0xCF, 0xCE, 0xF0, 0xB4, 0xE6, 0x73,
-    0x96, 0xAC, 0x74, 0x22, 0xE7, 0xAD, 0x35, 0x85, 0xE2, 0xF9, 0x37, 0xE8, 0x1C, 0x75, 0xDF, 0x6E,
-    0x47, 0xF1, 0x1A, 0x71, 0x1D, 0x29, 0xC5, 0x89, 0x6F, 0xB7, 0x62, 0x0E, 0xAA, 0x18, 0xBE, 0x1B,
-    0xFC, 0x56, 0x3E, 0x4B, 0xC6, 0xD2, 0x79, 0x20, 0x9A, 0xDB, 0xC0, 0xFE, 0x78, 0xCD, 0x5A, 0xF4,
-    0x1F, 0xDD, 0xA8, 0x33, 0x88, 0x07, 0xC7, 0x31, 0xB1, 0x12, 0x10, 0x59, 0x27, 0x80, 0xEC, 0x5F,
-    0x60, 0x51, 0x7F, 0xA9, 0x19, 0xB5, 0x4A, 0x0D, 0x2D, 0xE5, 0x7A, 0x9F, 0x93, 0xC9, 0x9C, 0xEF,
-    0xA0, 0xE0, 0x3B, 0x4D, 0xAE, 0x2A, 0xF5, 0xB0, 0xC8, 0xEB, 0xBB, 0x3C, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2B, 0x04, 0x7E, 0xBA, 0x77, 0xD6, 0x26, 0xE1, 0x69, 0x14, 0x63, 0x55, 0x21, 0x0C, 0x7D,
-)
+INV_SBOX = tuple(SBOX.index(x) for x in range(256))
 
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-def expand_key(key: bytes) -> list[bytes]:
-    """The 11 round keys of the AES-128 key schedule; round_keys[0] is the key."""
+def expand_key(key: bytes) -> list[int]:
+    """The 44 schedule words w[0..43] of FIPS-197 §5.2; round r's key is w[4r..4r+3]."""
     if len(key) != 16:
         raise BadKeyLength(f"AES-128 key must be 16 bytes, got {len(key)}")
-    words = [key[4 * i : 4 * i + 4] for i in range(4)]
+    w = list(struct.unpack(">4I", key))
     for i in range(4, 44):
-        temp = words[i - 1]
-        if i % 4 == 0:
-            rotated = temp[1:] + temp[:1]
-            temp = bytes(
-                (SBOX[rotated[0]] ^ RCON[i // 4 - 1], SBOX[rotated[1]], SBOX[rotated[2]], SBOX[rotated[3]])
+        temp = w[i - 1]
+        if i % 4 == 0:  # SubWord(RotWord(temp)) ^ Rcon
+            temp = (
+                (SBOX[temp >> 16 & 255] ^ RCON[i // 4 - 1]) << 24
+                | SBOX[temp >> 8 & 255] << 16
+                | SBOX[temp & 255] << 8
+                | SBOX[temp >> 24]
             )
-        words.append(bytes(a ^ b for a, b in zip(words[i - 4], temp)))
-    return [b"".join(words[4 * r : 4 * r + 4]) for r in range(NUM_ROUNDS + 1)]
+        w.append(w[i - 4] ^ temp)
+    return w
 
 
 def _xtime(b: int) -> int:
@@ -119,31 +108,6 @@ _TE2 = tuple(map(_ror8, _TE1))
 _TE3 = tuple(map(_ror8, _TE2))
 
 
-def encrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
-    """One block through the T-table rounds; CBC encryption calls this per block."""
-    if len(block) != BLOCK_SIZE:
-        raise BadLength(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    t0, t1, t2, t3, s = _TE0, _TE1, _TE2, _TE3, SBOX
-    rk = struct.unpack(">44I", b"".join(round_keys))
-    w0, w1, w2, w3 = struct.unpack(">4I", block)
-    s0, s1, s2, s3 = w0 ^ rk[0], w1 ^ rk[1], w2 ^ rk[2], w3 ^ rk[3]
-    for r in range(4, 4 * NUM_ROUNDS, 4):
-        s0, s1, s2, s3 = (
-            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
-            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
-            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
-            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
-        )
-    # the last round has no MixColumns: S-box bytes in ShiftRows order
-    return struct.pack(
-        ">4I",
-        rk[40] ^ s[s0 >> 24] << 24 ^ s[s1 >> 16 & 255] << 16 ^ s[s2 >> 8 & 255] << 8 ^ s[s3 & 255],
-        rk[41] ^ s[s1 >> 24] << 24 ^ s[s2 >> 16 & 255] << 16 ^ s[s3 >> 8 & 255] << 8 ^ s[s0 & 255],
-        rk[42] ^ s[s2 >> 24] << 24 ^ s[s3 >> 16 & 255] << 16 ^ s[s0 >> 8 & 255] << 8 ^ s[s1 & 255],
-        rk[43] ^ s[s3 >> 24] << 24 ^ s[s0 >> 16 & 255] << 16 ^ s[s1 >> 8 & 255] << 8 ^ s[s2 & 255],
-    )
-
-
 # The inverse cipher works on (nblocks, 16) state bytes, byte 4c + j being
 # row j of column c.  _TD[256 j + x] is what byte x in row j adds to its
 # column after InvSubBytes and InvMixColumns, as a uint32 whose memory bytes
@@ -169,7 +133,7 @@ def _inv_mix(state: np.ndarray, order: np.ndarray) -> np.ndarray:
     return t[:, 0:4] ^ t[:, 4:8] ^ t[:, 8:12] ^ t[:, 12:16]
 
 
-def decrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
+def decrypt_block(block: bytes, round_keys: list[int]) -> bytes:
     """The inverse cipher on every 16-byte block of block at once (ECB).
 
     CBC decryption calls this once on its whole ciphertext.  Each round is
@@ -178,7 +142,8 @@ def decrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
     """
     if not block or len(block) % BLOCK_SIZE:
         raise BadLength(f"block length {len(block)} is not a positive multiple of {BLOCK_SIZE}")
-    rk = np.frombuffer(b"".join(round_keys), np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    # big-endian words: each round key's bytes in FIPS-197 order
+    rk = np.array(round_keys, ">u4").view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
     # equivalent-inverse-cipher keys; the S-box cancels the InvSubBytes inside _TD
     inv_mixed_keys = _inv_mix(_SBOX_NP[rk], _BY_ROW)
     state = np.frombuffer(block, np.uint8).reshape(-1, BLOCK_SIZE) ^ rk[NUM_ROUNDS]
@@ -203,15 +168,32 @@ def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     """CBC over PKCS#7-padded data; output is always a whole number of blocks."""
     if len(iv) != BLOCK_SIZE:
         raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    round_keys = expand_key(key)
+    t0, t1, t2, t3, s = _TE0, _TE1, _TE2, _TE3, SBOX
+    rk = expand_key(key)
     padded = _pad(data)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(padded), BLOCK_SIZE):
-        block = int.from_bytes(padded[i : i + BLOCK_SIZE], "big") ^ int.from_bytes(prev, "big")
-        prev = encrypt_block(block.to_bytes(BLOCK_SIZE, "big"), round_keys)
-        out += prev
-    return bytes(out)
+    words = struct.unpack(f">{len(padded) // 4}I", padded)
+    c0, c1, c2, c3 = struct.unpack(">4I", iv)
+    out = []
+    for i in range(0, len(words), 4):
+        s0 = words[i] ^ c0 ^ rk[0]
+        s1 = words[i + 1] ^ c1 ^ rk[1]
+        s2 = words[i + 2] ^ c2 ^ rk[2]
+        s3 = words[i + 3] ^ c3 ^ rk[3]
+        for r in range(4, 4 * NUM_ROUNDS, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
+                t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
+                t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
+                t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
+            )
+        # the last round has no MixColumns: S-box bytes in ShiftRows order
+        c0 = s[s0 >> 24] << 24 ^ s[s1 >> 16 & 255] << 16 ^ s[s2 >> 8 & 255] << 8 ^ s[s3 & 255]
+        c1 = s[s1 >> 24] << 24 ^ s[s2 >> 16 & 255] << 16 ^ s[s3 >> 8 & 255] << 8 ^ s[s0 & 255]
+        c2 = s[s2 >> 24] << 24 ^ s[s3 >> 16 & 255] << 16 ^ s[s0 >> 8 & 255] << 8 ^ s[s1 & 255]
+        c3 = s[s3 >> 24] << 24 ^ s[s0 >> 16 & 255] << 16 ^ s[s1 >> 8 & 255] << 8 ^ s[s2 & 255]
+        c0, c1, c2, c3 = c0 ^ rk[40], c1 ^ rk[41], c2 ^ rk[42], c3 ^ rk[43]
+        out += (c0, c1, c2, c3)
+    return struct.pack(f">{len(out)}I", *out)
 
 
 def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:

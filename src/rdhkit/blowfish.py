@@ -21,6 +21,10 @@ whole arrays of counter blocks at once.  Two choices keep it fast:
   its default bounds check: no shift-and-mask passes.  Each chunk's counter
   base is reduced mod 2^64 in Python before it meets numpy.
 
+``bf_ctr_transform`` XORs the data into the keystream buffer it has just
+filled and returns that buffer, a fresh, flat, writable uint8 array: the
+pipeline writes the payload frame straight into it, with no copy.
+
 The scalar path serves the key schedule and the single-block API.  The
 schedule is 521 chained block encryptions, so it cannot be vectorised; its
 block function inlines the round function and runs two rounds per loop
@@ -114,8 +118,15 @@ def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
     return xl.to_bytes(4, "big") + xr.to_bytes(4, "big")
 
 
-def _keystream_u8(state: BlowfishState, nonce: int, nbytes: int) -> np.ndarray:
-    """The first nbytes of the keystream as a fresh, writable uint8 array."""
+def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray) -> np.ndarray:
+    """XOR data with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
+    each Blowfish-encrypted; applying it twice is the identity.
+
+    data is bytes or a contiguous uint8 array and is left unchanged.  The
+    result is the keystream buffer itself, XORed in place: a fresh, flat,
+    writable uint8 array of len(data).
+    """
+    nbytes = len(data)
     nblocks = (nbytes + 7) // 8
     words = np.empty((nblocks, 2), dtype=">u4")
     n = min(_CHUNK_BLOCKS, nblocks)
@@ -150,14 +161,6 @@ def _keystream_u8(state: BlowfishState, nonce: int, nbytes: int) -> np.ndarray:
         np.bitwise_xor(xr, p[17], out=xr)
         words[start : start + m, 0] = xr
         words[start : start + m, 1] = xl
-    return words.view(np.uint8).reshape(-1)[:nbytes]
-
-
-def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes) -> bytes:
-    """XOR with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
-    each Blowfish-encrypted; applying it twice is the identity."""
-    if len(data) == 0:
-        return b""
-    ks = _keystream_u8(state, nonce, len(data))
-    np.bitwise_xor(ks, np.frombuffer(data, dtype=np.uint8), out=ks)
-    return ks.tobytes()
+    out = words.view(np.uint8).reshape(-1)[:nbytes]
+    np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
+    return out

@@ -91,7 +91,7 @@ class HeaderChecksum(PayloadError):
 
 
 class MissingSegment(PayloadError):
-    """Reassembly found a gap in the segment indices."""
+    """Segments do not join: a gap, a repeat, or units of different hides."""
 
 
 class PayloadOverrun(PayloadError):

@@ -7,9 +7,9 @@ has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
 ``embed_segments`` gives unit i segment i of the encrypted secret (an empty
 segment past the last) and encrypts the unit from counter ``nonce + i``,
 under one key schedule per call.  ``reveal_units`` reads every unit's
-frame, checks that all declare one non-zero segment count and that each
-index appears once, recovers each unit, and joins the segments by index,
-not by unit position, before decrypting the secret.
+frame, checks that all declare one non-zero segment count and one IV and
+that each index appears once, recovers each unit, and joins the segments
+by index, not by unit position, before decrypting the secret.
 
 Per unit the core is ``embed``, ``recover`` and ``extract``.  The host is
 split row-major into three regions::
@@ -291,7 +291,7 @@ def embed(
     bits = np.unpackbits(np.frombuffer(frame, np.uint8))
     raw[host] = reserve_room_plane(raw[host], bits.size)
     _write_region_a(raw[host], bits)
-    out = _ctr(state, nonce, raw)
+    out = bf_ctr_transform(state, nonce, raw)
     _write_region_a(out[host], bits)
     return out
 
@@ -300,7 +300,7 @@ def recover(
     raw: np.ndarray, host: slice, frame_bits: int, state: BlowfishState, nonce: int
 ) -> np.ndarray:
     """Invert embed: a new buffer, decrypted, with raw[host] restored."""
-    out = _ctr(state, nonce, raw)
+    out = bf_ctr_transform(state, nonce, raw)
     out[host] = recover_plane(out[host], frame_bits)
     return out
 
@@ -312,10 +312,6 @@ def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
 
 def _write_region_a(host: np.ndarray, bits: np.ndarray) -> None:
     host[: bits.size] = _with_lsbs(host[: bits.size], bits)
-
-
-def _ctr(state: BlowfishState, nonce: int, raw: np.ndarray) -> np.ndarray:
-    return np.frombuffer(bf_ctr_transform(state, nonce, raw), dtype=np.uint8).copy()
 
 
 def embed_segments(
@@ -341,9 +337,9 @@ def reveal_units(
 ) -> tuple[bytes, list[np.ndarray]]:
     """Inverse of embed_segments: the secret, and each unit decrypted and restored.
 
-    Every unit's frame must declare the same non-zero segment count, and
-    each segment index below it must appear exactly once; segments are
-    joined by index, not by unit position.
+    Every unit's frame must declare the same non-zero segment count and the
+    same IV, and each segment index below it must appear exactly once;
+    segments are joined by index, not by unit position.
     """
     state = bf_key_schedule(keys.image_key)
     segments: dict[int, bytes] = {}
@@ -359,6 +355,8 @@ def reveal_units(
             raise MissingSegment(
                 f"unit {i} declares {frame.segment_count} segments, expected {count}"
             )
+        elif frame.iv != iv:
+            raise MissingSegment(f"unit {i} carries another IV than unit 0: frames of two hides")
         if frame.segment_index < count:
             if frame.segment_index in segments:
                 raise MissingSegment(f"segment {frame.segment_index} appears twice")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from rdhkit import blowfish as bf
@@ -66,7 +67,7 @@ def test_ctr_first_keystream_block_matches_zero_vector():
     state = bf.bf_key_schedule(bytes(8))
     # encrypting plaintext zeros under nonce 0 exposes the raw keystream
     out = bf.bf_ctr_transform(state, 0, bytes(8))
-    assert out.hex().upper() == "4EF997456198DD78"
+    assert out.tobytes().hex().upper() == "4EF997456198DD78"
 
 
 def test_ctr_is_an_involution():
@@ -75,8 +76,9 @@ def test_ctr_is_an_involution():
     for n in (0, 1, 7, 8, 9, 100, 4096):
         data = rng.randbytes(n)
         nonce = rng.getrandbits(64)
-        assert bf.bf_ctr_transform(state, nonce, bf.bf_ctr_transform(state, nonce, data)) == data
-    assert bf.bf_ctr_transform(state, 5, b"") == b""
+        back = bf.bf_ctr_transform(state, nonce, bf.bf_ctr_transform(state, nonce, data))
+        assert back.tobytes() == data
+    assert bf.bf_ctr_transform(state, 5, b"").tobytes() == b""
 
 
 def test_ctr_matches_scalar_block_reference():
@@ -93,7 +95,7 @@ def test_ctr_matches_scalar_block_reference():
             stream.extend(bf.bf_encrypt_block(state, counter))
             i += 1
         expect = bytes(a ^ b for a, b in zip(data, stream))
-        assert bf.bf_ctr_transform(state, nonce, data) == expect
+        assert bf.bf_ctr_transform(state, nonce, data).tobytes() == expect
 
 
 def test_ctr_counter_wraps_mod_2_64():
@@ -103,7 +105,25 @@ def test_ctr_counter_wraps_mod_2_64():
     k0 = bf.bf_encrypt_block(state, (0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
     k1 = bf.bf_encrypt_block(state, (0).to_bytes(8, "big"))
     k2 = bf.bf_encrypt_block(state, (1).to_bytes(8, "big"))
-    assert out == k0 + k1 + k2
+    assert out.tobytes() == k0 + k1 + k2
+
+
+CONTRACT_DATA = random.Random(16).randbytes(1001)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [CONTRACT_DATA, np.frombuffer(CONTRACT_DATA, np.uint8).copy(), b""],
+    ids=["bytes", "array", "empty"],
+)
+def test_ctr_returns_a_fresh_writable_array(given):
+    before = bytes(given)
+    out = bf.bf_ctr_transform(bf.bf_key_schedule(b"contract"), 21, given)
+    assert isinstance(out, np.ndarray)
+    assert out.dtype == np.uint8 and out.ndim == 1 and out.size == len(given)
+    assert out.flags.writeable
+    assert not np.shares_memory(out, np.frombuffer(given, np.uint8))
+    assert bytes(given) == before
 
 
 def test_ctr_bit_locality():
@@ -148,7 +168,7 @@ def _counter_blocks(nonce: int, nbytes: int) -> bytes:
 def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
     state = bf.bf_key_schedule(b"chunked!")
     nonce = 0x00000000FFFFFFF0 - CHUNK  # low-word carry lands just after the boundary
-    stream = bf.bf_ctr_transform(state, nonce, bytes(8 * (CHUNK + 40) + 3))
+    stream = bf.bf_ctr_transform(state, nonce, bytes(8 * (CHUNK + 40) + 3)).tobytes()
     for i in list(range(CHUNK - 20, CHUNK + 40)) + [0, 1]:
         counter = ((nonce + i) & MASK64).to_bytes(8, "big")
         assert stream[8 * i : 8 * i + 8] == bf.bf_encrypt_block(state, counter)
@@ -176,9 +196,10 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
     enc = Cipher(decrepit.Blowfish(key), modes.ECB()).encryptor()
     expect = (enc.update(_counter_blocks(nonce, nbytes)) + enc.finalize())[:nbytes]
     state = bf.bf_key_schedule(key)
-    assert bf.bf_ctr_transform(state, nonce, bytes(nbytes)) == expect
+    assert bf.bf_ctr_transform(state, nonce, bytes(nbytes)).tobytes() == expect
     data = random.Random(nbytes).randbytes(nbytes)
-    assert bf.bf_ctr_transform(state, nonce, data) == bytes(a ^ b for a, b in zip(data, expect))
+    out = bf.bf_ctr_transform(state, nonce, data).tobytes()
+    assert out == bytes(a ^ b for a, b in zip(data, expect))
 
 
 def test_fused_table_is_s0_plus_s1():

@@ -43,8 +43,8 @@ IV = bytes(range(16, 32))
 
 def decrypted(marked):
     """The plain-domain view of a marked image: its cover keystream removed."""
-    plain = bf_ctr_transform(bf_key_schedule(KEYS.image_key), KEYS.nonce, marked.tobytes())
-    return np.frombuffer(plain, dtype=np.uint8).reshape(marked.shape)
+    state = bf_key_schedule(KEYS.image_key)
+    return bf_ctr_transform(state, KEYS.nonce, marked.tobytes()).reshape(marked.shape)
 
 
 # --- payload frames -------------------------------------------------------

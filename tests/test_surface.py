@@ -1,4 +1,5 @@
-"""Public-surface guard: every public function or class in rdhkit has a caller.
+"""Public-surface guards: every public function or class in rdhkit has a
+caller, and no module of the package or its tests imports a name it never uses.
 
 A module-level public name counts as used when some module of the package
 other than ``__init__.py`` refers to it by name or attribute; re-exporting it
@@ -10,6 +11,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rdhkit"
+TESTS = Path(__file__).resolve().parent
 
 # the scalar block cipher is the reference for the Blowfish known-answer and
 # keystream tests
@@ -60,3 +62,34 @@ def test_only_pipeline_knows_the_host_layout():
         if "HEADER_SLOTS" in _references(tree) | imported:
             outside.add(path.name)
     assert not outside, f"modules besides pipeline.py refer to HEADER_SLOTS: {sorted(outside)}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = _references(tree) | exported
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            # `import a.b` binds `a`; `from m import x as y` binds `y`
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno}:{bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, f"imported names nothing refers to: {unused}"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,20 @@ def test_missing_segment_detected():
     broken = embed_clip(clip, [segments[1], segments[1]], KEYS)
     with pytest.raises(MissingSegment):
         vid.video_reveal(broken, KEYS)
+
+
+def test_frames_of_two_hides_are_not_joined():
+    rng = np.random.default_rng(18)
+    clip = make_clip(rng, nframes=6)
+    secret = bytes(rng.integers(0, 4, size=2400, dtype=np.uint8))
+    first = vid.video_hide(clip, secret, KEYS, iv=IV)
+    second = vid.video_hide(clip, secret, KEYS, iv=bytes(16))
+    # one segment layout, so only the IVs tell the hides apart; segment 0
+    # comes from the first hide and the rest from the second
+    spliced = replace(second, frames=[first.frames[0], *second.frames[1:]])
+    assert vid.extract_frame_payload(spliced.frames[0]).segment_count > 1
+    with pytest.raises(MissingSegment):
+        vid.video_reveal(spliced, KEYS)
 
 
 def test_wrong_image_key_fails_on_frame_zero():
