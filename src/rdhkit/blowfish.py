@@ -14,12 +14,15 @@ whole arrays of counter blocks at once.  Two choices keep it fast:
   so the round function is ``(t01[x >> 16] ^ S2[(x >> 8) & 0xFF]) +
   S3[x & 0xFF]``: three lookups instead of four, and no mask on the high
   half.
-- Chunked rounds.  Counters are processed 32K blocks at a time, so every
-  temporary is chunk-sized and stays near the cache instead of spanning the
-  raster; the halves are updated in place.  The S-box indices are byte and
-  half-word views of the left half, which ``np.take`` gathers through with
-  its default bounds check: no shift-and-mask passes.  Each chunk's counter
-  base is reduced mod 2^64 in Python before it meets numpy.
+- Chunked, allocation-free rounds.  Counters are processed 32K blocks at a
+  time in chunk-sized buffers allocated once per call, which stay near the
+  cache; the halves are updated in place.  The S-box indices are byte and
+  half-word views of the left half (no shift-and-mask passes), which
+  ``np.take`` gathers through in ``"wrap"`` mode straight into preallocated
+  outputs.  The wrap is exact, as a uint16 index always lies inside the
+  65,536-entry fused table and a uint8 index inside an S-box; the default
+  bounds check would also stage each gather in a temporary.  Each chunk's
+  counter base is reduced mod 2^64 in Python before it meets numpy.
 
 ``bf_ctr_transform`` XORs the data into the keystream buffer it has just
 filled and returns that buffer, a fresh, flat, writable uint8 array: the
@@ -27,8 +30,8 @@ pipeline writes the payload frame straight into it, with no copy.
 
 The scalar path serves the key schedule and the single-block API.  The
 schedule is 521 chained block encryptions, so it cannot be vectorised; its
-block function inlines the round function and runs two rounds per loop
-pass, which avoids a call and a tuple swap per round.
+block function unrolls all 16 rounds, with F inlined and each P-array XOR
+folded into a round: no loop, no call and no swap per block.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MIN_KEY_BYTES = 4
 MAX_KEY_BYTES = 56
-# counter blocks per vectorised pass: at 32K blocks a round's temporaries
-# (128-256 KB each) and the 256 KB fused table stay near the cache
+# counter blocks per vectorised pass: at 32K blocks the four 128 KB word
+# buffers a round works in and the 256 KB fused table stay near the cache
 _CHUNK_BLOCKS = 1 << 15
 
 
@@ -93,20 +96,31 @@ def bf_key_schedule(key: bytes) -> BlowfishState:
 
 
 def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
-    # F inlined, two rounds per pass so the halves never swap; one mask per
-    # round suffices because the low 32 bits of a sum or xor depend only on
-    # the low 32 bits of its operands
+    # all 16 rounds unrolled, so the halves never swap; each round's line also
+    # applies the next P entry (the last one P16), and by precedence reads
+    # half ^= p ^ (S0 + S1 ^ S2) + S3 & mask.  One mask per round suffices: the
+    # low 32 bits of a sum or xor depend only on those of its operands.  p is
+    # unpacked per call, as the P-array phase rewrites it between blocks.
     s0, s1, s2, s3 = s
-    for i in range(0, 16, 2):
-        xl ^= p[i]
-        xr ^= (
-            ((s0[xl >> 24] + s1[(xl >> 16) & 0xFF]) ^ s2[(xl >> 8) & 0xFF]) + s3[xl & 0xFF]
-        ) & _MASK32
-        xr ^= p[i + 1]
-        xl ^= (
-            ((s0[xr >> 24] + s1[(xr >> 16) & 0xFF]) ^ s2[(xr >> 8) & 0xFF]) + s3[xr & 0xFF]
-        ) & _MASK32
-    return xr ^ p[17], xl ^ p[16]
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16, p17 = p
+    xl ^= p0
+    xr ^= p1 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p2 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p3 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p4 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p5 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p6 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p7 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p8 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p9 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p10 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p11 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p12 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p13 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p14 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    xr ^= p15 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+    xl ^= p16 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
+    return xr ^ p17, xl
 
 
 def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
@@ -136,11 +150,13 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     # half-word 1 is x >> 16, byte 1 is (x >> 8) & 0xFF, byte 0 is x & 0xFF
     xl_buf = np.empty(n, dtype="<u4")
     xr_buf = np.empty(n, dtype="<u4")
+    f_buf = np.empty(n, dtype=np.uint32)
+    g_buf = np.empty(n, dtype=np.uint32)
     p, t01, s2, s3 = state.p, state._t01, state._s_np[2], state._s_np[3]
 
     for start in range(0, nblocks, _CHUNK_BLOCKS):
         m = min(_CHUNK_BLOCKS, nblocks - start)
-        ctr, xl, xr = counter[:m], xl_buf[:m], xr_buf[:m]
+        ctr, xl, xr, f, g = counter[:m], xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
         # array additions wrap mod 2^64 silently; the base is reduced in Python
         np.add(steps[:m], np.uint64((nonce + start) & _MASK64), out=ctr)
         xr[...] = ctr
@@ -150,10 +166,12 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
             np.bitwise_xor(xl, p[i], out=xl)
             # F(x) = (T01[x >> 16] ^ S2[(x >> 8) & 0xFF]) + S3[x & 0xFF]
             x8 = xl.view(np.uint8)
-            f = np.take(t01, xl.view("<u2")[1::2])
-            f ^= np.take(s2, x8[1::4])
-            f += np.take(s3, x8[0::4])
-            np.bitwise_xor(xr, f, out=xr)
+            np.take(t01, xl.view("<u2")[1::2], out=f, mode="wrap")
+            np.take(s2, x8[1::4], out=g, mode="wrap")
+            f ^= g
+            np.take(s3, x8[0::4], out=g, mode="wrap")
+            f += g
+            xr ^= f
             xl, xr = xr, xl
         # the names still carry the last round's swap, so the halves are
         # whitened and written crosswise: output (xr ^ P17, xl ^ P16)

@@ -9,9 +9,9 @@ bit-exactly.  Plain LSB substitution is NOT reversible on its own and is
 used only where the original bits are preserved elsewhere.
 
 Embedding and extraction each make a few whole-plane passes and do their
-per-bin work on 256-entry arrays: the zero-bin and capacity checks read one
-``np.bincount``, and the shift (or its inverse) is one gather through a
-table of all 256 byte values.
+per-bin work on 256-entry arrays: the shift (or its inverse) is one gather
+through a table of all 256 byte values.  Embedding counts nothing itself:
+its capacity check reads the peak positions it writes to.
 
 All functions accept numpy uint8 arrays of any shape (flat and strided
 views of image planes included) and return new arrays of the same shape.
@@ -61,11 +61,12 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     if bits.size and bits.max() > 1:
         raise ValueError("payload bits must be 0 or 1")
     plane = np.asarray(plane, dtype=np.uint8)
-    hist = np.bincount(plane.reshape(-1), minlength=256)
-    if hist[zero]:
+    # the shift moves no sample onto or off the peak, so these stay its positions
+    slots = np.flatnonzero(plane == peak)
+    if (plane == zero).any():
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
-    if bits.size > hist[peak]:
-        raise CapacityExceeded(needed=bits.size, available=int(hist[peak]), detail="peak bin")
+    if bits.size > slots.size:
+        raise CapacityExceeded(needed=bits.size, available=slots.size, detail="peak bin")
     shift = np.arange(256, dtype=np.uint8)
     if peak < zero:
         shift[peak + 1 : zero] += 1
@@ -73,7 +74,7 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
         shift[zero + 1 : peak] -= 1
     out = np.take(shift, plane)
     flat = out.reshape(-1)
-    slots = np.flatnonzero(flat == peak)[: bits.size]
+    slots = slots[: bits.size]
     if peak < zero:
         flat[slots] += bits
     else:

@@ -19,13 +19,17 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    # one working array, int32 for 8-bit samples: the int64 sum is an exact
+    # one working array: int16 when both inputs share a 1-byte dtype, where a
+    # difference lies within +-255 and its square, below 2^16, wraps in int16
+    # but reads back exactly as uint16 (a uint8/int8 pair can differ by 383,
+    # so it takes int64 like every other pair).  The int64 sum is an exact
     # integer below 2^53, so dividing it gives the same float as the mean of
     # int64 squares (nan for empty input, like that mean)
-    sq = a.astype(np.int32 if a.dtype.itemsize == b.dtype.itemsize == 1 else np.int64)
+    narrow = a.dtype == b.dtype and a.dtype.itemsize == 1
+    sq = a.astype(np.int16 if narrow else np.int64)
     sq -= b
     np.square(sq, out=sq)
-    return float(sq.sum(dtype=np.int64) / sq.size)
+    return float((sq.view(np.uint16) if narrow else sq).sum(dtype=np.int64) / sq.size)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -202,6 +202,18 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
     assert out == bytes(a ^ b for a, b in zip(data, expect))
 
 
+
+def test_block_matches_independent_blowfish_at_every_key_length():
+    decrepit = pytest.importorskip("cryptography.hazmat.decrepit.ciphers.algorithms")
+    from cryptography.hazmat.primitives.ciphers import Cipher, modes
+
+    rng = random.Random(56)
+    for klen in range(bf.MIN_KEY_BYTES, bf.MAX_KEY_BYTES + 1):
+        key, block = rng.randbytes(klen), rng.randbytes(8)
+        enc = Cipher(decrepit.Blowfish(key), modes.ECB()).encryptor()
+        expect = enc.update(block) + enc.finalize()
+        assert bf.bf_encrypt_block(bf.bf_key_schedule(key), block) == expect, klen
+
 def test_fused_table_is_s0_plus_s1():
     state = bf.bf_key_schedule(b"fusedtab")
     s0, s1 = state.s[0], state.s[1]

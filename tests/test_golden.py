@@ -3,16 +3,23 @@
 The on-disk formats are the behavioural contract, so a refactor of the
 embedding code must reproduce these bytes exactly.  Each digest is the
 SHA-256 of the file the CLI would write (PPM with its nonce comment, or the
-Y4M stream as video_hide returns it).
+Y4M stream as video_hide returns it).  The benchmark's seed-1 hide outputs
+are pinned too, through the benchmark's own inputs and operations.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_cover
 from rdhkit import netpbm, pipeline, video
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import ops  # noqa: E402
+import workloads  # noqa: E402
 
 KEYS = pipeline.StegoKeys(
     data_key=bytes.fromhex("00112233445566778899aabbccddeeff"),
@@ -27,6 +34,12 @@ IMAGE_DIGEST = "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4
 VIDEO_DIGESTS = {
     "C420": "4dc643e8177c503bcaf95223b6edf9ada4d1f1c3ad0d4bf50fc329554d31b964",
     "C444": "45033669738f63eca70171d365b6bf229e9cc6a56e14209de0e27a85780dbce6",
+}
+
+BENCH_HIDE_DIGESTS = {
+    "image-1k": "9ba6ec69243d40db2e08d51a5e5e5f66e310bd7b99de13041e524c5255341693",
+    "payload-16k": "04ddb8aacb7f73ab85efb6bce1b52f7d91fa8526070bb74ed984aa768bba71aa",
+    "video-qcif": "d93bb401099910964a747f9825b2cdd3eddef6891b66b307f03edcc6b23892a2",
 }
 
 
@@ -74,3 +87,11 @@ def test_video_hide_digest_and_roundtrip(colorspace):
     secret, original = video.video_reveal(marked, KEYS)
     assert secret == SECRET
     assert video.write_y4m(original) == video.write_y4m(clip)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_HIDE_DIGESTS))
+def test_benchmark_hide_digest_at_seed_one(name):
+    inputs = workloads.build(name, 1)
+    hide, _ = ops.OPS[inputs.kind]
+    marked, _ = hide(inputs.cover, inputs.secret)
+    assert _sha(marked) == BENCH_HIDE_DIGESTS[name]
