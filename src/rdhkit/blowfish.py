@@ -7,7 +7,7 @@ would smear every flipped LSB over a whole 8-byte block on decryption and
 destroy reversibility.
 
 Keystream generation is vectorised with numpy: the Feistel rounds run on
-whole arrays of counter blocks at once.  Two choices keep it fast:
+whole arrays of counter blocks at once.  Three choices keep it fast and small:
 
 - A fused S0+S1 table.  Each key schedule also builds
   ``t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32`` (65,536 words, 256 KB),
@@ -21,8 +21,11 @@ whole arrays of counter blocks at once.  Two choices keep it fast:
   ``np.take`` gathers through in ``"wrap"`` mode straight into preallocated
   outputs.  The wrap is exact, as a uint16 index always lies inside the
   65,536-entry fused table and a uint8 index inside an S-box; the default
-  bounds check would also stage each gather in a temporary.  Each chunk's
-  counter base is reduced mod 2^64 in Python before it meets numpy.
+  bounds check would also stage each gather in a temporary.
+- 32-bit counter words, no 64-bit counter array.  A chunk's low words are
+  one wrapping uint32 addition into the right half; the left half is the
+  base's high word, plus one (mod 2^32) from the first block whose low word
+  wrapped, which happens at most once in a chunk of far fewer than 2^32.
 
 ``bf_ctr_transform`` XORs the data into the keystream buffer it has just
 filled and returns that buffer, a fresh, flat, writable uint8 array: the
@@ -144,8 +147,7 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     nblocks = (nbytes + 7) // 8
     words = np.empty((nblocks, 2), dtype=">u4")
     n = min(_CHUNK_BLOCKS, nblocks)
-    steps = np.arange(n, dtype=np.uint64)
-    counter = np.empty(n, dtype=np.uint64)
+    steps = np.arange(n, dtype=np.uint32)
     # little-endian halves, so the S-box indices are plain views of xl:
     # half-word 1 is x >> 16, byte 1 is (x >> 8) & 0xFF, byte 0 is x & 0xFF
     xl_buf = np.empty(n, dtype="<u4")
@@ -156,12 +158,13 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
 
     for start in range(0, nblocks, _CHUNK_BLOCKS):
         m = min(_CHUNK_BLOCKS, nblocks - start)
-        ctr, xl, xr, f, g = counter[:m], xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
-        # array additions wrap mod 2^64 silently; the base is reduced in Python
-        np.add(steps[:m], np.uint64((nonce + start) & _MASK64), out=ctr)
-        xr[...] = ctr
-        np.right_shift(ctr, np.uint64(32), out=ctr)
-        xl[...] = ctr
+        xl, xr, f, g = xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
+        base = (nonce + start) & _MASK64
+        high, low = base >> 32, base & _MASK32
+        np.add(steps[:m], np.uint32(low), out=xr)  # wraps mod 2^32
+        wrap = (1 << 32) - low  # the first block whose low word wrapped
+        xl[:wrap] = high
+        xl[wrap:] = (high + 1) & _MASK32
         for i in range(16):
             np.bitwise_xor(xl, p[i], out=xl)
             # F(x) = (T01[x >> 16] ^ S2[(x >> 8) & 0xFF]) + S3[x & 0xFF]

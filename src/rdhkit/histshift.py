@@ -8,10 +8,12 @@ sample moves by exactly 1, and the inverse walk restores the plane
 bit-exactly.  Plain LSB substitution is NOT reversible on its own and is
 used only where the original bits are preserved elsewhere.
 
-Embedding and extraction each make a few whole-plane passes and do their
-per-bin work on 256-entry arrays: the shift (or its inverse) is one gather
-through a table of all 256 byte values.  Embedding counts nothing itself:
-its capacity check reads the peak positions it writes to.
+The kernels keep each sample at one byte: the shift and its inverse add or
+subtract a boolean mask, and the payload moves through boolean masks of the
+peak and mark samples, never through arrays of positions.  Only counting
+widens (``np.bincount`` makes each sample an 8-byte index), so
+``count_values`` counts BLOCK samples at a time, a fixed 512 KB temporary.
+Embedding counts nothing itself: its capacity check counts the peak mask.
 
 All functions accept numpy uint8 arrays of any shape (flat and strided
 views of image planes included) and return new arrays of the same shape.
@@ -29,6 +31,18 @@ from .errors import (
     ZeroBinNotEmpty,
 )
 
+# samples per pass wherever a whole-plane pass would widen every sample
+# (np.bincount here, the squares in metrics.mse): the temporary stays fixed
+BLOCK = 1 << 16
+
+
+def count_values(flat: np.ndarray) -> np.ndarray:
+    """The 256-bin histogram of a flat uint8 array, counted BLOCK samples at a time."""
+    hist = np.zeros(256, dtype=np.intp)
+    for start in range(0, flat.size, BLOCK):
+        hist += np.bincount(flat[start : start + BLOCK], minlength=256)
+    return hist
+
 
 def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
     """Choose (peak, zero, capacity) for a plane.
@@ -40,7 +54,7 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
     flat = _flat(plane)
     if flat.size == 0:
         raise ValueError("cannot plan an embedding on an empty plane")
-    hist = np.bincount(flat, minlength=256)
+    hist = count_values(flat)
     peak = int(hist.argmax())  # argmax returns the smallest index on ties
     capacity = int(hist[peak])
     empty = np.flatnonzero(hist == 0)
@@ -61,24 +75,18 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     if bits.size and bits.max() > 1:
         raise ValueError("payload bits must be 0 or 1")
     plane = np.asarray(plane, dtype=np.uint8)
-    # the shift moves no sample onto or off the peak, so these stay its positions
-    slots = np.flatnonzero(plane == peak)
+    # the shift moves no sample onto or off the peak, so this stays its mask
+    at_peak = plane == peak
     if (plane == zero).any():
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
-    if bits.size > slots.size:
-        raise CapacityExceeded(needed=bits.size, available=slots.size, detail="peak bin")
-    shift = np.arange(256, dtype=np.uint8)
-    if peak < zero:
-        shift[peak + 1 : zero] += 1
-    else:
-        shift[zero + 1 : peak] -= 1
-    out = np.take(shift, plane)
-    flat = out.reshape(-1)
-    slots = slots[: bits.size]
-    if peak < zero:
-        flat[slots] += bits
-    else:
-        flat[slots] -= bits
+    count = np.count_nonzero(at_peak)
+    if bits.size > count:
+        raise CapacityExceeded(needed=bits.size, available=count, detail="peak bin")
+    between = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1)
+    out = plane + between if peak < zero else plane - between
+    marked = np.full(count, peak, dtype=np.uint8)
+    marked[: bits.size] = peak + bits if peak < zero else peak - bits
+    out[at_peak] = marked
     return out
 
 
@@ -88,21 +96,20 @@ def hs_extract(
     """Inverse of hs_embed: (restored plane, the nbits payload bits)."""
     _check_bins(peak, zero)
     plane = np.asarray(plane, dtype=np.uint8)
-    # unshift first, so its gather's index copy is not alive beside the candidates
-    unshift = np.arange(256, dtype=np.uint8)
-    if peak < zero:
-        unshift[peak + 1 : zero + 1] -= 1
-    else:
-        unshift[zero:peak] += 1
-    out = np.take(unshift, plane)
-    # peak and mark are adjacent bins, so one wrapping uint8 subtraction finds both
+    # the carried bits sit at the peak and mark bins, two adjacent values;
+    # the scan stops at the block that holds the nbits-th of them
     mark = peak + 1 if peak < zero else peak - 1
     flat = plane.reshape(-1)
-    candidates = np.flatnonzero(flat - np.uint8(min(peak, mark)) < 2)
-    if candidates.size < nbits:
-        raise PayloadOverrun(f"need {nbits} payload slots, plane holds {candidates.size}")
-    bits = (flat[candidates[:nbits]] == mark).astype(np.uint8)
-    return out, bits
+    bits, got, start = np.empty(nbits, dtype=np.uint8), 0, 0
+    while got < nbits and start < flat.size:
+        block = flat[start : start + BLOCK]
+        carried = block[_in_run(block, min(peak, mark), 2)][: nbits - got]
+        bits[got : got + carried.size] = carried == mark
+        got, start = got + carried.size, start + BLOCK
+    if got < nbits:
+        raise PayloadOverrun(f"need {nbits} payload slots, plane holds {got}")
+    moved = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero))
+    return (plane - moved if peak < zero else plane + moved), bits
 
 
 def lsb_read(plane: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -111,6 +118,11 @@ def lsb_read(plane: np.ndarray, start: int, n: int) -> np.ndarray:
     if start < 0 or n < 0 or start + n > flat.size:
         raise OutOfRange(f"slice [{start}, {start + n}) exceeds plane of {flat.size}")
     return (flat[start : start + n] & 1).astype(np.uint8)
+
+
+def _in_run(plane: np.ndarray, first: int, width: int) -> np.ndarray:
+    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction."""
+    return plane - np.uint8(first) < width
 
 
 def _flat(plane: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch
+from .histshift import BLOCK
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -19,17 +20,21 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    # one working array: int16 when both inputs share a 1-byte dtype, where a
-    # difference lies within +-255 and its square, below 2^16, wraps in int16
-    # but reads back exactly as uint16 (a uint8/int8 pair can differ by 383,
-    # so it takes int64 like every other pair).  The int64 sum is an exact
-    # integer below 2^53, so dividing it gives the same float as the mean of
-    # int64 squares (nan for empty input, like that mean)
+    # a working array of BLOCK samples at a time: int16 when both inputs share
+    # a 1-byte dtype, where a difference lies within +-255 and its square,
+    # below 2^16, wraps in int16 but reads back exactly as uint16 (a uint8/int8
+    # pair can differ by 383, so it takes int64 like every other pair).  The
+    # int64 sum is an exact integer below 2^53, so dividing it gives the same
+    # float as the mean of int64 squares (nan for empty input, like that mean)
     narrow = a.dtype == b.dtype and a.dtype.itemsize == 1
-    sq = a.astype(np.int16 if narrow else np.int64)
-    sq -= b
-    np.square(sq, out=sq)
-    return float((sq.view(np.uint16) if narrow else sq).sum(dtype=np.int64) / sq.size)
+    a, b = a.reshape(-1), b.reshape(-1)
+    total = np.int64(0)
+    for start in range(0, a.size, BLOCK):
+        sq = a[start : start + BLOCK].astype(np.int16 if narrow else np.int64)
+        sq -= b[start : start + BLOCK]
+        np.square(sq, out=sq)
+        total += (sq.view(np.uint16) if narrow else sq).sum(dtype=np.int64)
+    return float(total / a.size)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -87,9 +87,8 @@ def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
         raise MalformedHeader("missing whitespace before the raster")
     sc.pos += 1
     n = width * height * 3
-    raster = data[sc.pos : sc.pos + n]
-    if len(raster) < n:
-        raise TruncatedFile(f"raster needs {n} bytes, file holds {len(raster)}")
+    if len(data) - sc.pos < n:
+        raise TruncatedFile(f"raster needs {n} bytes, file holds {len(data) - sc.pos}")
     if len(data) - sc.pos > n:
         raise MalformedHeader(f"{len(data) - sc.pos - n} trailing bytes after the raster")
 
@@ -98,13 +97,13 @@ def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
         m = _NONCE_RE.match(leading_comments[0])
         if m:
             nonce = int(m.group(1), 16)
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    img = np.frombuffer(data, np.uint8, count=n, offset=sc.pos).reshape(height, width, 3).copy()
     return img, nonce
 
 
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
     """Canonical binary PPM bytes; load_ppm inverts this exactly."""
-    img = np.asarray(img, dtype=np.uint8)
+    img = np.ascontiguousarray(img, dtype=np.uint8)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionMismatch(f"expected an RGB (h, w, 3) raster, got shape {img.shape}")
     height, width = img.shape[:2]
@@ -114,4 +113,4 @@ def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
             raise ValueError(f"nonce must fit 64 bits, got {nonce:#x}")
         head += b"# RDHCTR %016x\n" % nonce
     head += b"%d %d\n255\n" % (width, height)
-    return bytes(head) + img.tobytes()
+    return b"".join((head, img))  # the raster's one copy

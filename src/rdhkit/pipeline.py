@@ -67,7 +67,7 @@ from .errors import (
     NoZeroBin,
     PayloadError,
 )
-from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
+from .histshift import count_values, hs_embed, hs_extract, lsb_read, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import psnr
 
@@ -216,15 +216,15 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     Region A itself is left untouched; its original LSBs plus the header
     slots' original LSBs travel inside region B's histogram shift.
     """
-    flat = np.asarray(flat, dtype=np.uint8).reshape(-1)
-    n = flat.size
+    out = np.array(flat, dtype=np.uint8, order="C").reshape(-1)  # the one copy
+    n = out.size
     if frame_bits > n - HEADER_SLOTS:
         raise CoverTooSmall(
             f"plane of {n} samples cannot hold {frame_bits} payload bits plus "
             f"{HEADER_SLOTS} header slots"
         )
     header_end = frame_bits + HEADER_SLOTS
-    region_b = flat[header_end:]
+    region_b = out[header_end:]
     backup_bits = HEADER_SLOTS + frame_bits
     if region_b.size == 0:
         raise CapacityExceeded(needed=backup_bits, available=0, detail="region B is empty")
@@ -235,42 +235,39 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
         )
     backup = np.concatenate(
         [
-            lsb_read(flat, frame_bits, HEADER_SLOTS),
-            lsb_read(flat, 0, frame_bits),
+            lsb_read(out, frame_bits, HEADER_SLOTS),
+            lsb_read(out, 0, frame_bits),
         ]
     )
-    out = flat.copy()
-    out[header_end:] = hs_embed(region_b, backup, peak, zero)
+    region_b[...] = hs_embed(region_b, backup, peak, zero)
     header = SideHeader(peak, zero, frame_bits).pack()
     out[frame_bits:header_end] = _with_lsbs(
-        flat[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8))
+        out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8))
     )
     return out
 
 
 def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     """Invert reserve_room_plane given the frame length in bits."""
-    flat = np.asarray(flat, dtype=np.uint8).reshape(-1)
-    n = flat.size
+    out = np.array(flat, dtype=np.uint8, order="C").reshape(-1)  # the one copy
+    n = out.size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
         )
     header_end = frame_bits + HEADER_SLOTS
-    header_bytes = np.packbits(lsb_read(flat, frame_bits, HEADER_SLOTS)).tobytes()
+    header_bytes = np.packbits(lsb_read(out, frame_bits, HEADER_SLOTS)).tobytes()
     header = SideHeader.unpack(header_bytes)
     if header.region_a_bits != frame_bits:
         raise HeaderChecksum(
             f"side header claims a {header.region_a_bits}-bit region A, "
             f"the payload frame occupies {frame_bits} bits"
         )
-    region_b, backup = hs_extract(
-        flat[header_end:], header.peak, header.zero, HEADER_SLOTS + frame_bits
+    out[header_end:], backup = hs_extract(
+        out[header_end:], header.peak, header.zero, HEADER_SLOTS + frame_bits
     )
-    out = flat.copy()
-    out[header_end:] = region_b
-    out[frame_bits:header_end] = _with_lsbs(flat[frame_bits:header_end], backup[:HEADER_SLOTS])
-    out[:frame_bits] = _with_lsbs(flat[:frame_bits], backup[HEADER_SLOTS:])
+    out[frame_bits:header_end] = _with_lsbs(out[frame_bits:header_end], backup[:HEADER_SLOTS])
+    out[:frame_bits] = _with_lsbs(out[:frame_bits], backup[HEADER_SLOTS:])
     return out
 
 
@@ -429,38 +426,50 @@ def max_embeddable_bits(plane: np.ndarray) -> int:
     when L = 0 is not, the reason is raised: CoverTooSmall (no region B),
     NoZeroBin (region B holds all 256 values) or CapacityExceeded (region
     B's peak is below HEADER_SLOTS).  Region B only loses samples as L
-    grows, so its peak can only shrink while the need grows, and an empty
-    bin stays empty: once L = 0 is feasible the feasible lengths form a
-    prefix.  (When L = 0 has no empty bin, one can appear at a larger L;
-    NoZeroBin is raised all the same.)  A binary search finds the end of
-    the prefix, which is at most region B's peak at L = 0 minus
-    HEADER_SLOTS.  It keeps one region-B histogram and moves it between
-    probes by counting only the samples that enter or leave region B, fewer
-    than 2n samples in all.
+    grows, so each bin's count can only shrink while the need grows, and an
+    empty bin stays empty: once L = 0 is feasible, the lengths at which one
+    given bin is large enough form a prefix, and so does their union.  (When
+    L = 0 has no empty bin, one can appear at a larger L; NoZeroBin is raised
+    all the same.)  So the answer is the largest prefix end over all bins.
+    The peak's is found first.  Another bin can end later only if region B
+    still holds it HEADER_SLOTS + best + 1 times at L = best + 1, and one
+    count of the samples up to there finds every such bin.
     """
     flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
     n = flat.size
     if n <= HEADER_SLOTS:
         raise CoverTooSmall(f"host of {n} samples leaves no region B after the header")
-    hist = np.bincount(flat[HEADER_SLOTS:], minlength=256)  # region B at L = 0
+    hist = count_values(flat[HEADER_SLOTS:])  # region B at L = 0
     if hist.min() > 0:
         raise NoZeroBin("all 256 gray values occur in region B")
     if hist.max() < HEADER_SLOTS:
         raise CapacityExceeded(
             needed=HEADER_SLOTS, available=int(hist.max()), detail="peak bin of region B"
         )
-    lo, hi, at = 0, int(hist.max()) - HEADER_SLOTS, 0
+    peak = int(hist.argmax())
+    best = _longest_prefix(flat, peak, int(hist[peak]), 0, 0)
+    hist[peak] = 0  # its prefix ends at best
+    at = best + 1
+    if (hist >= HEADER_SLOTS + at).any():
+        hist -= count_values(flat[HEADER_SLOTS : HEADER_SLOTS + at])
+        for value in np.flatnonzero(hist >= HEADER_SLOTS + at).tolist():
+            best = _longest_prefix(flat, value, int(hist[value]), at, best)
+    return best
+
+
+def _longest_prefix(flat: np.ndarray, value: int, held: int, at: int, lo: int) -> int:
+    """The largest L >= lo at which region B holds value HEADER_SLOTS + L times,
+    or lo, given that it holds it held times at L = at <= lo.  Each probe of
+    the binary search counts value among only the samples that moved."""
+    hi = held - HEADER_SLOTS
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        moved = np.bincount(
-            flat[HEADER_SLOTS + min(at, mid) : HEADER_SLOTS + max(at, mid)], minlength=256
+        moved = np.count_nonzero(
+            flat[HEADER_SLOTS + min(at, mid) : HEADER_SLOTS + max(at, mid)] == value
         )
-        if mid > at:
-            hist -= moved
-        else:
-            hist += moved
+        held += -moved if mid > at else moved
         at = mid
-        if hist.max() >= HEADER_SLOTS + mid:
+        if held >= HEADER_SLOTS + mid:
             lo = mid
         else:
             hi = mid - 1

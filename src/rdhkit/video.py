@@ -133,11 +133,11 @@ def parse_y4m(data: bytes) -> Y4mVideo:
 
 
 def write_y4m(video: Y4mVideo) -> bytes:
-    out = bytearray(_SIGNATURE + b" " + b" ".join(video.params) + b"\n")
+    parts = [_SIGNATURE + b" " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
-        out += b"FRAME" + suffix + b"\n"
-        out += frame.y.tobytes() + frame.u.tobytes() + frame.v.tobytes()
-    return bytes(out)
+        parts.append(b"FRAME" + suffix + b"\n")
+        parts += (np.ascontiguousarray(p) for p in (frame.y, frame.u, frame.v))
+    return b"".join(parts)  # each plane's one copy
 
 
 def _split_planes(raw: np.ndarray, y_shape: tuple, c_shape: tuple) -> YuvFrame:

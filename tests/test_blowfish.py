@@ -167,12 +167,20 @@ def _counter_blocks(nonce: int, nbytes: int) -> bytes:
 
 def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
     state = bf.bf_key_schedule(b"chunked!")
-    nonce = 0x00000000FFFFFFF0 - CHUNK  # low-word carry lands just after the boundary
-    stream = bf.bf_ctr_transform(state, nonce, bytes(8 * (CHUNK + 40) + 3)).tobytes()
-    for i in list(range(CHUNK - 20, CHUNK + 40)) + [0, 1]:
-        counter = ((nonce + i) & MASK64).to_bytes(8, "big")
-        assert stream[8 * i : 8 * i + 8] == bf.bf_encrypt_block(state, counter)
-    assert len(stream) == 8 * (CHUNK + 40) + 3
+    for nonce, nbytes in [
+        (0x00000000FFFFFFF0 - CHUNK, 8 * (CHUNK + 40) + 3),  # carry just after the boundary
+        (0x01234567FFFFFF00, 4099),  # carry into a non-zero high word
+        (0xFFFFFFFEFFFFFFF0, 8 * (CHUNK + 3)),  # carry into high word 0xFFFFFFFF
+    ]:
+        stream = bf.bf_ctr_transform(state, nonce, bytes(nbytes)).tobytes()
+        assert len(stream) == nbytes
+        nblocks = (nbytes + 7) // 8
+        carry = -nonce % (1 << 32)  # the first block whose low word wraps
+        near = [i for edge in (CHUNK, carry) for i in range(edge - 20, edge + 40)]
+        for i in sorted({0, 1, nblocks - 1, *near} & set(range(nblocks))):
+            counter = ((nonce + i) & MASK64).to_bytes(8, "big")
+            block = bf.bf_encrypt_block(state, counter)
+            assert stream[8 * i : 8 * i + 8] == block[: nbytes - 8 * i], (nonce, i)
 
 
 @pytest.mark.parametrize(
@@ -181,6 +189,8 @@ def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
         (0, 13),
         (0x0123456789ABCDEF, 8 * 2 * CHUNK + 5),  # three chunks, ragged tail
         (0x00000000FFFFFF00, 4099),  # low-word carry inside a chunk
+        (0x01234567FFFFFF00, 4099),  # the same carry into a non-zero high word
+        (0xFFFFFFFEFFFFFFF0, 8 * (CHUNK + 3)),  # carry into high word 0xFFFFFFFF
         ((1 << 32) - CHUNK, 8 * (CHUNK + 17) + 1),  # carry exactly at a chunk boundary
         (MASK64 - 100, 8 * 300 + 7),  # wraps at 2^64 inside a chunk
         ((1 << 64) - CHUNK, 8 * (CHUNK + 9)),  # wraps at 2^64 at a chunk boundary

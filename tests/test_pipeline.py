@@ -180,11 +180,15 @@ def test_reserve_recover_plane_roundtrip():
     for _ in range(20):
         plane = (50 + rng.integers(0, 2, size=800)).astype(np.uint8)
         nbits = int(rng.integers(0, 120))
+        original = plane.copy()
         reserved = reserve_room_plane(plane, nbits)
         # region A untouched by reservation itself
         assert np.array_equal(reserved[:nbits], plane[:nbits])
+        marked = reserved.copy()
         restored = recover_plane(reserved, nbits)
         assert np.array_equal(restored, plane)
+        # each works on a copy of its own, leaving the caller's host as it was
+        assert np.array_equal(plane, original) and np.array_equal(reserved, marked)
 
 
 def test_reserve_room_zero_length_region():
@@ -337,13 +341,14 @@ def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
         plane = seeded_plane(rng, kind, n).reshape(512, 512)
     want = bincount_max_embeddable_bits(plane)
     counted = []
-    bincount = np.bincount
+    # the histogram of region B goes through bincount, each probe through count_nonzero
+    for name in ("bincount", "count_nonzero"):
 
-    def counting_bincount(x, *args, **kwargs):
-        counted.append(np.asarray(x).size)
-        return bincount(x, *args, **kwargs)
+        def counting(x, *args, _count=getattr(np, name), **kwargs):
+            counted.append(np.asarray(x).size)
+            return _count(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counting_bincount)
+        monkeypatch.setattr(np, name, counting)
     assert embeddable_or_reason(plane) == want
     assert 0 < sum(counted) <= 2 * n
 
