@@ -159,13 +159,15 @@ def _image_key(args) -> bytes:
     return key
 
 
-def _nonce(args) -> int:
+def _nonce(args, file_nonce: int | None = None) -> int:
+    """--nonce, always checked; the nonce a file carries wins over it."""
     if args.nonce is None:
         # hide commands only: a fixed default reuses one keystream for every cover
         return int.from_bytes(os.urandom(8), "big")
     if len(args.nonce) != 16:
         raise KeyEncodingError(f"nonce must be 16 hex chars, got {len(args.nonce)}")
-    return int.from_bytes(_hex_bytes(args.nonce, "nonce", 8), "big")
+    nonce = int.from_bytes(_hex_bytes(args.nonce, "nonce", 8), "big")
+    return nonce if file_nonce is None else file_nonce
 
 
 def _iv(args) -> bytes | None:
@@ -174,8 +176,8 @@ def _iv(args) -> bytes | None:
     return _hex_bytes(args.iv, "IV", 16)
 
 
-def _keys(args) -> pipeline.StegoKeys:
-    return pipeline.StegoKeys(_data_key(args), _image_key(args), _nonce(args))
+def _keys(args, file_nonce: int | None = None) -> pipeline.StegoKeys:
+    return pipeline.StegoKeys(_data_key(args), _image_key(args), _nonce(args, file_nonce))
 
 
 def _read(path: str) -> bytes:
@@ -210,10 +212,7 @@ def _cmd_hide(args) -> int:
 
 def _cmd_reveal(args) -> int:
     img, file_nonce = netpbm.load_ppm(_read(args.input))
-    keys = _keys(args)
-    if file_nonce is not None:
-        keys = pipeline.StegoKeys(keys.data_key, keys.image_key, file_nonce)
-    secret, original = pipeline.reveal(img, keys)
+    secret, original = pipeline.reveal(img, _keys(args, file_nonce))
     _write_atomic(args.out, secret)
     print(f"SECRET-BYTES: {len(secret)}")
     print(f"OUT: {args.out}")
@@ -225,9 +224,7 @@ def _cmd_reveal(args) -> int:
 
 def _cmd_recover(args) -> int:
     img, file_nonce = netpbm.load_ppm(_read(args.input))
-    key = _image_key(args)
-    nonce = file_nonce if file_nonce is not None else _nonce(args)
-    original = pipeline.recover_original(img, key, nonce)
+    original = pipeline.recover_original(img, _image_key(args), _nonce(args, file_nonce))
     _write_atomic(args.out, netpbm.save_ppm(original))
     print(f"OUT: {args.out}")
     return EXIT_OK
@@ -254,11 +251,7 @@ def _cmd_video_hide(args) -> int:
 
 def _cmd_video_reveal(args) -> int:
     clip = video.parse_y4m(_read(args.input))
-    keys = _keys(args)
-    file_nonce = video.video_nonce(clip)
-    if file_nonce is not None:
-        keys = pipeline.StegoKeys(keys.data_key, keys.image_key, file_nonce)
-    secret, original = video.video_reveal(clip, keys)
+    secret, original = video.video_reveal(clip, _keys(args, video.video_nonce(clip)))
     _write_atomic(args.out, secret)
     print(f"SECRET-BYTES: {len(secret)}")
     print(f"OUT: {args.out}")

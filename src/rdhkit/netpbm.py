@@ -4,9 +4,22 @@ Images are plain (height, width, 3) uint8 numpy arrays.  The writer is canonical
 between width and height, newline separators — so saving the same image
 twice yields identical bytes and load inverts save exactly.
 
+The reader accepts one grammar:
+
+- the magic ``P6``, then width, height and maxval as ASCII decimal tokens,
+  each after a run of separators (which may be empty right after ``P6``);
+- a separator is one whitespace byte (space, tab, CR, LF, VT or FF) or a
+  comment: ``#`` up to, not including, the next LF or the end of input;
+- a token ends at the first whitespace byte, ``#`` or the end of input, so
+  ``2#x`` is the token ``2`` followed by a comment;
+- exactly one whitespace byte after the maxval, then exactly
+  width*height*3 raster bytes.
+
 A marked cover carries its counter nonce inline as a comment of the exact
 form ``# RDHCTR <16 hex digits>`` on the line after the magic, which keeps
 the file a single self-contained artifact that any netpbm viewer still opens.
+Only the first comment before the width can carry it, and only if LF or the
+end of input follows the 16th digit (``\\r\\n`` there means no nonce).
 """
 
 from __future__ import annotations
@@ -23,82 +36,45 @@ from .errors import (
     TruncatedFile,
 )
 
-_NONCE_RE = re.compile(rb"\A# RDHCTR ([0-9a-fA-F]{16})\Z")
-_WS = b" \t\r\n\x0b\x0c"
-
-
-class _Scanner:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.comments: list[bytes] = []
-
-    def skip_ws(self) -> None:
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                end = data.find(b"\n", self.pos)
-                if end == -1:
-                    end = len(data)
-                self.comments.append(data[self.pos : end])
-                self.pos = end
-            elif c and c in _WS:
-                self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self.skip_ws()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in _WS:
-            if data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise MalformedHeader("header ended while a number was expected")
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        if not tok.isdigit():
-            raise MalformedHeader(f"{what} is not a number: {tok!r}")
-        return int(tok)
+# a comment must run to LF or the end of input, so every separator run has
+# exactly one match and matching stays linear in the header's length
+_SEPS = rb"(?:\s|#[^\n]*(?![^\n]))*"
+_HEADER = re.compile(
+    rb"P6\s*(?:# RDHCTR (?P<nonce>[0-9a-fA-F]{16})(?![^\n]))?"
+    + _SEPS + rb"(?P<width>[^\s#]*)"
+    + _SEPS + rb"(?P<height>[^\s#]*)"
+    + _SEPS + rb"(?P<maxval>[^\s#]*)(?P<gap>\s?)"
+)
 
 
 def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
     """Parse a binary PPM; returns (image, embedded counter nonce or None)."""
     if data[:2] != b"P6":
         raise BadImageMagic(f"expected P6, got {data[:2]!r}")
-    sc = _Scanner(data)
-    sc.pos = 2
-    sc.skip_ws()
-    leading_comments = list(sc.comments)  # only these may carry the nonce
-    width = sc.int_token("width")
-    height = sc.int_token("height")
-    maxval = sc.int_token("maxval")
+    m = _HEADER.match(data)  # every token may be empty, so this always matches
+    width, height, maxval = (_number(m[f], f) for f in ("width", "height", "maxval"))
     if width <= 0 or height <= 0:
         raise MalformedHeader(f"dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise BadMaxval(f"only maxval 255 is supported, got {maxval}")
-    # exactly one whitespace byte separates the header from the raster
-    if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WS:
+    if not m["gap"]:
         raise MalformedHeader("missing whitespace before the raster")
-    sc.pos += 1
-    n = width * height * 3
-    if len(data) - sc.pos < n:
-        raise TruncatedFile(f"raster needs {n} bytes, file holds {len(data) - sc.pos}")
-    if len(data) - sc.pos > n:
-        raise MalformedHeader(f"{len(data) - sc.pos - n} trailing bytes after the raster")
-
-    nonce = None
-    if leading_comments:
-        m = _NONCE_RE.match(leading_comments[0])
-        if m:
-            nonce = int(m.group(1), 16)
-    img = np.frombuffer(data, np.uint8, count=n, offset=sc.pos).reshape(height, width, 3).copy()
+    pos, n = m.end(), width * height * 3
+    if len(data) - pos < n:
+        raise TruncatedFile(f"raster needs {n} bytes, file holds {len(data) - pos}")
+    if len(data) - pos > n:
+        raise MalformedHeader(f"{len(data) - pos - n} trailing bytes after the raster")
+    nonce = None if m["nonce"] is None else int(m["nonce"], 16)
+    img = np.frombuffer(data, np.uint8, count=n, offset=pos).reshape(height, width, 3).copy()
     return img, nonce
+
+
+def _number(tok: bytes, what: str) -> int:
+    if not tok:
+        raise MalformedHeader("header ended while a number was expected")
+    if not tok.isdigit():
+        raise MalformedHeader(f"{what} is not a number: {tok!r}")
+    return int(tok)
 
 
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:

@@ -11,14 +11,24 @@ This module adds only what is video's own: the conversion between frames
 and buffers, made one frame at a time so that the input buffers are never
 all held at once.
 
-Unknown stream-header parameters round-trip verbatim, so a marked video can
-carry its counter nonce as an ``XRDHCTR=<16 hex>`` extension token that
-players ignore.
+The reader accepts one grammar.  The stream header is the line
+``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
+it and none after the last, a parameter being any bytes other than space and
+LF.  It must hold ``W`` and ``H`` (positive decimal) and an ``F`` rate;
+``C420`` (the default, even dimensions) and ``C444`` are the colorspaces.
+Each frame is the line ``FRAME\\n`` or ``FRAME <any bytes but LF>\\n``, then
+exactly the frame's Y, U and V plane bytes; nothing follows the last frame.
+
+Unknown stream-header parameters and frame-line suffixes round-trip
+verbatim, so a marked video can carry its counter nonce as an
+``XRDHCTR=<16 hex digits>`` extension token that players ignore.  Only a
+token of exactly that form counts: a sign, ``0x`` or ``_`` means no nonce.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -42,8 +52,10 @@ from .blowfish import bf_ctr_transform, bf_key_schedule  # noqa: F401
 from .huffman import huffman_decompress  # noqa: F401
 from .pipeline import recover_plane, reserve_room_plane  # noqa: F401
 
-_SIGNATURE = b"YUV4MPEG2"
+_STREAM_HEADER = re.compile(rb"YUV4MPEG2 ([^ \n]+(?: [^ \n]+)*)\n")
+_FRAME_HEADER = re.compile(rb"FRAME((?: [^\n]*)?)\n")
 _NONCE_PREFIX = b"XRDHCTR="
+_NONCE_TOKEN = re.compile(rb"XRDHCTR=([0-9a-fA-F]{16})")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -70,18 +82,10 @@ class Y4mVideo:
 
 
 def parse_y4m(data: bytes) -> Y4mVideo:
-    if not data.startswith(_SIGNATURE):
-        raise BadSignature("stream does not start with YUV4MPEG2")
-    newline = data.find(b"\n")
-    if newline == -1:
-        raise BadSignature("stream header is not newline-terminated")
-    header = data[len(_SIGNATURE) : newline]
-    if not header.startswith(b" "):
-        raise BadSignature("stream header carries no parameters")
-    tokens = header[1:].split(b" ")
-    if any(not t for t in tokens):
-        raise BadSignature("empty parameter in stream header")
-
+    m = _STREAM_HEADER.match(data)
+    if m is None:
+        raise BadSignature("no 'YUV4MPEG2' line of space-separated parameters at byte 0")
+    tokens = m[1].split(b" ")
     width = height = None
     colorspace = "C420"
     saw_rate = False
@@ -109,31 +113,25 @@ def parse_y4m(data: bytes) -> Y4mVideo:
     video = Y4mVideo(width, height, colorspace, tokens)
     ch, cw = video.chroma_shape()
     frame_len = width * height + 2 * ch * cw
-    pos = newline + 1
+    pos = m.end()
     while pos < len(data):
-        if data[pos : pos + 5] != b"FRAME":
-            raise TruncatedFrame(f"expected a FRAME marker at byte {pos}")
-        end = data.find(b"\n", pos)
-        if end == -1:
-            raise TruncatedFrame("frame header is not newline-terminated")
-        suffix = data[pos + 5 : end]
-        if suffix and not suffix.startswith(b" "):
-            raise TruncatedFrame(f"malformed frame header {suffix!r}")
-        pos = end + 1
-        raw = data[pos : pos + frame_len]
-        if len(raw) < frame_len:
+        m = _FRAME_HEADER.match(data, pos)
+        if m is None:
+            raise TruncatedFrame(f"expected a FRAME header line at byte {pos}")
+        pos = m.end()
+        if len(data) - pos < frame_len:
             raise TruncatedFrame(
-                f"frame needs {frame_len} plane bytes, stream holds {len(raw)}"
+                f"frame needs {frame_len} plane bytes, stream holds {len(data) - pos}"
             )
-        planes = np.frombuffer(raw, dtype=np.uint8).copy()
+        planes = np.frombuffer(data, np.uint8, count=frame_len, offset=pos).copy()
         video.frames.append(_split_planes(planes, (height, width), (ch, cw)))
-        video.frame_headers.append(suffix)
+        video.frame_headers.append(m[1])
         pos += frame_len
     return video
 
 
 def write_y4m(video: Y4mVideo) -> bytes:
-    parts = [_SIGNATURE + b" " + b" ".join(video.params) + b"\n"]
+    parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
         parts.append(b"FRAME" + suffix + b"\n")
         parts += (np.ascontiguousarray(p) for p in (frame.y, frame.u, frame.v))
@@ -158,15 +156,10 @@ def _positive_int(tok: bytes, what: str) -> int:
 
 
 def video_nonce(video: Y4mVideo) -> int | None:
-    """Counter nonce carried as an XRDHCTR extension token, if any."""
+    """Counter nonce of the first ``XRDHCTR=<16 hex digits>`` token, if any."""
     for tok in video.params:
-        if tok.startswith(_NONCE_PREFIX):
-            hexpart = tok[len(_NONCE_PREFIX) :]
-            if len(hexpart) == 16:
-                try:
-                    return int(hexpart, 16)
-                except ValueError:
-                    return None
+        if m := _NONCE_TOKEN.fullmatch(tok):
+            return int(m[1], 16)
     return None
 
 

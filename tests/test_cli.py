@@ -310,3 +310,74 @@ def test_atomic_write_never_leaves_partial_files(tmp_path, cover_file, monkeypat
     assert code == 1
     assert not target.exists()
     assert not list(tmp_path.glob(".rdhkit-*"))
+
+
+OTHER_NONCE = "00000000000000bb"
+
+
+@pytest.fixture
+def marked_ppm(tmp_path, cover_file):
+    cover_path, cover = cover_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"nonce rule")
+    marked = tmp_path / "m.ppm"
+    assert run(["hide", "--cover", cover_path, "--data", secret, "--out", marked,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce", NONCE]) == 0
+    return marked, cover
+
+
+@pytest.fixture
+def marked_y4m(tmp_path, clip_file):
+    clip_path, clip = clip_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"nonce rule")
+    marked = tmp_path / "m.y4m"
+    assert run(["video-hide", "--cover", clip_path, "--data", secret, "--out", marked,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce", NONCE]) == 0
+    return marked, clip
+
+
+def test_file_nonce_overrides_a_different_nonce_option(tmp_path, marked_ppm, marked_y4m):
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce", OTHER_NONCE]
+    (ppm, cover), (y4m, _) = marked_ppm, marked_y4m
+    out = tmp_path / "o.bin"
+    assert run(["reveal", "--input", ppm, "--out", out] + keys) == 0
+    assert out.read_bytes() == b"nonce rule"
+    assert run(["video-reveal", "--input", y4m, "--out", out] + keys) == 0
+    assert out.read_bytes() == b"nonce rule"
+    rec = tmp_path / "r.ppm"
+    assert run(["recover-image", "--input", ppm, "--out", rec,
+                "--image-key", IMAGE_KEY, "--nonce", OTHER_NONCE]) == 0
+    assert np.array_equal(netpbm.load_ppm(rec.read_bytes())[0], cover)
+
+
+def test_nonce_option_is_used_when_the_file_has_none(tmp_path, marked_ppm, marked_y4m):
+    (ppm, cover), (y4m, _) = marked_ppm, marked_y4m
+    bare_ppm = tmp_path / "bare.ppm"
+    bare_ppm.write_bytes(netpbm.save_ppm(netpbm.load_ppm(ppm.read_bytes())[0]))
+    bare_y4m = tmp_path / "bare.y4m"
+    bare_y4m.write_bytes(vid.write_y4m(vid.without_video_nonce(vid.parse_y4m(y4m.read_bytes()))))
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY]
+    out = tmp_path / "o.bin"
+    for command, path in (("reveal", bare_ppm), ("video-reveal", bare_y4m)):
+        assert run([command, "--input", path, "--out", out] + keys) == 3  # default nonce 0
+        assert run([command, "--input", path, "--out", out] + keys + ["--nonce", NONCE]) == 0
+        assert out.read_bytes() == b"nonce rule"
+    rec = tmp_path / "r.ppm"
+    assert run(["recover-image", "--input", bare_ppm, "--out", rec,
+                "--image-key", IMAGE_KEY, "--nonce", NONCE]) == 0
+    assert np.array_equal(netpbm.load_ppm(rec.read_bytes())[0], cover)
+
+
+@pytest.mark.parametrize("bad", ["zz" * 8, "123", "0x" + "0" * 14])
+def test_malformed_nonce_option_exits_5_even_when_the_file_has_one(
+    tmp_path, marked_ppm, marked_y4m, bad
+):
+    (ppm, _), (y4m, _) = marked_ppm, marked_y4m
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce", bad]
+    out = tmp_path / "o.bin"
+    assert run(["reveal", "--input", ppm, "--out", out] + keys) == 5
+    assert run(["video-reveal", "--input", y4m, "--out", out] + keys) == 5
+    assert run(["recover-image", "--input", ppm, "--out", tmp_path / "r.ppm",
+                "--image-key", IMAGE_KEY, "--nonce", bad]) == 5
+    assert not out.exists() and not (tmp_path / "r.ppm").exists()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,57 @@ def test_save_is_deterministic_and_roundtrips():
         back, got_nonce = netpbm.load_ppm(out)
         assert np.array_equal(back, img)
         assert got_nonce == nonce
+
+
+RASTER = bytes(range(1, 7))  # one 2x1 RGB raster
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (b"P6\n2#x\n1\n255\n" + RASTER, None),  # comment glued to a token
+        (b"P6\n2 1\n255 #x", TruncatedFile),  # after the gap a "#" is raster
+        (b"P6\n2 1 #x", MalformedHeader),  # comment at the end, no newline
+        (b"P6# RDHCTR 00000000000000ff", MalformedHeader),
+        (b"P62 1\n255\n" + RASTER, None),  # no separator after P6
+        (b"P6#c\n2 1\n255\n" + RASTER, None),
+        (b"P6\n# a ## b #\n2 1\n255\n" + RASTER, None),  # runs of '#' in a comment
+        (b"P6\n## RDHCTR 00000000000000ff\n2 1\n255\n" + RASTER, None),
+        (b"P6\n# RDHCTR 00000000000000ff\r\n2 1\n255\n" + RASTER, None),  # CR ends no nonce
+        (b"P6\n# RDHCTR 00000000000000FF\n2 1\n255\n" + RASTER, 255),
+        (b"P6 \t# RDHCTR 00000000000000ff\n#\n2 1\n255\n" + RASTER, 255),
+        (b"P6\n#\n# RDHCTR 00000000000000ff\n2 1\n255\n" + RASTER, None),  # not the first comment
+        (b"P6\t2\x0b1\x0c255\r" + RASTER, None),  # tab, VT, FF and CR separate
+        (b"P6\n2 1\n255\n\n" + RASTER[1:], None),  # the raster may start with whitespace
+        (b"P6\n2 1\n255#\n" + RASTER, MalformedHeader),  # maxval followed by '#'
+        (b"P6\n2 1\n255", MalformedHeader),
+        (b"P6\n0 1\n65535\n", MalformedHeader),  # dimensions are checked before maxval
+        (b"P6\n2 1\n65535", BadMaxval),  # maxval is checked before the raster gap
+        (b"P6\n2 1\n255\n" + RASTER[:-1], TruncatedFile),
+    ],
+)
+def test_header_grammar_edge_cases(data, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            netpbm.load_ppm(data)
+        return
+    img, nonce = netpbm.load_ppm(data)
+    assert img.shape == (1, 2, 3)
+    assert img.tobytes() == data[-6:]
+    assert nonce == expected
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P6" + b"#" * 100_000,
+        b"P6\n2 1\n" + b"#" * 100_000,
+        b"P6" + b"#\n" * 50_000,
+        b"P6\n2" + b"# c\n" * 50_000 + b"x",
+    ],
+)
+def test_pathological_headers_are_rejected_in_linear_time(data):
+    start = time.perf_counter()
+    with pytest.raises(MalformedHeader):
+        netpbm.load_ppm(data)
+    assert time.perf_counter() - start < 5.0

@@ -115,6 +115,75 @@ def test_nonce_token_helpers():
     assert vid.video_nonce(vid.parse_y4m(vid.write_y4m(stamped))) == 0xDEADBEEF
 
 
+HEAD444 = b"YUV4MPEG2 W2 H2 F25:1 C444\n"
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (HEAD444 + b"FRAME Ixyz Xa=b\n" + bytes(12), [b" Ixyz Xa=b"]),  # FRAME with params
+        (HEAD444 + b"FRAME \n" + bytes(12) + b"FRAME\n" + bytes(12), [b" ", b""]),
+        (HEAD444 + b"FRAMEX\n" + bytes(12), TruncatedFrame),
+        (HEAD444 + b"FRAME", TruncatedFrame),  # FRAME line with no newline
+        (HEAD444 + b"FRAME Ixyz", TruncatedFrame),
+        (HEAD444 + b"FRAME\n" + bytes(12) + b"FRAM", TruncatedFrame),
+        (HEAD444 + b"\nFRAME\n" + bytes(12), TruncatedFrame),
+        (HEAD444, []),
+        (b"YUV4MPEG2 W2  H2 F25:1 C444\n", BadSignature),  # double space
+        (b"YUV4MPEG2 W2 H2 F25:1 C444 \n", BadSignature),  # trailing space
+        (b"YUV4MPEG2  W2 H2 F25:1 C444\n", BadSignature),
+        (b"YUV4MPEG2\n", BadSignature),
+        (b"YUV4MPEG2 \n", BadSignature),
+        (b"YUV4MPEG2W2 H2 F25:1 C444\n", BadSignature),
+        (b"YUV4MPEG2 W2 H2 F25:1 C444", BadSignature),  # no newline
+        (b"YUV4MPEG2 W2\tH2 F25:1 C444\n", BadSignature),  # a tab does not separate
+        (b"YUV4MPEG2 W2 H2 F25:1 C444 X\r\n", []),
+        (b"YUV4MPEG2 C422 W0 H2 F25:1\n", UnsupportedColorspace),  # first failing token wins
+        (b"YUV4MPEG2 W0 C422 H2 F25:1\n", BadSignature),
+    ],
+)
+def test_container_grammar_edge_cases(data, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            vid.parse_y4m(data)
+        return
+    clip = vid.parse_y4m(data)
+    assert clip.frame_headers == expected
+    assert vid.write_y4m(clip) == data
+
+
+def test_parsed_frames_are_writable_and_own_their_memory():
+    raw = HEAD444 + b"FRAME\n" + bytes(range(12)) + b"FRAME\n" + bytes(range(12, 24))
+    clip = vid.parse_y4m(raw)
+    source = np.frombuffer(raw, np.uint8)
+    for frame in clip.frames:
+        for plane in (frame.y, frame.u, frame.v):
+            assert plane.flags.writeable
+            assert not np.shares_memory(plane, source)
+        frame.y[0, 0] = 255
+    assert vid.write_y4m(clip) != raw
+    assert not np.shares_memory(clip.frames[0].y, clip.frames[1].y)
+
+
+@pytest.mark.parametrize(
+    "token,expected",
+    [
+        (b"XRDHCTR=000000000000000f", 15),
+        (b"XRDHCTR=DEADBEEFCAFEBABE", 0xDEADBEEFCAFEBABE),  # uppercase hex
+        (b"XRDHCTR=-000000000000001", None),  # int() would read a sign
+        (b"XRDHCTR=0x00_0000000000f", None),  # ... a prefix and underscores
+        (b"XRDHCTR=+00000000000000f", None),
+        (b"XRDHCTR=\t00000000000000f", None),  # ... and surrounding whitespace
+        (b"XRDHCTR=00000000000000f", None),
+        (b"XRDHCTR=000000000000000f0", None),
+        (b"XRDHCTR=", None),
+    ],
+)
+def test_nonce_token_is_exactly_16_hex_digits(token, expected):
+    raw = b"YUV4MPEG2 W2 H2 F25:1 C444 " + token + b"\n"
+    assert vid.video_nonce(vid.parse_y4m(raw)) == expected
+
+
 # --- hide / reveal --------------------------------------------------------
 
 
