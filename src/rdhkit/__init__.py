@@ -23,7 +23,7 @@ from .pipeline import (
     recover_original,
     reveal,
 )
-from .video import Y4mVideo, YuvFrame, parse_y4m, video_hide, video_reveal, write_y4m
+from .video import Y4mVideo, parse_y4m, video_hide, video_reveal, write_y4m
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "reveal",
     "recover_original",
     "Y4mVideo",
-    "YuvFrame",
     "parse_y4m",
     "write_y4m",
     "video_hide",

@@ -280,7 +280,7 @@ def _cmd_inspect(args) -> int:
         print(f"FRAMES: {len(clip.frames)}")
         print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
         if clip.frames:
-            _inspect_frame(lambda: video.extract_frame_payload(clip.frames[0]))
+            _inspect_frame(lambda: pipeline.extract(clip.frames[0], video.y_host(clip)))
     else:
         raise FormatError(f"unrecognized file: starts with {data[:9]!r}")
     return EXIT_OK

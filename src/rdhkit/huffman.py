@@ -79,8 +79,7 @@ def build_canonical_codes(freq: list[int]) -> CodeTable:
 
 def _assign_canonical(lengths: list[int]) -> list[int]:
     codes = [0] * 256
-    order = sorted(s for s in range(256) if lengths[s] > 0)
-    order.sort(key=lambda s: (lengths[s], s))
+    order = sorted((s for s in range(256) if lengths[s] > 0), key=lambda s: (lengths[s], s))
     code = 0
     prev_len = 0
     for s in order:

@@ -61,7 +61,9 @@ def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
         raise MalformedHeader("missing whitespace before the raster")
     pos, n = m.end(), width * height * 3
     if len(data) - pos < n:
-        raise TruncatedFile(f"raster needs {n} bytes, file holds {len(data) - pos}")
+        # names the dimensions: n may have more digits than str() writes
+        left = len(data) - pos
+        raise TruncatedFile(f"a {width}x{height} raster needs more than the {left} bytes left")
     if len(data) - pos > n:
         raise MalformedHeader(f"{len(data) - pos - n} trailing bytes after the raster")
     nonce = None if m["nonce"] is None else int(m["nonce"], 16)
@@ -74,7 +76,11 @@ def _number(tok: bytes, what: str) -> int:
         raise MalformedHeader("header ended while a number was expected")
     if not tok.isdigit():
         raise MalformedHeader(f"{what} is not a number: {tok!r}")
-    return int(tok)
+    digits = tok.lstrip(b"0") or b"0"
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise MalformedHeader(f"{what} has {len(digits)} digits, too many to read") from None
 
 
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:

@@ -2,14 +2,15 @@
 
 ``video_hide`` and ``video_reveal`` hand the clip to the driver in
 ``pipeline`` (``embed_segments``, ``reveal_units``) with one unit per frame:
-the frame's Y+U+V planes as one flat buffer, host slice ``[:w*h]`` (the Y
-plane), just as an image is one unit whose host is its red samples.  Each
-frame's capacity is ``pipeline.max_embeddable_bits`` of its Y plane, the
-same rule an image's red plane follows; it sets how the encrypted secret
-splits into segments, and a frame that cannot carry one raises the reason.
-This module adds only what is video's own: the conversion between frames
-and buffers, made one frame at a time so that the input buffers are never
-all held at once.
+the frame's Y+U+V bytes as one flat buffer, host ``y_host`` (the Y plane,
+slice ``[:w*h]``), just as an image is one unit whose host is its red
+samples.  Each frame's capacity is ``pipeline.max_embeddable_bits`` of its Y
+plane, the same rule an image's red plane follows; it sets how the encrypted
+secret splits into segments, and a frame that cannot carry one raises the
+reason.  A parsed frame already is that unit, so ``video_reveal`` hands the
+frames over as they are, and ``video_hide`` hands over one copy per frame,
+made as the driver reaches it, because embedding leaves its input as the
+plain-domain marked cover.
 
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
@@ -29,21 +30,12 @@ from __future__ import annotations
 
 import os
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BadSignature, TruncatedFrame, UnsupportedColorspace
-from .pipeline import (
-    PayloadFrame,
-    StegoKeys,
-    build_frames,
-    embed_segments,
-    extract,
-    max_embeddable_bits,
-    reveal_units,
-)
+from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
 # stay bound here although the calls are made in pipeline
@@ -60,19 +52,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass
-class YuvFrame:
-    y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
 class Y4mVideo:
     width: int
     height: int
     colorspace: str  # "C420" or "C444"
     params: list[bytes]  # raw stream-header tokens, order preserved
-    frames: list[YuvFrame] = field(default_factory=list)
+    frames: list[np.ndarray] = field(default_factory=list)  # flat C-contiguous Y+U+V bytes
     frame_headers: list[bytes] = field(default_factory=list)  # raw suffix per frame
 
     def chroma_shape(self) -> tuple[int, int]:
@@ -120,11 +105,10 @@ def parse_y4m(data: bytes) -> Y4mVideo:
             raise TruncatedFrame(f"expected a FRAME header line at byte {pos}")
         pos = m.end()
         if len(data) - pos < frame_len:
-            raise TruncatedFrame(
-                f"frame needs {frame_len} plane bytes, stream holds {len(data) - pos}"
-            )
-        planes = np.frombuffer(data, np.uint8, count=frame_len, offset=pos).copy()
-        video.frames.append(_split_planes(planes, (height, width), (ch, cw)))
+            # names the dimensions: frame_len may have more digits than str() writes
+            left = len(data) - pos
+            raise TruncatedFrame(f"a {width}x{height} frame needs more than the {left} bytes left")
+        video.frames.append(np.frombuffer(data, np.uint8, count=frame_len, offset=pos).copy())
         video.frame_headers.append(m[1])
         pos += frame_len
     return video
@@ -133,26 +117,18 @@ def parse_y4m(data: bytes) -> Y4mVideo:
 def write_y4m(video: Y4mVideo) -> bytes:
     parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
-        parts.append(b"FRAME" + suffix + b"\n")
-        parts += (np.ascontiguousarray(p) for p in (frame.y, frame.u, frame.v))
-    return b"".join(parts)  # each plane's one copy
-
-
-def _split_planes(raw: np.ndarray, y_shape: tuple, c_shape: tuple) -> YuvFrame:
-    """Y, U and V as views of one flat Y+U+V buffer."""
-    ny = y_shape[0] * y_shape[1]
-    nc = c_shape[0] * c_shape[1]
-    return YuvFrame(
-        raw[:ny].reshape(y_shape),
-        raw[ny : ny + nc].reshape(c_shape),
-        raw[ny + nc :].reshape(c_shape),
-    )
+        parts += (b"FRAME" + suffix + b"\n", frame)
+    return b"".join(parts)  # each frame's one copy
 
 
 def _positive_int(tok: bytes, what: str) -> int:
-    if not tok.isdigit() or int(tok) <= 0:
+    digits = tok.lstrip(b"0")
+    if not tok.isdigit() or not digits:
         raise BadSignature(f"{what} must be a positive integer, got {tok!r}")
-    return int(tok)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise BadSignature(f"{what} has {len(digits)} digits, too many to read") from None
 
 
 def video_nonce(video: Y4mVideo) -> int | None:
@@ -170,13 +146,16 @@ def with_video_nonce(video: Y4mVideo, nonce: int) -> Y4mVideo:
 
 
 def without_video_nonce(video: Y4mVideo) -> Y4mVideo:
-    """Inverse of with_video_nonce for covers that carried no token of their own."""
-    return replace(video, params=[t for t in video.params if not t.startswith(_NONCE_PREFIX)])
+    """Inverse of with_video_nonce for covers that carried no well-formed token of their own.
+
+    Only tokens video_nonce would read are dropped; a malformed XRDHCTR= one stays.
+    """
+    return replace(video, params=[t for t in video.params if not _NONCE_TOKEN.fullmatch(t)])
 
 
-def extract_frame_payload(frame: YuvFrame) -> PayloadFrame:
-    """Parse the payload segment from the Y LSBs; needs no key material."""
-    return extract(frame.y.reshape(-1), np.s_[:])
+def y_host(video: Y4mVideo) -> slice:
+    """The host of every frame buffer: its Y plane."""
+    return np.s_[: video.width * video.height]
 
 
 def video_hide(
@@ -185,28 +164,16 @@ def video_hide(
     """Split the encrypted secret across frames; every frame carries a segment."""
     if iv is None:
         iv = os.urandom(16)
-    capacities = [max_embeddable_bits(frame.y) for frame in video.frames]
+    host = y_host(video)
+    capacities = [max_embeddable_bits(frame[host]) for frame in video.frames]
     segments = build_frames(secret, keys.data_key, iv, capacities)
-    buffers = embed_segments(_frame_buffers(video), _y_plane(video), segments, keys)
-    return _with_frames(video, buffers)
+    # embedding leaves its input as the plain-domain marked cover
+    frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys)
+    return replace(video, frames=frames, frame_headers=list(video.frame_headers))
 
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined by index."""
-    secret, buffers = reveal_units(_frame_buffers(video), _y_plane(video), keys)
-    return secret, _with_frames(video, buffers)
-
-
-def _frame_buffers(video: Y4mVideo) -> Iterator[np.ndarray]:
-    # one frame's buffer at a time: the driver keeps only what it returns
-    return (np.concatenate((f.y, f.u, f.v), axis=None) for f in video.frames)
-
-
-def _y_plane(video: Y4mVideo) -> slice:
-    return np.s_[: video.width * video.height]
-
-
-def _with_frames(video: Y4mVideo, buffers: list[np.ndarray]) -> Y4mVideo:
-    frames = [_split_planes(b, f.y.shape, f.u.shape) for b, f in zip(buffers, video.frames)]
-    return replace(video, frames=frames, frame_headers=list(video.frame_headers))
+    secret, frames = reveal_units(video.frames, y_host(video), keys)
+    return secret, replace(video, frames=frames, frame_headers=list(video.frame_headers))
 

@@ -63,12 +63,12 @@ def image_with_frame(cover, frame, keys):
 def embed_clip(clip, segments, keys):
     """Copy of a Y4M clip whose frame i carries segments[i] (an empty segment
     past the last), embedded under the given keys."""
+    from dataclasses import replace
+
     from rdhkit import pipeline, video
 
-    buffers = pipeline.embed_segments(
-        video._frame_buffers(clip), video._y_plane(clip), segments, keys
-    )
-    return video._with_frames(clip, buffers)
+    frames = [frame.copy() for frame in clip.frames]
+    return replace(clip, frames=pipeline.embed_segments(frames, video.y_host(clip), segments, keys))
 
 
 def zero_segment_clip(clip, keys, iv=bytes(16)):
@@ -77,3 +77,15 @@ def zero_segment_clip(clip, keys, iv=bytes(16)):
     from rdhkit.pipeline import PayloadFrame
 
     return embed_clip(clip, [PayloadFrame(0, 0, iv, b"")] * len(clip.frames), keys)
+
+
+def planes(clip, i):
+    """Y, U and V of a Y4M clip's frame i, as 2-D views of its flat buffer."""
+    ch, cw = clip.chroma_shape()
+    ny, nc = clip.width * clip.height, ch * cw
+    frame = clip.frames[i]
+    return (
+        frame[:ny].reshape(clip.height, clip.width),
+        frame[ny : ny + nc].reshape(ch, cw),
+        frame[ny + nc :].reshape(ch, cw),
+    )

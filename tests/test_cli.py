@@ -1,9 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import image_with_frame, make_cover, zero_segment_clip
+from conftest import image_with_frame, make_cover, planes, zero_segment_clip
 from rdhkit import cli, netpbm, video as vid
 from rdhkit.pipeline import PayloadFrame, StegoKeys, max_embeddable_bits
 
@@ -31,7 +32,7 @@ def clip_file(tmp_path):
         y[rng.random((32, 32)) < 0.02] = 78
         u = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         v = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        frames.append(vid.YuvFrame(y, u, v))
+        frames.append(np.concatenate((y, u, v), axis=None))
     clip = vid.Y4mVideo(32, 32, "C420", [b"W32", b"H32", b"F25:1", b"C420"], frames, [b""] * 3)
     path = tmp_path / "cover.y4m"
     path.write_bytes(vid.write_y4m(clip))
@@ -258,7 +259,7 @@ def test_video_hide_reveal_cli(tmp_path, clip_file, capsys):
 
 def test_video_hide_of_a_frame_without_an_empty_bin_exits_2(tmp_path, clip_file):
     _, clip = clip_file
-    clip.frames[1].y.reshape(-1)[-256:] = np.arange(256)
+    planes(clip, 1)[0].reshape(-1)[-256:] = np.arange(256)
     cover = tmp_path / "full.y4m"
     cover.write_bytes(vid.write_y4m(clip))
     secret = tmp_path / "s.bin"
@@ -287,6 +288,49 @@ def test_reveal_of_anything_but_segment_0_of_1_exits_3(tmp_path, cover_file, ind
     marked.write_bytes(netpbm.save_ppm(image_with_frame(cover, frame, keys), nonce=keys.nonce))
     assert run(["reveal", "--input", marked, "--out", tmp_path / "o.bin",
                 "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 3
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P6 " + b"1" * 4301 + b" 1 255 ",
+        b"YUV4MPEG2 W2 H2 F25:1 C444 W" + b"1" * 4301 + b"\n",
+    ],
+    ids=["ppm", "y4m"],
+)
+def test_inspect_of_an_overlong_digit_token_exits_4(tmp_path, data):
+    path = tmp_path / "long.bin"
+    path.write_bytes(data)
+    assert run(["inspect", path]) == 4
+
+
+def test_inspect_reads_the_payload_of_frame_zero(tmp_path, clip_file, capsys):
+    clip_path, _ = clip_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"frame zero")
+    marked = tmp_path / "m.y4m"
+    assert run(["video-hide", "--cover", clip_path, "--data", secret, "--out", marked,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 0
+    capsys.readouterr()
+    assert run(["inspect", marked]) == 0
+    assert "PAYLOAD: segment 1 of 2" in capsys.readouterr().out.splitlines()
+    assert run(["inspect", clip_path]) == 0
+    assert "PAYLOAD: none" in capsys.readouterr().out.splitlines()
+
+
+def test_video_round_trip_keeps_a_malformed_nonce_token_of_the_cover(tmp_path, clip_file):
+    _, clip = clip_file
+    cover = tmp_path / "odd.y4m"
+    cover.write_bytes(vid.write_y4m(replace(clip, params=[*clip.params, b"XRDHCTR=zz"])))
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"odd token")
+    marked, out, rec = tmp_path / "m.y4m", tmp_path / "o.bin", tmp_path / "r.y4m"
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY]
+    assert run(["video-hide", "--cover", cover, "--data", secret, "--out", marked,
+                "--nonce", NONCE] + keys) == 0
+    assert run(["video-reveal", "--input", marked, "--out", out, "--recovered", rec] + keys) == 0
+    assert out.read_bytes() == b"odd token"
+    assert rec.read_bytes() == cover.read_bytes()
 
 
 def test_inspect_unknown_format_exits_4(tmp_path):

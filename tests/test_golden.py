@@ -61,7 +61,7 @@ def _clip(colorspace: str) -> video.Y4mVideo:
         y[rng.random((size, size)) < 0.4] = 91
         u = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
         v = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
-        frames.append(video.YuvFrame(y, u, v))
+        frames.append(np.concatenate((y, u, v), axis=None))
     params = [b"W%d" % size, b"H%d" % size, b"F25:1", colorspace.encode()]
     return video.Y4mVideo(size, size, colorspace, params, frames, [b""] * 3)
 

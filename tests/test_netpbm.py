@@ -104,6 +104,38 @@ def test_header_fuzz_never_crashes():
             pass  # any structured rejection is fine; crashes are not
 
 
+DIGIT_LIMIT = 4300  # CPython's default cap on the digits int() reads
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (b"P6 " + b"1" * (DIGIT_LIMIT + 1) + b" 1 255 ", MalformedHeader),
+        (b"P6 1 " + b"1" * (DIGIT_LIMIT + 1) + b" 255 ", MalformedHeader),
+        (b"P6 1 1 " + b"1" * (DIGIT_LIMIT + 1) + b" ", MalformedHeader),
+        (b"P6 " + b"0" * DIGIT_LIMIT + b"1 1 255 \x01\x02\x03", (1, 1, 3)),  # zero-padded 1
+        (b"P6 1 1 0" + b"0" * DIGIT_LIMIT + b"255 \x01\x02\x03", (1, 1, 3)),
+        (b"P6 " + b"0" * (DIGIT_LIMIT + 1) + b" 1 255 ", MalformedHeader),  # zero
+        (b"P6 " + b"1" * DIGIT_LIMIT + b" 1 255 ", TruncatedFile),  # int() reads it
+        # the raster's byte count has more digits than str() writes
+        (b"P6 " + b"9" * DIGIT_LIMIT + b" 1 255 ", TruncatedFile),
+        (b"P6 " + b"9" * 2200 + b" " + b"9" * 2200 + b" 255 ", TruncatedFile),
+    ],
+    ids=[
+        "long-width", "long-height", "long-maxval", "zero-padded-width", "zero-padded-maxval",
+        "long-zero", "4300-ones", "4300-nines", "long-raster-len",
+    ],
+)
+def test_overlong_digit_tokens_raise_format_errors(data, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            netpbm.load_ppm(data)
+        return
+    img, _ = netpbm.load_ppm(data)
+    assert img.shape == expected
+    assert img.reshape(-1).tolist() == [1, 2, 3]
+
+
 def test_canonical_writer_bytes():
     img = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
     out = netpbm.save_ppm(img)

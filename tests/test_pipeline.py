@@ -18,6 +18,7 @@ from rdhkit.errors import (
     HeaderChecksum,
     MissingSegment,
     NoZeroBin,
+    RdhError,
 )
 from rdhkit.huffman import huffman_compress
 from rdhkit.pipeline import (
@@ -89,6 +90,32 @@ def test_truncated_frame_stream():
         parse_frame(raw[:-4])
     with pytest.raises(BadMagic):
         parse_frame(raw[:8])
+
+
+def test_mutated_frames_raise_only_package_errors():
+    rng = random.Random(4098)
+    stream = PayloadFrame(1, 3, IV, bytes(range(40))).serialize() + bytes(8)
+    accepted = 0
+    for _ in range(4000):
+        mutant = bytearray(stream)
+        kind = rng.randrange(4)
+        if kind == 0:
+            for _ in range(rng.randrange(1, 4)):
+                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        elif kind == 2:
+            del mutant[rng.randrange(len(mutant) + 1) :]
+        else:
+            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 9))
+        try:
+            frame = parse_frame(bytes(mutant))
+        except RdhError:
+            continue
+        accepted += 1
+        serialized = frame.serialize()  # an accepted frame is the stream's prefix
+        assert serialized == mutant[: len(serialized)]
+    assert accepted > 100
 
 
 # --- side header ----------------------------------------------------------

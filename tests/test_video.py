@@ -1,9 +1,10 @@
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import embed_clip, zero_segment_clip
+from conftest import embed_clip, planes, zero_segment_clip
 from rdhkit import pipeline
 from rdhkit import video as vid
 from rdhkit.errors import (
@@ -12,6 +13,7 @@ from rdhkit.errors import (
     HeaderChecksum,
     MissingSegment,
     NoZeroBin,
+    RdhError,
     TruncatedFrame,
     UnsupportedColorspace,
 )
@@ -30,15 +32,9 @@ def make_clip(rng, nframes=8, size=64, colorspace="C420", y_base=60):
         y[sprinkle] = y_base + 1
         u = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
         v = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
-        frames.append(vid.YuvFrame(y, u, v))
+        frames.append(np.concatenate((y, u, v), axis=None))
     params = [b"W%d" % size, b"H%d" % size, b"F25:1", colorspace.encode()]
     return vid.Y4mVideo(size, size, colorspace, params, frames, [b""] * nframes)
-
-
-def frames_equal(a, b):
-    return (
-        np.array_equal(a.y, b.y) and np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    )
 
 
 # --- container ------------------------------------------------------------
@@ -49,7 +45,7 @@ def test_parse_minimal_stream():
     clip = vid.parse_y4m(raw)
     assert (clip.width, clip.height, clip.colorspace) == (2, 2, "C444")
     assert len(clip.frames) == 1
-    assert clip.frames[0].y.tolist() == [[0, 1], [2, 3]]
+    assert planes(clip, 0)[0].tolist() == [[0, 1], [2, 3]]
     assert vid.write_y4m(clip) == raw
 
 
@@ -57,7 +53,7 @@ def test_c420_is_the_default_colorspace():
     raw = b"YUV4MPEG2 W4 H2 F30:1\nFRAME\n" + bytes(4 * 2 + 2 * 2)
     clip = vid.parse_y4m(raw)
     assert clip.colorspace == "C420"
-    assert clip.frames[0].u.shape == (1, 2)
+    assert planes(clip, 0)[1].shape == (1, 2)
     assert vid.write_y4m(clip) == raw
 
 
@@ -73,7 +69,7 @@ def test_container_roundtrip_from_objects():
     raw = vid.write_y4m(clip)
     back = vid.parse_y4m(raw)
     assert vid.write_y4m(back) == raw
-    assert all(frames_equal(a, b) for a, b in zip(back.frames, clip.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(back.frames, clip.frames))
 
 
 def test_bad_signature():
@@ -156,13 +152,14 @@ def test_parsed_frames_are_writable_and_own_their_memory():
     raw = HEAD444 + b"FRAME\n" + bytes(range(12)) + b"FRAME\n" + bytes(range(12, 24))
     clip = vid.parse_y4m(raw)
     source = np.frombuffer(raw, np.uint8)
-    for frame in clip.frames:
-        for plane in (frame.y, frame.u, frame.v):
+    for i, frame in enumerate(clip.frames):
+        assert frame.ndim == 1 and frame.flags.c_contiguous
+        for plane in planes(clip, i):
             assert plane.flags.writeable
             assert not np.shares_memory(plane, source)
-        frame.y[0, 0] = 255
+        planes(clip, i)[0][0, 0] = 255
     assert vid.write_y4m(clip) != raw
-    assert not np.shares_memory(clip.frames[0].y, clip.frames[1].y)
+    assert not np.shares_memory(planes(clip, 0)[0], planes(clip, 1)[0])
 
 
 @pytest.mark.parametrize(
@@ -184,6 +181,69 @@ def test_nonce_token_is_exactly_16_hex_digits(token, expected):
     assert vid.video_nonce(vid.parse_y4m(raw)) == expected
 
 
+DIGIT_LIMIT = 4300  # CPython's default cap on the digits int() reads
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (HEAD444[:-1] + b" W" + b"1" * (DIGIT_LIMIT + 1) + b"\n", BadSignature),
+        (b"YUV4MPEG2 W2 H" + b"1" * (DIGIT_LIMIT + 1) + b" F25:1 C444\n", BadSignature),
+        (b"YUV4MPEG2 W" + b"0" * DIGIT_LIMIT + b"1 H1 F25:1 C444\n", (1, 1)),  # zero-padded 1
+        (b"YUV4MPEG2 W" + b"0" * (DIGIT_LIMIT + 1) + b" H1 F25:1\n", BadSignature),  # zero
+        (b"YUV4MPEG2 W" + b"9" * DIGIT_LIMIT + b" H1 F25:1 C444\n", (10**DIGIT_LIMIT - 1, 1)),
+        # frame_len has more digits than str() writes
+        (b"YUV4MPEG2 W" + b"9" * 2200 + b" H" + b"9" * 2200 + b" F25:1 C444\nFRAME\n",
+         TruncatedFrame),
+    ],
+    ids=["long-W", "long-H", "zero-padded-1", "long-zero", "4300-nines", "long-frame-len"],
+)
+def test_overlong_digit_tokens_raise_format_errors(data, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            vid.parse_y4m(data)
+        return
+    clip = vid.parse_y4m(data)
+    assert (clip.width, clip.height) == expected
+    assert vid.write_y4m(clip) == data
+
+
+def test_mutated_streams_raise_only_package_errors():
+    rng = random.Random(4097)
+    stream = (
+        b"YUV4MPEG2 W4 H2 F25:1 Ip C420 XRDHCTR=00000000000000aa\n"
+        + b"FRAME\n" + bytes(range(12)) + b"FRAME Ixyz\n" + bytes(range(12, 24))
+    )
+    grammar = [b" ", b"\n", b"W", b"H", b"F", b"C444", b"C420", b"0", b"FRAME\n"]
+    accepted = 0
+    for _ in range(4000):
+        mutant = bytearray(stream)
+        kind = rng.randrange(6)
+        if kind == 0:
+            for _ in range(rng.randrange(1, 4)):
+                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        elif kind == 2:
+            del mutant[rng.randrange(len(mutant) + 1) :]
+        elif kind == 3:
+            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 9))
+        elif kind == 4:
+            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.choice(grammar)
+        else:  # a long digit run as W or H, around int()'s digit limit
+            at = mutant.index(rng.choice([b" W", b" H"])) + 2
+            length = rng.choice([rng.randrange(1, 40), DIGIT_LIMIT + rng.randrange(-3, 4)])
+            digits = bytes(rng.choice(b"0123456789") for _ in range(length))
+            mutant[at : at + 1] = rng.choice([digits, b"0" * length + b"2"])
+        try:
+            clip = vid.parse_y4m(bytes(mutant))
+        except RdhError:
+            continue
+        accepted += 1
+        assert vid.write_y4m(clip) == mutant  # what the reader accepts round-trips
+    assert accepted > 100
+
+
 # --- hide / reveal --------------------------------------------------------
 
 
@@ -192,11 +252,12 @@ def test_video_roundtrip_spanning_frames():
     clip = make_clip(rng)
     secret = rng.bytes(1000)
     marked = vid.video_hide(clip, secret, KEYS, iv=IV)
-    spans = {vid.extract_frame_payload(f).segment_index for f in marked.frames}
+    host = vid.y_host(marked)
+    spans = {pipeline.extract(f, host).segment_index for f in marked.frames}
     assert len(spans) >= 3  # payload split over several frames
     got, original = vid.video_reveal(marked, KEYS)
     assert got == secret
-    assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(original.frames, clip.frames))
     assert vid.write_y4m(original) == vid.write_y4m(clip)
 
 
@@ -204,14 +265,14 @@ def test_small_payload_fills_frame_zero_only():
     rng = np.random.default_rng(7)
     clip = make_clip(rng, nframes=4)
     marked = vid.video_hide(clip, b"tiny", KEYS, iv=IV)
-    payloads = [vid.extract_frame_payload(f) for f in marked.frames]
+    payloads = [pipeline.extract(f, vid.y_host(marked)) for f in marked.frames]
     assert payloads[0].segment_count == 1
     assert len(payloads[0].ciphertext) == 32  # 19-byte container, CBC-padded
     assert all(len(p.ciphertext) == 0 for p in payloads[1:])
     assert all(p.segment_index == i for i, p in enumerate(payloads))
     got, original = vid.video_reveal(marked, KEYS)
     assert got == b"tiny"
-    assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(original.frames, clip.frames))
 
 
 def test_video_hide_is_deterministic():
@@ -235,7 +296,7 @@ def test_segments_reassemble_by_index_not_position():
     shuffled = embed_clip(clip, [segments[1], segments[0]], KEYS)
     got, original = vid.video_reveal(shuffled, KEYS)
     assert got == secret
-    assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(original.frames, clip.frames))
 
 
 def test_missing_segment_detected():
@@ -259,7 +320,7 @@ def test_frames_of_two_hides_are_not_joined():
     # one segment layout, so only the IVs tell the hides apart; segment 0
     # comes from the first hide and the rest from the second
     spliced = replace(second, frames=[first.frames[0], *second.frames[1:]])
-    assert vid.extract_frame_payload(spliced.frames[0]).segment_count > 1
+    assert pipeline.extract(spliced.frames[0], vid.y_host(spliced)).segment_count > 1
     with pytest.raises(MissingSegment):
         vid.video_reveal(spliced, KEYS)
 
@@ -280,13 +341,13 @@ def test_c444_video_roundtrip():
     marked = vid.video_hide(clip, secret, KEYS, iv=IV)
     got, original = vid.video_reveal(marked, KEYS)
     assert got == secret
-    assert all(frames_equal(a, b) for a, b in zip(original.frames, clip.frames))
+    assert all(np.array_equal(a, b) for a, b in zip(original.frames, clip.frames))
 
 
 def test_frame_without_an_empty_bin_is_rejected():
     clip = make_clip(np.random.default_rng(16), nframes=3)
     # frame 1's Y region B holds every value, so no bin is free to shift into
-    clip.frames[1].y.reshape(-1)[-256:] = np.arange(256)
+    planes(clip, 1)[0].reshape(-1)[-256:] = np.arange(256)
     with pytest.raises(NoZeroBin):
         vid.video_hide(clip, b"no room in frame 1", KEYS, iv=IV)
 
@@ -298,7 +359,7 @@ def test_frame_that_cannot_hold_an_empty_segment_is_rejected(kind):
         clip = make_clip(rng, nframes=2, size=16)
     else:  # uniform noise: region B's peak is far below the header and frame
         clip = make_clip(rng, nframes=2, size=32)
-        clip.frames[0].y[:] = rng.integers(0, 256, (32, 32), dtype=np.uint8)
+        planes(clip, 0)[0][:] = rng.integers(0, 256, (32, 32), dtype=np.uint8)
     with pytest.raises(CapacityError):
         vid.video_hide(clip, b"", KEYS, iv=IV)
 
@@ -339,9 +400,25 @@ def test_adjacent_frames_never_share_keystream():
     marked = vid.video_hide(clip, b"one key, one keystream", KEYS, iv=IV)
     # embedding leaves U and V alone, so marked ^ plain is the frame's keystream there
     keystreams = [
-        np.concatenate((m.u, m.v), axis=None) ^ np.concatenate((p.u, p.v), axis=None)
-        for m, p in zip(marked.frames, clip.frames)
+        np.concatenate(planes(marked, i)[1:], axis=None)
+        ^ np.concatenate(planes(clip, i)[1:], axis=None)
+        for i in range(len(clip.frames))
     ]
     for this, following in zip(keystreams, keystreams[1:]):
         # byte k of this frame against byte k - 8 of the next one
         assert not np.array_equal(this[8:], following[:-8])
+
+
+def test_hide_and_reveal_leave_their_input_frames_alone():
+    clip = make_clip(np.random.default_rng(19), nframes=3)
+    before = [frame.copy() for frame in clip.frames]
+    marked = vid.video_hide(clip, b"hands off", KEYS, iv=IV)
+    assert all(np.array_equal(a, b) for a, b in zip(clip.frames, before))
+    sent = [frame.copy() for frame in marked.frames]
+    got, original = vid.video_reveal(marked, KEYS)
+    assert got == b"hands off"
+    assert all(np.array_equal(a, b) for a, b in zip(marked.frames, sent))
+    for out, given in ((marked, clip), (original, marked)):
+        for frame in out.frames:
+            assert frame.ndim == 1 and frame.flags.c_contiguous
+            assert not any(np.shares_memory(frame, g) for g in given.frames)
