@@ -8,7 +8,7 @@ bit-exactly, and data extraction / image recovery need only their own key.
 """
 
 from .errors import RdhError
-from .histshift import hs_embed, hs_extract, lsb_read, plan_hs
+from .histshift import hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import mse, psnr
 from .netpbm import load_ppm, save_ppm
@@ -32,7 +32,6 @@ __all__ = [
     "plan_hs",
     "hs_embed",
     "hs_extract",
-    "lsb_read",
     "huffman_compress",
     "huffman_decompress",
     "mse",

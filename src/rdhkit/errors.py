@@ -10,10 +10,6 @@ class RdhError(Exception):
     """Base class for every error raised by this package."""
 
 
-class OutOfRange(RdhError):
-    """An LSB slice falls outside the plane."""
-
-
 class DimensionMismatch(RdhError):
     """Two rasters that must share a shape do not."""
 

@@ -1,4 +1,4 @@
-"""Histogram-shift reversible embedding on gray planes, plus an LSB reader.
+"""Histogram-shift reversible embedding on gray planes.
 
 Histogram shifting is the reversible host primitive: samples strictly
 between the peak bin (most frequent value) and an empty zero bin move one
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     CapacityExceeded,
     NoZeroBin,
-    OutOfRange,
     PayloadOverrun,
     ZeroBinNotEmpty,
 )
@@ -51,7 +50,7 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
     the nearest empty bin above the peak, falling back to the nearest empty
     bin below.  Capacity equals the peak count.
     """
-    flat = _flat(plane)
+    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
     if flat.size == 0:
         raise ValueError("cannot plan an embedding on an empty plane")
     hist = count_values(flat)
@@ -112,21 +111,9 @@ def hs_extract(
     return (plane - moved if peak < zero else plane + moved), bits
 
 
-def lsb_read(plane: np.ndarray, start: int, n: int) -> np.ndarray:
-    """The least significant bits of samples start..start+n as a 0/1 array."""
-    flat = _flat(plane)
-    if start < 0 or n < 0 or start + n > flat.size:
-        raise OutOfRange(f"slice [{start}, {start + n}) exceeds plane of {flat.size}")
-    return (flat[start : start + n] & 1).astype(np.uint8)
-
-
 def _in_run(plane: np.ndarray, first: int, width: int) -> np.ndarray:
     """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction."""
     return plane - np.uint8(first) < width
-
-
-def _flat(plane: np.ndarray) -> np.ndarray:
-    return np.asarray(plane, dtype=np.uint8).reshape(-1)
 
 
 def _check_bins(peak: int, zero: int) -> None:

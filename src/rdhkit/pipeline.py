@@ -18,13 +18,17 @@ split row-major into three regions::
     [L, L+64)    header     side header, one bit per sample LSB
     [L+64, n)    region B   histogram-shift host for the 64+L original LSBs
 
+Region B carries those LSBs in one fixed order, part of the on-disk format:
+the header slots' first, then region A's (the host's first L+64 LSBs
+rotated left by L).  Recovery rotates them back by L.
+
 How long region A may be is decided in one place, ``max_embeddable_bits``:
 the longest L whose region B can still take the 64+L backup bits.  Every
 cover is sized by it, an image's red samples and each video frame's Y
 plane alike, and a host that cannot carry even L = 0 raises the reason.
 
-Room is reserved before encryption: the original LSBs of region A and the
-header slots are tucked reversibly into region B, the side header (peak,
+Room is reserved before encryption: the original LSBs of the header slots
+and region A are tucked reversibly into region B, the side header (peak,
 zero, L, checksum) overwrites the header-slot LSBs, and only then is the
 whole buffer encrypted as one Blowfish counter run.  The payload frame is
 finally substituted into region A's LSBs of the *encrypted* buffer.
@@ -67,7 +71,7 @@ from .errors import (
     NoZeroBin,
     PayloadError,
 )
-from .histshift import count_values, hs_embed, hs_extract, lsb_read, plan_hs
+from .histshift import count_values, hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import psnr
 
@@ -225,25 +229,13 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
         )
     header_end = frame_bits + HEADER_SLOTS
     region_b = out[header_end:]
-    backup_bits = HEADER_SLOTS + frame_bits
     if region_b.size == 0:
-        raise CapacityExceeded(needed=backup_bits, available=0, detail="region B is empty")
-    peak, zero, capacity = plan_hs(region_b)
-    if capacity < backup_bits:
-        raise CapacityExceeded(
-            needed=backup_bits, available=capacity, detail="histogram-shift capacity in region B"
-        )
-    backup = np.concatenate(
-        [
-            lsb_read(out, frame_bits, HEADER_SLOTS),
-            lsb_read(out, 0, frame_bits),
-        ]
-    )
+        raise CapacityExceeded(needed=header_end, available=0, detail="region B is empty")
+    peak, zero, _ = plan_hs(region_b)  # hs_embed checks the capacity
+    backup = np.roll(out[:header_end] & 1, -frame_bits)  # header slots' LSBs, then region A's
     region_b[...] = hs_embed(region_b, backup, peak, zero)
     header = SideHeader(peak, zero, frame_bits).pack()
-    out[frame_bits:header_end] = _with_lsbs(
-        out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8))
-    )
+    _set_lsbs(out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8)))
     return out
 
 
@@ -256,23 +248,21 @@ def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
         )
     header_end = frame_bits + HEADER_SLOTS
-    header_bytes = np.packbits(lsb_read(out, frame_bits, HEADER_SLOTS)).tobytes()
-    header = SideHeader.unpack(header_bytes)
+    header = SideHeader.unpack(np.packbits(out[frame_bits:header_end] & 1).tobytes())
     if header.region_a_bits != frame_bits:
         raise HeaderChecksum(
             f"side header claims a {header.region_a_bits}-bit region A, "
             f"the payload frame occupies {frame_bits} bits"
         )
-    out[header_end:], backup = hs_extract(
-        out[header_end:], header.peak, header.zero, HEADER_SLOTS + frame_bits
-    )
-    out[frame_bits:header_end] = _with_lsbs(out[frame_bits:header_end], backup[:HEADER_SLOTS])
-    out[:frame_bits] = _with_lsbs(out[:frame_bits], backup[HEADER_SLOTS:])
+    out[header_end:], backup = hs_extract(out[header_end:], header.peak, header.zero, header_end)
+    _set_lsbs(out[:header_end], np.roll(backup, frame_bits))
     return out
 
 
-def _with_lsbs(samples: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    return (samples & 0xFE) | bits
+def _set_lsbs(samples: np.ndarray, bits: np.ndarray) -> None:
+    """Overwrite the LSBs of a view in place with 0/1 bits."""
+    samples &= 0xFE
+    samples |= bits
 
 
 def embed(
@@ -287,9 +277,9 @@ def embed(
     """
     bits = np.unpackbits(np.frombuffer(frame, np.uint8))
     raw[host] = reserve_room_plane(raw[host], bits.size)
-    _write_region_a(raw[host], bits)
+    _set_lsbs(raw[host][: bits.size], bits)
     out = bf_ctr_transform(state, nonce, raw)
-    _write_region_a(out[host], bits)
+    _set_lsbs(out[host][: bits.size], bits)
     return out
 
 
@@ -305,10 +295,6 @@ def recover(
 def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
     """Parse the payload frame from the LSBs of raw[host]; needs no key material."""
     return parse_frame(np.packbits(raw[host] & 1).tobytes())
-
-
-def _write_region_a(host: np.ndarray, bits: np.ndarray) -> None:
-    host[: bits.size] = _with_lsbs(host[: bits.size], bits)
 
 
 def embed_segments(

@@ -169,11 +169,15 @@ def video_hide(
     segments = build_frames(secret, keys.data_key, iv, capacities)
     # embedding leaves its input as the plain-domain marked cover
     frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys)
-    return replace(video, frames=frames, frame_headers=list(video.frame_headers))
+    return replace(
+        video, params=list(video.params), frames=frames, frame_headers=list(video.frame_headers)
+    )
 
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined by index."""
     secret, frames = reveal_units(video.frames, y_host(video), keys)
-    return secret, replace(video, frames=frames, frame_headers=list(video.frame_headers))
+    return secret, replace(
+        video, params=list(video.params), frames=frames, frame_headers=list(video.frame_headers)
+    )
 

@@ -30,6 +30,8 @@ IV = bytes.fromhex("a0a1a2a3a4a5a6a7a8a9aaabacadaeaf")
 SECRET = b"golden digests pin the embedding bytes " * 3
 
 IMAGE_DIGEST = "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4"
+# original vs plain-domain marked cover, the frame in region A's LSBs
+IMAGE_PLAIN_PSNR = 59.368895923352405
 # the secret spans two frames; the third carries an empty segment
 VIDEO_DIGESTS = {
     "C420": "4dc643e8177c503bcaf95223b6edf9ada4d1f1c3ad0d4bf50fc329554d31b964",
@@ -70,6 +72,7 @@ def test_image_hide_digest_and_roundtrip():
     cover = _cover()
     result = pipeline.hide(cover, SECRET, KEYS, iv=IV)
     assert _sha(netpbm.save_ppm(result.image, KEYS.nonce)) == IMAGE_DIGEST
+    assert result.plain_psnr == IMAGE_PLAIN_PSNR
 
     secret, original = pipeline.reveal(result.image, KEYS)
     assert secret == SECRET

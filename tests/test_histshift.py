@@ -5,7 +5,6 @@ from rdhkit import histshift as hs
 from rdhkit.errors import (
     CapacityExceeded,
     NoZeroBin,
-    OutOfRange,
     PayloadOverrun,
     ZeroBinNotEmpty,
 )
@@ -134,30 +133,6 @@ def test_embed_never_touches_values_outside_the_interval():
     lo, hi = min(peak, zero), max(peak, zero)
     outside = (plane < lo) | (plane > hi)
     assert np.array_equal(marked[outside], plane[outside])
-
-
-def test_lsb_replace_and_read():
-    out = np.array([0xFF, 0xFE, 0x01], dtype=np.uint8)
-    assert hs.lsb_read(out, 0, 3).tolist() == [1, 0, 1]
-
-
-def test_lsb_roundtrip_property():
-    rng = np.random.default_rng(77)
-    for _ in range(50):
-        plane = rng.integers(0, 256, size=64, dtype=np.uint8)
-        start = int(rng.integers(0, 32))
-        bits = rng.integers(0, 2, size=int(rng.integers(0, 32)), dtype=np.uint8)
-        out = plane.copy()
-        out[start : start + bits.size] = (out[start : start + bits.size] & 0xFE) | bits
-        assert np.array_equal(hs.lsb_read(out, start, bits.size), bits)
-
-
-def test_lsb_out_of_range():
-    plane = np.zeros(4, dtype=np.uint8)
-    with pytest.raises(OutOfRange):
-        hs.lsb_read(plane, 2, 3)
-    with pytest.raises(OutOfRange):
-        hs.lsb_read(plane, 3, 2)
 
 
 def test_invalid_bins_rejected():

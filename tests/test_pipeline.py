@@ -6,7 +6,7 @@ import pytest
 from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
-from rdhkit.histshift import plan_hs
+from rdhkit.histshift import hs_extract, plan_hs
 from rdhkit.errors import (
     BadCrc,
     BadMagic,
@@ -243,14 +243,37 @@ def test_reserve_room_cover_too_small():
 def test_reserve_room_hs_capacity_exceeded():
     # region B exists but its peak bin is far too small for 64+L bits
     plane = np.arange(200, dtype=np.uint8)
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as info:
         reserve_room_plane(plane, 64)
+    assert (info.value.needed, info.value.available) == (64 + HEADER_SLOTS, 1)
 
 
 def test_reserve_room_no_zero_bin():
     plane = np.tile(np.arange(256, dtype=np.uint8), 4)
     with pytest.raises(NoZeroBin):
         reserve_room_plane(plane, 8)
+
+
+@pytest.mark.parametrize("nbits", [0, 77])
+def test_region_b_carries_the_header_slots_lsbs_then_region_as(nbits):
+    # the backup order is part of the on-disk format
+    plane = (50 + np.random.default_rng(25).integers(0, 2, size=800)).astype(np.uint8)
+    reserved = reserve_room_plane(plane, nbits)
+    header_end = nbits + HEADER_SLOTS
+    header = SideHeader.unpack(np.packbits(reserved[nbits:header_end] & 1).tobytes())
+    _, backup = hs_extract(reserved[header_end:], header.peak, header.zero, header_end)
+    want = np.concatenate([plane[nbits:header_end] & 1, plane[:nbits] & 1])
+    assert np.array_equal(backup, want)
+
+
+def test_embed_leaves_the_frame_in_the_plain_domain_host():
+    raw = make_cover(np.random.default_rng(26), 64, 64).reshape(-1)
+    frame = PayloadFrame(0, 1, IV, b"plain-domain marked cover").serialize()
+    bits = np.unpackbits(np.frombuffer(frame, np.uint8))
+    state = bf_key_schedule(KEYS.image_key)
+    out = pipeline.embed(raw, pipeline.RED, frame, state, KEYS.nonce)
+    assert np.array_equal(raw[pipeline.RED][: bits.size] & 1, bits)
+    assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
 
 
 def test_max_embeddable_bits_is_the_exact_boundary():

@@ -422,3 +422,14 @@ def test_hide_and_reveal_leave_their_input_frames_alone():
         for frame in out.frames:
             assert frame.ndim == 1 and frame.flags.c_contiguous
             assert not any(np.shares_memory(frame, g) for g in given.frames)
+
+
+def test_hide_and_reveal_return_clips_with_their_own_params():
+    clip = make_clip(np.random.default_rng(20), nframes=3)
+    params = list(clip.params)
+    marked = vid.video_hide(clip, b"own lists", KEYS, iv=IV)
+    marked.params.append(b"Xhide")
+    _, original = vid.video_reveal(marked, KEYS)
+    original.params.append(b"Xreveal")
+    assert clip.params == params
+    assert marked.params == [*params, b"Xhide"]
