@@ -2,7 +2,7 @@
 
 Grouped by how the CLI reports them: capacity problems (exit 2), payload /
 stego integrity problems (exit 3), on-disk container problems (exit 4) and
-key material problems (exit 5).
+key material problems (exit 5).  ``check_nonce`` holds the nonce's one domain.
 """
 
 
@@ -127,4 +127,12 @@ class TruncatedFrame(FormatError):
 
 
 class KeyEncodingError(RdhError):
-    """Hex-encoded key material on the command line cannot be decoded."""
+    """Key material is malformed: hex on the command line that cannot be
+    decoded, or a counter nonce outside 0..2^64-1."""
+
+
+def check_nonce(nonce: object) -> None:
+    """Raise KeyEncodingError unless nonce is an int in 0..2^64-1, the one
+    domain of the counter base every path stores or encrypts under."""
+    if not isinstance(nonce, int) or not 0 <= nonce <= 0xFFFFFFFFFFFFFFFF:
+        raise KeyEncodingError(f"nonce must be an int in 0..2^64-1, got {nonce!r}")

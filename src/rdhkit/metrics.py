@@ -15,7 +15,8 @@ from .errors import DimensionMismatch
 from .histshift import BLOCK
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
+def squared_error(a: np.ndarray, b: np.ndarray) -> np.int64:
+    """The exact sum of squared differences of two same-shaped arrays."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -23,9 +24,7 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     # a working array of BLOCK samples at a time: int16 when both inputs share
     # a 1-byte dtype, where a difference lies within +-255 and its square,
     # below 2^16, wraps in int16 but reads back exactly as uint16 (a uint8/int8
-    # pair can differ by 383, so it takes int64 like every other pair).  The
-    # int64 sum is an exact integer below 2^53, so dividing it gives the same
-    # float as the mean of int64 squares (nan for empty input, like that mean)
+    # pair can differ by 383, so it takes int64 like every other pair)
     narrow = a.dtype == b.dtype and a.dtype.itemsize == 1
     a, b = a.reshape(-1), b.reshape(-1)
     total = np.int64(0)
@@ -34,12 +33,22 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
         sq -= b[start : start + BLOCK]
         np.square(sq, out=sq)
         total += (sq.view(np.uint16) if narrow else sq).sum(dtype=np.int64)
-    return float(total / a.size)
+    return total
+
+
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    # the int64 sum is an exact integer below 2^53, so dividing it gives the
+    # same float as the mean of int64 squares (nan for empty input, like that mean)
+    return float(squared_error(a, b) / np.size(a))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """PSNR in dB; math.inf when the images are identical."""
-    err = mse(a, b)
+    return psnr_of_mse(mse(a, b))
+
+
+def psnr_of_mse(err: float) -> float:
+    """10 * log10(255^2 / err); math.inf for an error of 0."""
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / err)

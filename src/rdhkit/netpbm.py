@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     MalformedHeader,
     TruncatedFile,
+    check_nonce,
 )
 
 # a comment must run to LF or the end of input, so every separator run has
@@ -91,8 +92,7 @@ def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
     height, width = img.shape[:2]
     head = bytearray(b"P6\n")
     if nonce is not None:
-        if not 0 <= nonce <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError(f"nonce must fit 64 bits, got {nonce:#x}")
+        check_nonce(nonce)
         head += b"# RDHCTR %016x\n" % nonce
     head += b"%d %d\n255\n" % (width, height)
     return b"".join((head, img))  # the raster's one copy

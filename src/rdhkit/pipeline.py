@@ -70,10 +70,15 @@ from .errors import (
     MissingSegment,
     NoZeroBin,
     PayloadError,
+    check_nonce,
 )
 from .histshift import count_values, hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
-from .metrics import psnr
+from .metrics import psnr_of_mse, squared_error
+
+# bench/spans.py traces the plain-domain PSNR through this name, so it stays
+# bound here although hide computes it from the host's squared error
+from .metrics import psnr  # noqa: F401
 
 FRAME_MAGIC = b"RDH1"
 FRAME_VERSION = 1
@@ -93,6 +98,9 @@ class StegoKeys:
     data_key: bytes  # AES-128, 16 bytes
     image_key: bytes  # Blowfish, 4..56 bytes
     nonce: int  # 64-bit counter base for the cover keystream
+
+    def __post_init__(self) -> None:
+        check_nonce(self.nonce)
 
 
 @dataclass(frozen=True)
@@ -367,14 +375,16 @@ class HideResult:
 
 def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = None) -> HideResult:
     """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
-    raw = _raster(cover).copy()
+    flat = _raster(cover)
+    raw = flat.copy()
     capacity_bits = max_embeddable_bits(raw[RED])
     if iv is None:
         iv = os.urandom(16)
     segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
-    # the cipher state (its 256 KB fused table) is not held while psnr runs
+    # the cipher state (its 256 KB fused table) is not held while the PSNR runs
     (out,) = embed_segments([raw], RED, segments, keys)
-    quality = psnr(cover, raw.reshape(cover.shape))
+    # embedding changes only the host, so its squared error is the raster's
+    quality = psnr_of_mse(squared_error(flat[RED], raw[RED]) / raw.size)
     return HideResult(out.reshape(cover.shape), quality, segments[0].num_bits, capacity_bits)
 
 
@@ -390,6 +400,7 @@ def recover_original(marked: np.ndarray, image_key: bytes, nonce: int) -> np.nda
     The payload frame's plaintext header supplies only the region length;
     the authoritative length in the side header must agree with it.
     """
+    check_nonce(nonce)
     try:
         frame = extract_frame(marked)
     except PayloadError as exc:

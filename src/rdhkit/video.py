@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadSignature, TruncatedFrame, UnsupportedColorspace
+from .errors import BadSignature, TruncatedFrame, UnsupportedColorspace, check_nonce
 from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
@@ -48,7 +48,6 @@ _STREAM_HEADER = re.compile(rb"YUV4MPEG2 ([^ \n]+(?: [^ \n]+)*)\n")
 _FRAME_HEADER = re.compile(rb"FRAME((?: [^\n]*)?)\n")
 _NONCE_PREFIX = b"XRDHCTR="
 _NONCE_TOKEN = re.compile(rb"XRDHCTR=([0-9a-fA-F]{16})")
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass
@@ -141,7 +140,8 @@ def video_nonce(video: Y4mVideo) -> int | None:
 
 def with_video_nonce(video: Y4mVideo, nonce: int) -> Y4mVideo:
     """Copy of the video with its nonce token replaced or appended."""
-    token = _NONCE_PREFIX + b"%016x" % (nonce & _MASK64)
+    check_nonce(nonce)
+    token = _NONCE_PREFIX + b"%016x" % nonce
     return replace(video, params=[*without_video_nonce(video).params, token])
 
 

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rdhkit import blowfish as bf
 from rdhkit.errors import BadKeyLength
@@ -165,10 +166,55 @@ def _counter_blocks(nonce: int, nbytes: int) -> bytes:
     return b"".join(((nonce + i) & MASK64).to_bytes(8, "big") for i in range(nblocks))
 
 
+def _scalar_stream(state, nonce: int, nblocks: int) -> bytes:
+    counters = (((nonce + i) & MASK64).to_bytes(8, "big") for i in range(nblocks))
+    return b"".join(bf.bf_encrypt_block(state, c) for c in counters)
+
+
+ROWS_STATE = bf.bf_key_schedule(b"row by column")
+
+
+@pytest.mark.parametrize("high", [0x5EED, 0xFFFFFFFF], ids=["carry", "wrap-2^64"])
+@pytest.mark.parametrize("offset", [0, 1, 255, 256, 257])
+def test_low_word_carry_at_each_offset_from_a_row_start(high, offset):
+    # rounds 0-1 come from per-row tables, one run before the low word
+    # carries and one after; the first run is offset + start_col blocks long
+    # (none for 0) and starts at column (-offset - start_col) mod 256
+    for start_col in (0, 0x9D):
+        nonce = ((high << 32) + (1 << 32) - offset - start_col) & MASK64
+        nblocks = offset + start_col + 300
+        stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
+        assert stream == _scalar_stream(ROWS_STATE, nonce, nblocks), (offset, start_col)
+
+
+def test_runs_shorter_than_a_row():
+    for nonce in (0x0123456789ABCD9D, 0xFEDCBA98765432FF):
+        assert nonce & 0xFF
+        expect = _scalar_stream(ROWS_STATE, nonce, 255)
+        for nblocks in range(1, 256):
+            stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
+            assert stream == expect[: 8 * nblocks], (nonce, nblocks)
+
+
+@seed(1408)
+@settings(max_examples=60, deadline=None)
+@given(
+    high=st.integers(0, (1 << 32) - 1),
+    delta=st.integers(-300, 300),
+    nblocks=st.integers(1, 700),
+)
+def test_keystream_near_every_low_word_carry_matches_scalar_blocks(high, delta, nblocks):
+    nonce = ((high << 32) + delta) & MASK64
+    stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
+    assert stream == _scalar_stream(ROWS_STATE, nonce, nblocks)
+
+
 def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
     state = bf.bf_key_schedule(b"chunked!")
     for nonce, nbytes in [
         (0x00000000FFFFFFF0 - CHUNK, 8 * (CHUNK + 40) + 3),  # carry just after the boundary
+        ((0x0A << 32) + (1 << 32) - CHUNK, 8 * (CHUNK + 300)),  # carry on a chunk's first block
+        ((0x0A << 32) + (1 << 32) - CHUNK + 1, 8 * (CHUNK + 300)),  # carry on a chunk's last block
         (0x01234567FFFFFF00, 4099),  # carry into a non-zero high word
         (0xFFFFFFFEFFFFFFF0, 8 * (CHUNK + 3)),  # carry into high word 0xFFFFFFFF
     ]:

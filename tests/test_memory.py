@@ -4,7 +4,9 @@ Covers grow to HD frames and large images, so each kernel may hold only a
 few bytes per host sample beyond its inputs: none may widen a uint8 plane
 to 8-byte indices (np.bincount, np.take, np.flatnonzero) or square it in a
 full-size int16 copy.  The bounds are bytes per sample of a 2^20-sample
-plane, the kernel's result included.
+plane, the kernel's result included.  The cover keystream is bounded the
+same way, per byte of a 2^20-byte buffer: its result plus chunk-sized
+scratch, and no buffer that grows with the input besides the result.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from rdhkit import metrics
+from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.pipeline import max_embeddable_bits
 
@@ -33,6 +36,7 @@ def host():
         zero=zero,
         marked=hs_embed(plane, bits, peak, zero),
         other=plane ^ rng.integers(0, 2, N, dtype=np.uint8),
+        state=bf_key_schedule(b"memory bound key"),
     )
 
 
@@ -53,6 +57,10 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
     "hs_extract": (5, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
     "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
+    # the result (1), four chunk-sized word buffers (0.5) and np.take's intp
+    # copy of one index (0.25) read 1.75; one more chunk-sized word array
+    # would cross 1.85.  The nonce's low word carries in the first chunk
+    "bf_ctr_transform": (1.85, lambda h: bf_ctr_transform(h.state, 0xFFFFFF00, h.plane)),
 }
 
 

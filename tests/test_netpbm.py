@@ -8,6 +8,7 @@ from rdhkit.errors import (
     BadImageMagic,
     BadMaxval,
     FormatError,
+    KeyEncodingError,
     MalformedHeader,
     TruncatedFile,
 )
@@ -150,6 +151,13 @@ def test_nonce_writer_roundtrip():
     back, nonce = netpbm.load_ppm(out)
     assert nonce == 255
     assert np.array_equal(back, img)
+
+
+@pytest.mark.parametrize("nonce", [-1, 2**64])
+def test_save_rejects_a_nonce_outside_64_bits(nonce):
+    img = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
+    with pytest.raises(KeyEncodingError):
+        netpbm.save_ppm(img, nonce=nonce)
 
 
 def test_save_is_deterministic_and_roundtrips():

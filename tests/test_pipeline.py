@@ -16,6 +16,7 @@ from rdhkit.errors import (
     CapacityExceeded,
     CoverTooSmall,
     HeaderChecksum,
+    KeyEncodingError,
     MissingSegment,
     NoZeroBin,
     RdhError,
@@ -24,10 +25,12 @@ from rdhkit.huffman import huffman_compress
 from rdhkit.pipeline import (
     FRAME_OVERHEAD_BYTES,
     HEADER_SLOTS,
+    RED,
     PayloadFrame,
     SideHeader,
     StegoKeys,
     build_frames,
+    embed_segments,
     frame_num_bits,
     hide,
     max_embeddable_bits,
@@ -410,6 +413,35 @@ def test_keys_have_no_default_nonce():
     # a shared default would give every cover under one image key one keystream
     with pytest.raises(TypeError):
         StegoKeys(data_key=bytes(16), image_key=b"image key bytes")
+
+
+@pytest.mark.parametrize("nonce", [-1, 2**64, "1", 1.0, None])
+def test_keys_reject_a_nonce_outside_the_64_bit_domain(nonce):
+    with pytest.raises(KeyEncodingError):
+        StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
+    with pytest.raises(KeyEncodingError):
+        recover_original(make_cover(np.random.default_rng(8), 8, 8), KEYS.image_key, nonce)
+
+
+def test_keys_take_both_ends_of_the_nonce_domain():
+    assert StegoKeys(KEYS.data_key, KEYS.image_key, 0).nonce == 0
+    assert StegoKeys(KEYS.data_key, KEYS.image_key, 2**64 - 1).nonce == 2**64 - 1
+
+
+@pytest.mark.parametrize("host", [RED, np.s_[:1600]], ids=["image", "video"])
+def test_embedding_leaves_every_sample_outside_the_host_unchanged(host):
+    # hide's PSNR counts the squared error of the host alone
+    rng = np.random.default_rng(31)
+    cover = make_cover(rng, 40, 40)
+    before = cover.reshape(-1).copy()
+    before[host] = cover[:, :, 0].reshape(-1)  # the peaked plane, as a frame's Y
+    raw = before.copy()
+    frames = build_frames(b"outside", KEYS.data_key, IV, [max_embeddable_bits(raw[host])])
+    embed_segments([raw], host, frames, KEYS)
+    outside = np.ones(raw.size, dtype=bool)
+    outside[host] = False
+    assert np.array_equal(raw[outside], before[outside])
+    assert not np.array_equal(raw[host], before[host])
 
 
 def test_hide_reveal_roundtrip():

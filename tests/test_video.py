@@ -11,6 +11,7 @@ from rdhkit.errors import (
     BadSignature,
     CapacityError,
     HeaderChecksum,
+    KeyEncodingError,
     MissingSegment,
     NoZeroBin,
     RdhError,
@@ -109,6 +110,13 @@ def test_nonce_token_helpers():
     assert sum(t.startswith(b"XRDHCTR=") for t in restamped.params) == 1
     # the token survives the container
     assert vid.video_nonce(vid.parse_y4m(vid.write_y4m(stamped))) == 0xDEADBEEF
+
+
+@pytest.mark.parametrize("nonce", [-1, 2**64])
+def test_nonce_token_rejects_a_nonce_outside_64_bits(nonce):
+    clip = make_clip(np.random.default_rng(4), nframes=1, size=8)
+    with pytest.raises(KeyEncodingError):
+        vid.with_video_nonce(clip, nonce)
 
 
 HEAD444 = b"YUV4MPEG2 W2 H2 F25:1 C444\n"
