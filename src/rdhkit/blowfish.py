@@ -23,18 +23,15 @@ whole arrays of counter blocks at once.  Four choices keep it fast and small:
   inside the 65,536-entry fused table and a uint8 index inside an S-box; the
   default bounds check would also stage each gather in a temporary.  The
   last round's halves are whitened straight into the big-endian output.
-- 32-bit counter words, no 64-bit counter array.  A chunk is at most two
-  runs: counters sharing one high word, whose low words count up from the
-  run's first without wrapping.  The first run takes the chunk's base; a
-  second starts at the first block whose low word wrapped, with low word 0
-  and the high word plus one (mod 2^32).  That happens at most once in a
-  chunk of far fewer than 2^32 blocks.
-- Counter-determined rounds.  Within a run, round 0's input is the high
+- 32-bit counter words, no 64-bit counter array.  A chunk also ends where
+  the low word carries, so its counters share one high word and their low
+  words count up from the chunk's first without wrapping.
+- Counter-determined rounds.  Within a chunk, round 0's input is the high
   word alone, so its F is one scalar; it sets the key K that round 1's input
   ``v ^ K`` carries, v being the low word.  Round 1's F is then a row term,
   ``T01 ^ S2`` of ``(v >> 8) ^ (K >> 8)``, plus a column term, ``S3`` of
   ``(v & 0xFF) ^ (K & 0xFF)``: a table of one word per 256-counter row the
-  run touches and one of 256 words, added by broadcasting into the left
+  chunk touches and one of 256 words, added by broadcasting into the left
   half.  Rounds 0 and 1 thus make no per-block gather, and only rounds 2-15
   gather per block.
 
@@ -167,15 +164,13 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     g_buf = np.empty(n, dtype=np.uint32)
     p, t01, s2, s3 = state.p, state._t01, state._s_np[2], state._s_np[3]
 
-    for start in range(0, nblocks, _CHUNK_BLOCKS):
-        m = min(_CHUNK_BLOCKS, nblocks - start)
-        xl, xr, f, g = xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
+    start = 0
+    while start < nblocks:
         base = (nonce + start) & _MASK64
         high, low = base >> 32, base & _MASK32
-        run = min(m, (1 << 32) - low)  # the blocks before the low word wraps
-        _first_two_rounds(state, high, low, xl[:run], xr[:run])
-        if run < m:
-            _first_two_rounds(state, (high + 1) & _MASK32, 0, xl[run:], xr[run:])
+        m = min(_CHUNK_BLOCKS, nblocks - start, (1 << 32) - low)  # ends at the low word's carry
+        xl, xr, f, g = xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
+        _first_two_rounds(state, high, low, xl, xr)
         il, ir = _index_views(xl), _index_views(xr)
         for i in range(2, 16):
             if i > 2:  # round 2's P entry is already in xl
@@ -193,6 +188,7 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
         # whitened crosswise into the output words: (xr ^ P17, xl ^ P16)
         np.bitwise_xor(xr, p[17], out=words[start : start + m, 0])
         np.bitwise_xor(xl, p[16], out=words[start : start + m, 1])
+        start += m
     out = words.view(np.uint8).reshape(-1)[:nbytes]
     np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
     return out
@@ -207,20 +203,20 @@ def _index_views(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _first_two_rounds(
     state: BlowfishState, high: int, low: int, xl: np.ndarray, xr: np.ndarray
 ) -> None:
-    """Rounds 0 and 1 for the run of counters (high, low + i), i < len(xl), whose
-    low words do not wrap; writes the halves that enter round 2, with P2 in xl.
+    """Rounds 0 and 1 for the counters (high, low + i), i < len(xl), whose low
+    words do not wrap; writes the halves that enter round 2, with P2 in xl.
 
     Round 0's input is the high word alone, so its F is one scalar, and round
     1's input is v ^ key with v = low + i.  Its F depends on x >> 8 =
     (v >> 8) ^ (key >> 8) through T01 ^ S2 and on x & 0xFF = (v & 0xFF) ^
     (key & 0xFF) through S3, so it is a row term plus a column term over the
-    run's 256-counter rows: one small table for each, broadcast into xl.
+    256-counter rows: one small table for each, broadcast into xl.
     """
     p, (s0, s1, s2, s3) = state.p, state.s
     x = high ^ p[0]
     key = ((s0[x >> 24] + s1[x >> 16 & 0xFF] ^ s2[x >> 8 & 0xFF]) + s3[x & 0xFF] & _MASK32) ^ p[1]
     np.bitwise_xor(np.arange(low, low + xl.size, dtype=np.uint32), key, out=xr)  # v ^ key
-    # x >> 8 for each 256-counter row the run touches, x & 0xFF for each column
+    # x >> 8 for each 256-counter row the chunk touches, x & 0xFF for each column
     rows = np.arange(low >> 8, ((low + xl.size - 1) >> 8) + 1, dtype=np.uint32)
     rows ^= key >> 8
     cols = _BYTES ^ (key & 0xFF)

@@ -9,22 +9,22 @@ Layout, all integers big-endian::
 
     "HUF1" | original_len u32 | symbol_count u16 | symbol_count x (symbol u8, length u8) | bitstream
 
-The bitstream is MSB-first.  Encoding lays every byte value's codeword out
-as a row of bits and packs the rows of the whole input with ``np.packbits``.
+The bitstream is MSB-first.  The encoder derives every byte value's codeword
+from the code lengths, as the decoder does, lays the codewords out as rows of
+bits and packs the rows of the whole input with ``np.packbits``.
 Decoding peeks ``_PEEK_BITS`` bits at a time out of 24-bit windows, one per
 stream byte, and looks the symbol and its code length up together in a
 canonical table.  A code longer than the peek, which only the rarest symbols
 get, is looked up length by length; lengths are bounded by the u8 length
-field, so a code is at most 255 bits.  Prefixes that start no codeword raise ``Truncated``, and a
-declared length that needs more symbols than the stream has bits is rejected
-before any output is allocated.
+field, so a code is at most 255 bits.  Prefixes that start no codeword raise
+``Truncated``, and a declared length that needs more symbols than the stream
+has bits is rejected before any output is allocated.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +37,8 @@ _PEEK_BITS = 11  # codes up to this long decode with one table lookup
 _PACK_CHUNK = 1 << 16  # symbols laid out as bit rows at a time, to bound the rows' memory
 
 
-def build_frequency_table(data: bytes) -> list[int]:
-    """Occurrence count for each of the 256 byte values."""
-    return np.bincount(np.frombuffer(data, np.uint8), minlength=256).tolist()
-
-
-@dataclass
-class CodeTable:
-    lengths: list[int]  # 256 entries, 0 = symbol absent
-    codes: list[int]    # canonical codeword per symbol, valid where length > 0
-
-
-def build_canonical_codes(freq: list[int]) -> CodeTable:
-    """Optimal prefix code lengths plus canonical codewords.
+def code_lengths(freq: list[int]) -> list[int]:
+    """Optimal prefix code length of each of the 256 byte values, 0 = absent.
 
     The merge queue is ordered by (weight, smallest symbol value contained),
     so two runs over the same input always build the same tree.  A lone
@@ -62,26 +51,23 @@ def build_canonical_codes(freq: list[int]) -> CodeTable:
     lengths = [0] * 256
     if len(present) == 1:
         lengths[present[0]] = 1
-    else:
-        # heap entries: (weight, min contained symbol, list of (symbol, depth))
-        heap = [(freq[s], s, [(s, 0)]) for s in present]
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            w1, m1, leaves1 = heapq.heappop(heap)
-            w2, m2, leaves2 = heapq.heappop(heap)
-            merged = [(s, d + 1) for s, d in leaves1] + [(s, d + 1) for s, d in leaves2]
-            heapq.heappush(heap, (w1 + w2, min(m1, m2), merged))
-        for s, depth in heap[0][2]:
-            lengths[s] = depth
-
-    return CodeTable(lengths, _assign_canonical(lengths))
+    # heap entries: (weight, smallest symbol, symbols); a merge deepens them all
+    heap = [(freq[s], s, [s]) for s in present]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        w1, m1, group = heapq.heappop(heap)
+        w2, m2, other = heapq.heappop(heap)
+        group += other
+        for s in group:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, min(m1, m2), group))
+    return lengths
 
 
 def _assign_canonical(lengths: list[int]) -> list[int]:
     codes = [0] * 256
     order = sorted((s for s in range(256) if lengths[s] > 0), key=lambda s: (lengths[s], s))
-    code = 0
-    prev_len = 0
+    code = prev_len = 0
     for s in order:
         code <<= lengths[s] - prev_len
         codes[s] = code
@@ -105,26 +91,21 @@ def huffman_compress(data: bytes) -> bytes:
     """Serialized container that huffman_decompress inverts exactly."""
     if len(data) > _MAX_INPUT:
         raise TooLarge(f"input of {len(data)} bytes exceeds the 32-bit length field")
-    present = sorted(set(data))
-    out = bytearray(_HEADER.pack(MAGIC, len(data), len(present)))
     if not data:
-        return bytes(out)
-    table = build_canonical_codes(build_frequency_table(data))
-    for s in present:
-        out.append(s)
-        out.append(table.lengths[s])
-    out += _pack_codes(data, table)
-    return bytes(out)
+        return _HEADER.pack(MAGIC, 0, 0)
+    lengths = code_lengths(np.bincount(np.frombuffer(data, np.uint8), minlength=256).tolist())
+    table = bytes(b for s, length in enumerate(lengths) if length for b in (s, length))
+    return _HEADER.pack(MAGIC, len(data), len(table) // 2) + table + _pack_codes(data, lengths)
 
 
-def _pack_codes(data: bytes, table: CodeTable) -> bytes:
-    """Every byte's codeword in turn, MSB first, zero-padded to a whole byte."""
-    width = max(table.lengths)
+def _pack_codes(data: bytes, lengths: list[int]) -> bytes:
+    """Every byte's canonical codeword in turn, MSB first, zero-padded to a whole byte."""
+    width = max(lengths)
     rows = np.zeros((256, width), np.uint8)  # row s: the bits of s's codeword
-    for s, length in enumerate(table.lengths):
-        if length:
-            rows[s, :length] = [int(bit) for bit in format(table.codes[s], f"0{length}b")]
-    used = np.arange(width) < np.array(table.lengths)[:, None]
+    for s, code in enumerate(_assign_canonical(lengths)):
+        if lengths[s]:
+            rows[s, : lengths[s]] = [int(bit) for bit in format(code, f"0{lengths[s]}b")]
+    used = np.arange(width) < np.array(lengths)[:, None]
     symbols = np.frombuffer(data, np.uint8)
     chunks = (symbols[i : i + _PACK_CHUNK] for i in range(0, symbols.size, _PACK_CHUNK))
     return np.packbits(np.concatenate([rows[c][used[c]] for c in chunks])).tobytes()

@@ -87,8 +87,8 @@ def _number(tok: bytes, what: str) -> int:
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
     """Canonical binary PPM bytes; load_ppm inverts this exactly."""
     img = np.ascontiguousarray(img, dtype=np.uint8)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DimensionMismatch(f"expected an RGB (h, w, 3) raster, got shape {img.shape}")
+    if img.ndim != 3 or img.shape[2] != 3 or not img.size:
+        raise DimensionMismatch(f"expected a non-empty RGB (h, w, 3) raster, got shape {img.shape}")
     height, width = img.shape[:2]
     head = bytearray(b"P6\n")
     if nonce is not None:

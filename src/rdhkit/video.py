@@ -15,8 +15,10 @@ plain-domain marked cover.
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
 it and none after the last, a parameter being any bytes other than space and
-LF.  It must hold ``W`` and ``H`` (positive decimal) and an ``F`` rate;
-``C420`` (the default, even dimensions) and ``C444`` are the colorspaces.
+LF.  It must hold ``W`` and ``H`` (positive decimal) and an ``F`` rate.  The
+colorspaces are ``C444`` and 4:2:0 (even dimensions): ``C420``, the default,
+or its chroma sitings ``C420jpeg``, ``C420mpeg2`` and ``C420paldv``, which
+share its plane sizes; the token itself round-trips verbatim.
 Each frame is the line ``FRAME\\n`` or ``FRAME <any bytes but LF>\\n``, then
 exactly the frame's Y, U and V plane bytes; nothing follows the last frame.
 
@@ -48,6 +50,10 @@ _STREAM_HEADER = re.compile(rb"YUV4MPEG2 ([^ \n]+(?: [^ \n]+)*)\n")
 _FRAME_HEADER = re.compile(rb"FRAME((?: [^\n]*)?)\n")
 _NONCE_PREFIX = b"XRDHCTR="
 _NONCE_TOKEN = re.compile(rb"XRDHCTR=([0-9a-fA-F]{16})")
+# colorspace token -> plane layout; the 4:2:0 sitings differ only in chroma position
+_COLORSPACES = {b"C444": "C444"} | dict.fromkeys(
+    (b"C420", b"C420jpeg", b"C420mpeg2", b"C420paldv"), "C420"
+)
 
 
 @dataclass
@@ -81,10 +87,10 @@ def parse_y4m(data: bytes) -> Y4mVideo:
         elif tok.startswith(b"F"):
             saw_rate = True
         elif tok.startswith(b"C"):
-            cs = tok.decode("ascii", "replace")
-            if cs not in ("C420", "C444"):
+            if tok not in _COLORSPACES:
+                cs = tok.decode("ascii", "replace")
                 raise UnsupportedColorspace(f"colorspace {cs} is not supported")
-            colorspace = cs
+            colorspace = _COLORSPACES[tok]
     if width is None or height is None:
         raise BadSignature("stream header lacks W or H")
     if not saw_rate:

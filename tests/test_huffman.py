@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import struct
@@ -34,46 +35,37 @@ def optimal_code_cost(freqs: list[int]) -> int:
     return best(weights)
 
 
-def test_frequency_table_empty():
-    assert huffman.build_frequency_table(b"") == [0] * 256
-
-
-def test_frequency_table_direct_counts():
-    counts = huffman.build_frequency_table(b"aaa")
-    assert counts[ord("a")] == 3
-    assert sum(counts) == 3
-
-    counts = huffman.build_frequency_table(b"abracadabra")
-    expect = {"a": 5, "b": 2, "r": 2, "c": 1, "d": 1}
-    for ch, n in expect.items():
-        assert counts[ord(ch)] == n
-    assert sum(counts) == 11
+def container_lengths(container: bytes) -> list[int]:
+    """The code lengths a HUF1 container lists, in table order."""
+    (count,) = struct.unpack_from(">H", container, 8)
+    return list(container[11 : 10 + 2 * count : 2])
 
 
 def test_single_symbol_gets_length_one():
     freq = [0] * 256
     freq[ord("a")] = 7
-    table = huffman.build_canonical_codes(freq)
-    assert table.lengths[ord("a")] == 1
-    assert table.codes[ord("a")] == 0
+    lengths = huffman.code_lengths(freq)
+    assert lengths[ord("a")] == 1
+    assert sum(lengths) == 1
+    assert huffman._assign_canonical(lengths)[ord("a")] == 0
 
 
 def test_two_equal_symbols():
     freq = [0] * 256
     freq[ord("x")] = 5
     freq[ord("y")] = 5
-    table = huffman.build_canonical_codes(freq)
-    assert table.lengths[ord("x")] == table.lengths[ord("y")] == 1
-    assert table.codes[ord("x")] == 0
-    assert table.codes[ord("y")] == 1
+    lengths = huffman.code_lengths(freq)
+    assert lengths[ord("x")] == lengths[ord("y")] == 1
+    codes = huffman._assign_canonical(lengths)
+    assert codes[ord("x")] == 0
+    assert codes[ord("y")] == 1
 
 
 def test_abracadabra_lengths_and_total():
-    freq = huffman.build_frequency_table(b"abracadabra")
-    table = huffman.build_canonical_codes(freq)
-    lengths = {ch: table.lengths[ord(ch)] for ch in "abrcd"}
-    assert lengths == {"a": 1, "r": 2, "b": 3, "c": 4, "d": 4}
-    total = sum(freq[s] * table.lengths[s] for s in range(256))
+    freq = [b"abracadabra".count(s) for s in range(256)]
+    lengths = huffman.code_lengths(freq)
+    assert {ch: lengths[ord(ch)] for ch in "abrcd"} == {"a": 1, "r": 2, "b": 3, "c": 4, "d": 4}
+    total = sum(freq[s] * lengths[s] for s in range(256))
     assert total == 23
     # the exhaustive oracle confirms 23 is optimal for these frequencies
     assert optimal_code_cost([5, 2, 2, 1, 1]) == 23
@@ -81,7 +73,7 @@ def test_abracadabra_lengths_and_total():
 
 def test_empty_frequency_table_rejected():
     with pytest.raises(EmptyInput):
-        huffman.build_canonical_codes([0] * 256)
+        huffman.code_lengths([0] * 256)
 
 
 @pytest.mark.parametrize("num_symbols", [2, 3, 4, 5, 6])
@@ -92,8 +84,8 @@ def test_optimality_matches_exhaustive_oracle(num_symbols):
         symbols = rng.sample(range(256), num_symbols)
         for s in symbols:
             freq[s] = rng.randrange(1, 50)
-        table = huffman.build_canonical_codes(freq)
-        total = sum(freq[s] * table.lengths[s] for s in symbols)
+        lengths = huffman.code_lengths(freq)
+        total = sum(freq[s] * lengths[s] for s in symbols)
         assert total == optimal_code_cost([freq[s] for s in symbols])
 
 
@@ -121,6 +113,50 @@ def test_single_repeated_byte_bitstream():
 def test_container_is_deterministic():
     data = bytes(random.Random(1).randbytes(500))
     assert huffman.huffman_compress(data) == huffman.huffman_compress(data)
+
+
+# English letter frequencies (per 10,000), most common first
+LETTER_WEIGHTS = dict(
+    zip(
+        "etaoinshrdlcumwfgypbvkjxqz",
+        (1270, 906, 817, 751, 697, 675, 633, 609, 599, 425, 403, 278, 276,
+         241, 236, 223, 202, 197, 193, 149, 98, 77, 15, 15, 10, 7),
+    )
+)
+
+
+def seeded_prose(seed: int, nbytes: int) -> bytes:
+    """Prose-like bytes: English-frequency letters, rare capitals, spaces and
+    punctuation, so the rarest symbols get codes longer than the peek."""
+    symbols = list(LETTER_WEIGHTS) + [c.upper() for c in LETTER_WEIGHTS] + [" ", ".", ",", "\n"]
+    weights = (
+        list(LETTER_WEIGHTS.values())
+        + [w / 40 for w in LETTER_WEIGHTS.values()]
+        + [1800, 90, 110, 20]
+    )
+    return "".join(random.Random(seed).choices(symbols, weights, k=nbytes)).encode()
+
+
+HUF1_DIGESTS = {
+    "prose": "dc57eb8ecbb5fab0a11d39e93c1bf9c37729c840b0077c54124dd1aa8bab483f",
+    "one-symbol": "1138fa58e6c3805051c6dac84d748b7b70e196b27feab81373f5b98d4bf95b61",
+    "empty": "36569ee492a570999b90567cabcd8c5a3a7531bfb7fc50521183ebda4c6ac194",
+}
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [("prose", seeded_prose(15, 8192)), ("one-symbol", b"\x42" * 1000), ("empty", b"")],
+)
+def test_container_golden_digest(name, data):
+    container = huffman.huffman_compress(data)
+    assert hashlib.sha256(container).hexdigest() == HUF1_DIGESTS[name]
+    assert huffman.huffman_decompress(container) == data
+
+
+def test_golden_prose_reaches_the_long_code_path():
+    lengths = container_lengths(huffman.huffman_compress(seeded_prose(15, 8192)))
+    assert max(lengths) > huffman._PEEK_BITS
 
 
 def test_bad_magic():
@@ -196,9 +232,8 @@ def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
 
 def test_codes_longer_than_the_peek_round_trip():
     data = fibonacci_weighted(22, seed=21)
-    table = huffman.build_canonical_codes(huffman.build_frequency_table(data))
-    assert max(table.lengths) >= 20 > huffman._PEEK_BITS
-    container = huffman.huffman_compress(bytes(data))
+    container = huffman.huffman_compress(data)
+    assert max(container_lengths(container)) >= 20 > huffman._PEEK_BITS
     assert huffman.huffman_decompress(container) == data
     with pytest.raises(Truncated):
         huffman.huffman_decompress(container[:-1])

@@ -7,6 +7,7 @@ from rdhkit import netpbm
 from rdhkit.errors import (
     BadImageMagic,
     BadMaxval,
+    DimensionMismatch,
     FormatError,
     KeyEncodingError,
     MalformedHeader,
@@ -158,6 +159,16 @@ def test_save_rejects_a_nonce_outside_64_bits(nonce):
     img = np.array([[[1, 2, 3], [4, 5, 6]]], dtype=np.uint8)
     with pytest.raises(KeyEncodingError):
         netpbm.save_ppm(img, nonce=nonce)
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+def test_save_refuses_what_load_rejects(shape):
+    img = np.zeros(shape, np.uint8)
+    with pytest.raises(DimensionMismatch):
+        netpbm.save_ppm(img)
+    h, w = shape[:2]
+    with pytest.raises(MalformedHeader):
+        netpbm.load_ppm(b"P6\n%d %d\n255\n" % (w, h))
 
 
 def test_save_is_deterministic_and_roundtrips():

@@ -87,9 +87,17 @@ def test_odd_width_c420_rejected():
         vid.parse_y4m(b"YUV4MPEG2 W3 H2 F25:1 C420\n")
 
 
+@pytest.mark.parametrize("token", [b"C420", b"C420jpeg", b"C420mpeg2", b"C420paldv"])
+def test_odd_dimensions_rejected_for_every_420_siting(token):
+    for dims in (b"W3 H2", b"W2 H3"):
+        with pytest.raises(UnsupportedColorspace):
+            vid.parse_y4m(b"YUV4MPEG2 " + dims + b" F25:1 " + token + b"\n")
+
+
 def test_unknown_colorspace_rejected():
-    with pytest.raises(UnsupportedColorspace):
-        vid.parse_y4m(b"YUV4MPEG2 W2 H2 F25:1 C422\n")
+    for token in (b"C422", b"C420p10", b"Cmono"):
+        with pytest.raises(UnsupportedColorspace):
+            vid.parse_y4m(b"YUV4MPEG2 W2 H2 F25:1 " + token + b"\n")
 
 
 def test_truncated_frame():
@@ -340,6 +348,21 @@ def test_wrong_image_key_fails_on_frame_zero():
     wrong = StegoKeys(KEYS.data_key, b"other key", KEYS.nonce)
     with pytest.raises(HeaderChecksum):
         vid.video_reveal(marked, wrong)
+
+
+@pytest.mark.parametrize("token", [b"C420jpeg", b"C420mpeg2", b"C420paldv"])
+def test_420_siting_tokens_hide_and_reveal_like_c420(token):
+    cover = make_clip(np.random.default_rng(13), nframes=3)
+    raw = vid.write_y4m(replace(cover, params=[*cover.params[:3], token]))
+    clip = vid.parse_y4m(raw)
+    assert clip.colorspace == "C420"
+    assert clip.params[-1] == token
+    secret = np.random.default_rng(14).bytes(100)
+    marked = vid.write_y4m(vid.video_hide(clip, secret, KEYS, iv=IV))
+    assert marked.split(b"\n", 1)[0] == raw.split(b"\n", 1)[0]
+    got, original = vid.video_reveal(vid.parse_y4m(marked), KEYS)
+    assert got == secret
+    assert vid.write_y4m(original) == raw
 
 
 def test_c444_video_roundtrip():
