@@ -18,11 +18,12 @@ whole arrays of counter blocks at once.  Four choices keep it fast and small:
   time in chunk-sized buffers allocated once per call, which stay near the
   cache; the halves are updated in place.  The S-box indices are byte and
   half-word views of each half (no shift-and-mask passes), made once per
-  chunk, which ``np.take`` gathers through in ``"wrap"`` mode straight into
-  preallocated outputs.  The wrap is exact, as a uint16 index always lies
-  inside the 65,536-entry fused table and a uint8 index inside an S-box; the
-  default bounds check would also stage each gather in a temporary.  The
-  last round's halves are whitened straight into the big-endian output.
+  chunk, which the ``ndarray.take`` method (not the slower ``np.take``
+  wrapper) gathers through in ``"wrap"`` mode straight into preallocated
+  outputs.  The wrap is exact, as a uint16 index always lies inside the
+  65,536-entry fused table and a uint8 index inside an S-box; the default
+  bounds check would also stage each gather in a temporary.  The last
+  round's halves are whitened straight into the big-endian output.
 - 32-bit counter words, no 64-bit counter array.  A chunk also ends where
   the low word carries, so its counters share one high word and their low
   words count up from the chunk's first without wrapping.
@@ -69,14 +70,15 @@ _BYTES = np.arange(256, dtype=np.uint8)
 
 
 class BlowfishState:
-    """P-array and S-boxes after key mixing, plus the fused S0+S1 table."""
+    """P-array and S-boxes after key mixing, as ints and as uint32 arrays, plus fused S0+S1."""
 
-    __slots__ = ("p", "s", "_s_np", "_t01")
+    __slots__ = ("p", "s", "_p32", "_s_np", "_t01")
 
     def __init__(self, p: list[int], s: list[list[int]]):
         self.p = tuple(p)
+        self._p32 = np.asarray(p, dtype=np.uint32)
         self.s = tuple(tuple(box) for box in s)
-        self._s_np = [np.asarray(box, dtype=np.uint32) for box in s]
+        self._s_np = np.asarray(s, dtype=np.uint32)  # one (4, 256) array
         # _t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32, 65,536 entries
         self._t01 = (self._s_np[0][:, None] + self._s_np[1][None, :]).reshape(-1)
 
@@ -162,7 +164,7 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     xr_buf = np.empty(n, dtype="<u4")
     f_buf = np.empty(n, dtype=np.uint32)
     g_buf = np.empty(n, dtype=np.uint32)
-    p, t01, s2, s3 = state.p, state._t01, state._s_np[2], state._s_np[3]
+    p, t01, s2, s3 = state._p32, state._t01, state._s_np[2], state._s_np[3]
 
     start = 0
     while start < nblocks:
@@ -177,10 +179,10 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
                 np.bitwise_xor(xl, p[i], out=xl)
             # F(x) = (T01[x >> 16] ^ S2[(x >> 8) & 0xFF]) + S3[x & 0xFF]
             hw, b1, b0 = il
-            np.take(t01, hw, out=f, mode="wrap")
-            np.take(s2, b1, out=g, mode="wrap")
+            t01.take(hw, out=f, mode="wrap")
+            s2.take(b1, out=g, mode="wrap")
             f ^= g
-            np.take(s3, b0, out=g, mode="wrap")
+            s3.take(b0, out=g, mode="wrap")
             f += g
             xr ^= f
             xl, xr, il, ir = xr, xl, ir, il
@@ -220,9 +222,9 @@ def _first_two_rounds(
     rows = np.arange(low >> 8, ((low + xl.size - 1) >> 8) + 1, dtype=np.uint32)
     rows ^= key >> 8
     cols = _BYTES ^ (key & 0xFF)
-    row_f = np.take(state._t01, rows >> 8)
-    row_f ^= np.take(state._s_np[2], rows & 0xFF)
-    _rows_plus_cols(row_f, np.take(state._s_np[3], cols), low & 0xFF, xl)
+    row_f = state._t01.take(rows >> 8, mode="wrap")
+    row_f ^= state._s_np[2].take(rows & 0xFF, mode="wrap")
+    _rows_plus_cols(row_f, state._s_np[3].take(cols, mode="wrap"), low & 0xFF, xl)
     np.bitwise_xor(xl, x ^ p[2], out=xl)  # round 1 XORs F into high ^ P0
 
 

@@ -12,8 +12,10 @@ The kernels keep each sample at one byte: the shift and its inverse add or
 subtract a boolean mask, and the payload moves through boolean masks of the
 peak and mark samples, never through arrays of positions.  Only counting
 widens (``np.bincount`` makes each sample an 8-byte index), so
-``count_values`` counts BLOCK samples at a time, a fixed 512 KB temporary.
-Embedding counts nothing itself: its capacity check counts the peak mask.
+``count_values`` counts BLOCK samples at a time (a plane of one block in
+one ``np.bincount``), a fixed 512 KB temporary.  Embedding counts nothing
+itself: its capacity check counts the peak mask.  Extraction scans from a
+first step sized by the bit count and stops at the step holding the last.
 
 All functions accept numpy uint8 arrays of any shape (flat and strided
 views of image planes included) and return new arrays of the same shape.
@@ -33,10 +35,15 @@ from .errors import (
 # samples per pass wherever a whole-plane pass would widen every sample
 # (np.bincount here, the squares in metrics.mse): the temporary stays fixed
 BLOCK = 1 << 16
+# hs_extract's first scan step per carried bit: a sigma=6 Gaussian plane
+# carries about 1 bit per 15 samples, so one step usually holds them all
+_SCAN_PER_BIT = 16
 
 
 def count_values(flat: np.ndarray) -> np.ndarray:
     """The 256-bin histogram of a flat uint8 array, counted BLOCK samples at a time."""
+    if flat.size <= BLOCK:  # one block: no running sum to add into
+        return np.bincount(flat, minlength=256)
     hist = np.zeros(256, dtype=np.intp)
     for start in range(0, flat.size, BLOCK):
         hist += np.bincount(flat[start : start + BLOCK], minlength=256)
@@ -95,16 +102,17 @@ def hs_extract(
     """Inverse of hs_embed: (restored plane, the nbits payload bits)."""
     _check_bins(peak, zero)
     plane = np.asarray(plane, dtype=np.uint8)
-    # the carried bits sit at the peak and mark bins, two adjacent values;
-    # the scan stops at the block that holds the nbits-th of them
+    # the carried bits sit at the peak and mark bins, two adjacent values; the
+    # scan stops at the step that holds the nbits-th (each after the first is BLOCK)
     mark = peak + 1 if peak < zero else peak - 1
     flat = plane.reshape(-1)
     bits, got, start = np.empty(nbits, dtype=np.uint8), 0, 0
+    step = min(BLOCK, _SCAN_PER_BIT * nbits)
     while got < nbits and start < flat.size:
-        block = flat[start : start + BLOCK]
+        block = flat[start : start + step]
         carried = block[_in_run(block, min(peak, mark), 2)][: nbits - got]
         bits[got : got + carried.size] = carried == mark
-        got, start = got + carried.size, start + BLOCK
+        got, start, step = got + carried.size, start + step, BLOCK
     if got < nbits:
         raise PayloadOverrun(f"need {nbits} payload slots, plane holds {got}")
     moved = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero))

@@ -240,7 +240,8 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     if region_b.size == 0:
         raise CapacityExceeded(needed=header_end, available=0, detail="region B is empty")
     peak, zero, _ = plan_hs(region_b)  # hs_embed checks the capacity
-    backup = np.roll(out[:header_end] & 1, -frame_bits)  # header slots' LSBs, then region A's
+    # the header slots' LSBs, then region A's: the first header_end rotated left by frame_bits
+    backup = np.concatenate((out[frame_bits:header_end], out[:frame_bits])) & 1
     region_b[...] = hs_embed(region_b, backup, peak, zero)
     header = SideHeader(peak, zero, frame_bits).pack()
     _set_lsbs(out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8)))
@@ -263,7 +264,7 @@ def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
             f"the payload frame occupies {frame_bits} bits"
         )
     out[header_end:], backup = hs_extract(out[header_end:], header.peak, header.zero, header_end)
-    _set_lsbs(out[:header_end], np.roll(backup, frame_bits))
+    _set_lsbs(out[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
     return out
 
 
@@ -302,7 +303,10 @@ def recover(
 
 def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
     """Parse the payload frame from the LSBs of raw[host]; needs no key material."""
-    return parse_frame(np.packbits(raw[host] & 1).tobytes())
+    samples = raw[host]  # pack only the frame's LSBs: the fixed header's for ct_len, then all
+    fixed = np.packbits(samples[: 8 * _FRAME_FIXED.size] & 1).tobytes()
+    ct_len = _FRAME_FIXED.unpack(fixed)[-1] if len(fixed) == _FRAME_FIXED.size else 0
+    return parse_frame(np.packbits(samples[: frame_num_bits(ct_len)] & 1).tobytes())
 
 
 def embed_segments(

@@ -240,6 +240,7 @@ def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
         ((1 << 32) - CHUNK, 8 * (CHUNK + 17) + 1),  # carry exactly at a chunk boundary
         (MASK64 - 100, 8 * 300 + 7),  # wraps at 2^64 inside a chunk
         ((1 << 64) - CHUNK, 8 * (CHUNK + 9)),  # wraps at 2^64 at a chunk boundary
+        (0x00000000FFFFFFFD, 38016),  # one QCIF frame straddling a low-word carry
     ],
 )
 def test_keystream_matches_independent_blowfish(nonce, nbytes):
@@ -276,3 +277,9 @@ def test_fused_table_is_s0_plus_s1():
     assert state._t01.shape == (65536,)
     for a, b in ((0, 0), (0, 255), (255, 0), (255, 255), (17, 200), (128, 1)):
         assert state._t01[(a << 8) | b] == (s0[a] + s1[b]) & 0xFFFFFFFF
+
+
+def test_precast_p_words_are_p():
+    state = bf.bf_key_schedule(b"precast P")
+    assert state._p32.dtype == np.uint32 and state._p32.shape == (18,)
+    assert state._p32.tolist() == list(state.p)

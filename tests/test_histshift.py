@@ -17,6 +17,14 @@ def brute_histogram(plane):
     return counts
 
 
+@pytest.mark.parametrize("size", [0, 1, hs.BLOCK - 1, hs.BLOCK, hs.BLOCK + 1, 3 * hs.BLOCK + 7])
+def test_count_values_on_both_sides_of_one_block(size):
+    flat = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+    hist = hs.count_values(flat)
+    assert hist.dtype == np.intp and hist.shape == (256,)
+    assert hist.tolist() == np.bincount(flat.astype(np.int64), minlength=256).tolist()
+
+
 def test_plan_constant_plane():
     plane = np.full((4, 4), 9, dtype=np.uint8)
     assert hs.plan_hs(plane) == (9, 10, 16)
@@ -271,6 +279,51 @@ def test_extract_matches_mask_reference():
         assert_same(outcome(hs.hs_extract, plane, peak, zero, nbits), want, plane.shape)
         seen.add(want if isinstance(want, type) else ("up" if peak < zero else "down"))
     assert seen == {"up", "down", ValueError, PayloadOverrun}
+
+
+def scan_plane(rng, size, peak, mark, carriers):
+    """A flat plane whose peak and mark samples sit exactly at the carrier positions."""
+    others = np.setdiff1d(np.arange(256, dtype=np.uint8), [peak, mark])
+    flat = rng.choice(others, size)
+    flat[carriers] = rng.choice(np.array([peak, mark], dtype=np.uint8), len(carriers))
+    return flat
+
+
+@pytest.mark.parametrize("peak, zero", [(100, 140), (100, 60)])
+def test_extract_matches_reference_across_scan_steps(peak, zero):
+    # hs_extract scans a first step of _SCAN_PER_BIT * nbits samples (at most
+    # BLOCK), then BLOCK at a time; put the nbits-th carried bit on either
+    # side of each step end and of the plane's first BLOCK, with and without
+    # an empty first step, on planes of more than two blocks
+    rng = np.random.default_rng(503)
+    mark = peak + 1 if peak < zero else peak - 1
+    size = 2 * hs.BLOCK + 4321
+    per_bit = hs._SCAN_PER_BIT
+    seen = set()
+    for nbits in (1, 3, 328, hs.BLOCK // per_bit - 1, hs.BLOCK // per_bit, 5000):
+        step = min(hs.BLOCK, per_bit * nbits)
+        for edge in {step, step + hs.BLOCK, hs.BLOCK}:
+            for last, empty_head in ((edge - 1, False), (edge, False), (edge, True)):
+                head = step if empty_head else 0
+                if last - head < nbits - 1 or last < 0:
+                    continue
+                before = rng.choice(np.arange(head, last), nbits - 1, replace=False)
+                after = rng.choice(np.arange(last + 1, size), 50, replace=False)
+                flat = scan_plane(rng, size, peak, mark, np.concatenate((before, [last], after)))
+                carried = np.flatnonzero((flat == peak) | (flat == mark))
+                assert carried[nbits - 1] == last
+                if empty_head:
+                    assert carried[0] >= step
+                    seen.add("empty first step")
+                seen.add(("before" if last < edge else "at", "step" if edge == step else "block"))
+                for n in (nbits - 1, nbits, nbits + 1):
+                    want = mask_hs_extract(flat, peak, zero, n)
+                    assert_same(hs.hs_extract(flat, peak, zero, n), want, flat.shape)
+                short = carried.size + 1  # more bits than the plane carries
+                assert outcome(hs.hs_extract, flat, peak, zero, short) is PayloadOverrun
+    assert seen == {
+        "empty first step", ("before", "step"), ("at", "step"), ("before", "block"), ("at", "block")
+    }
 
 
 @pytest.mark.parametrize(

@@ -406,6 +406,39 @@ def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
     assert 0 < sum(counted) <= 2 * n
 
 
+def whole_host_frame(raw, host):
+    """Reference extract: parse the frame from all of the host's LSBs, packed."""
+    return parse_frame(np.packbits(raw[host] & 1).tobytes())
+
+
+def test_extract_matches_whole_host_parse():
+    # extract packs only the fixed header's bits and then the declared
+    # frame's; hosts shorter than either, truncated and mutated frames, and
+    # huge declared lengths must give the same frame or the same error
+    rng = random.Random(4099)
+    frame = PayloadFrame(1, 3, IV, bytes(range(40))).serialize()
+    seen = set()
+    for _ in range(3000):
+        stream = bytearray(frame + rng.randbytes(rng.randrange(0, 9)))
+        for _ in range(rng.randrange(0, 3)):
+            stream[rng.randrange(len(stream))] ^= 1 << rng.randrange(8)
+        if rng.random() < 0.2:
+            stream[9:13] = rng.randbytes(4)  # any declared ct_len
+        bits = np.unpackbits(np.frombuffer(bytes(stream), np.uint8))
+        bits = bits[: rng.randrange(0, bits.size + 1)]  # the host may end anywhere
+        raw = np.tile(np.array([6, 9, 200], dtype=np.uint8), bits.size)
+        raw[RED] = (raw[RED] & 0xFE) | bits
+        results = []
+        for read in (pipeline.extract, whole_host_frame):
+            try:
+                results.append(read(raw, RED))
+            except RdhError as exc:
+                results.append(type(exc))
+        assert results[0] == results[1]
+        seen.add(results[0] if isinstance(results[0], type) else "frame")
+    assert seen == {"frame", BadMagic, BadVersion, BadCrc}
+
+
 # --- hide / reveal --------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import embed_clip, planes, zero_segment_clip
+from conftest import embed_clip, make_cover, planes, zero_segment_clip
 from rdhkit import pipeline
 from rdhkit import video as vid
 from rdhkit.errors import (
@@ -464,3 +464,30 @@ def test_hide_and_reveal_return_clips_with_their_own_params():
     original.params.append(b"Xreveal")
     assert clip.params == params
     assert marked.params == [*params, b"Xhide"]
+
+
+def test_round_trips_never_dispatch_through_numpy_wrappers(monkeypatch):
+    # the cover cipher gathers with the ndarray.take method and room
+    # reservation rotates with np.concatenate; np.take and np.roll would add
+    # their Python wrappers' cost to every video frame
+    rng = np.random.default_rng(21)
+    clip = make_clip(rng, nframes=3)
+    cover = make_cover(rng, 48, 80)
+    expect_clip = vid.write_y4m(vid.video_hide(clip, b"no wrappers", KEYS, iv=IV))
+    expect_image = pipeline.hide(cover, b"no wrappers", KEYS, iv=IV).image
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispatched through a numpy wrapper")
+
+    monkeypatch.setattr(np, "take", refuse)
+    monkeypatch.setattr(np, "roll", refuse)
+    marked = vid.video_hide(clip, b"no wrappers", KEYS, iv=IV)
+    assert vid.write_y4m(marked) == expect_clip
+    got, original = vid.video_reveal(marked, KEYS)
+    assert got == b"no wrappers"
+    assert vid.write_y4m(original) == vid.write_y4m(clip)
+    image = pipeline.hide(cover, b"no wrappers", KEYS, iv=IV).image
+    assert np.array_equal(image, expect_image)
+    got, original = pipeline.reveal(image, KEYS)
+    assert got == b"no wrappers"
+    assert np.array_equal(original, cover)
