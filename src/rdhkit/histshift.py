@@ -12,8 +12,8 @@ The kernels keep each sample at one byte: the shift and its inverse add or
 subtract a boolean mask, and the payload moves through boolean masks of the
 peak and mark samples, never through arrays of positions.  Only counting
 widens (``np.bincount`` makes each sample an 8-byte index), so
-``count_values`` counts BLOCK samples at a time (a plane of one block in
-one ``np.bincount``), a fixed 512 KB temporary.  Embedding counts nothing
+``count_values`` counts BLOCK samples at a time (the first block's count
+is the running sum), a fixed 512 KB temporary.  Embedding counts nothing
 itself: its capacity check counts the peak mask.  Extraction scans from a
 first step sized by the bit count and stops at the step holding the last.
 
@@ -35,17 +35,16 @@ from .errors import (
 # samples per pass wherever a whole-plane pass would widen every sample
 # (np.bincount here, the squares in metrics.mse): the temporary stays fixed
 BLOCK = 1 << 16
-# hs_extract's first scan step per carried bit: a sigma=6 Gaussian plane
-# carries about 1 bit per 15 samples, so one step usually holds them all
+# hs_extract's first scan step per carried bit, tuned on the benchmark's
+# sigma=6 Gaussian planes (about 1 carried bit per 15 samples); on a flatter
+# histogram the first step misses some bits and the scan pays one more step
 _SCAN_PER_BIT = 16
 
 
 def count_values(flat: np.ndarray) -> np.ndarray:
     """The 256-bin histogram of a flat uint8 array, counted BLOCK samples at a time."""
-    if flat.size <= BLOCK:  # one block: no running sum to add into
-        return np.bincount(flat, minlength=256)
-    hist = np.zeros(256, dtype=np.intp)
-    for start in range(0, flat.size, BLOCK):
+    hist = np.bincount(flat[:BLOCK], minlength=256)
+    for start in range(BLOCK, flat.size, BLOCK):
         hist += np.bincount(flat[start : start + BLOCK], minlength=256)
     return hist
 

@@ -467,9 +467,11 @@ def test_hide_and_reveal_return_clips_with_their_own_params():
 
 
 def test_round_trips_never_dispatch_through_numpy_wrappers(monkeypatch):
-    # the cover cipher gathers with the ndarray.take method and room
-    # reservation rotates with np.concatenate; np.take and np.roll would add
-    # their Python wrappers' cost to every video frame
+    # a performance guard, not a correctness check (tests/test_golden.py pins
+    # the bytes): the cover cipher gathers with the ndarray.take method and
+    # room reservation rotates with np.concatenate; np.take and np.roll would
+    # add their Python wrappers' cost to every video frame, so a failure here
+    # reads as a possible speed regression
     rng = np.random.default_rng(21)
     clip = make_clip(rng, nframes=3)
     cover = make_cover(rng, 48, 80)
