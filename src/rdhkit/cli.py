@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Commands: hide (alias video-hide), reveal (alias video-reveal), recover-image,
+psnr and inspect.  A file's first bytes name its container, "P6" a PPM image and
+"YUV4MPEG2" a Y4M video, so hide, reveal and inspect serve both; recover-image
+and psnr take PPM only.
+
 Exit codes: 0 success, 2 capacity exceeded, 3 bad magic/CRC/checksum (wrong
 key or not a marked file), 4 file-format error, 5 bad key/nonce/IV encoding,
 1 anything else, command-line usage errors included.  Outputs are written
@@ -13,6 +18,9 @@ import argparse
 import os
 import sys
 import tempfile
+from functools import partial
+
+import numpy as np
 
 from . import metrics, netpbm, pipeline, video
 from .errors import (
@@ -66,24 +74,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rdhkit",
         description="Reversible data hiding in encrypted PPM images and Y4M video.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("hide", help="embed a secret file into a PPM cover")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("hide", aliases=["video-hide"], help="embed a secret in a PPM or Y4M cover")
+    p.add_argument("--cover", required=True, help="the PPM or Y4M cover")
+    p.add_argument("--data", required=True, help="the secret file")
+    p.add_argument("--out", required=True, help="where the marked cover is written")
     _key_args(p)
     p.add_argument("--iv", help="32 hex chars; random when omitted")
     p.set_defaults(func=_cmd_hide, nonce=None)
 
-    p = sub.add_parser("reveal", help="extract the secret and restore the cover")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("reveal", aliases=["video-reveal"],
+                       help="extract the secret and restore the PPM or Y4M cover")
+    p.add_argument("--input", required=True, help="the marked PPM or Y4M file")
     p.add_argument("--out", required=True, help="where the secret is written")
     p.add_argument("--recovered", help="optional path for the restored cover")
     _key_args(p)
     p.set_defaults(func=_cmd_reveal)
 
-    p = sub.add_parser("recover-image", help="restore the cover without the data key")
+    p = sub.add_parser("recover-image", help="restore a PPM cover without the data key")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--image-key")
@@ -95,21 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image_a")
     p.add_argument("image_b")
     p.set_defaults(func=_cmd_psnr)
-
-    p = sub.add_parser("video-hide", help="embed a secret file into a Y4M video")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _key_args(p)
-    p.add_argument("--iv")
-    p.set_defaults(func=_cmd_video_hide, nonce=None)
-
-    p = sub.add_parser("video-reveal", help="extract the secret and restore the video")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--recovered")
-    _key_args(p)
-    p.set_defaults(func=_cmd_video_reveal)
 
     p = sub.add_parser("inspect", help="describe a PPM or Y4M file without touching it")
     p.add_argument("path")
@@ -162,18 +156,12 @@ def _image_key(args) -> bytes:
 def _nonce(args, file_nonce: int | None = None) -> int:
     """--nonce, always checked; the nonce a file carries wins over it."""
     if args.nonce is None:
-        # hide commands only: a fixed default reuses one keystream for every cover
+        # hide only: a fixed default reuses one keystream for every cover
         return int.from_bytes(os.urandom(8), "big")
     if len(args.nonce) != 16:
         raise KeyEncodingError(f"nonce must be 16 hex chars, got {len(args.nonce)}")
     nonce = int.from_bytes(_hex_bytes(args.nonce, "nonce", 8), "big")
     return nonce if file_nonce is None else file_nonce
-
-
-def _iv(args) -> bytes | None:
-    if args.iv is None:
-        return None
-    return _hex_bytes(args.iv, "IV", 16)
 
 
 def _keys(args, file_nonce: int | None = None) -> pipeline.StegoKeys:
@@ -197,33 +185,58 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _load(path: str) -> tuple[np.ndarray | video.Y4mVideo, int | None]:
+    """The cover a file holds, PPM or Y4M by its first bytes, and the nonce it carries."""
+    data = _read(path)
+    if data[:2] == b"P6":
+        return netpbm.load_ppm(data)
+    if data[:9] == b"YUV4MPEG2":
+        clip = video.parse_y4m(data)
+        return clip, video.video_nonce(clip)
+    raise FormatError(f"unrecognized file: starts with {data[:9]!r}")
+
+
 def _cmd_hide(args) -> int:
     keys = _keys(args)
-    cover, _ = netpbm.load_ppm(_read(args.cover))
+    cover, _ = _load(args.cover)
     secret = _read(args.data)
-    result = pipeline.hide(cover, secret, keys, iv=_iv(args))
-    _write_atomic(args.out, netpbm.save_ppm(result.image, nonce=keys.nonce))
-    print(f"CAPACITY-BITS: {result.capacity_bits}")
-    print(f"FRAME-BITS: {result.frame_bits}")
-    print(f"PSNR(plain-marked): {metrics.format_psnr(result.plain_psnr)}")
+    iv = None if args.iv is None else _hex_bytes(args.iv, "IV", 16)
+    if isinstance(cover, video.Y4mVideo):
+        marked = video.video_hide(cover, secret, keys, iv=iv)
+        _write_atomic(args.out, video.write_y4m(video.with_video_nonce(marked, keys.nonce)))
+        print(f"FRAMES: {len(marked.frames)}")
+    else:
+        result = pipeline.hide(cover, secret, keys, iv=iv)
+        _write_atomic(args.out, netpbm.save_ppm(result.image, nonce=keys.nonce))
+        print(f"CAPACITY-BITS: {result.capacity_bits}")
+        print(f"FRAME-BITS: {result.frame_bits}")
+        print(f"PSNR(plain-marked): {metrics.format_psnr(result.plain_psnr)}")
     print(f"OUT: {args.out}")
     return EXIT_OK
 
 
 def _cmd_reveal(args) -> int:
-    img, file_nonce = netpbm.load_ppm(_read(args.input))
-    secret, original = pipeline.reveal(img, _keys(args, file_nonce))
+    marked, file_nonce = _load(args.input)
+    keys = _keys(args, file_nonce)
+    if isinstance(marked, video.Y4mVideo):
+        secret, original = video.video_reveal(marked, keys)
+        restored = partial(video.write_y4m, video.without_video_nonce(original))
+    else:
+        secret, original = pipeline.reveal(marked, keys)
+        restored = partial(netpbm.save_ppm, original)
     _write_atomic(args.out, secret)
     print(f"SECRET-BYTES: {len(secret)}")
     print(f"OUT: {args.out}")
     if args.recovered:
-        _write_atomic(args.recovered, netpbm.save_ppm(original))
+        _write_atomic(args.recovered, restored())
         print(f"RECOVERED: {args.recovered}")
     return EXIT_OK
 
 
 def _cmd_recover(args) -> int:
-    img, file_nonce = netpbm.load_ppm(_read(args.input))
+    img, file_nonce = _load(args.input)
+    if isinstance(img, video.Y4mVideo):
+        raise FormatError("recover-image restores PPM covers only, not Y4M video")
     original = pipeline.recover_original(img, _image_key(args), _nonce(args, file_nonce))
     _write_atomic(args.out, netpbm.save_ppm(original))
     print(f"OUT: {args.out}")
@@ -237,63 +250,33 @@ def _cmd_psnr(args) -> int:
     return EXIT_OK
 
 
-def _cmd_video_hide(args) -> int:
-    keys = _keys(args)
-    cover = video.parse_y4m(_read(args.cover))
-    secret = _read(args.data)
-    marked = video.video_hide(cover, secret, keys, iv=_iv(args))
-    marked = video.with_video_nonce(marked, keys.nonce)
-    _write_atomic(args.out, video.write_y4m(marked))
-    print(f"FRAMES: {len(marked.frames)}")
-    print(f"OUT: {args.out}")
-    return EXIT_OK
-
-
-def _cmd_video_reveal(args) -> int:
-    clip = video.parse_y4m(_read(args.input))
-    secret, original = video.video_reveal(clip, _keys(args, video.video_nonce(clip)))
-    _write_atomic(args.out, secret)
-    print(f"SECRET-BYTES: {len(secret)}")
-    print(f"OUT: {args.out}")
-    if args.recovered:
-        _write_atomic(args.recovered, video.write_y4m(video.without_video_nonce(original)))
-        print(f"RECOVERED: {args.recovered}")
-    return EXIT_OK
-
-
 def _cmd_inspect(args) -> int:
-    data = _read(args.path)
-    if data[:2] == b"P6":
-        img, nonce = netpbm.load_ppm(data)
-        print("FORMAT: ppm")
-        print(f"WIDTH: {img.shape[1]}")
-        print(f"HEIGHT: {img.shape[0]}")
-        print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
-        _inspect_frame(lambda: pipeline.extract_frame(img))
-    elif data[: len(b"YUV4MPEG2")] == b"YUV4MPEG2":
-        clip = video.parse_y4m(data)
-        nonce = video.video_nonce(clip)
+    cover, nonce = _load(args.path)
+    if isinstance(cover, video.Y4mVideo):
         print("FORMAT: y4m")
-        print(f"WIDTH: {clip.width}")
-        print(f"HEIGHT: {clip.height}")
-        print(f"COLORSPACE: {clip.colorspace}")
-        print(f"FRAMES: {len(clip.frames)}")
-        print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
-        if clip.frames:
-            _inspect_frame(lambda: pipeline.extract(clip.frames[0], video.y_host(clip)))
+        print(f"WIDTH: {cover.width}")
+        print(f"HEIGHT: {cover.height}")
+        print(f"COLORSPACE: {cover.colorspace}")
+        print(f"FRAMES: {len(cover.frames)}")
+        read = None  # the payload line describes frame 0; a clip of no frames has none
+        if cover.frames:
+            read = partial(pipeline.extract, cover.frames[0], video.y_host(cover))
     else:
-        raise FormatError(f"unrecognized file: starts with {data[:9]!r}")
-    return EXIT_OK
-
-
-def _inspect_frame(reader) -> None:
+        print("FORMAT: ppm")
+        print(f"WIDTH: {cover.shape[1]}")
+        print(f"HEIGHT: {cover.shape[0]}")
+        read = partial(pipeline.extract_frame, cover)
+    print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
     try:
-        frame = reader()
+        frame = read() if read else None
     except PayloadError:
+        frame = None
+    if frame is not None:
+        print(f"PAYLOAD: segment {frame.segment_index + 1} of {frame.segment_count}")
+        print(f"CIPHERTEXT-BYTES: {len(frame.ciphertext)}")
+    else:
         print("PAYLOAD: none")
-        return
-    print(f"PAYLOAD: segment {frame.segment_index + 1} of {frame.segment_count}")
-    print(f"CIPHERTEXT-BYTES: {len(frame.ciphertext)}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -425,3 +427,89 @@ def test_malformed_nonce_option_exits_5_even_when_the_file_has_one(
     assert run(["recover-image", "--input", ppm, "--out", tmp_path / "r.ppm",
                 "--image-key", IMAGE_KEY, "--nonce", bad]) == 5
     assert not out.exists() and not (tmp_path / "r.ppm").exists()
+
+
+@pytest.fixture(params=["ppm", "y4m"])
+def either_cover(request, cover_file, clip_file):
+    """Each container's cover file, with the bytes a restored cover must match."""
+    path = (cover_file if request.param == "ppm" else clip_file)[0]
+    return path, path.read_bytes()
+
+
+def test_both_hide_names_write_the_same_bytes_and_lines(tmp_path, either_cover, capsys):
+    cover, _ = either_cover
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"one front door")
+    marked = tmp_path / "m.bin"
+    results = []
+    for command in ("hide", "video-hide"):
+        assert run([command, "--cover", cover, "--data", secret, "--out", marked,
+                    "--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce", NONCE,
+                    "--iv", IV]) == 0
+        results.append((marked.read_bytes(), capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert ("FRAMES: 3" in results[0][1].splitlines()) == (cover.suffix == ".y4m")
+
+
+def test_both_reveal_names_restore_either_container(tmp_path, either_cover):
+    cover, cover_bytes = either_cover
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"one front door")
+    marked = tmp_path / "m.bin"
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY]
+    assert run(["hide", "--cover", cover, "--data", secret, "--out", marked] + keys) == 0
+    for command in ("reveal", "video-reveal"):
+        out, rec = tmp_path / f"{command}.bin", tmp_path / f"{command}-rec.bin"
+        assert run([command, "--input", marked, "--out", out, "--recovered", rec] + keys) == 0
+        assert out.read_bytes() == b"one front door"
+        assert rec.read_bytes() == cover_bytes
+
+
+@pytest.mark.parametrize("command", ["hide", "video-hide", "reveal", "video-reveal"])
+def test_a_file_of_neither_container_exits_4_and_writes_nothing(tmp_path, command, capsys):
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(b"GIF89a\x01\x00\x01\x00")
+    out = tmp_path / "out.bin"
+    source = ["--cover", blob, "--data", blob] if "hide" in command else ["--input", blob]
+    assert run([command, *source, "--out", out,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 4
+    assert "unrecognized file" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob(".rdhkit-*"))
+
+
+def test_inspect_of_a_clip_without_frames_reports_no_payload(tmp_path, capsys):
+    path = tmp_path / "empty.y4m"
+    path.write_bytes(b"YUV4MPEG2 W4 H4 F25:1 C420\n")
+    assert run(["inspect", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FORMAT: y4m", "WIDTH: 4", "HEIGHT: 4", "COLORSPACE: C420", "FRAMES: 0",
+        "NONCE: none", "PAYLOAD: none",
+    ]
+
+
+def test_recover_image_of_a_video_exits_4_saying_it_takes_ppm(tmp_path, clip_file, capsys):
+    clip_path, _ = clip_file
+    out = tmp_path / "r.bin"
+    assert run(["recover-image", "--input", clip_path, "--out", out,
+                "--image-key", IMAGE_KEY]) == 4
+    assert "PPM covers only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_lists_each_command_once_with_its_alias(capsys):
+    assert run(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert "hide (video-hide)" in text and "reveal (video-reveal)" in text
+    for name in ("hide", "video-hide", "reveal", "video-reveal", "recover-image", "psnr",
+                 "inspect"):
+        assert len(re.findall(rf"(?<![\w-]){name}(?![\w-])", text)) == 1, name
+
+
+@pytest.mark.parametrize("command,alias", [("hide", "video-hide"), ("reveal", "video-reveal")])
+def test_every_option_of_hide_and_reveal_has_help(command, alias):
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert commands.choices[alias] is commands.choices[command]
+    options = commands.choices[command]._actions
+    assert [a.dest for a in options if not a.help] == []
+    assert "PPM or Y4M" in next(a.help for a in commands._choices_actions if a.dest == command)
