@@ -3,8 +3,8 @@
 The pipeline compresses a secret with canonical Huffman coding, encrypts it
 with AES-128-CBC, reserves room in the cover via histogram shifting, encrypts
 the cover with a Blowfish counter keystream, and substitutes the payload into
-the encrypted cover's LSBs.  Both the secret and the original cover come back
-bit-exactly, and data extraction / image recovery need only their own key.
+the encrypted cover's LSBs.  Both the secret and the cover come back bit-exactly;
+the cover needs only the image key, the secret both keys.
 """
 
 from .errors import RdhError

@@ -2,8 +2,8 @@
 
 Commands: hide (alias video-hide), reveal (alias video-reveal), recover-image,
 psnr and inspect.  A file's first bytes name its container, "P6" a PPM image and
-"YUV4MPEG2" a Y4M video, so hide, reveal and inspect serve both; recover-image
-and psnr take PPM only.
+"YUV4MPEG2" a Y4M video, so hide, reveal, recover-image and inspect serve both;
+psnr takes PPM only.
 
 Exit codes: 0 success, 2 capacity exceeded, 3 bad magic/CRC/checksum (wrong
 key or not a marked file), 4 file-format error, 5 bad key/nonce/IV encoding,
@@ -92,12 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _key_args(p)
     p.set_defaults(func=_cmd_reveal)
 
-    p = sub.add_parser("recover-image", help="restore a PPM cover without the data key")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--image-key")
-    p.add_argument("--image-key-file")
-    p.add_argument("--nonce", default="0" * 16, help=_NONCE_HELP)
+    p = sub.add_parser("recover-image",
+                       help="restore the PPM or Y4M cover with the image key alone")
+    p.add_argument("--input", required=True, help="the marked PPM or Y4M file")
+    p.add_argument("--out", required=True, help="where the restored cover is written")
+    _image_key_args(p)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("psnr", help="PSNR between two PPM images")
@@ -114,6 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _key_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-key", help="32 hex chars (AES-128)")
     p.add_argument("--data-key-file", help="file holding the hex data key")
+    _image_key_args(p)
+
+
+def _image_key_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image-key", help="8..112 hex chars, even length (Blowfish)")
     p.add_argument("--image-key-file", help="file holding the hex image key")
     p.add_argument("--nonce", default="0" * 16, help=_NONCE_HELP)
@@ -234,11 +237,15 @@ def _cmd_reveal(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    img, file_nonce = _load(args.input)
-    if isinstance(img, video.Y4mVideo):
-        raise FormatError("recover-image restores PPM covers only, not Y4M video")
-    original = pipeline.recover_original(img, _image_key(args), _nonce(args, file_nonce))
-    _write_atomic(args.out, netpbm.save_ppm(original))
+    marked, file_nonce = _load(args.input)
+    image_key, nonce = _image_key(args), _nonce(args, file_nonce)
+    if isinstance(marked, video.Y4mVideo):
+        host = video.y_host(marked)
+        _, marked.frames = pipeline.recover_units(marked.frames, host, image_key, nonce)
+        restored = video.write_y4m(video.without_video_nonce(marked))
+    else:
+        restored = netpbm.save_ppm(pipeline.recover_original(marked, image_key, nonce))
+    _write_atomic(args.out, restored)
     print(f"OUT: {args.out}")
     return EXIT_OK
 
@@ -258,17 +265,15 @@ def _cmd_inspect(args) -> int:
         print(f"HEIGHT: {cover.height}")
         print(f"COLORSPACE: {cover.colorspace}")
         print(f"FRAMES: {len(cover.frames)}")
-        read = None  # the payload line describes frame 0; a clip of no frames has none
-        if cover.frames:
-            read = partial(pipeline.extract, cover.frames[0], video.y_host(cover))
+        units, host = cover.frames, video.y_host(cover)
     else:
         print("FORMAT: ppm")
         print(f"WIDTH: {cover.shape[1]}")
         print(f"HEIGHT: {cover.shape[0]}")
-        read = partial(pipeline.extract_frame, cover)
+        units, host = [cover.reshape(-1)], pipeline.RED
     print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
-    try:
-        frame = read() if read else None
+    try:  # the payload line describes frame 0; a clip of no frames has none
+        frame = pipeline.extract(units[0], host) if units else None
     except PayloadError:
         frame = None
     if frame is not None:

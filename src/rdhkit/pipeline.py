@@ -6,10 +6,10 @@ unit, its interleaved RGB raster with host ``RED`` (``[0::3]``); a video
 has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
 ``embed_segments`` gives unit i segment i of the encrypted secret (an empty
 segment past the last) and encrypts the unit from counter ``nonce + i``,
-under one key schedule per call.  ``reveal_units`` reads every unit's
-frame, checks that all declare one non-zero segment count and one IV and
-that each index appears once, recovers each unit, and joins the segments
-by index, not by unit position, before decrypting the secret.
+under one key schedule per call.  ``recover_units`` parses each unit's frame
+once and restores the unit; ``reveal_units`` then checks that all frames
+declare one non-zero segment count and one IV and that each index appears
+once, and joins the segments by index before decrypting the secret.
 
 Per unit the core is ``embed``, ``recover`` and ``extract``.  The host is
 split row-major into three regions::
@@ -36,9 +36,9 @@ finally substituted into region A's LSBs of the *encrypted* buffer.
 Every cover is encrypted; there is no plain-domain output.  Decryption
 restores every bit the embedder did not touch after encrypting, so the side
 header becomes readable again while region A stays garbled until the
-histogram-shift backup puts the original LSBs back.  Data extraction never
-needs the image key (frames are read straight from the encrypted cover) and
-image recovery never needs the data key.
+histogram-shift backup puts the original LSBs back.  Recovery needs only the
+image key, for images and video alike.  No receiver yet reads the secret
+without the image key, because ``reveal_units`` takes both keys.
 
 The payload frame is self-delimiting, all integers big-endian::
 
@@ -56,11 +56,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aes import aes_cbc_decrypt, aes_cbc_encrypt
+from .aes import BLOCK_SIZE, aes_cbc_decrypt, aes_cbc_encrypt
 from .blowfish import BlowfishState, bf_ctr_transform, bf_key_schedule
 from .errors import (
     BadCrc,
     BadMagic,
+    BadPadding,
     BadVersion,
     CapacityError,
     CapacityExceeded,
@@ -69,7 +70,6 @@ from .errors import (
     HeaderChecksum,
     MissingSegment,
     NoZeroBin,
-    PayloadError,
     check_nonce,
 )
 from .histshift import count_values, hs_embed, hs_extract, plan_hs
@@ -147,20 +147,22 @@ def parse_frame(data: bytes) -> PayloadFrame:
 
 
 def build_frames(
-    secret: bytes, data_key: bytes, iv: bytes, capacities: list[int]
+    secret: bytes, data_key: bytes, iv: bytes | None, capacities: list[int]
 ) -> list[PayloadFrame]:
     """Compress, encrypt and split the secret greedily across embedding units.
 
     Unit u receives the largest ciphertext slice whose whole frame fits
-    capacities[u] bits.  All frames repeat the same IV; CBC runs once over
-    the full ciphertext before splitting.  Each unit's frame carries its
-    index and the segment count as u16 fields, so there are at most 65535
-    units.
+    capacities[u] bits.  All frames repeat the same IV, a random one if iv is
+    None; CBC runs once over the full ciphertext before splitting.  Each
+    unit's frame carries its index and the segment count as u16 fields, so
+    there are at most 65535 units.
     """
     if len(capacities) > 0xFFFF:
         raise CapacityError(
             f"{len(capacities)} units, but u16 segment indices and counts number at most 65535"
         )
+    if iv is None:
+        iv = os.urandom(16)
     ciphertext = aes_cbc_encrypt(huffman_compress(secret), data_key, iv)
     pieces: list[bytes] = []
     offset = 0
@@ -327,6 +329,21 @@ def embed_segments(
     return marked
 
 
+def recover_units(
+    units: Iterable[np.ndarray], host: slice, image_key: bytes, nonce: int
+) -> tuple[list[PayloadFrame], list[np.ndarray]]:
+    """Each unit's payload frame, parsed once, and the unit restored with the image key
+    alone from counter nonce + i; the side header must confirm the frame's length."""
+    state = bf_key_schedule(image_key)
+    frames, restored = [], []
+    for i, raw in enumerate(units):
+        frames.append(extract(raw, host))
+        restored.append(recover(raw, host, frames[-1].num_bits, state, nonce + i))
+    if not frames:
+        raise MissingSegment("cover has no units")
+    return frames, restored
+
+
 def reveal_units(
     units: Iterable[np.ndarray], host: slice, keys: StegoKeys
 ) -> tuple[bytes, list[np.ndarray]]:
@@ -336,34 +353,29 @@ def reveal_units(
     same IV, and each segment index below it must appear exactly once;
     segments are joined by index, not by unit position.
     """
-    state = bf_key_schedule(keys.image_key)
+    frames, restored = recover_units(units, host, keys.image_key, keys.nonce)
+    count, iv = frames[0].segment_count, frames[0].iv
+    if count == 0:
+        raise MissingSegment("unit 0 declares zero segments")
     segments: dict[int, bytes] = {}
-    count = iv = None
-    recovered = []
-    for i, raw in enumerate(units):
-        frame = extract(raw, host)
-        if count is None:
-            count, iv = frame.segment_count, frame.iv
-            if count == 0:
-                raise MissingSegment(f"unit {i} declares zero segments")
-        elif frame.segment_count != count:
+    for i, frame in enumerate(frames):
+        if frame.segment_count != count:
             raise MissingSegment(
                 f"unit {i} declares {frame.segment_count} segments, expected {count}"
             )
-        elif frame.iv != iv:
+        if frame.iv != iv:
             raise MissingSegment(f"unit {i} carries another IV than unit 0: frames of two hides")
         if frame.segment_index < count:
             if frame.segment_index in segments:
                 raise MissingSegment(f"segment {frame.segment_index} appears twice")
             segments[frame.segment_index] = frame.ciphertext
-        recovered.append(recover(raw, host, frame.num_bits, state, keys.nonce + i))
-    if count is None:
-        raise MissingSegment("cover has no units")
     missing = [k for k in range(count) if k not in segments]
     if missing:
         raise MissingSegment(f"segments {missing} are absent")
     ciphertext = b"".join(segments[k] for k in range(count))
-    return huffman_decompress(aes_cbc_decrypt(ciphertext, keys.data_key, iv)), recovered
+    if not ciphertext or len(ciphertext) % BLOCK_SIZE:
+        raise BadPadding(f"ciphertext of {len(ciphertext)} bytes is not whole AES blocks")
+    return huffman_decompress(aes_cbc_decrypt(ciphertext, keys.data_key, iv)), restored
 
 
 RED = np.s_[0::3]  # an image's host: the red samples of its interleaved RGB raster
@@ -382,8 +394,6 @@ def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = N
     flat = _raster(cover)
     raw = flat.copy()
     capacity_bits = max_embeddable_bits(raw[RED])
-    if iv is None:
-        iv = os.urandom(16)
     segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
     # the cipher state (its 256 KB fused table) is not held while the PSNR runs
     (out,) = embed_segments([raw], RED, segments, keys)
@@ -399,23 +409,10 @@ def reveal(marked: np.ndarray, keys: StegoKeys) -> tuple[bytes, np.ndarray]:
 
 
 def recover_original(marked: np.ndarray, image_key: bytes, nonce: int) -> np.ndarray:
-    """Restore the original cover without the data key.
-
-    The payload frame's plaintext header supplies only the region length;
-    the authoritative length in the side header must agree with it.
-    """
+    """Restore the original cover without the data key (see recover_units)."""
     check_nonce(nonce)
-    try:
-        frame = extract_frame(marked)
-    except PayloadError as exc:
-        raise HeaderChecksum(f"cannot locate the side header: {exc}") from exc
-    state = bf_key_schedule(image_key)
-    return recover(_raster(marked), RED, frame.num_bits, state, nonce).reshape(marked.shape)
-
-
-def extract_frame(marked: np.ndarray) -> PayloadFrame:
-    """Read the payload frame from the red LSBs; needs no key material."""
-    return extract(_raster(marked), RED)
+    _, (original,) = recover_units([_raster(marked)], RED, image_key, nonce)
+    return original.reshape(marked.shape)
 
 
 def max_embeddable_bits(plane: np.ndarray) -> int:

@@ -30,7 +30,6 @@ token of exactly that form counts: a sign, ``0x`` or ``_`` means no nonce.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field, replace
 
@@ -168,8 +167,6 @@ def video_hide(
     video: Y4mVideo, secret: bytes, keys: StegoKeys, iv: bytes | None = None
 ) -> Y4mVideo:
     """Split the encrypted secret across frames; every frame carries a segment."""
-    if iv is None:
-        iv = os.urandom(16)
     host = y_host(video)
     capacities = [max_embeddable_bits(frame[host]) for frame in video.frames]
     segments = build_frames(secret, keys.data_key, iv, capacities)

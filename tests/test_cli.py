@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import image_with_frame, make_cover, planes, zero_segment_clip
+from conftest import embed_clip, image_with_frame, make_cover, planes, zero_segment_clip
 from rdhkit import cli, netpbm, video as vid
 from rdhkit.pipeline import PayloadFrame, StegoKeys, max_embeddable_bits
 
@@ -487,13 +487,21 @@ def test_inspect_of_a_clip_without_frames_reports_no_payload(tmp_path, capsys):
     ]
 
 
-def test_recover_image_of_a_video_exits_4_saying_it_takes_ppm(tmp_path, clip_file, capsys):
-    clip_path, _ = clip_file
-    out = tmp_path / "r.bin"
-    assert run(["recover-image", "--input", clip_path, "--out", out,
-                "--image-key", IMAGE_KEY]) == 4
-    assert "PPM covers only" in capsys.readouterr().err
-    assert not out.exists()
+def test_recover_image_restores_a_clip_with_the_image_key_alone(
+    tmp_path, marked_y4m, cover_file, clip_file, capsys
+):
+    marked, clip = marked_y4m
+    out = tmp_path / "r.y4m"
+    assert run(["recover-image", "--input", marked, "--out", out, "--image-key", IMAGE_KEY]) == 0
+    assert out.read_bytes() == vid.write_y4m(clip)  # the nonce token goes with the payload
+    assert capsys.readouterr().out.splitlines() == [f"OUT: {out}"]
+    empty = tmp_path / "empty.y4m"
+    empty.write_bytes(b"YUV4MPEG2 W4 H4 F25:1 C420\n")
+    failed = tmp_path / "f.bin"
+    for path, key in ((marked, "00" * 8), (clip_file[0], IMAGE_KEY), (empty, IMAGE_KEY),
+                      (cover_file[0], IMAGE_KEY)):  # a wrong key, then three unmarked files
+        assert run(["recover-image", "--input", path, "--out", failed, "--image-key", key]) == 3
+        assert not failed.exists()
 
 
 def test_help_lists_each_command_once_with_its_alias(capsys):
@@ -505,7 +513,10 @@ def test_help_lists_each_command_once_with_its_alias(capsys):
         assert len(re.findall(rf"(?<![\w-]){name}(?![\w-])", text)) == 1, name
 
 
-@pytest.mark.parametrize("command,alias", [("hide", "video-hide"), ("reveal", "video-reveal")])
+@pytest.mark.parametrize(
+    "command,alias",
+    [("hide", "video-hide"), ("reveal", "video-reveal"), ("recover-image", "recover-image")],
+)
 def test_every_option_of_hide_and_reveal_has_help(command, alias):
     (commands,) = [a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
@@ -513,3 +524,60 @@ def test_every_option_of_hide_and_reveal_has_help(command, alias):
     options = commands.choices[command]._actions
     assert [a.dest for a in options if not a.help] == []
     assert "PPM or Y4M" in next(a.help for a in commands._choices_actions if a.dest == command)
+
+
+SHORT_CIPHERTEXTS = [0, 15, 17]  # joined ciphertext lengths that are not whole AES blocks
+
+
+def short_ciphertext_file(tmp_path, container, n, cover, clip):
+    """A PPM or Y4M marked under the CLI keys whose one segment holds n
+    ciphertext bytes behind a valid frame CRC."""
+    keys = StegoKeys(bytes.fromhex(DATA_KEY), bytes.fromhex(IMAGE_KEY), int(NONCE, 16))
+    frame = PayloadFrame(0, 1, bytes.fromhex(IV), bytes(n))
+    path = tmp_path / f"short-{n}.{container}"
+    if container == "ppm":
+        path.write_bytes(netpbm.save_ppm(image_with_frame(cover, frame, keys), nonce=keys.nonce))
+    else:
+        marked = embed_clip(clip, [frame], keys)
+        path.write_bytes(vid.write_y4m(vid.with_video_nonce(marked, keys.nonce)))
+    return path
+
+
+@pytest.mark.parametrize("n", SHORT_CIPHERTEXTS)
+@pytest.mark.parametrize("container", ["ppm", "y4m"])
+def test_reveal_of_a_ciphertext_of_no_whole_blocks_exits_3(
+    tmp_path, cover_file, clip_file, container, n, capsys
+):
+    marked = short_ciphertext_file(tmp_path, container, n, cover_file[1], clip_file[1])
+    out = tmp_path / "o.bin"
+    assert run(["reveal", "--input", marked, "--out", out,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY]) == 3
+    assert "not whole AES blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_bit_flip_in_a_marked_file_exits_1(tmp_path, marked_ppm, marked_y4m, cover_file,
+                                              clip_file):
+    rng = np.random.default_rng(42)
+    inputs = []
+    for marked in (marked_ppm[0], marked_y4m[0]):
+        data = marked.read_bytes()
+        for _ in range(40):  # seeded 1-3 bit flips anywhere in the file
+            mutant = np.frombuffer(data, np.uint8).copy()
+            for bit in rng.choice(8 * len(data), size=rng.integers(1, 4), replace=False):
+                mutant[bit // 8] ^= 1 << (bit % 8)
+            inputs.append(mutant.tobytes())
+    inputs += [
+        short_ciphertext_file(tmp_path, container, n, cover_file[1], clip_file[1]).read_bytes()
+        for container in ("ppm", "y4m") for n in SHORT_CIPHERTEXTS
+    ]
+    path, out = tmp_path / "mutant", tmp_path / "out"
+    for data in inputs:
+        path.write_bytes(data)
+        for argv in (
+            ["reveal", "--input", path, "--out", out, "--data-key", DATA_KEY,
+             "--image-key", IMAGE_KEY],
+            ["recover-image", "--input", path, "--out", out, "--image-key", IMAGE_KEY],
+            ["inspect", path],
+        ):
+            assert run(argv) in (0, 3, 4), argv[0]

@@ -551,11 +551,24 @@ def test_reveal_on_unmarked_image():
         reveal(cover, KEYS)
 
 
-def test_recover_original_on_unmarked_image_fails_header_checksum():
+def test_recover_original_on_unmarked_image_fails_bad_magic():
     rng = np.random.default_rng(33)
     cover = make_cover(rng, 40, 40)
-    with pytest.raises(HeaderChecksum):
+    with pytest.raises(BadMagic):  # the error reveal raises on the same file
         recover_original(cover, KEYS.image_key, KEYS.nonce)
+
+
+@pytest.mark.parametrize("n", [0, 15, 17])
+def test_reveal_of_a_ciphertext_of_no_whole_blocks_is_bad_padding(n):
+    # the frame's CRC holds, so only the joined length tells it from a real hide
+    cover = make_cover(np.random.default_rng(39), 48, 48)
+    with pytest.raises(BadPadding):
+        reveal(image_with_frame(cover, PayloadFrame(0, 1, IV, bytes(n)), KEYS), KEYS)
+
+
+def test_build_frames_draws_a_random_iv_when_given_none():
+    first, second = (build_frames(b"iv", KEYS.data_key, None, [10**4])[0] for _ in range(2))
+    assert len(first.iv) == 16 and first.iv != second.iv
 
 
 def test_cover_too_small_for_any_frame():

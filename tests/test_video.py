@@ -8,6 +8,7 @@ from conftest import embed_clip, make_cover, planes, zero_segment_clip
 from rdhkit import pipeline
 from rdhkit import video as vid
 from rdhkit.errors import (
+    BadPadding,
     BadSignature,
     CapacityError,
     HeaderChecksum,
@@ -18,7 +19,7 @@ from rdhkit.errors import (
     TruncatedFrame,
     UnsupportedColorspace,
 )
-from rdhkit.pipeline import StegoKeys, build_frames
+from rdhkit.pipeline import PayloadFrame, StegoKeys, build_frames
 
 KEYS = StegoKeys(data_key=bytes(range(16)), image_key=b"video key", nonce=900)
 IV = bytes(range(200, 216))
@@ -406,6 +407,14 @@ def test_zero_segment_count_is_a_missing_segment():
     clip = zero_segment_clip(make_clip(np.random.default_rng(13), nframes=2), KEYS, IV)
     with pytest.raises(MissingSegment):
         vid.video_reveal(clip, KEYS)
+
+
+@pytest.mark.parametrize("n", [0, 15, 17])
+def test_video_reveal_of_a_ciphertext_of_no_whole_blocks_is_bad_padding(n):
+    clip = make_clip(np.random.default_rng(19), nframes=2)
+    marked = embed_clip(clip, [PayloadFrame(0, 1, IV, bytes(n))], KEYS)
+    with pytest.raises(BadPadding):
+        vid.video_reveal(marked, KEYS)
 
 
 def test_video_reveal_parses_each_frame_once(monkeypatch):
