@@ -3,7 +3,7 @@
 Commands: hide (alias video-hide), reveal (alias video-reveal), recover-image,
 psnr and inspect.  A file's first bytes name its container, "P6" a PPM image and
 "YUV4MPEG2" a Y4M video, so hide, reveal, recover-image and inspect serve both;
-psnr takes PPM only.
+psnr reads files the same way but compares PPM images only.
 
 Exit codes: 0 success, 2 capacity exceeded, 3 bad magic/CRC/checksum (wrong
 key or not a marked file), 4 file-format error, 5 bad key/nonce/IV encoding,
@@ -251,8 +251,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_psnr(args) -> int:
-    a, _ = netpbm.load_ppm(_read(args.image_a))
-    b, _ = netpbm.load_ppm(_read(args.image_b))
+    a, _ = _load(args.image_a)
+    b, _ = _load(args.image_b)
+    if isinstance(a, video.Y4mVideo) or isinstance(b, video.Y4mVideo):
+        raise FormatError("psnr compares PPM images only, not Y4M video")
     print(f"PSNR: {metrics.format_psnr(metrics.psnr(a, b))}")
     return EXIT_OK
 

@@ -11,8 +11,10 @@ once and restores the unit; ``reveal_units`` then checks that all frames
 declare one non-zero segment count and one IV and that each index appears
 once, and joins the segments by index before decrypting the secret.
 
-Per unit the core is ``embed``, ``recover`` and ``extract``.  The host is
-split row-major into three regions::
+Each direction is one loop over the units: ``embed_segments`` reserves
+room, writes the frame, encrypts and writes it again; ``recover_units``
+runs ``extract``, decrypts and restores the host.  The host is split
+row-major into three regions::
 
     [0, L)       region A   payload frame, one bit per sample LSB
     [L, L+64)    header     side header, one bit per sample LSB
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aes import BLOCK_SIZE, aes_cbc_decrypt, aes_cbc_encrypt
-from .blowfish import BlowfishState, bf_ctr_transform, bf_key_schedule
+from .blowfish import bf_ctr_transform, bf_key_schedule
 from .errors import (
     BadCrc,
     BadMagic,
@@ -276,33 +278,6 @@ def _set_lsbs(samples: np.ndarray, bits: np.ndarray) -> None:
     samples |= bits
 
 
-def embed(
-    raw: np.ndarray, host: slice, frame: bytes, state: BlowfishState, nonce: int
-) -> np.ndarray:
-    """Hide one serialized payload frame in a flat uint8 cover buffer.
-
-    Room is reserved in raw[host] and the frame written into its region-A
-    LSBs, both in place, so raw ends as the plain-domain marked cover.  The
-    returned buffer is raw encrypted as one counter run from nonce, with the
-    frame written again over the encrypted host.
-    """
-    bits = np.unpackbits(np.frombuffer(frame, np.uint8))
-    raw[host] = reserve_room_plane(raw[host], bits.size)
-    _set_lsbs(raw[host][: bits.size], bits)
-    out = bf_ctr_transform(state, nonce, raw)
-    _set_lsbs(out[host][: bits.size], bits)
-    return out
-
-
-def recover(
-    raw: np.ndarray, host: slice, frame_bits: int, state: BlowfishState, nonce: int
-) -> np.ndarray:
-    """Invert embed: a new buffer, decrypted, with raw[host] restored."""
-    out = bf_ctr_transform(state, nonce, raw)
-    out[host] = recover_plane(out[host], frame_bits)
-    return out
-
-
 def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
     """Parse the payload frame from the LSBs of raw[host]; needs no key material."""
     samples = raw[host]  # pack only the frame's LSBs: the fixed header's for ct_len, then all
@@ -317,15 +292,22 @@ def embed_segments(
     """Embed segment i in unit i under counter base nonce + i; the encrypted units.
 
     Units beyond the last segment carry an empty one, so every unit is
-    recoverable on its own.  Each unit is left as its plain-domain marked
-    cover (see embed).
+    recoverable on its own.  Room is reserved in unit[host] and the frame
+    written into its region-A LSBs, both in place, so each unit is left as
+    its plain-domain marked cover.  The unit returned for it is that cover
+    encrypted as one counter run, with the frame written again over the
+    encrypted host.
     """
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
     marked = []
     for i, raw in enumerate(units):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
-        marked.append(embed(raw, host, segment.serialize(), state, keys.nonce + i))
+        bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
+        raw[host] = reserve_room_plane(raw[host], bits.size)
+        _set_lsbs(raw[host][: bits.size], bits)
+        marked.append(bf_ctr_transform(state, keys.nonce + i, raw))
+        _set_lsbs(marked[-1][host][: bits.size], bits)
     return marked
 
 
@@ -333,12 +315,14 @@ def recover_units(
     units: Iterable[np.ndarray], host: slice, image_key: bytes, nonce: int
 ) -> tuple[list[PayloadFrame], list[np.ndarray]]:
     """Each unit's payload frame, parsed once, and the unit restored with the image key
-    alone from counter nonce + i; the side header must confirm the frame's length."""
+    alone: a new buffer, decrypted from counter nonce + i, with its host put back by
+    recover_plane; the side header must confirm the frame's length."""
     state = bf_key_schedule(image_key)
     frames, restored = [], []
     for i, raw in enumerate(units):
         frames.append(extract(raw, host))
-        restored.append(recover(raw, host, frames[-1].num_bits, state, nonce + i))
+        restored.append(bf_ctr_transform(state, nonce + i, raw))
+        restored[-1][host] = recover_plane(restored[-1][host], frames[-1].num_bits)
     if not frames:
         raise MissingSegment("cover has no units")
     return frames, restored

@@ -52,11 +52,10 @@ def max_secret_bytes(cover):
 def image_with_frame(cover, frame, keys):
     """Encrypted copy of an RGB cover carrying the given payload frame in its
     red LSBs, embedded under the given keys."""
-    from rdhkit.blowfish import bf_key_schedule
-    from rdhkit.pipeline import RED, embed
+    from rdhkit.pipeline import RED, embed_segments
 
     raw = cover.reshape(-1).copy()
-    out = embed(raw, RED, frame.serialize(), bf_key_schedule(keys.image_key), keys.nonce)
+    (out,) = embed_segments([raw], RED, [frame], keys)
     return out.reshape(cover.shape)
 
 

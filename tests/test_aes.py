@@ -154,6 +154,12 @@ def test_cbc_length_validation():
         aes.aes_cbc_encrypt(b"x", KAT_KEY, bytes(8))
 
 
+def test_cbc_decrypt_rejects_a_short_iv():
+    with pytest.raises(BadLength, match="IV") as exc:
+        aes.aes_cbc_decrypt(bytes(16), KAT_KEY, bytes(15))
+    assert exc.type is BadLength
+
+
 def test_wrong_key_raises_bad_padding_almost_always():
     rng = random.Random(5)
     key, iv = rng.randbytes(16), rng.randbytes(16)

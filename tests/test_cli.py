@@ -161,6 +161,22 @@ def test_bad_key_encoding_exits_5(tmp_path, cover_file):
                        "--iv", "00"]) == 5
 
 
+def test_data_key_given_twice_or_not_at_all_exits_5(tmp_path, cover_file, capsys):
+    cover_path, _ = cover_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"x")
+    dk = tmp_path / "dk.hex"
+    dk.write_text(DATA_KEY + "\n")
+    out = tmp_path / "m.ppm"
+    args = ["hide", "--cover", cover_path, "--data", secret, "--out", out,
+            "--image-key", IMAGE_KEY]
+    assert run(args + ["--data-key", DATA_KEY, "--data-key-file", dk]) == 5
+    assert "either inline or as a file" in capsys.readouterr().err
+    assert run(args) == 5
+    assert "data key is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_key_files(tmp_path, cover_file):
     cover_path, _ = cover_file
     secret = tmp_path / "s.bin"
@@ -215,6 +231,21 @@ def test_psnr_between_files(tmp_path, cover_file, capsys):
     assert run(["psnr", cover_path, other]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PSNR: ") and out.strip().endswith(" dB")
+
+
+def test_psnr_of_images_of_two_sizes_exits_1(tmp_path, cover_file, capsys):
+    cover_path, cover = cover_file
+    half = tmp_path / "half.ppm"
+    half.write_bytes(netpbm.save_ppm(cover[:32]))
+    assert run(["psnr", cover_path, half]) == 1
+    assert "shape (64, 64, 3) vs (32, 64, 3)" in capsys.readouterr().err
+
+
+def test_psnr_of_a_y4m_exits_4(tmp_path, cover_file, clip_file, capsys):
+    cover_path, clip_path = cover_file[0], clip_file[0]
+    for pair in ((clip_path, clip_path), (cover_path, clip_path), (clip_path, cover_path)):
+        assert run(["psnr", *pair]) == 4
+        assert "psnr compares PPM images only" in capsys.readouterr().err
 
 
 def test_inspect_reports_and_does_not_modify(tmp_path, cover_file, capsys):
@@ -355,6 +386,19 @@ def test_atomic_write_never_leaves_partial_files(tmp_path, cover_file, monkeypat
                 "--data-key", DATA_KEY, "--image-key", IMAGE_KEY])
     assert code == 1
     assert not target.exists()
+    assert not list(tmp_path.glob(".rdhkit-*"))
+
+
+def test_hide_onto_a_directory_exits_1_and_removes_its_temp_file(tmp_path, cover_file):
+    cover_path, _ = cover_file
+    secret = tmp_path / "s.bin"
+    secret.write_bytes(b"x")
+    target = tmp_path / "taken"
+    target.mkdir()
+    code = run(["hide", "--cover", cover_path, "--data", secret, "--out", target,
+                "--data-key", DATA_KEY, "--image-key", IMAGE_KEY])
+    assert code == 1
+    assert target.is_dir() and not list(target.iterdir())
     assert not list(tmp_path.glob(".rdhkit-*"))
 
 

@@ -187,6 +187,31 @@ def test_corrupt_table_zero_length_entry():
         huffman.huffman_decompress(data)
 
 
+def test_corrupt_table_no_symbols_for_a_nonempty_input():
+    data = b"HUF1" + struct.pack(">IH", 5, 0)
+    with pytest.raises(CorruptTable, match="no symbols") as exc:
+        huffman.huffman_decompress(data)
+    assert exc.type is CorruptTable
+
+
+def test_last_codeword_running_past_the_stream_is_truncated():
+    # codes 0, 10, 11: seven 0s decode, then the stream's last bit starts a 2-bit code
+    data = b"HUF1" + struct.pack(">IH", 8, 3) + bytes([0, 1, 1, 2, 2, 2]) + b"\x01"
+    with pytest.raises(Truncated, match="inside symbol 7") as exc:
+        huffman.huffman_decompress(data)
+    assert exc.type is Truncated
+
+
+def test_long_codeword_running_past_the_stream_is_truncated():
+    # lengths 1..11, then two 12-bit codes; after five 0s come eleven 1s, the
+    # start of a 12-bit code longer than the peek whose last bit is missing
+    table = [b for s in range(13) for b in (s, min(s + 1, 12))]
+    data = b"HUF1" + struct.pack(">IH", 6, 13) + bytes(table) + b"\x07\xff"
+    with pytest.raises(Truncated, match="inside a codeword") as exc:
+        huffman.huffman_decompress(data)
+    assert exc.type is Truncated
+
+
 def test_truncated_bitstream():
     container = huffman.huffman_compress(b"abracadabra")
     with pytest.raises(Truncated):

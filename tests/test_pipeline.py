@@ -269,12 +269,40 @@ def test_region_b_carries_the_header_slots_lsbs_then_region_as(nbits):
     assert np.array_equal(backup, want)
 
 
+def test_side_header_of_seven_bytes_is_a_header_checksum_error():
+    with pytest.raises(HeaderChecksum) as exc:
+        SideHeader.unpack(b"1234567")
+    assert exc.type is HeaderChecksum
+
+
+def test_reservation_that_leaves_region_b_empty_is_rejected():
+    plane = np.full(800, 50, np.uint8)
+    with pytest.raises(CapacityExceeded, match="region B is empty") as exc:
+        reserve_room_plane(plane, plane.size - HEADER_SLOTS)
+    assert exc.type is CapacityExceeded
+
+
+def test_recovery_of_a_region_longer_than_the_plane_is_a_header_checksum_error():
+    plane = np.full(800, 50, np.uint8)
+    with pytest.raises(HeaderChecksum, match="does not fit") as exc:
+        recover_plane(plane, plane.size - HEADER_SLOTS + 1)
+    assert exc.type is HeaderChecksum
+
+
+def test_side_header_must_confirm_the_frame_length():
+    plane = np.full(800, 50, np.uint8)
+    header = np.unpackbits(np.frombuffer(SideHeader(50, 52, 100).pack(), np.uint8))
+    plane[40 : 40 + HEADER_SLOTS] |= header
+    with pytest.raises(HeaderChecksum, match="claims a 100-bit region A") as exc:
+        recover_plane(plane, 40)
+    assert exc.type is HeaderChecksum
+
+
 def test_embed_leaves_the_frame_in_the_plain_domain_host():
     raw = make_cover(np.random.default_rng(26), 64, 64).reshape(-1)
-    frame = PayloadFrame(0, 1, IV, b"plain-domain marked cover").serialize()
-    bits = np.unpackbits(np.frombuffer(frame, np.uint8))
-    state = bf_key_schedule(KEYS.image_key)
-    out = pipeline.embed(raw, pipeline.RED, frame, state, KEYS.nonce)
+    frame = PayloadFrame(0, 1, IV, b"plain-domain marked cover")
+    bits = np.unpackbits(np.frombuffer(frame.serialize(), np.uint8))
+    (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS)
     assert np.array_equal(raw[pipeline.RED][: bits.size] & 1, bits)
     assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
 

@@ -1,5 +1,6 @@
 """Public-surface guards: every public function or class in rdhkit has a
-caller, and no module of the package or its tests imports a name it never uses.
+caller, each per-unit cover step is called from one loop per direction, and no
+module of the package or its tests imports a name it never uses.
 
 A module-level public name counts as used when some module of the package
 other than ``__init__.py`` refers to it by name or attribute; re-exporting it
@@ -62,6 +63,31 @@ def test_only_pipeline_knows_the_host_layout():
         if "HEADER_SLOTS" in _references(tree) | imported:
             outside.add(path.name)
     assert not outside, f"modules besides pipeline.py refer to HEADER_SLOTS: {sorted(outside)}"
+
+
+# the steps each direction runs on a unit sit in one loop, so a change to the
+# counter layout or to how units are encrypted edits one function per direction
+CALLED_ONLY_IN = {
+    "bf_ctr_transform": {"pipeline.embed_segments", "pipeline.recover_units"},
+    "reserve_room_plane": {"pipeline.embed_segments"},
+    "recover_plane": {"pipeline.recover_units"},
+}
+
+
+def test_each_unit_step_is_called_from_one_loop_per_direction():
+    callers: dict[str, set[str]] = {name: set() for name in CALLED_ONLY_IN}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for statement in tree.body:
+            owner = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+            for node in ast.walk(statement):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in callers:
+                    callers[name].add(owner)
+    assert callers == CALLED_ONLY_IN
 
 
 def _unused_imports(path: Path) -> list[str]:

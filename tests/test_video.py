@@ -328,6 +328,15 @@ def test_missing_segment_detected():
         vid.video_reveal(broken, KEYS)
 
 
+def test_frames_declaring_two_segment_counts_are_rejected():
+    clip = make_clip(np.random.default_rng(20), nframes=2)
+    segments = [PayloadFrame(0, 2, IV, bytes(16)), PayloadFrame(1, 3, IV, bytes(16))]
+    marked = embed_clip(clip, segments, KEYS)
+    with pytest.raises(MissingSegment, match="unit 1 declares 3 segments, expected 2") as exc:
+        vid.video_reveal(marked, KEYS)
+    assert exc.type is MissingSegment
+
+
 def test_frames_of_two_hides_are_not_joined():
     rng = np.random.default_rng(18)
     clip = make_clip(rng, nframes=6)
