@@ -8,9 +8,11 @@ sample moves by exactly 1, and the inverse walk restores the plane
 bit-exactly.  Plain LSB substitution is NOT reversible on its own and is
 used only where the original bits are preserved elsewhere.
 
-The kernels keep each sample at one byte: the shift and its inverse add or
-subtract a boolean mask, and the payload moves through boolean masks of the
-peak and mark samples, never through arrays of positions.  Only counting
+The kernels keep each sample at one byte: a run mask is built in one uint8
+buffer (the wrapping subtraction, then the comparison over it through a bool
+view), and the shift and its inverse add or subtract the mask into that same
+buffer, which becomes the result.  The payload moves through boolean masks of
+the peak and mark samples, never through arrays of positions.  Only counting
 widens (``np.bincount`` makes each sample an 8-byte index), so
 ``count_values`` counts BLOCK samples at a time (the first block's count
 is the running sum), a fixed 512 KB temporary.  Embedding counts nothing
@@ -87,8 +89,9 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     count = np.count_nonzero(at_peak)
     if bits.size > count:
         raise CapacityExceeded(needed=bits.size, available=count, detail="peak bin")
-    between = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1)
-    out = plane + between if peak < zero else plane - between
+    # the shift is written over its own mask: a 0/1 byte per sample
+    out = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1).view(np.uint8)
+    (np.add if peak < zero else np.subtract)(plane, out, out=out)
     marked = np.full(count, peak, dtype=np.uint8)
     marked[: bits.size] = peak + bits if peak < zero else peak - bits
     out[at_peak] = marked
@@ -114,13 +117,16 @@ def hs_extract(
         got, start, step = got + carried.size, start + step, BLOCK
     if got < nbits:
         raise PayloadOverrun(f"need {nbits} payload slots, plane holds {got}")
-    moved = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero))
-    return (plane - moved if peak < zero else plane + moved), bits
+    out = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero)).view(np.uint8)
+    (np.subtract if peak < zero else np.add)(plane, out, out=out)
+    return out, bits
 
 
 def _in_run(plane: np.ndarray, first: int, width: int) -> np.ndarray:
-    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction."""
-    return plane - np.uint8(first) < width
+    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction;
+    the comparison is written over the difference, so the mask is one byte buffer."""
+    diff = plane - np.uint8(first)
+    return np.less(diff, width, out=diff.view(np.bool_))
 
 
 def _check_bins(peak: int, zero: int) -> None:

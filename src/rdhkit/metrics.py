@@ -21,6 +21,8 @@ def squared_error(a: np.ndarray, b: np.ndarray) -> np.int64:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise DimensionMismatch(f"expected integer samples, got {a.dtype} and {b.dtype}")
     # a working array of BLOCK samples at a time: int16 when both inputs share
     # a 1-byte dtype, where a difference lies within +-255 and its square,
     # below 2^16, wraps in int16 but reads back exactly as uint16 (a uint8/int8

@@ -241,6 +241,11 @@ def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
         (MASK64 - 100, 8 * 300 + 7),  # wraps at 2^64 inside a chunk
         ((1 << 64) - CHUNK, 8 * (CHUNK + 9)),  # wraps at 2^64 at a chunk boundary
         (0x00000000FFFFFFFD, 38016),  # one QCIF frame straddling a low-word carry
+        # the same edges at 32K blocks: every one falls on an even chunk boundary
+        (0x0123456789ABCDEF, 8 * 2 * 32768 + 5),
+        (0xFFFFFFFEFFFFFFF0, 8 * (32768 + 3)),
+        ((1 << 32) - 32768, 8 * (32768 + 17) + 1),
+        ((1 << 64) - 32768, 8 * (32768 + 9)),
     ],
 )
 def test_keystream_matches_independent_blowfish(nonce, nbytes):

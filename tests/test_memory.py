@@ -18,7 +18,7 @@ import pytest
 from rdhkit import metrics
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
-from rdhkit.pipeline import max_embeddable_bits
+from rdhkit.pipeline import max_embeddable_bits, recover_plane, reserve_room_plane
 
 N = 1 << 20
 
@@ -29,12 +29,15 @@ def host():
     plane = np.clip(np.rint(rng.normal(128, 6, N)), 0, 255).astype(np.uint8)
     peak, zero, capacity = plan_hs(plane)
     bits = rng.integers(0, 2, capacity, dtype=np.uint8)
+    frame_bits = max_embeddable_bits(plane) // 2
     return SimpleNamespace(
         plane=plane,
         bits=bits,
         peak=peak,
         zero=zero,
         marked=hs_embed(plane, bits, peak, zero),
+        frame_bits=frame_bits,
+        reserved=reserve_room_plane(plane, frame_bits),
         other=plane ^ rng.integers(0, 2, N, dtype=np.uint8),
         state=bf_key_schedule(b"memory bound key"),
     )
@@ -53,14 +56,21 @@ def _bytes_per_sample(fn) -> float:
 
 KERNELS = {  # name: (bound in bytes per sample, the call)
     "plan_hs": (5, lambda h: plan_hs(h.plane)),
-    "hs_embed": (5, lambda h: hs_embed(h.plane, h.bits, h.peak, h.zero)),
-    "hs_extract": (5, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
+    # the shifts write over their own one-byte mask: the result (1) plus the
+    # peak mask and the marked values (embed) or the carried bits (extract);
+    # one more plane-sized byte array would cross each bound
+    "hs_embed": (2.5, lambda h: hs_embed(h.plane, h.bits, h.peak, h.zero)),
+    "hs_extract": (1.5, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
+    # the host kernels plus the plane copy each one returns
+    "reserve_room_plane": (3.5, lambda h: reserve_room_plane(h.plane, h.frame_bits)),
+    "recover_plane": (2.5, lambda h: recover_plane(h.reserved, h.frame_bits)),
     "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
-    # the result (1), four chunk-sized word buffers (0.5) and np.take's intp
-    # copy of one index (0.25) read 1.75; one more chunk-sized word array
-    # would cross 1.85.  The nonce's low word carries in the first chunk
-    "bf_ctr_transform": (1.85, lambda h: bf_ctr_transform(h.state, 0xFFFFFF00, h.plane)),
+    # the result (1), four 16K-block word buffers (0.25) and ndarray.take's
+    # intp copy of one index (0.125) read 1.375; one more chunk-sized word
+    # array (0.0625) would cross 1.43.  The nonce's low word carries in the
+    # first chunk
+    "bf_ctr_transform": (1.43, lambda h: bf_ctr_transform(h.state, 0xFFFFFF00, h.plane)),
 }
 
 

@@ -121,6 +121,17 @@ def test_mse_of_wider_samples_keeps_the_int64_formula():
     assert metrics.mse(a, b) == 65535.0**2
 
 
+@pytest.mark.parametrize("other", [np.float64, np.float32, np.bool_])
+def test_non_integer_samples_raise_dimension_mismatch(other):
+    a = np.zeros((4, 4, 3), dtype=np.uint8)
+    b = np.ones((4, 4, 3), dtype=other)
+    for x, y in ((a, b), (b, a), (b, b)):
+        with pytest.raises(DimensionMismatch, match="integer"):
+            metrics.psnr(x, y)
+        with pytest.raises(DimensionMismatch, match="integer"):
+            metrics.mse(x, y)
+
+
 def test_mse_of_empty_input_is_nan():
     empty = np.zeros((0, 3), dtype=np.uint8)
     with pytest.warns(RuntimeWarning):

@@ -171,6 +171,14 @@ def test_save_refuses_what_load_rejects(shape):
         netpbm.load_ppm(b"P6\n%d %d\n255\n" % (w, h))
 
 
+@pytest.mark.parametrize("value", [300, -1.7, 1.0])
+def test_save_refuses_samples_that_are_not_uint8(value):
+    # a cast would write 300 as the byte 44 and -1.7 as 0xFF
+    img = np.full((2, 2, 3), value)
+    with pytest.raises(DimensionMismatch, match="uint8"):
+        netpbm.save_ppm(img)
+
+
 def test_save_is_deterministic_and_roundtrips():
     rng = np.random.default_rng(7)
     for _ in range(25):
