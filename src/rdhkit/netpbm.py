@@ -1,8 +1,8 @@
 """Bit-exact binary PPM (P6) load/save for the cover images.
 
-Images are plain (height, width, 3) uint8 numpy arrays.  The writer is canonical — one space
-between width and height, newline separators — so saving the same image
-twice yields identical bytes and load inverts save exactly.
+Images are (height, width, 3) uint8 arrays, loaded ones read-only views that
+keep the file's bytes alive (callers copy to write).  The writer is canonical
+(one space between width and height, newline separators); load inverts it.
 
 The reader accepts one grammar:
 
@@ -49,7 +49,7 @@ _HEADER = re.compile(
 
 
 def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
-    """Parse a binary PPM; returns (image, embedded counter nonce or None)."""
+    """Parse a binary PPM: (a read-only view of its raster, embedded counter nonce or None)."""
     if data[:2] != b"P6":
         raise BadImageMagic(f"expected P6, got {data[:2]!r}")
     m = _HEADER.match(data)  # every token may be empty, so this always matches
@@ -68,7 +68,8 @@ def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
     if len(data) - pos > n:
         raise MalformedHeader(f"{len(data) - pos - n} trailing bytes after the raster")
     nonce = None if m["nonce"] is None else int(m["nonce"], 16)
-    img = np.frombuffer(data, np.uint8, count=n, offset=pos).reshape(height, width, 3).copy()
+    img = np.frombuffer(data, np.uint8, count=n, offset=pos).reshape(height, width, 3)
+    img.flags.writeable = False  # whatever buffer type data is
     return img, nonce
 
 

@@ -5,11 +5,11 @@ a flat uint8 buffer, plus one host slice into every unit: an image is one
 unit, its interleaved RGB raster with host ``RED`` (``[0::3]``); a video
 has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
 ``embed_segments`` gives unit i segment i of the encrypted secret (an empty
-segment past the last) and encrypts the unit from counter ``nonce + i``,
-under one key schedule per call.  ``recover_units`` parses each unit's frame
-once and restores the unit; ``reveal_units`` then checks that all frames
-declare one non-zero segment count and one IV and that each index appears
-once, and joins the segments by index before decrypting the secret.
+segment past the last) and encrypts it under one key schedule per call, from
+counter ``nonce + i * blocks``, blocks being a unit's 8-byte block count.
+``recover_units`` parses each unit's frame once and restores the unit, and
+``reveal_units`` checks that all frames declare one non-zero segment count
+and one IV and each index once, then joins the segments by index to decrypt.
 
 Each direction is one loop over the units: ``embed_segments`` reserves
 room, writes the frame, encrypts and writes it again; ``recover_units``
@@ -289,7 +289,7 @@ def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
 def embed_segments(
     units: Iterable[np.ndarray], host: slice, segments: list[PayloadFrame], keys: StegoKeys
 ) -> list[np.ndarray]:
-    """Embed segment i in unit i under counter base nonce + i; the encrypted units.
+    """Embed segment i in unit i under its own counter range; the encrypted units.
 
     Units beyond the last segment carry an empty one, so every unit is
     recoverable on its own.  Room is reserved in unit[host] and the frame
@@ -306,22 +306,27 @@ def embed_segments(
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
         raw[host] = reserve_room_plane(raw[host], bits.size)
         _set_lsbs(raw[host][: bits.size], bits)
-        marked.append(bf_ctr_transform(state, keys.nonce + i, raw))
+        marked.append(bf_ctr_transform(state, _counter_base(keys.nonce, i, raw), raw))
         _set_lsbs(marked[-1][host][: bits.size], bits)
     return marked
+
+
+def _counter_base(nonce: int, i: int, unit: np.ndarray) -> int:
+    """Unit i's first counter block: past the 8-byte blocks of i units of its size."""
+    return (nonce + i * -(-unit.size // 8)) % (1 << 64)
 
 
 def recover_units(
     units: Iterable[np.ndarray], host: slice, image_key: bytes, nonce: int
 ) -> tuple[list[PayloadFrame], list[np.ndarray]]:
     """Each unit's payload frame, parsed once, and the unit restored with the image key
-    alone: a new buffer, decrypted from counter nonce + i, with its host put back by
+    alone: a new buffer, decrypted from _counter_base, with its host put back by
     recover_plane; the side header must confirm the frame's length."""
     state = bf_key_schedule(image_key)
     frames, restored = [], []
     for i, raw in enumerate(units):
         frames.append(extract(raw, host))
-        restored.append(bf_ctr_transform(state, nonce + i, raw))
+        restored.append(bf_ctr_transform(state, _counter_base(nonce, i, raw), raw))
         restored[-1][host] = recover_plane(restored[-1][host], frames[-1].num_bits)
     if not frames:
         raise MissingSegment("cover has no units")

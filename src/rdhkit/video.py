@@ -7,10 +7,10 @@ slice ``[:w*h]``), just as an image is one unit whose host is its red
 samples.  Each frame's capacity is ``pipeline.max_embeddable_bits`` of its Y
 plane, the same rule an image's red plane follows; it sets how the encrypted
 secret splits into segments, and a frame that cannot carry one raises the
-reason.  A parsed frame already is that unit, so ``video_reveal`` hands the
-frames over as they are, and ``video_hide`` hands over one copy per frame,
-made as the driver reaches it, because embedding leaves its input as the
-plain-domain marked cover.
+reason.  A parsed frame, a read-only view of the parsed bytes, already is
+that unit, so ``video_reveal`` hands the frames over as they are, and
+``video_hide`` hands over one copy per frame, made as the driver reaches it,
+because embedding leaves its input as the plain-domain marked cover.
 
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
@@ -30,12 +30,14 @@ token of exactly that form counts: a sign, ``0x`` or ``_`` means no nonce.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadSignature, TruncatedFrame, UnsupportedColorspace, check_nonce
+from .errors import (BadSignature, DimensionMismatch, TruncatedFrame, UnsupportedColorspace,
+                     check_nonce)
 from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
@@ -61,7 +63,7 @@ class Y4mVideo:
     height: int
     colorspace: str  # "C420" or "C444"
     params: list[bytes]  # raw stream-header tokens, order preserved
-    frames: list[np.ndarray] = field(default_factory=list)  # flat C-contiguous Y+U+V bytes
+    frames: list[np.ndarray] = field(default_factory=list)  # flat C-contiguous Y+U+V uint8
     frame_headers: list[bytes] = field(default_factory=list)  # raw suffix per frame
 
     def chroma_shape(self) -> tuple[int, int]:
@@ -71,6 +73,7 @@ class Y4mVideo:
 
 
 def parse_y4m(data: bytes) -> Y4mVideo:
+    """The clip in data; its frames are read-only views of data, not copies."""
     m = _STREAM_HEADER.match(data)
     if m is None:
         raise BadSignature("no 'YUV4MPEG2' line of space-separated parameters at byte 0")
@@ -100,8 +103,7 @@ def parse_y4m(data: bytes) -> Y4mVideo:
         )
 
     video = Y4mVideo(width, height, colorspace, tokens)
-    ch, cw = video.chroma_shape()
-    frame_len = width * height + 2 * ch * cw
+    frame_len = width * height + 2 * math.prod(video.chroma_shape())
     pos = m.end()
     while pos < len(data):
         m = _FRAME_HEADER.match(data, pos)
@@ -112,15 +114,19 @@ def parse_y4m(data: bytes) -> Y4mVideo:
             # names the dimensions: frame_len may have more digits than str() writes
             left = len(data) - pos
             raise TruncatedFrame(f"a {width}x{height} frame needs more than the {left} bytes left")
-        video.frames.append(np.frombuffer(data, np.uint8, count=frame_len, offset=pos).copy())
+        video.frames.append(np.frombuffer(data, np.uint8, count=frame_len, offset=pos))
+        video.frames[-1].flags.writeable = False  # whatever buffer type data is
         video.frame_headers.append(m[1])
         pos += frame_len
     return video
 
 
 def write_y4m(video: Y4mVideo) -> bytes:
+    n = video.width * video.height + 2 * math.prod(video.chroma_shape())
     parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
+        if frame.dtype != np.uint8 or frame.size != n:  # the join would misframe the file
+            raise DimensionMismatch(f"a frame is {n} uint8 samples, got {frame.size} {frame.dtype}")
         parts += (b"FRAME" + suffix + b"\n", frame)
     return b"".join(parts)  # each frame's one copy
 

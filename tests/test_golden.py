@@ -32,16 +32,17 @@ SECRET = b"golden digests pin the embedding bytes " * 3
 IMAGE_DIGEST = "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4"
 # original vs plain-domain marked cover, the frame in region A's LSBs
 IMAGE_PLAIN_PSNR = 59.368895923352405
-# the secret spans two frames; the third carries an empty segment
+# the secret spans two frames; the third carries an empty segment.  Frame i
+# is encrypted from counter nonce + i * ceil(frame bytes / 8)
 VIDEO_DIGESTS = {
-    "C420": "4dc643e8177c503bcaf95223b6edf9ada4d1f1c3ad0d4bf50fc329554d31b964",
-    "C444": "45033669738f63eca70171d365b6bf229e9cc6a56e14209de0e27a85780dbce6",
+    "C420": "c5c5ac323d6de73aa3589b4b25cf6cb270b681fe4f2d52199c138dcfce8c72dc",
+    "C444": "6006a71195b2114402f3e1e1abff8646b566fcb1cd867f5878a347d561f9683f",
 }
 
 BENCH_HIDE_DIGESTS = {
     "image-1k": "9ba6ec69243d40db2e08d51a5e5e5f66e310bd7b99de13041e524c5255341693",
     "payload-16k": "04ddb8aacb7f73ab85efb6bce1b52f7d91fa8526070bb74ed984aa768bba71aa",
-    "video-qcif": "d93bb401099910964a747f9825b2cdd3eddef6891b66b307f03edcc6b23892a2",
+    "video-qcif": "021df00d937744ce6b88c8e7ad7e2e13033fc12e9b3a2df096124e6f8dca6483",
 }
 
 

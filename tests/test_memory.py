@@ -7,6 +7,10 @@ full-size int16 copy.  The bounds are bytes per sample of a 2^20-sample
 plane, the kernel's result included.  The cover keystream is bounded the
 same way, per byte of a 2^20-byte buffer: its result plus chunk-sized
 scratch, and no buffer that grows with the input besides the result.
+
+A whole file round trip (read, hide, write, read, reveal, write) is bounded
+per byte of its input file: beyond the input it must hold the marked file,
+the restored cover and the writer's join, and nothing else cover-sized.
 """
 
 import tracemalloc
@@ -15,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rdhkit import metrics
+from conftest import make_cover
+from rdhkit import metrics, netpbm, pipeline, video
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.pipeline import max_embeddable_bits, recover_plane, reserve_room_plane
@@ -43,13 +48,13 @@ def host():
     )
 
 
-def _bytes_per_sample(fn) -> float:
-    """tracemalloc peak while fn runs, above what was allocated before, per sample."""
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak while fn runs, above what was allocated before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         fn()
-        return (tracemalloc.get_traced_memory()[1] - before) / N
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
@@ -77,5 +82,47 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_peak_memory_per_sample(host, name):
     bound, kernel = KERNELS[name]
-    used = _bytes_per_sample(lambda: kernel(host))
+    used = _peak_bytes(lambda: kernel(host)) / N
     assert used <= bound, f"{name} held {used:.2f} bytes per sample, bound {bound}"
+
+
+KEYS = pipeline.StegoKeys(bytes(range(16)), b"memory bound key", 0x0123456789ABCDEF)
+IV = bytes(16)
+
+
+def _ppm_round_trip(data: bytes, secret: bytes) -> bytes:
+    marked = netpbm.save_ppm(
+        pipeline.hide(netpbm.load_ppm(data)[0], secret, KEYS, iv=IV).image, KEYS.nonce
+    )
+    return netpbm.save_ppm(pipeline.reveal(netpbm.load_ppm(marked)[0], KEYS)[1])
+
+
+def _y4m_round_trip(data: bytes, secret: bytes) -> bytes:
+    marked = video.write_y4m(video.video_hide(video.parse_y4m(data), secret, KEYS, iv=IV))
+    return video.write_y4m(video.video_reveal(video.parse_y4m(marked), KEYS)[1])
+
+
+def _qcif_clip(rng, nframes: int) -> bytes:
+    width, height = 176, 144
+    frames = []
+    for _ in range(nframes):
+        y = np.full(width * height, 60, np.uint8)
+        y[rng.random(y.size) < 0.03] = 61
+        frames.append(np.concatenate((y, rng.integers(0, 256, y.size // 2, dtype=np.uint8))))
+    params = [b"W176", b"H144", b"F25:1", b"C420"]
+    return video.write_y4m(video.Y4mVideo(width, height, "C420", params, frames, [b""] * nframes))
+
+
+@pytest.mark.parametrize("container", ["ppm", "y4m"])
+def test_round_trip_peak_memory_per_input_byte(container):
+    # three cover-sized buffers read 3.0-3.15; a copy made by either reader
+    # would add one more and cross the bound
+    rng = np.random.default_rng(8)
+    secret = rng.bytes(1024)
+    if container == "ppm":
+        data, round_trip = netpbm.save_ppm(make_cover(rng, 512, 512)), _ppm_round_trip
+    else:
+        data, round_trip = _qcif_clip(rng, 12), _y4m_round_trip
+    assert round_trip(data, secret) == data
+    used = _peak_bytes(lambda: round_trip(data, secret)) / len(data)
+    assert used <= 3.5, f"a {container} round trip held {used:.2f}x its input, bound 3.5"

@@ -192,6 +192,19 @@ def test_save_is_deterministic_and_roundtrips():
         assert got_nonce == nonce
 
 
+@pytest.mark.parametrize("buffer", [bytes, bytearray])
+def test_loaded_image_is_a_read_only_view_of_its_input(buffer):
+    raw = b"P6\n# RDHCTR 00000000000000ff\n2 2\n255\n" + bytes(range(12))
+    data = buffer(raw)
+    img, nonce = netpbm.load_ppm(data)
+    assert img.shape == (2, 2, 3) and img.flags.c_contiguous
+    assert np.shares_memory(img, np.frombuffer(data, np.uint8))
+    assert not img.flags.writeable
+    with pytest.raises(ValueError):
+        img[0, 0, 0] = 255
+    assert netpbm.save_ppm(img, nonce) == raw
+
+
 RASTER = bytes(range(1, 7))  # one 2x1 RGB raster
 
 

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
@@ -660,3 +661,25 @@ def test_randomized_roundtrips_with_random_keys():
         assert np.array_equal(
             recover_original(result.image, keys.image_key, keys.nonce), cover
         )
+
+
+MASK64 = (1 << 64) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nonce=st.one_of(st.integers(0, MASK64), st.integers(MASK64 - 40, MASK64)),
+    size=st.integers(1, 600),
+    count=st.integers(1, 12),
+)
+def test_units_of_one_cover_never_share_a_counter_block(nonce, size, count):
+    unit = np.zeros(size, np.uint8)
+    seen: set[int] = set()
+    for i in range(count):
+        base = pipeline._counter_base(nonce, i, unit)
+        assert 0 <= base <= MASK64
+        # the counter blocks bf_ctr_transform encrypts for this unit, mod 2^64
+        blocks = {(base + k) & MASK64 for k in range(-(-size // 8))}
+        assert not blocks & seen
+        seen |= blocks
+    assert pipeline._counter_base(nonce, 0, unit) == nonce  # an image keeps its counters

@@ -11,6 +11,7 @@ from rdhkit.errors import (
     BadPadding,
     BadSignature,
     CapacityError,
+    DimensionMismatch,
     HeaderChecksum,
     KeyEncodingError,
     MissingSegment,
@@ -165,18 +166,35 @@ def test_container_grammar_edge_cases(data, expected):
     assert vid.write_y4m(clip) == data
 
 
-def test_parsed_frames_are_writable_and_own_their_memory():
+@pytest.mark.parametrize("buffer", [bytes, bytearray])
+def test_parsed_frames_are_read_only_views_of_their_input(buffer):
     raw = HEAD444 + b"FRAME\n" + bytes(range(12)) + b"FRAME\n" + bytes(range(12, 24))
-    clip = vid.parse_y4m(raw)
-    source = np.frombuffer(raw, np.uint8)
-    for i, frame in enumerate(clip.frames):
+    data = buffer(raw)
+    clip = vid.parse_y4m(data)
+    source = np.frombuffer(data, np.uint8)
+    for frame in clip.frames:
         assert frame.ndim == 1 and frame.flags.c_contiguous
-        for plane in planes(clip, i):
-            assert plane.flags.writeable
-            assert not np.shares_memory(plane, source)
-        planes(clip, i)[0][0, 0] = 255
-    assert vid.write_y4m(clip) != raw
-    assert not np.shares_memory(planes(clip, 0)[0], planes(clip, 1)[0])
+        assert np.shares_memory(frame, source)
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            frame[0] = 255
+    assert not np.shares_memory(clip.frames[0], clip.frames[1])
+    assert vid.write_y4m(clip) == raw
+
+
+def test_write_refuses_frames_that_are_not_uint8():
+    clip = vid.parse_y4m(HEAD444 + b"FRAME\n" + bytes(range(12)))
+    # joined as they are, these 12 samples would write 96 raster bytes
+    wide = replace(clip, frames=[clip.frames[0].astype(np.int64)])
+    with pytest.raises(DimensionMismatch, match="uint8"):
+        vid.write_y4m(wide)
+
+
+def test_write_refuses_frames_of_another_length():
+    clip = vid.parse_y4m(HEAD444 + b"FRAME\n" + bytes(range(12)) + b"FRAME\n" + bytes(12))
+    short = replace(clip, frames=[clip.frames[0], clip.frames[1][:5]])
+    with pytest.raises(DimensionMismatch, match="12 uint8 samples"):
+        vid.write_y4m(short)
 
 
 @pytest.mark.parametrize(
@@ -438,12 +456,6 @@ def test_video_reveal_parses_each_frame_once(monkeypatch):
     assert len(calls) == len(clip.frames)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="frame i+1's counter base is frame i's plus one block, so its keystream is "
-    "frame i's shifted by 8 bytes (one CTR run per video would fix it)",
-)
 def test_adjacent_frames_never_share_keystream():
     clip = make_clip(np.random.default_rng(15), nframes=3)
     marked = vid.video_hide(clip, b"one key, one keystream", KEYS, iv=IV)
