@@ -20,7 +20,6 @@ from .pipeline import (
     build_frames,
     hide,
     parse_frame,
-    recover_original,
     reveal,
 )
 from .video import Y4mVideo, parse_y4m, video_hide, video_reveal, write_y4m
@@ -46,7 +45,6 @@ __all__ = [
     "parse_frame",
     "hide",
     "reveal",
-    "recover_original",
     "Y4mVideo",
     "parse_y4m",
     "write_y4m",

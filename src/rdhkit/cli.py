@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -58,9 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_FORMAT)
     except (KeyEncodingError, BadKeyLength) as exc:
         return _fail(exc, EXIT_KEYS)
-    except OSError as exc:
-        return _fail(exc, EXIT_OTHER)
-    except RdhError as exc:
+    except (OSError, RdhError) as exc:
         return _fail(exc, EXIT_OTHER)
 
 
@@ -199,6 +198,13 @@ def _load(path: str) -> tuple[np.ndarray | video.Y4mVideo, int | None]:
     raise FormatError(f"unrecognized file: starts with {data[:9]!r}")
 
 
+def _units(cover: np.ndarray | video.Y4mVideo) -> tuple[list[np.ndarray], slice]:
+    """The units and host the pipeline's loops take for a loaded cover."""
+    if isinstance(cover, video.Y4mVideo):
+        return cover.frames, video.y_host(cover)
+    return [cover.reshape(-1)], pipeline.RED
+
+
 def _cmd_hide(args) -> int:
     keys = _keys(args)
     cover, _ = _load(args.cover)
@@ -237,15 +243,13 @@ def _cmd_reveal(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    marked, file_nonce = _load(args.input)
-    image_key, nonce = _image_key(args), _nonce(args, file_nonce)
+    marked, nonce = _load(args.input)
+    _, restored = pipeline.recover_units(*_units(marked), _image_key(args), _nonce(args, nonce))
     if isinstance(marked, video.Y4mVideo):
-        host = video.y_host(marked)
-        _, marked.frames = pipeline.recover_units(marked.frames, host, image_key, nonce)
-        restored = video.write_y4m(video.without_video_nonce(marked))
+        out = video.write_y4m(video.without_video_nonce(replace(marked, frames=restored)))
     else:
-        restored = netpbm.save_ppm(pipeline.recover_original(marked, image_key, nonce))
-    _write_atomic(args.out, restored)
+        out = netpbm.save_ppm(restored[0].reshape(marked.shape))
+    _write_atomic(args.out, out)
     print(f"OUT: {args.out}")
     return EXIT_OK
 
@@ -267,12 +271,11 @@ def _cmd_inspect(args) -> int:
         print(f"HEIGHT: {cover.height}")
         print(f"COLORSPACE: {cover.colorspace}")
         print(f"FRAMES: {len(cover.frames)}")
-        units, host = cover.frames, video.y_host(cover)
     else:
         print("FORMAT: ppm")
         print(f"WIDTH: {cover.shape[1]}")
         print(f"HEIGHT: {cover.shape[0]}")
-        units, host = [cover.reshape(-1)], pipeline.RED
+    units, host = _units(cover)
     print(f"NONCE: {f'{nonce:016x}' if nonce is not None else 'none'}")
     try:  # the payload line describes frame 0; a clip of no frames has none
         frame = pipeline.extract(units[0], host) if units else None

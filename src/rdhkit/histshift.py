@@ -2,11 +2,11 @@
 
 Histogram shifting is the reversible host primitive: samples strictly
 between the peak bin (most frequent value) and an empty zero bin move one
-step toward the zero bin, freeing the bin next to the peak; each sample
-equal to the peak then encodes one payload bit in place.  Every touched
-sample moves by exactly 1, and the inverse walk restores the plane
-bit-exactly.  Plain LSB substitution is NOT reversible on its own and is
-used only where the original bits are preserved elsewhere.
+step toward the zero bin, freeing the bin next to the peak; the samples
+equal to the peak then carry the payload bits in order, a 1 moving its
+sample into the freed bin.  Every touched sample moves by exactly 1, and
+the inverse walk restores the plane bit-exactly.  LSB substitution alone
+is not reversible and is used only where the original bits are kept.
 
 The kernels keep each sample at one byte: a run mask is built in one uint8
 buffer (the wrapping subtraction, then the comparison over it through a bool

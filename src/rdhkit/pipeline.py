@@ -5,8 +5,8 @@ a flat uint8 buffer, plus one host slice into every unit: an image is one
 unit, its interleaved RGB raster with host ``RED`` (``[0::3]``); a video
 has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
 ``embed_segments`` gives unit i segment i of the encrypted secret (an empty
-segment past the last) and encrypts it under one key schedule per call, from
-counter ``nonce + i * blocks``, blocks being a unit's 8-byte block count.
+segment past the last) and encrypts it under one key schedule per call, its
+counter run starting where unit i - 1's ended, unit 0's at the nonce, mod 2^64.
 ``recover_units`` parses each unit's frame once and restores the unit, and
 ``reveal_units`` checks that all frames declare one non-zero segment count
 and one IV and each index once, then joins the segments by index to decrypt.
@@ -16,8 +16,8 @@ room, writes the frame, encrypts and writes it again; ``recover_units``
 runs ``extract``, decrypts and restores the host.  The host is split
 row-major into three regions::
 
-    [0, L)       region A   payload frame, one bit per sample LSB
-    [L, L+64)    header     side header, one bit per sample LSB
+    [0, L)       region A   payload frame, one bit per sample LSB, MSB first
+    [L, L+64)    header     side header, one bit per sample LSB, MSB first
     [L+64, n)    region B   histogram-shift host for the 64+L original LSBs
 
 Region B carries those LSBs in one fixed order, part of the on-disk format:
@@ -30,17 +30,18 @@ cover is sized by it, an image's red samples and each video frame's Y
 plane alike, and a host that cannot carry even L = 0 raises the reason.
 
 Room is reserved before encryption: the original LSBs of the header slots
-and region A are tucked reversibly into region B, the side header (peak,
-zero, L, checksum) overwrites the header-slot LSBs, and only then is the
-whole buffer encrypted as one Blowfish counter run.  The payload frame is
-finally substituted into region A's LSBs of the *encrypted* buffer.
+and region A are tucked reversibly into region B, the side header (peak u8,
+zero u8, L u32, RFC 1071 checksum u16) overwrites the header-slot LSBs, and
+only then is the whole buffer encrypted as one Blowfish counter run.  The
+payload frame then overwrites region A's LSBs in the *encrypted* buffer.
 
 Every cover is encrypted; there is no plain-domain output.  Decryption
 restores every bit the embedder did not touch after encrypting, so the side
 header becomes readable again while region A stays garbled until the
 histogram-shift backup puts the original LSBs back.  Recovery needs only the
-image key, for images and video alike.  No receiver yet reads the secret
-without the image key, because ``reveal_units`` takes both keys.
+image key, for images and video alike; no receiver yet reads the secret
+without it.  ``tests/spec_reader.py`` reads marked files from these
+docstrings alone, so a format change updates it first.
 
 The payload frame is self-delimiting, all integers big-endian::
 
@@ -300,34 +301,32 @@ def embed_segments(
     """
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
-    marked = []
+    marked, counter = [], keys.nonce
     for i, raw in enumerate(units):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
         raw[host] = reserve_room_plane(raw[host], bits.size)
         _set_lsbs(raw[host][: bits.size], bits)
-        marked.append(bf_ctr_transform(state, _counter_base(keys.nonce, i, raw), raw))
+        marked.append(bf_ctr_transform(state, counter, raw))
         _set_lsbs(marked[-1][host][: bits.size], bits)
+        counter = (counter + (raw.size + 7) // 8) % (1 << 64)
     return marked
-
-
-def _counter_base(nonce: int, i: int, unit: np.ndarray) -> int:
-    """Unit i's first counter block: past the 8-byte blocks of i units of its size."""
-    return (nonce + i * -(-unit.size // 8)) % (1 << 64)
 
 
 def recover_units(
     units: Iterable[np.ndarray], host: slice, image_key: bytes, nonce: int
 ) -> tuple[list[PayloadFrame], list[np.ndarray]]:
     """Each unit's payload frame, parsed once, and the unit restored with the image key
-    alone: a new buffer, decrypted from _counter_base, with its host put back by
-    recover_plane; the side header must confirm the frame's length."""
+    alone: a new buffer, decrypted from the counter embed_segments gave it, with
+    its host put back by recover_plane; the side header must confirm the frame's length."""
+    check_nonce(nonce)
     state = bf_key_schedule(image_key)
-    frames, restored = [], []
-    for i, raw in enumerate(units):
+    frames, restored, counter = [], [], nonce
+    for raw in units:
         frames.append(extract(raw, host))
-        restored.append(bf_ctr_transform(state, _counter_base(nonce, i, raw), raw))
+        restored.append(bf_ctr_transform(state, counter, raw))
         restored[-1][host] = recover_plane(restored[-1][host], frames[-1].num_bits)
+        counter = (counter + (raw.size + 7) // 8) % (1 << 64)
     if not frames:
         raise MissingSegment("cover has no units")
     return frames, restored
@@ -395,13 +394,6 @@ def reveal(marked: np.ndarray, keys: StegoKeys) -> tuple[bytes, np.ndarray]:
     """Extract the secret and restore the original cover, both bit-exact."""
     secret, (original,) = reveal_units([_raster(marked)], RED, keys)
     return secret, original.reshape(marked.shape)
-
-
-def recover_original(marked: np.ndarray, image_key: bytes, nonce: int) -> np.ndarray:
-    """Restore the original cover without the data key (see recover_units)."""
-    check_nonce(nonce)
-    _, (original,) = recover_units([_raster(marked)], RED, image_key, nonce)
-    return original.reshape(marked.shape)
 
 
 def max_embeddable_bits(plane: np.ndarray) -> int:

@@ -78,8 +78,10 @@ def test_image_hide_digest_and_roundtrip():
     secret, original = pipeline.reveal(result.image, KEYS)
     assert secret == SECRET
     assert np.array_equal(original, cover)
-    recovered = pipeline.recover_original(result.image, KEYS.image_key, KEYS.nonce)
-    assert np.array_equal(recovered, cover)
+    _, (recovered,) = pipeline.recover_units(
+        [result.image.reshape(-1)], pipeline.RED, KEYS.image_key, KEYS.nonce
+    )
+    assert np.array_equal(recovered, cover.reshape(-1))
 
 
 @pytest.mark.parametrize("colorspace", ["C420", "C444"])

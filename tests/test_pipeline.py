@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
@@ -36,8 +36,8 @@ from rdhkit.pipeline import (
     hide,
     max_embeddable_bits,
     parse_frame,
-    recover_original,
     recover_plane,
+    recover_units,
     reserve_room_plane,
     reveal,
 )
@@ -482,7 +482,7 @@ def test_keys_reject_a_nonce_outside_the_64_bit_domain(nonce):
     with pytest.raises(KeyEncodingError):
         StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
     with pytest.raises(KeyEncodingError):
-        recover_original(make_cover(np.random.default_rng(8), 8, 8), KEYS.image_key, nonce)
+        recover_units([make_cover(np.random.default_rng(8), 8, 8)], RED, KEYS.image_key, nonce)
 
 
 def test_keys_take_both_ends_of_the_nonce_domain():
@@ -558,8 +558,8 @@ def test_wrong_data_key_raises_bad_padding_but_cover_recovers():
     with pytest.raises(BadPadding):
         reveal(result.image, wrong)
     # image recovery is independent of the data key
-    original = recover_original(result.image, KEYS.image_key, KEYS.nonce)
-    assert np.array_equal(original, cover)
+    _, (original,) = recover_units([result.image.reshape(-1)], RED, KEYS.image_key, KEYS.nonce)
+    assert np.array_equal(original, cover.reshape(-1))
 
 
 def test_wrong_image_key_raises_header_checksum():
@@ -567,7 +567,7 @@ def test_wrong_image_key_raises_header_checksum():
     cover = make_cover(rng, 48, 48)
     result = hide(cover, b"top secret", KEYS, iv=IV)
     with pytest.raises(HeaderChecksum):
-        recover_original(result.image, b"not the image key", KEYS.nonce)
+        recover_units([result.image.reshape(-1)], RED, b"not the image key", KEYS.nonce)
     wrong = StegoKeys(KEYS.data_key, b"not the image key", KEYS.nonce)
     with pytest.raises(HeaderChecksum):
         reveal(result.image, wrong)
@@ -580,11 +580,11 @@ def test_reveal_on_unmarked_image():
         reveal(cover, KEYS)
 
 
-def test_recover_original_on_unmarked_image_fails_bad_magic():
+def test_recover_units_on_unmarked_image_fails_bad_magic():
     rng = np.random.default_rng(33)
     cover = make_cover(rng, 40, 40)
     with pytest.raises(BadMagic):  # the error reveal raises on the same file
-        recover_original(cover, KEYS.image_key, KEYS.nonce)
+        recover_units([cover.reshape(-1)], RED, KEYS.image_key, KEYS.nonce)
 
 
 @pytest.mark.parametrize("n", [0, 15, 17])
@@ -658,28 +658,69 @@ def test_randomized_roundtrips_with_random_keys():
         got, original = reveal(result.image, keys)
         assert got == secret
         assert np.array_equal(original, cover)
-        assert np.array_equal(
-            recover_original(result.image, keys.image_key, keys.nonce), cover
-        )
+        _, (restored,) = recover_units([result.image.reshape(-1)], RED, keys.image_key, keys.nonce)
+        assert np.array_equal(restored, cover.reshape(-1))
 
 
 MASK64 = (1 << 64) - 1
 
 
-@settings(max_examples=200, deadline=None)
+def _record_counter_runs(mp, runs):
+    """Wrap the pipeline's keystream so each call appends (first counter block, blocks)."""
+
+    def recording(state, nonce, data):
+        runs.append((nonce, -(-len(data) // 8)))
+        return bf_ctr_transform(state, nonce, data)
+
+    mp.setattr(pipeline, "bf_ctr_transform", recording)
+
+
+@settings(max_examples=25, deadline=None)
 @given(
-    nonce=st.one_of(st.integers(0, MASK64), st.integers(MASK64 - 40, MASK64)),
-    size=st.integers(1, 600),
-    count=st.integers(1, 12),
+    nonce=st.one_of(st.integers(0, MASK64), st.integers(MASK64 - 5000, MASK64)),
+    shapes=st.lists(
+        st.sampled_from([(96, 96), (64, 64), (41, 43), (50, 37)]), min_size=1, max_size=3
+    ),
 )
-def test_units_of_one_cover_never_share_a_counter_block(nonce, size, count):
-    unit = np.zeros(size, np.uint8)
-    seen: set[int] = set()
-    for i in range(count):
-        base = pipeline._counter_base(nonce, i, unit)
-        assert 0 <= base <= MASK64
-        # the counter blocks bf_ctr_transform encrypts for this unit, mod 2^64
-        blocks = {(base + k) & MASK64 for k in range(-(-size // 8))}
-        assert not blocks & seen
-        seen |= blocks
-    assert pipeline._counter_base(nonce, 0, unit) == nonce  # an image keeps its counters
+@example(nonce=100, shapes=[(96, 96), (64, 64)])
+@example(nonce=MASK64 - 4000, shapes=[(96, 96), (64, 64), (41, 43)])
+def test_units_of_one_cover_never_share_a_counter_block(nonce, shapes):
+    # units of any sizes: each run starts where the one before ended, mod 2^64
+    rng = np.random.default_rng(len(shapes))
+    covers = [make_cover(rng, h, w).reshape(-1) for h, w in shapes]
+    keys = StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
+    secret = b"end to end"
+    capacities = [max_embeddable_bits(c[RED]) for c in covers]
+    segments = build_frames(secret, keys.data_key, IV, capacities)
+    embedded: list[tuple[int, int]] = []
+    recovered: list[tuple[int, int]] = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_counter_runs(mp, embedded)
+        marked = embed_segments([c.copy() for c in covers], RED, segments, keys)
+        _record_counter_runs(mp, recovered)
+        got, restored = pipeline.reveal_units(marked, RED, keys)
+    assert got == secret
+    assert all(np.array_equal(r, c) for r, c in zip(restored, covers))
+    assert recovered == embedded
+    assert [blocks for _, blocks in embedded] == [-(-c.size // 8) for c in covers]
+    assert embedded[0][0] == nonce
+    for (base, blocks), (after, _) in zip(embedded, embedded[1:]):
+        assert after == (base + blocks) & MASK64
+    seen = {(base + k) & MASK64 for base, blocks in embedded for k in range(blocks)}
+    assert len(seen) == sum(blocks for _, blocks in embedded)
+
+
+@pytest.mark.parametrize("nonce", [0, MASK64 - 100])
+def test_equal_units_keep_the_fixed_stride_counter_layout(nonce):
+    # frames of one clip: unit i starts at nonce + i * ceil(size / 8), as before
+    rng = np.random.default_rng(40)
+    covers = [make_cover(rng, 41, 43).reshape(-1) for _ in range(4)]
+    keys = StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
+    capacities = [max_embeddable_bits(c[RED]) for c in covers]
+    segments = build_frames(b"stride", keys.data_key, IV, capacities)
+    runs: list[tuple[int, int]] = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_counter_runs(mp, runs)
+        embed_segments([c.copy() for c in covers], RED, segments, keys)
+    stride = -(-covers[0].size // 8)
+    assert [base for base, _ in runs] == [(nonce + i * stride) & MASK64 for i in range(4)]

@@ -71,6 +71,8 @@ CALLED_ONLY_IN = {
     "bf_ctr_transform": {"pipeline.embed_segments", "pipeline.recover_units"},
     "reserve_room_plane": {"pipeline.embed_segments"},
     "recover_plane": {"pipeline.recover_units"},
+    # recovery has one way in, for PPM and Y4M alike
+    "recover_units": {"pipeline.reveal_units", "cli._cmd_recover"},
 }
 
 
