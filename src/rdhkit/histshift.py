@@ -11,16 +11,21 @@ is not reversible and is used only where the original bits are kept.
 The kernels keep each sample at one byte: a run mask is built in one uint8
 buffer (the wrapping subtraction, then the comparison over it through a bool
 view), and the shift and its inverse add or subtract the mask into that same
-buffer, which becomes the result.  The payload moves through boolean masks of
-the peak and mark samples, never through arrays of positions.  Only counting
-widens (``np.bincount`` makes each sample an 8-byte index), so
+buffer, which becomes the result.  ``hs_extract`` can take that buffer from
+the caller (``out=``), so a caller that keeps the restored plane inside a
+larger array allocates no second plane.  The payload moves through boolean
+masks of the peak and mark samples, never through arrays of positions.  Only
+counting widens (``np.bincount`` makes each sample an 8-byte index), so
 ``count_values`` counts BLOCK samples at a time (the first block's count
 is the running sum), a fixed 512 KB temporary.  Embedding counts nothing
 itself: its capacity check counts the peak mask.  Extraction scans from a
-first step sized by the bit count and stops at the step holding the last.
+first step sized by the bit count, at most _SCAN_STEP samples a step, and
+stops at the step holding the last.
 
 All functions accept numpy uint8 arrays of any shape (flat and strided
-views of image planes included) and return new arrays of the same shape.
+views of image planes included) and never write to them.  They return new
+arrays of the same shape, except that ``hs_extract`` writes the restored
+plane into ``out`` when one is given.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from .errors import (
     CapacityExceeded,
+    DimensionMismatch,
     NoZeroBin,
     PayloadOverrun,
     ZeroBinNotEmpty,
@@ -37,10 +43,15 @@ from .errors import (
 # samples per pass wherever a whole-plane pass would widen every sample
 # (np.bincount here, the squares in metrics.mse): the temporary stays fixed
 BLOCK = 1 << 16
-# hs_extract's first scan step per carried bit, tuned on the benchmark's
-# sigma=6 Gaussian planes (about 1 carried bit per 15 samples); on a flatter
-# histogram the first step misses some bits and the scan pays one more step
+# hs_extract's first scan step per carried bit (at most _SCAN_STEP samples),
+# tuned on the benchmark's sigma=6 Gaussian planes (about 1 carried bit per 15
+# samples); on a flatter histogram the first step misses some bits and the
+# scan pays one more step
 _SCAN_PER_BIT = 16
+# hs_extract's largest scan step: each step holds a step-sized run mask and
+# the carried samples it selects, and at BLOCK these temporaries set the peak
+# memory of revealing a 16 KB secret, whose 78,344-bit frame spans many steps
+_SCAN_STEP = 1 << 14
 
 
 def count_values(flat: np.ndarray) -> np.ndarray:
@@ -99,34 +110,55 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
 
 
 def hs_extract(
-    plane: np.ndarray, peak: int, zero: int, nbits: int
+    plane: np.ndarray, peak: int, zero: int, nbits: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of hs_embed: (restored plane, the nbits payload bits)."""
+    """Inverse of hs_embed: (restored plane, the nbits payload bits).
+
+    The restored plane is written into out when it is given: a writeable
+    uint8 array of plane's shape that shares no memory with plane (the run
+    mask is built in out before the unshift reads plane).  None allocates a
+    new array.
+    """
     _check_bins(peak, zero)
     plane = np.asarray(plane, dtype=np.uint8)
+    if out is not None:
+        _check_out(plane, out)
     # the carried bits sit at the peak and mark bins, two adjacent values; the
-    # scan stops at the step that holds the nbits-th (each after the first is BLOCK)
+    # scan stops at the step that holds the nbits-th (each after the first is _SCAN_STEP)
     mark = peak + 1 if peak < zero else peak - 1
     flat = plane.reshape(-1)
     bits, got, start = np.empty(nbits, dtype=np.uint8), 0, 0
-    step = min(BLOCK, _SCAN_PER_BIT * nbits)
+    step = min(_SCAN_STEP, _SCAN_PER_BIT * nbits)
     while got < nbits and start < flat.size:
         block = flat[start : start + step]
         carried = block[_in_run(block, min(peak, mark), 2)][: nbits - got]
         bits[got : got + carried.size] = carried == mark
-        got, start, step = got + carried.size, start + step, BLOCK
+        got, start, step = got + carried.size, start + step, _SCAN_STEP
     if got < nbits:
         raise PayloadOverrun(f"need {nbits} payload slots, plane holds {got}")
-    out = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero)).view(np.uint8)
+    # allocated after the scan, so the scan's temporaries never sit beside it
+    out = np.empty_like(plane) if out is None else out
+    _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero), out)
     (np.subtract if peak < zero else np.add)(plane, out, out=out)
     return out, bits
 
 
-def _in_run(plane: np.ndarray, first: int, width: int) -> np.ndarray:
-    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction;
-    the comparison is written over the difference, so the mask is one byte buffer."""
-    diff = plane - np.uint8(first)
+def _in_run(plane: np.ndarray, first: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction
+    into out (or a new buffer); the comparison is written over the difference, so the
+    mask is a bool view of that one byte buffer."""
+    diff = np.subtract(plane, np.uint8(first), out=out)
     return np.less(diff, width, out=diff.view(np.bool_))
+
+
+def _check_out(plane: np.ndarray, out) -> None:
+    if not isinstance(out, np.ndarray) or out.dtype != np.uint8 or not out.flags.writeable:
+        kind = getattr(out, "dtype", type(out).__name__)
+        raise DimensionMismatch(f"out must be a writeable uint8 array, got {kind}")
+    if out.shape != plane.shape:
+        raise DimensionMismatch(f"out has shape {out.shape}, the plane {plane.shape}")
+    if np.shares_memory(out, plane):
+        raise DimensionMismatch("out overlaps the plane it restores")
 
 
 def _check_bins(peak: int, zero: int) -> None:

@@ -254,21 +254,27 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
 
 
 def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
-    """Invert reserve_room_plane given the frame length in bits."""
-    out = np.array(flat, dtype=np.uint8, order="C").reshape(-1)  # the one copy
-    n = out.size
+    """Invert reserve_room_plane given the frame length in bits; flat is not written.
+
+    The result is the one plane-sized allocation: the header slots and region
+    A are copied into it, and hs_extract unshifts region B straight into its tail.
+    """
+    flat = np.asarray(flat, dtype=np.uint8).reshape(-1)
+    n = flat.size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
         )
     header_end = frame_bits + HEADER_SLOTS
-    header = SideHeader.unpack(np.packbits(out[frame_bits:header_end] & 1).tobytes())
+    header = SideHeader.unpack(np.packbits(flat[frame_bits:header_end] & 1).tobytes())
     if header.region_a_bits != frame_bits:
         raise HeaderChecksum(
             f"side header claims a {header.region_a_bits}-bit region A, "
             f"the payload frame occupies {frame_bits} bits"
         )
-    out[header_end:], backup = hs_extract(out[header_end:], header.peak, header.zero, header_end)
+    out = np.empty(n, dtype=np.uint8)
+    out[:header_end] = flat[:header_end]
+    _, backup = hs_extract(flat[header_end:], header.peak, header.zero, header_end, out[header_end:])
     _set_lsbs(out[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
     return out
 
@@ -293,12 +299,15 @@ def embed_segments(
     """Embed segment i in unit i under its own counter range; the encrypted units.
 
     Units beyond the last segment carry an empty one, so every unit is
-    recoverable on its own.  Room is reserved in unit[host] and the frame
-    written into its region-A LSBs, both in place, so each unit is left as
-    its plain-domain marked cover.  The unit returned for it is that cover
-    encrypted as one counter run, with the frame written again over the
-    encrypted host.
+    recoverable on its own; an empty segment list raises MissingSegment, and
+    fewer units than segments CapacityError.  Room is reserved in unit[host]
+    and the frame written into its region-A LSBs, both in place, so each unit
+    is left as its plain-domain marked cover.  The unit returned for it is
+    that cover encrypted as one counter run, with the frame written again
+    over the encrypted host.
     """
+    if not segments:
+        raise MissingSegment("no segments to embed")
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
     marked, counter = [], keys.nonce
@@ -310,6 +319,8 @@ def embed_segments(
         marked.append(bf_ctr_transform(state, counter, raw))
         _set_lsbs(marked[-1][host][: bits.size], bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)
+    if len(marked) < count:
+        raise CapacityError(f"{count} segments, but the cover has only {len(marked)} units")
     return marked
 
 

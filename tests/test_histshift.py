@@ -4,6 +4,7 @@ import pytest
 from rdhkit import histshift as hs
 from rdhkit.errors import (
     CapacityExceeded,
+    DimensionMismatch,
     NoZeroBin,
     PayloadOverrun,
     ZeroBinNotEmpty,
@@ -281,6 +282,88 @@ def test_extract_matches_mask_reference():
     assert seen == {"up", "down", ValueError, PayloadOverrun}
 
 
+def marked_layouts(rng):
+    """(marked plane, peak, zero, nbits): flat, C, Fortran, strided and 2-D strided
+    copies of one marked plane, shifting both ways."""
+    for centre in (3, 128, 252):
+        plane = np.clip(np.rint(rng.normal(centre, 1.5, 240)), 0, 255).astype(np.uint8)
+        peak, zero, capacity = hs.plan_hs(plane)
+        for zero in {zero, 2 * peak - zero} & set(range(256)):
+            if np.count_nonzero(plane == zero):
+                continue
+            marked = hs.hs_embed(plane, rng.integers(0, 2, capacity, dtype=np.uint8), peak, zero)
+            rows = np.zeros((24, 20), np.uint8)
+            rows[::2] = marked.reshape(12, 20)
+            for layout in (
+                marked,
+                marked.reshape(12, 20),
+                np.asfortranarray(marked.reshape(12, 20)),
+                np.repeat(marked, 2)[0::2],
+                rows[::2],
+            ):
+                yield layout, peak, zero, capacity
+
+
+def test_extract_into_out_matches_the_allocating_form():
+    rng = np.random.default_rng(504)
+    seen = set()
+    for marked, peak, zero, nbits in marked_layouts(rng):
+        want_plane, want_bits = hs.hs_extract(marked, peak, zero, nbits)
+        # out in its own buffer, C or Fortran, or interleaved with bytes it must not touch
+        spare = np.full(2 * marked.size, 77, np.uint8)
+        for out in (
+            np.empty(marked.shape, np.uint8),
+            np.empty(marked.shape, np.uint8, order="F"),
+            spare[1::2].reshape(marked.shape),
+        ):
+            before = marked.copy()
+            got_plane, got_bits = hs.hs_extract(marked, peak, zero, nbits, out=out)
+            assert got_plane is out
+            assert np.array_equal(out, want_plane) and np.array_equal(got_bits, want_bits)
+            assert np.array_equal(marked, before)
+        assert np.all(spare[0::2] == 77)
+        layout = "C" if marked.flags.c_contiguous else "F" if marked.flags.f_contiguous else "strided"
+        seen.add(("up" if peak < zero else "down", layout))
+    assert seen == {(d, c) for d in ("up", "down") for c in ("C", "F", "strided")}
+
+
+def test_extract_into_an_out_interleaved_with_the_plane():
+    # out and the plane share a buffer but no byte: allowed
+    rng = np.random.default_rng(505)
+    plane = (40 + rng.integers(0, 2, 300)).astype(np.uint8)
+    bits = rng.integers(0, 2, np.count_nonzero(plane == 40), dtype=np.uint8)
+    buf = np.zeros(600, np.uint8)
+    buf[0::2] = hs.hs_embed(plane, bits, 40, 42)
+    _, got = hs.hs_extract(buf[0::2], 40, 42, bits.size, out=buf[1::2])
+    assert np.array_equal(buf[1::2], plane) and np.array_equal(got, bits)
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda plane, buf: np.empty(plane.size + 1, np.uint8),  # wrong size
+        lambda plane, buf: np.empty(plane.size - 1, np.uint8),
+        lambda plane, buf: np.empty(plane.shape, np.int16),  # not uint8
+        lambda plane, buf: np.empty(plane.shape, np.bool_),
+        lambda plane, buf: [0] * plane.size,  # not an array
+        lambda plane, buf: np.frombuffer(bytes(plane.size), np.uint8),  # read-only
+        lambda plane, buf: plane,  # in place
+        lambda plane, buf: buf[50:150],  # half over the plane
+        lambda plane, buf: buf[::-1][100:],  # the plane reversed
+    ],
+    ids=["size+1", "size-1", "int16", "bool", "list", "read-only", "in-place", "partial", "reversed"],
+)
+def test_extract_refuses_an_out_it_cannot_write(make_out):
+    # writing in place would be wrong: the run mask overwrites the plane
+    # before the unshift reads it
+    buf = np.full(200, 5, np.uint8)
+    buf[::7] = 6
+    plane, before = buf[:100], buf.copy()
+    with pytest.raises(DimensionMismatch):
+        hs.hs_extract(plane, 5, 7, 3, out=make_out(plane, buf))
+    assert np.array_equal(buf, before)
+
+
 def scan_plane(rng, size, peak, mark, carriers):
     """A flat plane whose peak and mark samples sit exactly at the carrier positions."""
     others = np.setdiff1d(np.arange(256, dtype=np.uint8), [peak, mark])
@@ -292,17 +375,18 @@ def scan_plane(rng, size, peak, mark, carriers):
 @pytest.mark.parametrize("peak, zero", [(100, 140), (100, 60)])
 def test_extract_matches_reference_across_scan_steps(peak, zero):
     # hs_extract scans a first step of _SCAN_PER_BIT * nbits samples (at most
-    # BLOCK), then BLOCK at a time; put the nbits-th carried bit on either
-    # side of each step end and of the plane's first BLOCK, with and without
-    # an empty first step, on planes of more than two blocks
+    # _SCAN_STEP), then _SCAN_STEP at a time; put the nbits-th carried bit on
+    # either side of each step end and of the plane's first _SCAN_STEP, with
+    # and without an empty first step, on planes of more than two steps
     rng = np.random.default_rng(503)
     mark = peak + 1 if peak < zero else peak - 1
-    size = 2 * hs.BLOCK + 4321
+    cap = hs._SCAN_STEP
+    size = 2 * cap + 4321
     per_bit = hs._SCAN_PER_BIT
     seen = set()
-    for nbits in (1, 3, 328, hs.BLOCK // per_bit - 1, hs.BLOCK // per_bit, 5000):
-        step = min(hs.BLOCK, per_bit * nbits)
-        for edge in {step, step + hs.BLOCK, hs.BLOCK}:
+    for nbits in (1, 3, 328, cap // per_bit - 1, cap // per_bit, 5000):
+        step = min(cap, per_bit * nbits)
+        for edge in {step, step + cap, cap}:
             for last, empty_head in ((edge - 1, False), (edge, False), (edge, True)):
                 head = step if empty_head else 0
                 if last - head < nbits - 1 or last < 0:
@@ -315,14 +399,14 @@ def test_extract_matches_reference_across_scan_steps(peak, zero):
                 if empty_head:
                     assert carried[0] >= step
                     seen.add("empty first step")
-                seen.add(("before" if last < edge else "at", "step" if edge == step else "block"))
+                seen.add(("before" if last < edge else "at", "step" if edge == step else "cap"))
                 for n in (nbits - 1, nbits, nbits + 1):
                     want = mask_hs_extract(flat, peak, zero, n)
                     assert_same(hs.hs_extract(flat, peak, zero, n), want, flat.shape)
                 short = carried.size + 1  # more bits than the plane carries
                 assert outcome(hs.hs_extract, flat, peak, zero, short) is PayloadOverrun
     assert seen == {
-        "empty first step", ("before", "step"), ("at", "step"), ("before", "block"), ("at", "block")
+        "empty first step", ("before", "step"), ("at", "step"), ("before", "cap"), ("at", "cap")
     }
 
 

@@ -216,10 +216,13 @@ def test_reserve_recover_plane_roundtrip():
         # region A untouched by reservation itself
         assert np.array_equal(reserved[:nbits], plane[:nbits])
         marked = reserved.copy()
+        raster = np.repeat(reserved, 3)  # the host as the red samples of a raster
         restored = recover_plane(reserved, nbits)
         assert np.array_equal(restored, plane)
-        # each works on a copy of its own, leaving the caller's host as it was
+        assert np.array_equal(recover_plane(raster[0::3], nbits), plane)
+        # each leaves the caller's host as it was
         assert np.array_equal(plane, original) and np.array_equal(reserved, marked)
+        assert np.array_equal(raster, np.repeat(marked, 3))
 
 
 def test_reserve_room_zero_length_region():
@@ -306,6 +309,22 @@ def test_embed_leaves_the_frame_in_the_plain_domain_host():
     (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS)
     assert np.array_equal(raw[pipeline.RED][: bits.size] & 1, bits)
     assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
+
+
+def test_embed_segments_refuses_more_segments_than_units():
+    # segments past the last unit have nowhere to go: embedding them would
+    # leave a cover whose receiver finds them absent
+    raw = make_cover(np.random.default_rng(27), 64, 64).reshape(-1)
+    segments = [PayloadFrame(i, 3, IV, b"x" * 16) for i in range(3)]
+    with pytest.raises(CapacityError, match="3 segments, but the cover has only 1 units"):
+        embed_segments([raw], RED, segments, KEYS)
+
+
+def test_embed_segments_refuses_an_empty_segment_list():
+    raw = make_cover(np.random.default_rng(28), 64, 64).reshape(-1)
+    with pytest.raises(MissingSegment, match="no segments") as exc:
+        embed_segments([raw], RED, [], KEYS)
+    assert exc.type is MissingSegment
 
 
 def test_max_embeddable_bits_is_the_exact_boundary():
