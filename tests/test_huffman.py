@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,14 +243,18 @@ def test_roundtrip_property(data):
     assert huffman.huffman_decompress(huffman.huffman_compress(data)) == data
 
 
-def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
-    """Shuffled bytes whose counts are Fibonacci numbers: the most skewed tree,
-    with codes up to nsymbols - 1 bits long."""
+def fibonacci_weights(nsymbols: int) -> list[int]:
     weights = [1, 1]
     while len(weights) < nsymbols:
         weights.append(weights[-1] + weights[-2])
+    return weights
+
+
+def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
+    """Shuffled bytes whose counts are Fibonacci numbers: the most skewed tree,
+    with codes up to nsymbols - 1 bits long."""
     data = bytearray()
-    for sym, weight in enumerate(weights):
+    for sym, weight in enumerate(fibonacci_weights(nsymbols)):
         data += bytes([sym]) * weight
     random.Random(seed).shuffle(data)
     return bytes(data)
@@ -262,6 +267,80 @@ def test_codes_longer_than_the_peek_round_trip():
     assert huffman.huffman_decompress(container) == data
     with pytest.raises(Truncated):
         huffman.huffman_decompress(container[:-1])
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The spec reader's bit-by-bit decoder, which shares no code with rdhkit."""
+    return pytest.importorskip("spec_reader")._huffman_decode
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=600), st.integers(1, 64))
+def test_decoder_agrees_with_the_spec_reader(reference, data, chunk):
+    # small table chunks put chunk edges all over the stream
+    container = huffman.huffman_compress(data)
+    with mock.patch.object(huffman, "_TABLE_CHUNK", chunk):
+        assert huffman.huffman_decompress(container) == reference(container) == data
+
+
+@pytest.mark.parametrize("nsymbols, chunk", [(14, 1), (14, 3), (14, huffman._TABLE_CHUNK), (22, huffman._TABLE_CHUNK)])
+def test_decoder_agrees_with_the_spec_reader_beyond_the_peek(reference, monkeypatch, nsymbols, chunk):
+    monkeypatch.setattr(huffman, "_TABLE_CHUNK", chunk)
+    container = huffman.huffman_compress(fibonacci_weighted(nsymbols, seed=nsymbols))
+    assert max(container_lengths(container)) > huffman._PEEK_BITS
+    assert huffman.huffman_decompress(container) == reference(container)
+
+
+def table_end(container: bytes) -> int:
+    """Where a HUF1 container's bitstream starts."""
+    return 10 + 2 * struct.unpack_from(">H", container, 8)[0]
+
+
+def long_code_across_a_chunk_edge(chunk: int) -> tuple[bytes, bytes]:
+    """(data, container) whose stream spans at least three table chunks of
+    chunk bytes, with a codeword longer than the peek across the first edge."""
+    counts = [24 * chunk] + fibonacci_weights(14)
+    lengths = huffman.code_lengths(counts + [0] * (256 - len(counts)))
+    longest = max(range(len(counts)), key=lengths.__getitem__)
+    lead = (8 * chunk - 1) // lengths[0]  # symbol 0's codes end just before the edge
+    rest = bytearray(b"".join(bytes([s]) * n for s, n in enumerate(counts)))
+    del rest[:lead]
+    rest.remove(longest)
+    random.Random(chunk).shuffle(rest)
+    data = bytes(lead) + bytes([longest]) + rest
+    start, length = lead * lengths[0], lengths[longest]
+    assert length > huffman._PEEK_BITS and start < 8 * chunk < start + length
+    container = huffman.huffman_compress(data)
+    assert len(container) - table_end(container) > 2 * chunk
+    return data, container
+
+
+def test_long_code_across_a_chunk_edge_decodes(reference):
+    data, container = long_code_across_a_chunk_edge(huffman._TABLE_CHUNK)
+    assert huffman.huffman_decompress(container) == reference(container) == data
+
+
+def _cut_raises_package_error(container: bytes, cut: int) -> None:
+    expected = BadMagic if cut < 10 else CorruptTable if cut < table_end(container) else Truncated
+    with pytest.raises(RdhError) as exc:
+        huffman.huffman_decompress(container[:cut])
+    assert exc.type is expected, (cut, exc.value)
+
+
+def test_every_truncation_across_chunk_edges_is_a_package_error(monkeypatch):
+    monkeypatch.setattr(huffman, "_TABLE_CHUNK", 16)
+    _, container = long_code_across_a_chunk_edge(16)
+    for cut in range(len(container)):
+        _cut_raises_package_error(container, cut)
+
+
+def test_truncations_at_full_size_chunk_edges_are_truncated():
+    chunk = huffman._TABLE_CHUNK
+    _, container = long_code_across_a_chunk_edge(chunk)
+    edges = {table_end(container) + k * chunk + d for k in (1, 2) for d in range(-2, 3)}
+    for cut in sorted(edges | {len(container) - 2, len(container) - 1}):
+        _cut_raises_package_error(container, cut)
 
 
 def test_unfilled_table_slots_raise_rather_than_decode_symbol_zero():

@@ -8,6 +8,10 @@ plane, the kernel's result included.  The cover keystream is bounded the
 same way, per byte of a 2^20-byte buffer: its result plus chunk-sized
 scratch, and no buffer that grows with the input besides the result.
 
+The Huffman decoder may hold its result and the bytearray it fills, and
+beyond them a fixed amount: decode tables for one chunk of the stream at a
+time, never state per stream byte.
+
 A whole file round trip (read, hide, write, read, reveal, write) is bounded
 per byte of its input file: beyond the input it must hold the marked file,
 the restored cover and the writer's join, and nothing else cover-sized, nor
@@ -24,6 +28,7 @@ from conftest import make_cover
 from rdhkit import metrics, netpbm, pipeline, video
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
+from rdhkit.huffman import huffman_compress, huffman_decompress
 from rdhkit.pipeline import max_embeddable_bits, recover_plane, reserve_room_plane
 
 N = 1 << 20
@@ -141,3 +146,15 @@ def test_round_trip_peak_memory_per_input_byte(container):
     assert round_trip(data, secret) == data
     used = _peak_bytes(lambda: round_trip(data, secret)) / len(data)
     assert used <= 3.05, f"a {container} round trip held {used:.2f}x its input, bound 3.05"
+
+
+def test_huffman_decompress_holds_its_output_and_one_chunk_of_tables():
+    # every byte value 1,024 times: 8-bit codes and a 256 KB stream.  The
+    # peak is the bytearray's final copy plus 41 KB, since one 2 KB chunk's
+    # tables (0.25 MB) are freed before it; a Python int of decode state per
+    # stream byte reads 11.3 MB
+    data = np.random.default_rng(9).permutation(np.arange(1 << 18) % 256).astype(np.uint8).tobytes()
+    container = huffman_compress(data)
+    assert len(container) == 10 + 2 * 256 + (1 << 18)
+    used = _peak_bytes(lambda: huffman_decompress(container)) - 2 * len(data)
+    assert used <= 1 << 18, f"huffman_decompress held {used} bytes beyond its two outputs, bound 256 KiB"
