@@ -199,8 +199,6 @@ def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
 def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     if len(iv) != BLOCK_SIZE:
         raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    if len(data) == 0 or len(data) % BLOCK_SIZE:
-        raise BadLength(f"ciphertext length {len(data)} is not a positive multiple of {BLOCK_SIZE}")
     decrypted = np.frombuffer(decrypt_block(data, expand_key(key)), np.uint8)
     chain = np.frombuffer(iv + data[:-BLOCK_SIZE], np.uint8)
     return _unpad((decrypted ^ chain).tobytes())

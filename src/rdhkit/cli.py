@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from . import metrics, netpbm, pipeline, video
+from . import blowfish, metrics, netpbm, pipeline, video
 from .errors import (
     CapacityError,
     FormatError,
@@ -150,8 +150,9 @@ def _data_key(args) -> bytes:
 
 def _image_key(args) -> bytes:
     key = _key_material(args.image_key, args.image_key_file, "image key", None)
-    if not 4 <= len(key) <= 56:
-        raise KeyEncodingError(f"image key must be 8..112 hex chars, got {2 * len(key)}")
+    if not blowfish.MIN_KEY_BYTES <= len(key) <= blowfish.MAX_KEY_BYTES:
+        span = f"{2 * blowfish.MIN_KEY_BYTES}..{2 * blowfish.MAX_KEY_BYTES}"
+        raise KeyEncodingError(f"image key must be {span} hex chars, got {2 * len(key)}")
     return key
 
 

@@ -2,8 +2,11 @@
 
 Grouped by how the CLI reports them: capacity problems (exit 2), payload /
 stego integrity problems (exit 3), on-disk container problems (exit 4) and
-key material problems (exit 5).  ``check_nonce`` holds the nonce's one domain.
+key material problems (exit 5).  ``check_nonce`` holds the nonce's one domain,
+``check_samples`` the one sample type of every plane, raster and unit.
 """
+
+import numpy as np
 
 
 class RdhError(Exception):
@@ -136,3 +139,12 @@ def check_nonce(nonce: object) -> None:
     domain of the counter base every path stores or encrypts under."""
     if not isinstance(nonce, int) or not 0 <= nonce <= 0xFFFFFFFFFFFFFFFF:
         raise KeyEncodingError(f"nonce must be an int in 0..2^64-1, got {nonce!r}")
+
+
+def check_samples(array: object, what: str) -> np.ndarray:
+    """array itself if it is a numpy uint8 array, else DimensionMismatch naming
+    what: a cast would wrap or truncate samples silently."""
+    if not isinstance(array, np.ndarray) or array.dtype != np.uint8:
+        kind = getattr(array, "dtype", type(array).__name__)
+        raise DimensionMismatch(f"{what} must be uint8 samples, got {kind}")
+    return array

@@ -22,10 +22,11 @@ itself: its capacity check counts the peak mask.  Extraction scans from a
 first step sized by the bit count, at most _SCAN_STEP samples a step, and
 stops at the step holding the last.
 
-All functions accept numpy uint8 arrays of any shape (flat and strided
-views of image planes included) and never write to them.  They return new
-arrays of the same shape, except that ``hs_extract`` writes the restored
-plane into ``out`` when one is given.
+All functions take numpy uint8 arrays of any shape (flat and strided views
+of image planes included), refuse any other plane with ``check_samples``'s
+DimensionMismatch, and never write to them.  They return new arrays of the
+same shape, except that ``hs_extract`` writes the restored plane into
+``out`` when one is given.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import numpy as np
 
 from .errors import (
     CapacityExceeded,
+    CoverTooSmall,
     DimensionMismatch,
     NoZeroBin,
     PayloadOverrun,
     ZeroBinNotEmpty,
+    check_samples,
 )
 
 # samples per pass wherever a whole-plane pass would widen every sample
@@ -69,9 +72,9 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
     the nearest empty bin above the peak, falling back to the nearest empty
     bin below.  Capacity equals the peak count.
     """
-    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
+    flat = check_samples(plane, "plane").reshape(-1)
     if flat.size == 0:
-        raise ValueError("cannot plan an embedding on an empty plane")
+        raise CoverTooSmall("cannot plan an embedding on an empty plane")
     hist = count_values(flat)
     peak = int(hist.argmax())  # argmax returns the smallest index on ties
     capacity = int(hist[peak])
@@ -89,10 +92,10 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
 def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
     """Shift the open interval between peak and zero, then encode bits at the peak."""
     _check_bins(peak, zero)
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    if bits.size and bits.max() > 1:
+    bits = np.asarray(bits).reshape(-1)  # integers or bools, checked before any cast
+    if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
         raise ValueError("payload bits must be 0 or 1")
-    plane = np.asarray(plane, dtype=np.uint8)
+    plane = check_samples(plane, "plane")
     # the shift moves no sample onto or off the peak, so this stays its mask
     at_peak = plane == peak
     if (plane == zero).any():
@@ -120,7 +123,7 @@ def hs_extract(
     new array.
     """
     _check_bins(peak, zero)
-    plane = np.asarray(plane, dtype=np.uint8)
+    plane = check_samples(plane, "plane")
     if out is not None:
         _check_out(plane, out)
     # the carried bits sit at the peak and mark bins, two adjacent values; the
@@ -152,9 +155,8 @@ def _in_run(plane: np.ndarray, first: int, width: int, out: np.ndarray | None = 
 
 
 def _check_out(plane: np.ndarray, out) -> None:
-    if not isinstance(out, np.ndarray) or out.dtype != np.uint8 or not out.flags.writeable:
-        kind = getattr(out, "dtype", type(out).__name__)
-        raise DimensionMismatch(f"out must be a writeable uint8 array, got {kind}")
+    if not check_samples(out, "out").flags.writeable:
+        raise DimensionMismatch("out must be writeable")
     if out.shape != plane.shape:
         raise DimensionMismatch(f"out has shape {out.shape}, the plane {plane.shape}")
     if np.shares_memory(out, plane):

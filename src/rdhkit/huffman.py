@@ -130,8 +130,6 @@ def huffman_decompress(container: bytes) -> bytes:
     magic, original_len, symbol_count = _HEADER.unpack_from(container)
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    if symbol_count > 256:
-        raise CorruptTable(f"symbol count {symbol_count} exceeds 256")
     table_end = _HEADER.size + 2 * symbol_count
     if len(container) < table_end:
         raise CorruptTable("container ends inside the code table")

@@ -35,6 +35,7 @@ from .errors import (
     MalformedHeader,
     TruncatedFile,
     check_nonce,
+    check_samples,
 )
 
 # a comment must run to LF or the end of input, so every separator run has
@@ -87,11 +88,9 @@ def _number(tok: bytes, what: str) -> int:
 
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:
     """Canonical binary PPM bytes; load_ppm inverts this exactly."""
-    img = np.ascontiguousarray(img)
+    img = np.ascontiguousarray(check_samples(img, "image"))
     if img.ndim != 3 or img.shape[2] != 3 or not img.size:
         raise DimensionMismatch(f"expected a non-empty RGB (h, w, 3) raster, got shape {img.shape}")
-    if img.dtype != np.uint8:  # a cast would wrap or truncate samples silently
-        raise DimensionMismatch(f"expected uint8 samples, got {img.dtype}")
     height, width = img.shape[:2]
     head = bytearray(b"P6\n")
     if nonce is not None:

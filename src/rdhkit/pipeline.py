@@ -74,6 +74,7 @@ from .errors import (
     MissingSegment,
     NoZeroBin,
     check_nonce,
+    check_samples,
 )
 from .histshift import count_values, hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
@@ -233,7 +234,7 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     Region A itself is left untouched; its original LSBs plus the header
     slots' original LSBs travel inside region B's histogram shift.
     """
-    out = np.array(flat, dtype=np.uint8, order="C").reshape(-1)  # the one copy
+    out = check_samples(flat, "host plane").flatten()  # the one copy
     n = out.size
     if frame_bits > n - HEADER_SLOTS:
         raise CoverTooSmall(
@@ -259,7 +260,7 @@ def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     The result is the one plane-sized allocation: the header slots and region
     A are copied into it, and hs_extract unshifts region B straight into its tail.
     """
-    flat = np.asarray(flat, dtype=np.uint8).reshape(-1)
+    flat = check_samples(flat, "host plane").reshape(-1)
     n = flat.size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
@@ -314,7 +315,7 @@ def embed_segments(
     for i, raw in enumerate(units):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
-        raw[host] = reserve_room_plane(raw[host], bits.size)
+        raw[host] = reserve_room_plane(check_samples(raw, "unit")[host], bits.size)
         _set_lsbs(raw[host][: bits.size], bits)
         marked.append(bf_ctr_transform(state, counter, raw))
         _set_lsbs(marked[-1][host][: bits.size], bits)
@@ -334,7 +335,7 @@ def recover_units(
     state = bf_key_schedule(image_key)
     frames, restored, counter = [], [], nonce
     for raw in units:
-        frames.append(extract(raw, host))
+        frames.append(extract(check_samples(raw, "unit"), host))
         restored.append(bf_ctr_transform(state, counter, raw))
         restored[-1][host] = recover_plane(restored[-1][host], frames[-1].num_bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)
@@ -425,7 +426,7 @@ def max_embeddable_bits(plane: np.ndarray) -> int:
     still holds it HEADER_SLOTS + best + 1 times at L = best + 1, and one
     count of the samples up to there finds every such bin.
     """
-    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
+    flat = check_samples(plane, "host plane").reshape(-1)
     n = flat.size
     if n <= HEADER_SLOTS:
         raise CoverTooSmall(f"host of {n} samples leaves no region B after the header")
@@ -468,8 +469,6 @@ def _longest_prefix(flat: np.ndarray, value: int, held: int, at: int, lo: int) -
 
 def _raster(img: np.ndarray) -> np.ndarray:
     """The interleaved RGB samples of an (h, w, 3) uint8 image as one contiguous run."""
-    if not isinstance(img, np.ndarray) or img.ndim != 3 or img.shape[2] != 3:
-        raise DimensionMismatch(f"expected an RGB (h, w, 3) array, got {getattr(img, 'shape', None)}")
-    if img.dtype != np.uint8:
-        raise DimensionMismatch(f"expected uint8 samples, got {img.dtype}")
+    if check_samples(img, "image").ndim != 3 or img.shape[2] != 3:
+        raise DimensionMismatch(f"expected an RGB (h, w, 3) array, got shape {img.shape}")
     return np.ascontiguousarray(img).reshape(-1)

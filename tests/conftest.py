@@ -17,7 +17,7 @@ def make_cover(rng, height, width, red_spread=4, red_base=None, concentration=0.
 
 
 def random_keys(rng):
-    from rdhkit import StegoKeys
+    from rdhkit.pipeline import StegoKeys
 
     return StegoKeys(
         data_key=rng.bytes(16),

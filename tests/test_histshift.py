@@ -4,6 +4,7 @@ import pytest
 from rdhkit import histshift as hs
 from rdhkit.errors import (
     CapacityExceeded,
+    CoverTooSmall,
     DimensionMismatch,
     NoZeroBin,
     PayloadOverrun,
@@ -150,6 +151,35 @@ def test_invalid_bins_rejected():
         hs.hs_embed(plane, [1], peak=5, zero=5)
     with pytest.raises(ValueError):
         hs.hs_embed(plane, [2], peak=5, zero=7)  # bits must be 0/1
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [np.array([256, 257]), np.array([1.0, 0.9]), [256], [-1], np.array([0.0, 1.0])],
+    ids=["int-above-1", "float", "list-256", "negative", "float-0-1"],
+)
+def test_embed_refuses_bits_that_are_not_integer_0_or_1(bits):
+    # a uint8 cast would embed 256, 257 as 0, 1 and 1.0, 0.9 as 1, 0
+    plane = np.array([5, 5, 5, 6], dtype=np.uint8)
+    with pytest.raises(ValueError, match="0 or 1"):
+        hs.hs_embed(plane, bits, 5, 7)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [[1, 0, 1], np.array([True, False, True]), np.array([1, 0, 1], np.int64), np.array([1, 0, 1], np.uint16)],
+    ids=["list", "bool", "int64", "uint16"],
+)
+def test_embed_takes_integer_and_bool_bits(bits):
+    plane = np.array([5, 5, 5, 6], dtype=np.uint8)
+    want = hs.hs_embed(plane, np.array([1, 0, 1], np.uint8), 5, 7)
+    assert np.array_equal(hs.hs_embed(plane, bits, 5, 7), want)
+
+
+def test_plan_of_an_empty_plane_is_cover_too_small():
+    with pytest.raises(CoverTooSmall) as exc:
+        hs.plan_hs(np.zeros(0, np.uint8))
+    assert exc.type is CoverTooSmall
 
 
 # --- table passes against the mask-based reference ------------------------

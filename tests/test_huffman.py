@@ -188,6 +188,23 @@ def test_corrupt_table_zero_length_entry():
         huffman.huffman_decompress(data)
 
 
+@pytest.mark.parametrize(
+    "count, table, reason",
+    [
+        (257, bytes(b for s in list(range(256)) + [7] for b in (s, 8)), "listed twice"),
+        (257, bytes(b for s in range(256) for b in (s, 8)) + bytes([7, 0]), "length 0"),
+        (0xFFFF, bytes(b for s in range(256) for b in (s, 8)), "ends inside the code table"),
+    ],
+    ids=["repeat", "length-0", "short"],
+)
+def test_a_table_of_more_than_256_symbols_is_corrupt(count, table, reason):
+    # 257 one-byte symbols must repeat one, so no count check of its own is needed
+    data = b"HUF1" + struct.pack(">IH", 300, count) + table + bytes(300)
+    with pytest.raises(CorruptTable, match=reason) as exc:
+        huffman.huffman_decompress(data)
+    assert exc.type is CorruptTable
+
+
 def test_corrupt_table_no_symbols_for_a_nonempty_input():
     data = b"HUF1" + struct.pack(">IH", 5, 0)
     with pytest.raises(CorruptTable, match="no symbols") as exc:

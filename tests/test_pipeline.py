@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
-from rdhkit.histshift import hs_extract, plan_hs
+from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.errors import (
     BadCrc,
     BadMagic,
@@ -16,6 +16,7 @@ from rdhkit.errors import (
     CapacityError,
     CapacityExceeded,
     CoverTooSmall,
+    DimensionMismatch,
     HeaderChecksum,
     KeyEncodingError,
     MissingSegment,
@@ -318,6 +319,47 @@ def test_embed_segments_refuses_more_segments_than_units():
     segments = [PayloadFrame(i, 3, IV, b"x" * 16) for i in range(3)]
     with pytest.raises(CapacityError, match="3 segments, but the cover has only 1 units"):
         embed_segments([raw], RED, segments, KEYS)
+
+
+def _wrapping(samples):
+    """samples as int64 with 256 added to the first: a uint8 cast gives samples back."""
+    wide = samples.astype(np.int64)
+    wide[0] += 256
+    return wide
+
+
+HOST = (50 + np.random.default_rng(32).integers(0, 2, size=800)).astype(np.uint8)
+UNIT = make_cover(np.random.default_rng(33), 64, 64).reshape(-1)
+SEGMENT = PayloadFrame(0, 1, IV, b"x" * 16)
+
+
+def _marked_unit():
+    (marked,) = embed_segments([UNIT.copy()], RED, [SEGMENT], KEYS)
+    return marked
+
+
+# each call passes one array through `given`; every one succeeds on uint8 samples
+SAMPLE_CALLS = {
+    "plan_hs": lambda given: plan_hs(given(HOST)),
+    "hs_embed": lambda given: hs_embed(given(HOST), [1, 0], 50, 52),
+    "hs_extract": lambda given: hs_extract(given(HOST), 50, 52, 3),
+    "hs_extract-out": lambda given: hs_extract(HOST, 50, 52, 3, out=given(np.empty_like(HOST))),
+    "max_embeddable_bits": lambda given: max_embeddable_bits(given(HOST)),
+    "reserve_room_plane": lambda given: reserve_room_plane(given(HOST), 8),
+    "recover_plane": lambda given: recover_plane(given(reserve_room_plane(HOST, 8)), 8),
+    "embed_segments": lambda given: embed_segments([given(UNIT.copy())], RED, [SEGMENT], KEYS),
+    "recover_units": lambda given: recover_units(
+        [given(_marked_unit())], RED, KEYS.image_key, KEYS.nonce
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
+def test_every_plane_and_unit_must_be_uint8_samples(name):
+    # a cast of the int64 array would give the same uint8 samples, 256 wrapping to 0
+    SAMPLE_CALLS[name](lambda samples: samples)
+    with pytest.raises(DimensionMismatch, match="uint8"):
+        SAMPLE_CALLS[name](_wrapping)
 
 
 def test_embed_segments_refuses_an_empty_segment_list():

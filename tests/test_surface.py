@@ -1,6 +1,9 @@
-"""Public-surface guards: every public function or class in rdhkit has a
-caller, each per-unit cover step is called from one loop per direction, and no
-module of the package or its tests imports a name it never uses.
+"""Public-surface guards: the package root exports the entry points alone and
+nothing imports another name from it, every public function or class in rdhkit
+has a caller, each per-unit cover step is called from one loop per direction,
+no function casts its samples to uint8 (``errors.check_samples`` refuses what
+is not uint8), and no module of the package or its tests imports a name it
+never uses.
 
 A module-level public name counts as used when some module of the package
 other than ``__init__.py`` refers to it by name or attribute; re-exporting it
@@ -11,8 +14,18 @@ tests call.
 import ast
 from pathlib import Path
 
+import rdhkit
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rdhkit"
 TESTS = Path(__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+ENTRY_POINTS = [
+    "RdhError",
+    "load_ppm", "save_ppm",
+    "StegoKeys", "HideResult", "hide", "reveal",
+    "Y4mVideo", "parse_y4m", "write_y4m", "video_hide", "video_reveal",
+]
 
 # the scalar block cipher is the reference for the Blowfish known-answer and
 # keystream tests
@@ -50,6 +63,37 @@ def test_every_public_name_has_a_caller_in_the_package():
         if name not in referenced and name not in ALLOWED_UNCALLED
     }
     assert not unused, f"public names nothing in the package calls: {sorted(unused)}"
+
+
+def test_the_root_exports_the_entry_points_alone():
+    assert rdhkit.__all__ == ENTRY_POINTS
+    assert all(hasattr(rdhkit, name) for name in ENTRY_POINTS)
+
+
+def test_nothing_imports_a_name_from_the_package_root():
+    # the layers behind the entry points are reached as submodules
+    submodules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    from_root = []
+    for path in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "rdhkit":
+                from_root += [f"{path.name}:{a.name}" for a in node.names if a.name not in submodules]
+    assert not from_root, f"names imported from the package root: {from_root}"
+
+
+def test_no_function_casts_its_samples_to_uint8():
+    # a cast wraps 256 to 0 and truncates 0.9 to 0; check_samples refuses instead
+    casts = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"array", "asarray"}:
+                    dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+                    if any(ast.unparse(d) == "np.uint8" for d in dtypes):
+                        casts.add(f"{path.name}:{node.lineno}")
+    assert not casts, f"np.array/np.asarray casts to uint8: {sorted(casts)}"
 
 
 def test_only_pipeline_knows_the_host_layout():
