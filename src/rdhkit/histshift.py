@@ -8,25 +8,22 @@ sample into the freed bin.  Every touched sample moves by exactly 1, and
 the inverse walk restores the plane bit-exactly.  LSB substitution alone
 is not reversible and is used only where the original bits are kept.
 
-The kernels keep each sample at one byte: a run mask is built in one uint8
-buffer (the wrapping subtraction, then the comparison over it through a bool
-view), and the shift and its inverse add or subtract the mask into that same
-buffer, which becomes the result.  ``hs_extract`` can take that buffer from
-the caller (``out=``), so a caller that keeps the restored plane inside a
-larger array allocates no second plane.  The payload moves through boolean
-masks of the peak and mark samples, never through arrays of positions.  Only
-counting widens (``np.bincount`` makes each sample an 8-byte index), so
-``count_values`` counts BLOCK samples at a time (the first block's count
-is the running sum), a fixed 512 KB temporary.  Embedding counts nothing
-itself: its capacity check counts the peak mask.  Extraction scans from a
-first step sized by the bit count, at most _SCAN_STEP samples a step, and
-stops at the step holding the last.
+``hs_embed`` and ``hs_extract`` shift the plane they are given in place.
+Each makes every check before its first write, so a refusal (a read-only
+plane included) leaves the plane as it was.  They keep each sample at one
+byte and hold one plane-sized mask at a time: a run mask is built in one
+uint8 buffer (the wrapping subtraction, then the comparison over it through
+a bool view) and added to or subtracted from the plane.  The payload moves
+through boolean masks of the peak and mark samples, never through arrays
+of positions.  Only counting widens (``np.bincount`` makes each sample an
+8-byte index), so ``count_values`` counts BLOCK samples at a time (the
+first block's count is the running sum), a fixed 512 KB temporary.
+Extraction scans from a first step sized by the bit count, at most
+_SCAN_STEP samples a step, and stops at the step holding the last.
 
 All functions take numpy uint8 arrays of any shape (flat and strided views
-of image planes included), refuse any other plane with ``check_samples``'s
-DimensionMismatch, and never write to them.  They return new arrays of the
-same shape, except that ``hs_extract`` writes the restored plane into
-``out`` when one is given.
+of image planes included) and refuse any other plane with
+``check_samples``'s DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -89,43 +86,30 @@ def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
     return peak, zero, capacity
 
 
-def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> np.ndarray:
-    """Shift the open interval between peak and zero, then encode bits at the peak."""
+def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> None:
+    """Shift the open interval between peak and zero, then encode bits at the peak, in place."""
     _check_bins(peak, zero)
     bits = np.asarray(bits).reshape(-1)  # integers or bools, checked before any cast
     if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
         raise ValueError("payload bits must be 0 or 1")
-    plane = check_samples(plane, "plane")
-    # the shift moves no sample onto or off the peak, so this stays its mask
-    at_peak = plane == peak
+    _check_writeable(plane)
     if (plane == zero).any():
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
-    count = np.count_nonzero(at_peak)
+    count = np.count_nonzero(plane == peak)
     if bits.size > count:
         raise CapacityExceeded(needed=bits.size, available=count, detail="peak bin")
-    # the shift is written over its own mask: a 0/1 byte per sample
-    out = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1).view(np.uint8)
-    (np.add if peak < zero else np.subtract)(plane, out, out=out)
+    run = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1)
+    (np.add if peak < zero else np.subtract)(plane, run.view(np.uint8), out=plane)
+    del run  # so the peak mask below is the one plane-sized mask alive
     marked = np.full(count, peak, dtype=np.uint8)
     marked[: bits.size] = peak + bits if peak < zero else peak - bits
-    out[at_peak] = marked
-    return out
+    plane[plane == peak] = marked  # the shift moved no sample onto or off the peak
 
 
-def hs_extract(
-    plane: np.ndarray, peak: int, zero: int, nbits: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of hs_embed: (restored plane, the nbits payload bits).
-
-    The restored plane is written into out when it is given: a writeable
-    uint8 array of plane's shape that shares no memory with plane (the run
-    mask is built in out before the unshift reads plane).  None allocates a
-    new array.
-    """
+def hs_extract(plane: np.ndarray, peak: int, zero: int, nbits: int) -> np.ndarray:
+    """Inverse of hs_embed: restore the plane in place and return its nbits payload bits."""
     _check_bins(peak, zero)
-    plane = check_samples(plane, "plane")
-    if out is not None:
-        _check_out(plane, out)
+    _check_writeable(plane)
     # the carried bits sit at the peak and mark bins, two adjacent values; the
     # scan stops at the step that holds the nbits-th (each after the first is _SCAN_STEP)
     mark = peak + 1 if peak < zero else peak - 1
@@ -139,28 +123,21 @@ def hs_extract(
         got, start, step = got + carried.size, start + step, _SCAN_STEP
     if got < nbits:
         raise PayloadOverrun(f"need {nbits} payload slots, plane holds {got}")
-    # allocated after the scan, so the scan's temporaries never sit beside it
-    out = np.empty_like(plane) if out is None else out
-    _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero), out)
-    (np.subtract if peak < zero else np.add)(plane, out, out=out)
-    return out, bits
+    run = _in_run(plane, min(peak, zero) + (peak < zero), abs(peak - zero))
+    (np.subtract if peak < zero else np.add)(plane, run.view(np.uint8), out=plane)
+    return bits
 
 
-def _in_run(plane: np.ndarray, first: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the samples in first..first + width - 1, by one wrapping uint8 subtraction
-    into out (or a new buffer); the comparison is written over the difference, so the
-    mask is a bool view of that one byte buffer."""
-    diff = np.subtract(plane, np.uint8(first), out=out)
+def _in_run(plane: np.ndarray, first: int, width: int) -> np.ndarray:
+    """Mask of the samples in first..first + width - 1: a wrapping uint8 subtraction into
+    a new buffer, then the comparison written over it, so the mask is a bool view of it."""
+    diff = np.subtract(plane, np.uint8(first))
     return np.less(diff, width, out=diff.view(np.bool_))
 
 
-def _check_out(plane: np.ndarray, out) -> None:
-    if not check_samples(out, "out").flags.writeable:
-        raise DimensionMismatch("out must be writeable")
-    if out.shape != plane.shape:
-        raise DimensionMismatch(f"out has shape {out.shape}, the plane {plane.shape}")
-    if np.shares_memory(out, plane):
-        raise DimensionMismatch("out overlaps the plane it restores")
+def _check_writeable(plane) -> None:
+    if not check_samples(plane, "plane").flags.writeable:
+        raise DimensionMismatch("plane must be writeable: the shift is made in place")
 
 
 def _check_bins(peak: int, zero: int) -> None:

@@ -229,10 +229,12 @@ def _ones_complement_sum(data: bytes) -> int:
 
 
 def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
-    """Room-reserve a flat host plane for a frame_bits-long region A.
+    """Room-reserve a flat host plane for a frame_bits-long region A; flat is not written.
 
-    Region A itself is left untouched; its original LSBs plus the header
-    slots' original LSBs travel inside region B's histogram shift.
+    Region A is left untouched; its original LSBs plus the header slots' travel
+    inside region B's histogram shift, made in place in the one contiguous copy
+    returned.  Shifting an image's stride-3 red samples where they lie instead
+    made image hides slower.
     """
     out = check_samples(flat, "host plane").flatten()  # the one copy
     n = out.size
@@ -248,36 +250,36 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     peak, zero, _ = plan_hs(region_b)  # hs_embed checks the capacity
     # the header slots' LSBs, then region A's: the first header_end rotated left by frame_bits
     backup = np.concatenate((out[frame_bits:header_end], out[:frame_bits])) & 1
-    region_b[...] = hs_embed(region_b, backup, peak, zero)
+    hs_embed(region_b, backup, peak, zero)
     header = SideHeader(peak, zero, frame_bits).pack()
     _set_lsbs(out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8)))
     return out
 
 
-def recover_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
-    """Invert reserve_room_plane given the frame length in bits; flat is not written.
+def recover_plane(host: np.ndarray, frame_bits: int) -> None:
+    """Invert reserve_room_plane in place on a decrypted unit's 1-D host slice.
 
-    The result is the one plane-sized allocation: the header slots and region
-    A are copied into it, and hs_extract unshifts region B straight into its tail.
+    hs_extract unshifts region B where it lies and the bits it returns go back
+    into the first frame_bits + HEADER_SLOTS LSBs, so no plane is allocated.
+    Any other shape is refused: reshaping a non-contiguous plane copies it, and
+    the restore would be lost with the copy.
     """
-    flat = check_samples(flat, "host plane").reshape(-1)
-    n = flat.size
+    if check_samples(host, "host plane").ndim != 1:
+        raise DimensionMismatch(f"host plane must be 1-D, got shape {host.shape}")
+    n = host.size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
         )
     header_end = frame_bits + HEADER_SLOTS
-    header = SideHeader.unpack(np.packbits(flat[frame_bits:header_end] & 1).tobytes())
+    header = SideHeader.unpack(np.packbits(host[frame_bits:header_end] & 1).tobytes())
     if header.region_a_bits != frame_bits:
         raise HeaderChecksum(
             f"side header claims a {header.region_a_bits}-bit region A, "
             f"the payload frame occupies {frame_bits} bits"
         )
-    out = np.empty(n, dtype=np.uint8)
-    out[:header_end] = flat[:header_end]
-    _, backup = hs_extract(flat[header_end:], header.peak, header.zero, header_end, out[header_end:])
-    _set_lsbs(out[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
-    return out
+    backup = hs_extract(host[header_end:], header.peak, header.zero, header_end)
+    _set_lsbs(host[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
 
 
 def _set_lsbs(samples: np.ndarray, bits: np.ndarray) -> None:
@@ -329,15 +331,15 @@ def recover_units(
     units: Iterable[np.ndarray], host: slice, image_key: bytes, nonce: int
 ) -> tuple[list[PayloadFrame], list[np.ndarray]]:
     """Each unit's payload frame, parsed once, and the unit restored with the image key
-    alone: a new buffer, decrypted from the counter embed_segments gave it, with
-    its host put back by recover_plane; the side header must confirm the frame's length."""
+    alone: a new buffer, decrypted from the counter embed_segments gave it, whose
+    host recover_plane restores in place; the side header must confirm the frame's length."""
     check_nonce(nonce)
     state = bf_key_schedule(image_key)
     frames, restored, counter = [], [], nonce
     for raw in units:
         frames.append(extract(check_samples(raw, "unit"), host))
         restored.append(bf_ctr_transform(state, counter, raw))
-        restored[-1][host] = recover_plane(restored[-1][host], frames[-1].num_bits)
+        recover_plane(restored[-1][host], frames[-1].num_bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)
     if not frames:
         raise MissingSegment("cover has no units")

@@ -62,14 +62,14 @@ def test_plan_no_zero_bin():
 
 def test_embed_hand_traced_example():
     plane = np.array([5, 5, 6], dtype=np.uint8)
-    out = hs.hs_embed(plane, [1, 0], peak=5, zero=7)
-    assert out.tolist() == [6, 5, 7]
+    assert hs.hs_embed(plane, [1, 0], peak=5, zero=7) is None
+    assert plane.tolist() == [6, 5, 7]
 
 
 def test_embed_zero_bits_only_shifts():
     plane = np.array([5, 5, 6], dtype=np.uint8)
-    out = hs.hs_embed(plane, [0, 0], peak=5, zero=7)
-    assert out.tolist() == [5, 5, 7]
+    hs.hs_embed(plane, [0, 0], peak=5, zero=7)
+    assert plane.tolist() == [5, 5, 7]
 
 
 def test_embed_rejects_overfull_payload():
@@ -85,15 +85,15 @@ def test_embed_rejects_occupied_zero_bin():
 
 
 def test_extract_inverts_hand_example():
-    marked = np.array([6, 5, 7], dtype=np.uint8)
-    plane, bits = hs.hs_extract(marked, peak=5, zero=7, nbits=2)
+    plane = np.array([6, 5, 7], dtype=np.uint8)
+    bits = hs.hs_extract(plane, peak=5, zero=7, nbits=2)
     assert plane.tolist() == [5, 5, 6]
     assert bits.tolist() == [1, 0]
 
 
 def test_extract_zero_payload_is_pure_unshift():
-    marked = np.array([5, 5, 7], dtype=np.uint8)
-    plane, bits = hs.hs_extract(marked, peak=5, zero=7, nbits=0)
+    plane = np.array([5, 5, 7], dtype=np.uint8)
+    bits = hs.hs_extract(plane, peak=5, zero=7, nbits=0)
     assert plane.tolist() == [5, 5, 6]
     assert bits.size == 0
 
@@ -125,10 +125,11 @@ def test_thousand_plane_roundtrip_oracle(alphabet):
         mirrored_seen |= zero < peak
         nbits = int(rng.integers(0, cap + 1))
         bits = rng.integers(0, 2, size=nbits, dtype=np.uint8)
-        marked = hs.hs_embed(plane, bits, peak, zero)
+        marked = plane.copy()
+        hs.hs_embed(marked, bits, peak, zero)
         assert np.max(np.abs(marked.astype(int) - plane.astype(int))) <= 1
-        back, got = hs.hs_extract(marked, peak, zero, nbits)
-        assert np.array_equal(back, plane)
+        got = hs.hs_extract(marked, peak, zero, nbits)
+        assert np.array_equal(marked, plane)
         assert np.array_equal(got, bits)
     if alphabet[0] == 240:
         assert mirrored_seen
@@ -139,7 +140,8 @@ def test_embed_never_touches_values_outside_the_interval():
     plane = rng.choice(np.array([3, 4, 5, 9, 200], dtype=np.uint8), size=100)
     peak, zero, cap = hs.plan_hs(plane)
     bits = rng.integers(0, 2, size=cap, dtype=np.uint8)
-    marked = hs.hs_embed(plane, bits, peak, zero)
+    marked = plane.copy()
+    hs.hs_embed(marked, bits, peak, zero)
     lo, hi = min(peak, zero), max(peak, zero)
     outside = (plane < lo) | (plane > hi)
     assert np.array_equal(marked[outside], plane[outside])
@@ -172,8 +174,8 @@ def test_embed_refuses_bits_that_are_not_integer_0_or_1(bits):
 )
 def test_embed_takes_integer_and_bool_bits(bits):
     plane = np.array([5, 5, 5, 6], dtype=np.uint8)
-    want = hs.hs_embed(plane, np.array([1, 0, 1], np.uint8), 5, 7)
-    assert np.array_equal(hs.hs_embed(plane, bits, 5, 7), want)
+    want = embedded(plane.copy(), np.array([1, 0, 1], np.uint8), 5, 7)
+    assert np.array_equal(embedded(plane, bits, 5, 7), want)
 
 
 def test_plan_of_an_empty_plane_is_cover_too_small():
@@ -191,7 +193,7 @@ def mask_hs_embed(plane, bits, peak, zero):
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     if bits.size and bits.max() > 1:
         raise ValueError("payload bits must be 0 or 1")
-    out = np.array(plane, dtype=np.uint8, copy=True)
+    out = np.array(plane, dtype=np.uint8, order="C")  # so reshape(-1) is a view
     flat = out.reshape(-1)
     if np.any(flat == zero):
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
@@ -212,7 +214,7 @@ def mask_hs_embed(plane, bits, peak, zero):
 def mask_hs_extract(plane, peak, zero, nbits):
     """Reference hs_extract: comparisons and a masked read-modify-write."""
     hs._check_bins(peak, zero)
-    out = np.array(plane, dtype=np.uint8, copy=True)
+    out = np.array(plane, dtype=np.uint8, order="C")  # so reshape(-1) is a view
     flat = out.reshape(-1)
     mark = peak + 1 if peak < zero else peak - 1
     candidates = np.flatnonzero((flat == peak) | (flat == mark))
@@ -226,15 +228,26 @@ def mask_hs_extract(plane, peak, zero, nbits):
     return out, bits
 
 
+def embedded(plane, bits, peak, zero):
+    """hs_embed in the reference's form: the plane it marked in place."""
+    assert hs.hs_embed(plane, bits, peak, zero) is None
+    return plane
+
+
+def extracted(plane, peak, zero, nbits):
+    """hs_extract in the reference's form: the plane it restored in place, and the bits."""
+    return plane, hs.hs_extract(plane, peak, zero, nbits)
+
+
 def outcome(fn, plane, *args):
-    """fn's result, or the type of the exception it raised; plane must stay unchanged."""
+    """fn's result, or the type of the exception it raised; a refusal must leave
+    plane byte-identical, since the kernels check everything before their first write."""
     before = np.array(plane, copy=True)
     try:
-        result = fn(plane, *args)
+        return fn(plane, *args)
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
-        result = type(exc)
-    assert np.array_equal(plane, before), "input plane was mutated"
-    return result
+        assert np.array_equal(plane, before), "a refusal wrote to the plane"
+        return type(exc)
 
 
 def assert_same(got, want, shape):
@@ -250,14 +263,15 @@ def assert_same(got, want, shape):
 
 
 def host_planes(rng):
-    """Seeded planes: flat, 2-D, strided and 2-D strided views, around random centres."""
+    """Seeded planes: flat, 2-D, strided and 2-D strided views, around random centres,
+    each into its own copy of the samples, so a kernel's writes stay in its plane."""
     for _ in range(300):
         centre = int(rng.choice([0, 1, 2, 128, 253, 254, 255, int(rng.integers(0, 256))]))
         raw = np.clip(rng.normal(centre, rng.uniform(0.3, 4), 3 * 96), 0, 255).astype(np.uint8)
-        yield raw[:96]
-        yield raw.reshape(16, 18)
-        yield raw[0::3]
-        yield raw.reshape(12, 24)[::2, 1::3]
+        yield raw[:96].copy()
+        yield raw.copy().reshape(16, 18)
+        yield raw.copy()[0::3]
+        yield raw.copy().reshape(12, 24)[::2, 1::3]
 
 
 def random_bins(rng, plane):
@@ -290,7 +304,7 @@ def test_embed_matches_mask_reference():
         if rng.random() < 0.05 and nbits:
             bits[-1] = 2
         want = outcome(mask_hs_embed, plane, bits, peak, zero)
-        assert_same(outcome(hs.hs_embed, plane, bits, peak, zero), want, plane.shape)
+        assert_same(outcome(embedded, plane, bits, peak, zero), want, plane.shape)
         seen.add(want if isinstance(want, type) else ("up" if peak < zero else "down"))
     assert seen == {"up", "down", ValueError, ZeroBinNotEmpty, CapacityExceeded}
 
@@ -304,94 +318,84 @@ def test_extract_matches_mask_reference():
         if 0 <= peak <= 255 and 0 <= zero <= 255 and peak != zero and not hist[zero]:
             bits = rng.integers(0, 2, size=int(hist[peak]), dtype=np.uint8)
             if rng.random() < 0.8:
-                plane = hs.hs_embed(plane, bits, peak, zero)
+                hs.hs_embed(plane, bits, peak, zero)
         nbits = int(rng.integers(0, plane.size + 1))
         want = outcome(mask_hs_extract, plane, peak, zero, nbits)
-        assert_same(outcome(hs.hs_extract, plane, peak, zero, nbits), want, plane.shape)
+        assert_same(outcome(extracted, plane, peak, zero, nbits), want, plane.shape)
         seen.add(want if isinstance(want, type) else ("up" if peak < zero else "down"))
     assert seen == {"up", "down", ValueError, PayloadOverrun}
 
 
 def marked_layouts(rng):
-    """(marked plane, peak, zero, nbits): flat, C, Fortran, strided and 2-D strided
-    copies of one marked plane, shifting both ways."""
+    """(marked plane, the bytes between its samples, peak, zero, nbits): flat, C, Fortran,
+    strided and 2-D strided copies of one marked plane, shifting both ways.  The strided
+    copies sit in buffers whose other bytes are 77."""
     for centre in (3, 128, 252):
         plane = np.clip(np.rint(rng.normal(centre, 1.5, 240)), 0, 255).astype(np.uint8)
         peak, zero, capacity = hs.plan_hs(plane)
         for zero in {zero, 2 * peak - zero} & set(range(256)):
             if np.count_nonzero(plane == zero):
                 continue
-            marked = hs.hs_embed(plane, rng.integers(0, 2, capacity, dtype=np.uint8), peak, zero)
-            rows = np.zeros((24, 20), np.uint8)
-            rows[::2] = marked.reshape(12, 20)
-            for layout in (
-                marked,
-                marked.reshape(12, 20),
-                np.asfortranarray(marked.reshape(12, 20)),
-                np.repeat(marked, 2)[0::2],
-                rows[::2],
+            marked = plane.copy()
+            hs.hs_embed(marked, rng.integers(0, 2, capacity, dtype=np.uint8), peak, zero)
+            pairs, rows = np.full(2 * marked.size, 77, np.uint8), np.full((24, 20), 77, np.uint8)
+            pairs[0::2], rows[::2] = marked, marked.reshape(12, 20)
+            no_gaps = np.empty(0, np.uint8)
+            for layout, gaps in (
+                (marked, no_gaps),
+                (marked.reshape(12, 20).copy(), no_gaps),
+                (np.asfortranarray(marked.reshape(12, 20)), no_gaps),
+                (pairs[0::2], pairs[1::2]),
+                (rows[::2], rows[1::2]),
             ):
-                yield layout, peak, zero, capacity
+                yield layout, gaps, peak, zero, capacity
 
 
-def test_extract_into_out_matches_the_allocating_form():
+def test_in_place_kernels_match_the_reference_on_every_layout():
     rng = np.random.default_rng(504)
     seen = set()
-    for marked, peak, zero, nbits in marked_layouts(rng):
-        want_plane, want_bits = hs.hs_extract(marked, peak, zero, nbits)
-        # out in its own buffer, C or Fortran, or interleaved with bytes it must not touch
-        spare = np.full(2 * marked.size, 77, np.uint8)
-        for out in (
-            np.empty(marked.shape, np.uint8),
-            np.empty(marked.shape, np.uint8, order="F"),
-            spare[1::2].reshape(marked.shape),
-        ):
-            before = marked.copy()
-            got_plane, got_bits = hs.hs_extract(marked, peak, zero, nbits, out=out)
-            assert got_plane is out
-            assert np.array_equal(out, want_plane) and np.array_equal(got_bits, want_bits)
-            assert np.array_equal(marked, before)
-        assert np.all(spare[0::2] == 77)
-        layout = "C" if marked.flags.c_contiguous else "F" if marked.flags.f_contiguous else "strided"
+    for plane, gaps, peak, zero, nbits in marked_layouts(rng):
+        marked = plane.copy()
+        want_plane, want_bits = mask_hs_extract(plane, peak, zero, nbits)
+        bits = hs.hs_extract(plane, peak, zero, nbits)
+        assert np.array_equal(plane, want_plane) and np.array_equal(bits, want_bits)
+        want = mask_hs_embed(plane, bits, peak, zero)
+        assert hs.hs_embed(plane, bits, peak, zero) is None
+        assert np.array_equal(plane, want) and np.array_equal(plane, marked)
+        assert np.all(gaps == 77), "a kernel wrote between the plane's samples"
+        layout = "C" if plane.flags.c_contiguous else "F" if plane.flags.f_contiguous else "strided"
         seen.add(("up" if peak < zero else "down", layout))
     assert seen == {(d, c) for d in ("up", "down") for c in ("C", "F", "strided")}
 
 
-def test_extract_into_an_out_interleaved_with_the_plane():
-    # out and the plane share a buffer but no byte: allowed
-    rng = np.random.default_rng(505)
-    plane = (40 + rng.integers(0, 2, 300)).astype(np.uint8)
-    bits = rng.integers(0, 2, np.count_nonzero(plane == 40), dtype=np.uint8)
-    buf = np.zeros(600, np.uint8)
-    buf[0::2] = hs.hs_embed(plane, bits, 40, 42)
-    _, got = hs.hs_extract(buf[0::2], 40, 42, bits.size, out=buf[1::2])
-    assert np.array_equal(buf[1::2], plane) and np.array_equal(got, bits)
-
-
 @pytest.mark.parametrize(
-    "make_out",
+    "make_plane",
     [
-        lambda plane, buf: np.empty(plane.size + 1, np.uint8),  # wrong size
-        lambda plane, buf: np.empty(plane.size - 1, np.uint8),
-        lambda plane, buf: np.empty(plane.shape, np.int16),  # not uint8
-        lambda plane, buf: np.empty(plane.shape, np.bool_),
-        lambda plane, buf: [0] * plane.size,  # not an array
-        lambda plane, buf: np.frombuffer(bytes(plane.size), np.uint8),  # read-only
-        lambda plane, buf: plane,  # in place
-        lambda plane, buf: buf[50:150],  # half over the plane
-        lambda plane, buf: buf[::-1][100:],  # the plane reversed
+        lambda plane: np.frombuffer(plane.tobytes(), np.uint8),
+        lambda plane: np.lib.stride_tricks.as_strided(plane, writeable=False),
+        lambda plane: plane.astype(np.int16),
+        lambda plane: plane.astype(np.bool_),
+        lambda plane: plane.tolist(),
     ],
-    ids=["size+1", "size-1", "int16", "bool", "list", "read-only", "in-place", "partial", "reversed"],
+    ids=["read-only", "read-only-view", "int16", "bool", "list"],
 )
-def test_extract_refuses_an_out_it_cannot_write(make_out):
-    # writing in place would be wrong: the run mask overwrites the plane
-    # before the unshift reads it
-    buf = np.full(200, 5, np.uint8)
-    buf[::7] = 6
-    plane, before = buf[:100], buf.copy()
-    with pytest.raises(DimensionMismatch):
-        hs.hs_extract(plane, 5, 7, 3, out=make_out(plane, buf))
-    assert np.array_equal(buf, before)
+def test_kernels_refuse_a_plane_they_cannot_write_before_any_work(make_plane, monkeypatch):
+    # bin 7 is occupied and the plane carries fewer than 9 bits, so any check
+    # made after the plane's would raise another error
+    plane = make_plane(np.array([5, 5, 6, 7, 6, 5], np.uint8))
+    before = np.array(plane, copy=True)
+
+    def never(*args):
+        raise AssertionError("a run mask was built for a plane the kernel cannot write")
+
+    monkeypatch.setattr(hs, "_in_run", never)
+    with pytest.raises(DimensionMismatch) as exc:
+        hs.hs_embed(plane, [1, 0], 5, 7)
+    assert exc.type is DimensionMismatch
+    with pytest.raises(DimensionMismatch) as exc:
+        hs.hs_extract(plane, 5, 7, 9)
+    assert exc.type is DimensionMismatch
+    assert np.array_equal(plane, before)
 
 
 def scan_plane(rng, size, peak, mark, carriers):
@@ -432,9 +436,9 @@ def test_extract_matches_reference_across_scan_steps(peak, zero):
                 seen.add(("before" if last < edge else "at", "step" if edge == step else "cap"))
                 for n in (nbits - 1, nbits, nbits + 1):
                     want = mask_hs_extract(flat, peak, zero, n)
-                    assert_same(hs.hs_extract(flat, peak, zero, n), want, flat.shape)
+                    assert_same(extracted(flat.copy(), peak, zero, n), want, flat.shape)
                 short = carried.size + 1  # more bits than the plane carries
-                assert outcome(hs.hs_extract, flat, peak, zero, short) is PayloadOverrun
+                assert outcome(extracted, flat, peak, zero, short) is PayloadOverrun
     assert seen == {
         "empty first step", ("before", "step"), ("at", "step"), ("before", "cap"), ("at", "cap")
     }
@@ -454,10 +458,10 @@ def test_extract_matches_reference_across_scan_steps(peak, zero):
 def test_embed_extract_edge_bins_match_reference(values, peak, zero):
     plane = np.array(values, dtype=np.uint8)
     bits = np.array([1, 0, 1][: values.count(peak)], dtype=np.uint8)
-    marked = hs.hs_embed(plane, bits, peak, zero)
+    marked = embedded(plane.copy(), bits, peak, zero)
     assert np.array_equal(marked, mask_hs_embed(plane, bits, peak, zero))
-    got = hs.hs_extract(marked, peak, zero, bits.size)
     want = mask_hs_extract(marked, peak, zero, bits.size)
+    got = extracted(marked, peak, zero, bits.size)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[0], plane)
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[1], bits)
 

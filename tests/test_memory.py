@@ -4,7 +4,7 @@ Covers grow to HD frames and large images, so each kernel may hold only a
 few bytes per host sample beyond its inputs: none may widen a uint8 plane
 to 8-byte indices (np.bincount, np.take, np.flatnonzero) or square it in a
 full-size int16 copy.  The bounds are bytes per sample of a 2^20-sample
-plane, the kernel's result included.  The cover keystream is bounded the
+plane, the kernel's result included; a plane shifted in place is an input.  The cover keystream is bounded the
 same way, per byte of a 2^20-byte buffer: its result plus chunk-sized
 scratch, and no buffer that grows with the input besides the result.
 
@@ -41,15 +41,16 @@ def host():
     peak, zero, capacity = plan_hs(plane)
     bits = rng.integers(0, 2, capacity, dtype=np.uint8)
     frame_bits = max_embeddable_bits(plane) // 2
+    marked = plane.copy()
+    hs_embed(marked, bits, peak, zero)
     return SimpleNamespace(
         plane=plane,
         bits=bits,
         peak=peak,
         zero=zero,
-        marked=hs_embed(plane, bits, peak, zero),
+        marked=marked,
         frame_bits=frame_bits,
         reserved=reserve_room_plane(plane, frame_bits),
-        out=np.empty(N, np.uint8),
         other=plane ^ rng.integers(0, 2, N, dtype=np.uint8),
         state=bf_key_schedule(b"memory bound key"),
     )
@@ -68,22 +69,18 @@ def _peak_bytes(fn) -> int:
 
 KERNELS = {  # name: (bound in bytes per sample, the call)
     "plan_hs": (5, lambda h: plan_hs(h.plane)),
-    # the shifts write over their own one-byte mask: the result (1) plus the
-    # peak mask and the marked values (embed) or the carried bits (extract);
-    # one more plane-sized byte array would cross each bound
-    "hs_embed": (2.5, lambda h: hs_embed(h.plane, h.bits, h.peak, h.zero)),
-    "hs_extract": (1.5, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
-    # given out, only the carried bits (0.066) and one 16K-sample scan step's
-    # mask and carried samples (0.02) read 0.085; 64K-sample steps read 0.14
-    "hs_extract_out": (
-        0.1,
-        lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size, out=h.out),
-    ),
-    # the host kernels plus the plane copy each one returns
-    "reserve_room_plane": (3.5, lambda h: reserve_room_plane(h.plane, h.frame_bits)),
-    # one plane, the result, which hs_extract unshifts into (1.06); a second
-    # plane-sized buffer beside it reads 2.0
-    "recover_plane": (1.5, lambda h: recover_plane(h.reserved, h.frame_bits)),
+    # the shifts write the plane in place and hold one one-byte mask at a time:
+    # the mask (1) plus the marked values (embed, 0.066) or the carried bits and
+    # one scan step's temporaries (extract); a second plane-sized mask alive
+    # beside the first, or a result plane, would cross each bound
+    "hs_embed": (1.2, lambda h: hs_embed(h.plane, h.bits, h.peak, h.zero)),
+    "hs_extract": (1.2, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
+    # the one plane copy it returns (1) plus hs_embed's region-B mask; one more
+    # plane-sized buffer would cross it
+    "reserve_room_plane": (2.2, lambda h: reserve_room_plane(h.plane, h.frame_bits)),
+    # restored in place: only hs_extract's region-B mask is plane-sized; a
+    # result plane beside it would read 2.0
+    "recover_plane": (1.1, lambda h: recover_plane(h.reserved, h.frame_bits)),
     "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
     # the result (1), four 16K-block word buffers (0.25) and ndarray.take's
@@ -97,7 +94,11 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_peak_memory_per_sample(host, name):
     bound, kernel = KERNELS[name]
-    used = _peak_bytes(lambda: kernel(host)) / N
+    # the in-place kernels write their plane, so each call gets copies, made before tracing
+    fresh = SimpleNamespace(
+        **{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(host).items()}
+    )
+    used = _peak_bytes(lambda: kernel(fresh)) / N
     assert used <= bound, f"{name} held {used:.2f} bytes per sample, bound {bound}"
 
 

@@ -214,16 +214,18 @@ def test_reserve_recover_plane_roundtrip():
         nbits = int(rng.integers(0, 120))
         original = plane.copy()
         reserved = reserve_room_plane(plane, nbits)
-        # region A untouched by reservation itself
+        # region A untouched by reservation itself, which leaves the caller's host as it was
         assert np.array_equal(reserved[:nbits], plane[:nbits])
-        marked = reserved.copy()
+        assert np.array_equal(plane, original)
         raster = np.repeat(reserved, 3)  # the host as the red samples of a raster
-        restored = recover_plane(reserved, nbits)
-        assert np.array_equal(restored, plane)
-        assert np.array_equal(recover_plane(raster[0::3], nbits), plane)
-        # each leaves the caller's host as it was
-        assert np.array_equal(plane, original) and np.array_equal(reserved, marked)
-        assert np.array_equal(raster, np.repeat(marked, 3))
+        assert recover_plane(reserved, nbits) is None
+        assert np.array_equal(reserved, plane)
+        recover_plane(raster[0::3], nbits)
+        assert np.array_equal(raster[0::3], plane)
+        # only the host is restored: the raster's other samples keep the reserved ones
+        marked = np.repeat(reserve_room_plane(plane, nbits), 3)
+        assert np.array_equal(raster[1::3], marked[1::3])
+        assert np.array_equal(raster[2::3], marked[2::3])
 
 
 def test_reserve_room_zero_length_region():
@@ -231,7 +233,8 @@ def test_reserve_room_zero_length_region():
     plane = (9 + rng.integers(0, 2, size=300)).astype(np.uint8)
     reserved = reserve_room_plane(plane, 0)
     assert not np.array_equal(reserved, plane)  # header still written
-    assert np.array_equal(recover_plane(reserved, 0), plane)
+    recover_plane(reserved, 0)
+    assert np.array_equal(reserved, plane)
 
 
 def test_reserve_room_image_level_touches_only_red():
@@ -269,7 +272,7 @@ def test_region_b_carries_the_header_slots_lsbs_then_region_as(nbits):
     reserved = reserve_room_plane(plane, nbits)
     header_end = nbits + HEADER_SLOTS
     header = SideHeader.unpack(np.packbits(reserved[nbits:header_end] & 1).tobytes())
-    _, backup = hs_extract(reserved[header_end:], header.peak, header.zero, header_end)
+    backup = hs_extract(reserved[header_end:], header.peak, header.zero, header_end)
     want = np.concatenate([plane[nbits:header_end] & 1, plane[:nbits] & 1])
     assert np.array_equal(backup, want)
 
@@ -292,6 +295,22 @@ def test_recovery_of_a_region_longer_than_the_plane_is_a_header_checksum_error()
     with pytest.raises(HeaderChecksum, match="does not fit") as exc:
         recover_plane(plane, plane.size - HEADER_SLOTS + 1)
     assert exc.type is HeaderChecksum
+
+
+def test_recover_plane_refuses_a_host_that_is_not_1d():
+    # reshape(-1) copies a non-contiguous 2-D host, and an in-place restore
+    # into that copy would be dropped
+    reserved = reserve_room_plane(HOST, 8)
+    spaced = np.zeros((2 * HOST.size // 40, 40), np.uint8)
+    spaced[:, ::2] = reserved.reshape(-1, 20)
+    for host in (reserved.reshape(40, 20), spaced[:, ::2], reserved.reshape(1, -1)):
+        before = host.copy()
+        with pytest.raises(DimensionMismatch, match="1-D") as exc:
+            recover_plane(host, 8)
+        assert exc.type is DimensionMismatch
+        assert np.array_equal(host, before)
+    recover_plane(reserved, 8)
+    assert np.array_equal(reserved, HOST)
 
 
 def test_side_header_must_confirm_the_frame_length():
@@ -341,9 +360,8 @@ def _marked_unit():
 # each call passes one array through `given`; every one succeeds on uint8 samples
 SAMPLE_CALLS = {
     "plan_hs": lambda given: plan_hs(given(HOST)),
-    "hs_embed": lambda given: hs_embed(given(HOST), [1, 0], 50, 52),
-    "hs_extract": lambda given: hs_extract(given(HOST), 50, 52, 3),
-    "hs_extract-out": lambda given: hs_extract(HOST, 50, 52, 3, out=given(np.empty_like(HOST))),
+    "hs_embed": lambda given: hs_embed(given(HOST.copy()), [1, 0], 50, 52),
+    "hs_extract": lambda given: hs_extract(given(HOST.copy()), 50, 52, 3),
     "max_embeddable_bits": lambda given: max_embeddable_bits(given(HOST)),
     "reserve_room_plane": lambda given: reserve_room_plane(given(HOST), 8),
     "recover_plane": lambda given: recover_plane(given(reserve_room_plane(HOST, 8)), 8),
@@ -575,6 +593,23 @@ def test_hide_reveal_roundtrip():
     got, original = reveal(result.image, KEYS)
     assert got == secret
     assert np.array_equal(original, cover)
+
+
+def test_hide_and_reveal_leave_their_input_images_alone():
+    # the image twin of the video test: the histogram shifts write in place,
+    # so only buffers hide and reveal own may reach them
+    wide = make_cover(np.random.default_rng(29), 48, 96)
+    for cover in (wide[:, :48].copy(), wide[:, ::2]):
+        assert cover.flags.writeable
+        before = cover.copy()
+        result = hide(cover, b"hands off", KEYS, iv=IV)
+        assert np.array_equal(cover, before)
+        sent = result.image.copy()
+        got, original = reveal(result.image, KEYS)
+        assert got == b"hands off" and np.array_equal(original, cover)
+        assert np.array_equal(result.image, sent)
+        for out, given in ((result.image, cover), (original, result.image)):
+            assert not np.shares_memory(out, given)
 
 
 def test_hide_is_deterministic_given_fixed_inputs():

@@ -115,6 +115,9 @@ CALLED_ONLY_IN = {
     "bf_ctr_transform": {"pipeline.embed_segments", "pipeline.recover_units"},
     "reserve_room_plane": {"pipeline.embed_segments"},
     "recover_plane": {"pipeline.recover_units"},
+    # the in-place shifts each have one caller, which owns the buffer they write
+    "hs_embed": {"pipeline.reserve_room_plane"},
+    "hs_extract": {"pipeline.recover_plane"},
     # recovery has one way in, for PPM and Y4M alike
     "recover_units": {"pipeline.reveal_units", "cli._cmd_recover"},
 }
