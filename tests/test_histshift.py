@@ -362,10 +362,25 @@ def test_in_place_kernels_match_the_reference_on_every_layout():
         want = mask_hs_embed(plane, bits, peak, zero)
         assert hs.hs_embed(plane, bits, peak, zero) is None
         assert np.array_equal(plane, want) and np.array_equal(plane, marked)
-        assert np.all(gaps == 77), "a kernel wrote between the plane's samples"
         layout = "C" if plane.flags.c_contiguous else "F" if plane.flags.f_contiguous else "strided"
         seen.add(("up" if peak < zero else "down", layout))
     assert seen == {(d, c) for d in ("up", "down") for c in ("C", "F", "strided")}
+
+
+def test_in_place_shift_of_an_interleaved_plane_leaves_the_bytes_between_its_samples_alone():
+    rng = np.random.default_rng(505)
+    seen = set()
+    for plane, gaps, peak, zero, nbits in marked_layouts(rng):
+        if not gaps.size:
+            continue
+        marked = plane.copy()
+        bits = hs.hs_extract(plane, peak, zero, nbits)
+        assert np.all(gaps == 77), "hs_extract wrote between the plane's samples"
+        hs.hs_embed(plane, bits, peak, zero)
+        assert np.all(gaps == 77), "hs_embed wrote between the plane's samples"
+        assert np.array_equal(plane, marked)
+        seen.add(("up" if peak < zero else "down", plane.ndim))
+    assert seen == {(d, n) for d in ("up", "down") for n in (1, 2)}
 
 
 @pytest.mark.parametrize(
