@@ -4,18 +4,23 @@ Rounds use the 32-bit T-table form of Rijndael (FIPS-197 §5; Daemen and
 Rijmen, *The Design of Rijndael*, §4.2): SubBytes, ShiftRows and MixColumns
 fold into four 256-entry word tables, so a round is 16 table lookups XORed
 into four column words.  CBC encryption chains each block into the next, so
-it runs block by block on Python ints.  CBC decryption has no chain between
-blocks, so ``decrypt_block`` runs the equivalent inverse cipher (FIPS-197
-§5.3.5: InvMixColumns applied to round keys 1-9) on every block at once,
-with numpy uint32 inverse T-tables gathered over all blocks.
+it runs block by block on a 16-byte state: one ``struct`` unpack names the
+bytes, the lookups take the names in ShiftRows order (so ShiftRows costs
+nothing), and one pack makes bytes of the four column words.  The last round
+has no MixColumns: ``(state * 5)[::5]`` is the state after ShiftRows (byte
+i is byte 5i mod 16), and ``bytes.translate`` substitutes all 16 bytes at
+once.  Whitening and the chain are one 128-bit int XOR per block.  Larger
+tables lose: 65,536-entry byte-pair tables (T0^T1, T2^T3) halve the lookups
+but slowed every benchmark workload, with about 5 MB of ints going cold
+between calls.  CBC decryption has no chain between blocks, so
+``decrypt_block`` runs the equivalent inverse cipher (FIPS-197 §5.3.5:
+InvMixColumns applied to round keys 1-9) on every block at once, with numpy
+uint32 inverse T-tables gathered over all blocks.
 
-``expand_key`` returns the 44 schedule words w[0..43] of FIPS-197 §5.2,
-the form both directions read.  The encryption rounds live inside
-``aes_cbc_encrypt``, which unpacks its input to words once and packs the
-ciphertext once; ``decrypt_block`` is the inverse cipher CBC decryption
-runs.  The FIPS-197 known-answer block (the first block of a zero-IV CBC
-encryption is ECB) and the NIST SP 800-38A F.2.1 CBC vectors check both
-byte for byte.  Only the 128-bit key size is supported.
+``expand_key`` returns the 44 schedule words w[0..43] of FIPS-197 §5.2, the
+form both directions read.  The FIPS-197 known-answer block (the first block
+of a zero-IV CBC encryption is ECB) and the NIST SP 800-38A F.2.1 CBC
+vectors check both byte for byte.  Only the 128-bit key size is supported.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ SBOX = (
 )
 
 INV_SBOX = tuple(SBOX.index(x) for x in range(256))
+_SBOX_BYTES = bytes(SBOX)  # SubBytes of a whole state through bytes.translate
 
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
@@ -106,6 +112,8 @@ _TE0 = tuple(_MUL2[s] << 24 | s << 16 | s << 8 | _MUL3[s] for s in SBOX)
 _TE1 = tuple(map(_ror8, _TE0))
 _TE2 = tuple(map(_ror8, _TE1))
 _TE3 = tuple(map(_ror8, _TE2))
+_STATE = struct.Struct("16B")  # a round's 16 state bytes
+_COLUMNS = struct.Struct(">4I")  # its four column words, row 0 in the top byte
 
 
 # The inverse cipher works on (nblocks, 16) state bytes, byte 4c + j being
@@ -168,32 +176,29 @@ def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     """CBC over PKCS#7-padded data; output is always a whole number of blocks."""
     if len(iv) != BLOCK_SIZE:
         raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    t0, t1, t2, t3, s = _TE0, _TE1, _TE2, _TE3, SBOX
+    t0, t1, t2, t3, unpack, pack = _TE0, _TE1, _TE2, _TE3, _STATE.unpack, _COLUMNS.pack
     rk = expand_key(key)
+    rk0 = int.from_bytes(pack(*rk[:4]), "big")
+    rk10 = int.from_bytes(pack(*rk[40:]), "big")
+    middle = [rk[r : r + 4] for r in range(4, 4 * NUM_ROUNDS, 4)]  # round keys 1-9
     padded = _pad(data)
-    words = struct.unpack(f">{len(padded) // 4}I", padded)
-    c0, c1, c2, c3 = struct.unpack(">4I", iv)
-    out = []
-    for i in range(0, len(words), 4):
-        s0 = words[i] ^ c0 ^ rk[0]
-        s1 = words[i + 1] ^ c1 ^ rk[1]
-        s2 = words[i + 2] ^ c2 ^ rk[2]
-        s3 = words[i + 3] ^ c3 ^ rk[3]
-        for r in range(4, 4 * NUM_ROUNDS, 4):
-            s0, s1, s2, s3 = (
-                t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
-                t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
-                t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
-                t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
+    out = bytearray()
+    chain = int.from_bytes(iv, "big") ^ rk0
+    for i in range(0, len(padded), 16):
+        state = (int.from_bytes(padded[i : i + 16], "big") ^ chain).to_bytes(16, "big")
+        for k0, k1, k2, k3 in middle:
+            # byte 4c + r is row r of column c; column c takes row r from column c + r
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = unpack(state)
+            state = pack(
+                t0[a0] ^ t1[a5] ^ t2[a10] ^ t3[a15] ^ k0,
+                t0[a4] ^ t1[a9] ^ t2[a14] ^ t3[a3] ^ k1,
+                t0[a8] ^ t1[a13] ^ t2[a2] ^ t3[a7] ^ k2,
+                t0[a12] ^ t1[a1] ^ t2[a6] ^ t3[a11] ^ k3,
             )
-        # the last round has no MixColumns: S-box bytes in ShiftRows order
-        c0 = s[s0 >> 24] << 24 ^ s[s1 >> 16 & 255] << 16 ^ s[s2 >> 8 & 255] << 8 ^ s[s3 & 255]
-        c1 = s[s1 >> 24] << 24 ^ s[s2 >> 16 & 255] << 16 ^ s[s3 >> 8 & 255] << 8 ^ s[s0 & 255]
-        c2 = s[s2 >> 24] << 24 ^ s[s3 >> 16 & 255] << 16 ^ s[s0 >> 8 & 255] << 8 ^ s[s1 & 255]
-        c3 = s[s3 >> 24] << 24 ^ s[s0 >> 16 & 255] << 16 ^ s[s1 >> 8 & 255] << 8 ^ s[s2 & 255]
-        c0, c1, c2, c3 = c0 ^ rk[40], c1 ^ rk[41], c2 ^ rk[42], c3 ^ rk[43]
-        out += (c0, c1, c2, c3)
-    return struct.pack(f">{len(out)}I", *out)
+        block = int.from_bytes((state * 5)[::5].translate(_SBOX_BYTES), "big") ^ rk10
+        out += block.to_bytes(16, "big")
+        chain = block ^ rk0
+    return bytes(out)
 
 
 def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:

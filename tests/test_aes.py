@@ -87,6 +87,8 @@ def test_shift_rows_rotates_row_one():
     # row r sits at flat indices r, r+4, r+8, r+12 (column-major state)
     assert [state[1], state[5], state[9], state[13]] == [5, 9, 13, 1]
     assert [state[0], state[4], state[8], state[12]] == [0, 4, 8, 12]
+    # encryption's last round takes byte 5i mod 16 as byte i: the same permutation
+    assert (bytes(range(16)) * 5)[::5] == bytes(state)
 
 
 def test_encryption_is_deterministic():
@@ -203,25 +205,49 @@ def test_sp800_38a_cbc_vectors():
     assert bytes(a ^ b for a, b in zip(blocks, chain)) == SP800_38A_PLAIN
 
 
-def test_cbc_matches_cryptography_both_ways():
+def _cryptography_cbc(key: bytes, iv: bytes):
+    """Encrypt and decrypt under the cryptography package's AES-CBC with PKCS#7."""
     ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
     from cryptography.hazmat.primitives import padding
 
+    cipher = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CBC(iv))
+
+    def encrypt(data: bytes) -> bytes:
+        padder, enc = padding.PKCS7(128).padder(), cipher.encryptor()
+        return enc.update(padder.update(data) + padder.finalize()) + enc.finalize()
+
+    def decrypt(data: bytes) -> bytes:
+        dec, unpadder = cipher.decryptor(), padding.PKCS7(128).unpadder()
+        padded = dec.update(data) + dec.finalize()
+        return unpadder.update(padded) + unpadder.finalize()
+
+    return encrypt, decrypt
+
+
+def test_cbc_matches_cryptography_both_ways():
     rng = random.Random(38)
     for _ in range(4):
         key, iv = rng.randbytes(16), rng.randbytes(16)
-        cipher = ciphers.Cipher(ciphers.algorithms.AES(key), ciphers.modes.CBC(iv))
+        encrypt, decrypt = _cryptography_cbc(key, iv)
         for n in range(301):
             data = rng.randbytes(n)
-            padder = padding.PKCS7(128).padder()
-            enc = cipher.encryptor()
-            expect = enc.update(padder.update(data) + padder.finalize()) + enc.finalize()
+            expect = encrypt(data)
             ours = aes.aes_cbc_encrypt(data, key, iv)
             assert ours == expect
             assert aes.aes_cbc_decrypt(expect, key, iv) == data
-            dec, unpadder = cipher.decryptor(), padding.PKCS7(128).unpadder()
-            padded = dec.update(ours) + dec.finalize()
-            assert unpadder.update(padded) + unpadder.finalize() == data
+            assert decrypt(ours) == data
+
+
+def test_cbc_matches_cryptography_at_bench_sizes():
+    # payload-16k's Huffman output is 9,753 bytes; 16,384 is a whole number of
+    # blocks, so its PKCS#7 block is all padding
+    rng = random.Random(39)
+    for n in (9753, 16384, 20000, *(rng.randrange(20001) for _ in range(5))):
+        key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(n)
+        encrypt, decrypt = _cryptography_cbc(key, iv)
+        ours = aes.aes_cbc_encrypt(data, key, iv)
+        assert ours == encrypt(data), n
+        assert decrypt(ours) == data
 
 
 def test_mutated_ciphertexts_raise_only_package_errors():
