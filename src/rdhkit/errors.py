@@ -3,7 +3,9 @@
 Grouped by how the CLI reports them: capacity problems (exit 2), payload /
 stego integrity problems (exit 3), on-disk container problems (exit 4) and
 key material problems (exit 5).  ``check_nonce`` holds the nonce's one domain,
-``check_samples`` the one sample type of every plane, raster and unit.
+``check_samples`` the one sample type of every plane, raster and unit.  The
+PPM and Y4M readers share two rules: ``read_decimal`` reads each header
+number and ``read_samples`` each raster or frame.
 """
 
 import numpy as np
@@ -148,3 +150,26 @@ def check_samples(array: object, what: str) -> np.ndarray:
         kind = getattr(array, "dtype", type(array).__name__)
         raise DimensionMismatch(f"{what} must be uint8 samples, got {kind}")
     return array
+
+
+def read_decimal(tok: bytes, what: str, error: type[RdhError]) -> int:
+    """The positive ASCII decimal tok, leading zeros and all, else error naming what."""
+    digits = tok.lstrip(b"0")
+    if not tok.isdigit() or not digits:
+        raise error(f"{what} must be a positive decimal, got {tok!r}")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise error(f"{what} has {len(digits)} digits, too many to read") from None
+
+
+def read_samples(
+    data: bytes, offset: int, count: int, error: type[RdhError], what: str
+) -> np.ndarray:
+    """A read-only view of count uint8 samples at data[offset:], else error naming
+    what, the dimensions: count may have more digits than str() writes."""
+    if (left := len(data) - offset) < count:
+        raise error(f"{what} needs more than the {left} bytes left")
+    samples = np.frombuffer(data, np.uint8, count=count, offset=offset)
+    samples.flags.writeable = False  # whatever buffer type data is
+    return samples

@@ -1,8 +1,9 @@
 """Image fidelity: mean squared error and peak signal-to-noise ratio.
 
-MSE divides by the total sample count (width x height x channels for RGB),
-so two images whose every component differs by exactly 1 score an MSE of
-exactly 1.  PSNR is 10 * log10(255^2 / MSE), infinite for identical inputs.
+Both inputs hold uint8 samples (``errors.check_samples``).  MSE divides by
+the total sample count (width x height x channels for RGB), so two images
+whose every component differs by exactly 1 score an MSE of exactly 1.  PSNR
+is 10 * log10(255^2 / MSE), infinite for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,30 +12,23 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_samples
 from .histshift import BLOCK
 
 
 def squared_error(a: np.ndarray, b: np.ndarray) -> np.int64:
-    """The exact sum of squared differences of two same-shaped arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """The exact sum of squared differences of two same-shaped uint8 arrays."""
+    a, b = check_samples(a, "a PSNR input"), check_samples(b, "a PSNR input")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
-        raise DimensionMismatch(f"expected integer samples, got {a.dtype} and {b.dtype}")
-    # a working array of BLOCK samples at a time: int16 when both inputs share
-    # a 1-byte dtype, where a difference lies within +-255 and its square,
-    # below 2^16, wraps in int16 but reads back exactly as uint16 (a uint8/int8
-    # pair can differ by 383, so it takes int64 like every other pair)
-    narrow = a.dtype == b.dtype and a.dtype.itemsize == 1
+    # BLOCK samples at a time in int16: a square up to 255^2 wraps but reads back as uint16
     a, b = a.reshape(-1), b.reshape(-1)
     total = np.int64(0)
     for start in range(0, a.size, BLOCK):
-        sq = a[start : start + BLOCK].astype(np.int16 if narrow else np.int64)
+        sq = a[start : start + BLOCK].astype(np.int16)
         sq -= b[start : start + BLOCK]
         np.square(sq, out=sq)
-        total += (sq.view(np.uint16) if narrow else sq).sum(dtype=np.int64)
+        total += sq.view(np.uint16).sum(dtype=np.int64)
     return total
 
 

@@ -6,14 +6,15 @@ keep the file's bytes alive (callers copy to write).  The writer is canonical
 
 The reader accepts one grammar:
 
-- the magic ``P6``, then width, height and maxval as ASCII decimal tokens,
-  each after a run of separators (which may be empty right after ``P6``);
+- the magic ``P6``, then width, height and maxval as positive ASCII decimal
+  tokens (``errors.read_decimal``, as the Y4M reader's ``W`` and ``H``), each
+  after a run of separators (which may be empty right after ``P6``);
 - a separator is one whitespace byte (space, tab, CR, LF, VT or FF) or a
   comment: ``#`` up to, not including, the next LF or the end of input;
 - a token ends at the first whitespace byte, ``#`` or the end of input, so
   ``2#x`` is the token ``2`` followed by a comment;
 - exactly one whitespace byte after the maxval, then exactly
-  width*height*3 raster bytes.
+  width*height*3 raster bytes (``errors.read_samples``, as a Y4M frame).
 
 A marked cover carries its counter nonce inline as a comment of the exact
 form ``# RDHCTR <16 hex digits>`` on the line after the magic, which keeps
@@ -36,6 +37,8 @@ from .errors import (
     TruncatedFile,
     check_nonce,
     check_samples,
+    read_decimal,
+    read_samples,
 )
 
 # a comment must run to LF or the end of input, so every separator run has
@@ -54,36 +57,18 @@ def load_ppm(data: bytes) -> tuple[np.ndarray, int | None]:
     if data[:2] != b"P6":
         raise BadImageMagic(f"expected P6, got {data[:2]!r}")
     m = _HEADER.match(data)  # every token may be empty, so this always matches
-    width, height, maxval = (_number(m[f], f) for f in ("width", "height", "maxval"))
-    if width <= 0 or height <= 0:
-        raise MalformedHeader(f"dimensions must be positive, got {width}x{height}")
+    fields = ("width", "height", "maxval")
+    width, height, maxval = (read_decimal(m[f], f, MalformedHeader) for f in fields)
     if maxval != 255:
         raise BadMaxval(f"only maxval 255 is supported, got {maxval}")
     if not m["gap"]:
         raise MalformedHeader("missing whitespace before the raster")
     pos, n = m.end(), width * height * 3
-    if len(data) - pos < n:
-        # names the dimensions: n may have more digits than str() writes
-        left = len(data) - pos
-        raise TruncatedFile(f"a {width}x{height} raster needs more than the {left} bytes left")
+    img = read_samples(data, pos, n, TruncatedFile, f"a {width}x{height} raster")
     if len(data) - pos > n:
         raise MalformedHeader(f"{len(data) - pos - n} trailing bytes after the raster")
     nonce = None if m["nonce"] is None else int(m["nonce"], 16)
-    img = np.frombuffer(data, np.uint8, count=n, offset=pos).reshape(height, width, 3)
-    img.flags.writeable = False  # whatever buffer type data is
-    return img, nonce
-
-
-def _number(tok: bytes, what: str) -> int:
-    if not tok:
-        raise MalformedHeader("header ended while a number was expected")
-    if not tok.isdigit():
-        raise MalformedHeader(f"{what} is not a number: {tok!r}")
-    digits = tok.lstrip(b"0") or b"0"
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() reads
-        raise MalformedHeader(f"{what} has {len(digits)} digits, too many to read") from None
+    return img.reshape(height, width, 3), nonce
 
 
 def save_ppm(img: np.ndarray, nonce: int | None = None) -> bytes:

@@ -9,7 +9,7 @@ segment past the last) and encrypts it under one key schedule per call, its
 counter run starting where unit i - 1's ended, unit 0's at the nonce, mod 2^64.
 ``recover_units`` parses each unit's frame once and restores the unit, and
 ``reveal_units`` checks that all frames declare one non-zero segment count
-and one IV and each index once, then joins the segments by index to decrypt.
+and one IV and that unit i carries segment i, then joins them to decrypt.
 
 Each direction is one loop over the units: ``embed_segments`` reserves
 room, writes the frame, encrypts and writes it again; ``recover_units``
@@ -351,15 +351,14 @@ def reveal_units(
 ) -> tuple[bytes, list[np.ndarray]]:
     """Inverse of embed_segments: the secret, and each unit decrypted and restored.
 
-    Every unit's frame must declare the same non-zero segment count and the
-    same IV, and each segment index below it must appear exactly once;
-    segments are joined by index, not by unit position.
+    Every unit's frame must declare the same segment count, between 1 and
+    the number of units, and the same IV, and unit i must carry segment i;
+    the first count segments are joined in unit order.
     """
     frames, restored = recover_units(units, host, keys.image_key, keys.nonce)
     count, iv = frames[0].segment_count, frames[0].iv
-    if count == 0:
-        raise MissingSegment("unit 0 declares zero segments")
-    segments: dict[int, bytes] = {}
+    if not 0 < count <= len(frames):
+        raise MissingSegment(f"unit 0 declares {count} segments, the cover has {len(frames)} units")
     for i, frame in enumerate(frames):
         if frame.segment_count != count:
             raise MissingSegment(
@@ -367,14 +366,9 @@ def reveal_units(
             )
         if frame.iv != iv:
             raise MissingSegment(f"unit {i} carries another IV than unit 0: frames of two hides")
-        if frame.segment_index < count:
-            if frame.segment_index in segments:
-                raise MissingSegment(f"segment {frame.segment_index} appears twice")
-            segments[frame.segment_index] = frame.ciphertext
-    missing = [k for k in range(count) if k not in segments]
-    if missing:
-        raise MissingSegment(f"segments {missing} are absent")
-    ciphertext = b"".join(segments[k] for k in range(count))
+        if frame.segment_index != i:
+            raise MissingSegment(f"unit {i} carries segment {frame.segment_index}")
+    ciphertext = b"".join(frame.ciphertext for frame in frames[:count])
     if not ciphertext or len(ciphertext) % BLOCK_SIZE:
         raise BadPadding(f"ciphertext of {len(ciphertext)} bytes is not whole AES blocks")
     return huffman_decompress(aes_cbc_decrypt(ciphertext, keys.data_key, iv)), restored

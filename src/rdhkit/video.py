@@ -15,12 +15,13 @@ because embedding leaves its input as the plain-domain marked cover.
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
 it and none after the last, a parameter being any bytes other than space and
-LF.  It must hold ``W`` and ``H`` (positive decimal) and an ``F`` rate.  The
-colorspaces are ``C444`` and 4:2:0 (even dimensions): ``C420``, the default,
-or its chroma sitings ``C420jpeg``, ``C420mpeg2`` and ``C420paldv``, which
-share its plane sizes; the token itself round-trips verbatim.
-Each frame is the line ``FRAME\\n`` or ``FRAME <any bytes but LF>\\n``, then
-exactly the frame's Y, U and V plane bytes; nothing follows the last frame.
+LF.  It must hold ``W`` and ``H`` (``errors.read_decimal``) and an ``F`` rate.
+The colorspaces are ``C444`` and 4:2:0 (even dimensions): ``C420``, the
+default, or its chroma sitings ``C420jpeg``, ``C420mpeg2`` and ``C420paldv``,
+which share its plane sizes; the token itself round-trips verbatim.  Each
+frame is the line ``FRAME\\n`` or ``FRAME <any bytes but LF>\\n``, then exactly
+its Y, U and V plane bytes (``errors.read_samples``); nothing follows the last
+frame.  The writer refuses a clip that the reader would not read back.
 
 Unknown stream-header parameters and frame-line suffixes round-trip
 verbatim, so a marked video can carry its counter nonce as an
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (BadSignature, DimensionMismatch, TruncatedFrame, UnsupportedColorspace,
-                     check_nonce)
+                     check_nonce, read_decimal, read_samples)
 from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
@@ -49,6 +50,7 @@ from .pipeline import recover_plane, reserve_room_plane  # noqa: F401
 
 _STREAM_HEADER = re.compile(rb"YUV4MPEG2 ([^ \n]+(?: [^ \n]+)*)\n")
 _FRAME_HEADER = re.compile(rb"FRAME((?: [^\n]*)?)\n")
+_PARAM = re.compile(rb"[^ \n]+")
 _NONCE_PREFIX = b"XRDHCTR="
 _NONCE_TOKEN = re.compile(rb"XRDHCTR=([0-9a-fA-F]{16})")
 # colorspace token -> plane layout; the 4:2:0 sitings differ only in chroma position
@@ -83,9 +85,9 @@ def parse_y4m(data: bytes) -> Y4mVideo:
     saw_rate = False
     for tok in tokens:
         if tok.startswith(b"W"):
-            width = _positive_int(tok[1:], "width")
+            width = read_decimal(tok[1:], "width", BadSignature)
         elif tok.startswith(b"H"):
-            height = _positive_int(tok[1:], "height")
+            height = read_decimal(tok[1:], "height", BadSignature)
         elif tok.startswith(b"F"):
             saw_rate = True
         elif tok.startswith(b"C"):
@@ -104,41 +106,31 @@ def parse_y4m(data: bytes) -> Y4mVideo:
 
     video = Y4mVideo(width, height, colorspace, tokens)
     frame_len = width * height + 2 * math.prod(video.chroma_shape())
-    pos = m.end()
+    pos, what = m.end(), f"a {width}x{height} frame"
     while pos < len(data):
         m = _FRAME_HEADER.match(data, pos)
         if m is None:
             raise TruncatedFrame(f"expected a FRAME header line at byte {pos}")
-        pos = m.end()
-        if len(data) - pos < frame_len:
-            # names the dimensions: frame_len may have more digits than str() writes
-            left = len(data) - pos
-            raise TruncatedFrame(f"a {width}x{height} frame needs more than the {left} bytes left")
-        video.frames.append(np.frombuffer(data, np.uint8, count=frame_len, offset=pos))
-        video.frames[-1].flags.writeable = False  # whatever buffer type data is
+        video.frames.append(read_samples(data, m.end(), frame_len, TruncatedFrame, what))
         video.frame_headers.append(m[1])
-        pos += frame_len
+        pos = m.end() + frame_len
     return video
 
 
 def write_y4m(video: Y4mVideo) -> bytes:
     n = video.width * video.height + 2 * math.prod(video.chroma_shape())
+    if len(video.frames) != len(video.frame_headers):
+        raise DimensionMismatch(f"{len(video.frames)} frames, {len(video.frame_headers)} suffixes")
+    if not video.params or not all(map(_PARAM.fullmatch, video.params)):
+        raise DimensionMismatch(f"params must be runs of bytes but space and LF: {video.params}")
     parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
         if frame.dtype != np.uint8 or frame.size != n:  # the join would misframe the file
             raise DimensionMismatch(f"a frame is {n} uint8 samples, got {frame.size} {frame.dtype}")
-        parts += (b"FRAME" + suffix + b"\n", frame)
+        if not _FRAME_HEADER.fullmatch(line := b"FRAME" + suffix + b"\n"):
+            raise DimensionMismatch(f"a frame suffix is b'' or b' ...' without LF: {suffix!r}")
+        parts += (line, frame)
     return b"".join(parts)  # each frame's one copy
-
-
-def _positive_int(tok: bytes, what: str) -> int:
-    digits = tok.lstrip(b"0")
-    if not tok.isdigit() or not digits:
-        raise BadSignature(f"{what} must be a positive integer, got {tok!r}")
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() reads
-        raise BadSignature(f"{what} has {len(digits)} digits, too many to read") from None
 
 
 def video_nonce(video: Y4mVideo) -> int | None:
@@ -184,7 +176,7 @@ def video_hide(
 
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
-    """Inverse of video_hide: (secret, original video), segments joined by index."""
+    """Inverse of video_hide: (secret, original video), segments joined in frame order."""
     secret, frames = reveal_units(video.frames, y_host(video), keys)
     return secret, replace(
         video, params=list(video.params), frames=frames, frame_headers=list(video.frame_headers)

@@ -48,17 +48,19 @@ def reveal_y4m(data: bytes, data_key: bytes, image_key: bytes) -> tuple[bytes, l
 
 
 def _reveal(units, host, data_key, image_key, nonce):
-    """Frames read from the encrypted hosts; units decrypted from consecutive counter runs."""
-    segments, restored, counter = {}, [], nonce
-    for unit in units:
+    """Frames read from the encrypted hosts, unit i carrying segment i; units decrypted
+    from consecutive counter runs."""
+    segments, restored, counter = [], [], nonce
+    for position, unit in enumerate(units):
         index, count, iv, ciphertext, frame_bits = _frame(unit[host])
-        segments[index] = ciphertext
+        assert index == position
+        segments.append(ciphertext)
         plain = unit ^ _keystream(image_key, counter, unit.size)
         counter = (counter + -(-unit.size // 8)) % 2**64
         _restore_host(plain[host], frame_bits)
         restored.append(plain)
     padded = Cipher(AES(data_key), modes.CBC(iv)).decryptor().update(
-        b"".join(segments[k] for k in range(count))
+        b"".join(segments[:count])
     )
     return _huffman_decode(padded[: -padded[-1]]), restored
 

@@ -101,13 +101,10 @@ def test_mse_extreme_difference_on_a_large_raster_does_not_overflow():
     assert metrics.mse(b, a) == 65025.0
 
 
-
 @pytest.mark.parametrize(
     "a_dtype,a_value,b_dtype,b_value,expect",
     [
         (np.uint8, 0, np.uint8, 255, 65025.0),  # int16 working array, square wraps
-        (np.int8, -128, np.int8, 127, 65025.0),
-        (np.uint8, 255, np.int8, -128, 383.0**2),  # mixed pair: too wide for 16 bits
     ],
 )
 def test_mse_of_extreme_one_byte_samples(a_dtype, a_value, b_dtype, b_value, expect):
@@ -115,20 +112,17 @@ def test_mse_of_extreme_one_byte_samples(a_dtype, a_value, b_dtype, b_value, exp
     b = np.full((64, 64, 3), b_value, dtype=b_dtype)
     assert metrics.mse(a, b) == metrics.mse(b, a) == _mse_int64(a, b) == expect
 
-def test_mse_of_wider_samples_keeps_the_int64_formula():
-    a = np.zeros((4, 4), dtype=np.uint16)
-    b = np.full((4, 4), 65535, dtype=np.uint16)
-    assert metrics.mse(a, b) == 65535.0**2
 
-
-@pytest.mark.parametrize("other", [np.float64, np.float32, np.bool_])
-def test_non_integer_samples_raise_dimension_mismatch(other):
+@pytest.mark.parametrize(
+    "other", [np.float64, np.float32, np.bool_, np.int8, np.uint16, np.int64]
+)
+def test_non_uint8_samples_raise_dimension_mismatch(other):
     a = np.zeros((4, 4, 3), dtype=np.uint8)
     b = np.ones((4, 4, 3), dtype=other)
     for x, y in ((a, b), (b, a), (b, b)):
-        with pytest.raises(DimensionMismatch, match="integer"):
+        with pytest.raises(DimensionMismatch, match="uint8"):
             metrics.psnr(x, y)
-        with pytest.raises(DimensionMismatch, match="integer"):
+        with pytest.raises(DimensionMismatch, match="uint8"):
             metrics.mse(x, y)
 
 

@@ -198,6 +198,29 @@ def test_write_refuses_frames_of_another_length():
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        {"frame_headers": []},  # zip would drop the frame
+        {"frame_headers": [b"", b""]},
+        {"params": []},
+        {"params": [b"W2", b"", b"H2", b"F25:1", b"C444"]},
+        {"params": [b"W2 H2", b"F25:1", b"C444"]},  # would read back as two
+        {"params": [b"W2", b"H2", b"F25:1", b"C444", b"X\n"]},
+        {"frame_headers": [b"Ixyz"]},
+        {"frame_headers": [b" a\nb"]},
+    ],
+    ids=[
+        "no-suffix", "extra-suffix", "no-params", "empty-param", "param-with-space",
+        "param-with-lf", "suffix-without-space", "suffix-with-lf",
+    ],
+)
+def test_write_refuses_a_clip_the_reader_would_not_read_back(change):
+    clip = vid.parse_y4m(HEAD444 + b"FRAME\n" + bytes(range(12)))
+    with pytest.raises(DimensionMismatch):
+        vid.write_y4m(replace(clip, **change))
+
+
+@pytest.mark.parametrize(
     "token,expected",
     [
         (b"XRDHCTR=000000000000000f", 15),
@@ -318,7 +341,7 @@ def test_video_hide_is_deterministic():
     assert vid.write_y4m(a) == vid.write_y4m(b)
 
 
-def test_segments_reassemble_by_index_not_position():
+def test_segments_out_of_unit_order_are_a_missing_segment():
     rng = np.random.default_rng(9)
     clip = make_clip(rng, nframes=2)
     # a near-uniform 4-symbol secret compresses to ~2 bits/byte: the 256-byte
@@ -327,11 +350,10 @@ def test_segments_reassemble_by_index_not_position():
     capacities = [1700, 1700]
     segments = build_frames(secret, KEYS.data_key, IV, capacities)
     assert len(segments) == 2
-    # embed segment 1 into frame 0 and segment 0 into frame 1
+    # embed segment 1 into frame 0 and segment 0 into frame 1: unit i must carry segment i
     shuffled = embed_clip(clip, [segments[1], segments[0]], KEYS)
-    got, original = vid.video_reveal(shuffled, KEYS)
-    assert got == secret
-    assert all(np.array_equal(a, b) for a, b in zip(original.frames, clip.frames))
+    with pytest.raises(MissingSegment, match="unit 0 carries segment 1"):
+        vid.video_reveal(shuffled, KEYS)
 
 
 def test_missing_segment_detected():
