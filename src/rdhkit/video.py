@@ -18,10 +18,15 @@ it and none after the last, a parameter being any bytes other than space and
 LF.  It must hold ``W`` and ``H`` (``errors.read_decimal``) and an ``F`` rate.
 The colorspaces are ``C444`` and 4:2:0 (even dimensions): ``C420``, the
 default, or its chroma sitings ``C420jpeg``, ``C420mpeg2`` and ``C420paldv``,
-which share its plane sizes; the token itself round-trips verbatim.  Each
-frame is the line ``FRAME\\n`` or ``FRAME <any bytes but LF>\\n``, then exactly
-its Y, U and V plane bytes (``errors.read_samples``); nothing follows the last
-frame.  The writer refuses a clip that the reader would not read back.
+which share its plane sizes; the token itself round-trips verbatim.  The last
+token of a kind wins.  Each frame is the line ``FRAME\\n`` or ``FRAME <any
+bytes but LF>\\n``, then exactly its Y, U and V plane bytes
+(``errors.read_samples``); nothing follows the last frame.
+
+A ``Y4mVideo`` holds what its file holds: the header tokens ``params``, the
+``frames`` and their frame-line suffixes ``frame_headers``.  Its geometry is
+read from the tokens by the rule above, so the writer sizes each frame by the
+header it writes and refuses a clip that the reader would not read back.
 
 Unknown stream-header parameters and frame-line suffixes round-trip
 verbatim, so a marked video can carry its counter nonce as an
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (BadSignature, DimensionMismatch, TruncatedFrame, UnsupportedColorspace,
-                     check_nonce, read_decimal, read_samples)
+                     check_nonce, check_samples, read_decimal, read_samples)
 from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
@@ -61,29 +66,23 @@ _COLORSPACES = {b"C444": "C444"} | dict.fromkeys(
 
 @dataclass
 class Y4mVideo:
-    width: int
-    height: int
-    colorspace: str  # "C420" or "C444"
-    params: list[bytes]  # raw stream-header tokens, order preserved
+    params: list[bytes]  # raw stream-header tokens, order preserved; the geometry's one source
     frames: list[np.ndarray] = field(default_factory=list)  # flat C-contiguous Y+U+V uint8
     frame_headers: list[bytes] = field(default_factory=list)  # raw suffix per frame
 
+    width = property(lambda self: _geometry(self.params)[0])
+    height = property(lambda self: _geometry(self.params)[1])
+    colorspace = property(lambda self: _geometry(self.params)[2])  # "C420" or "C444"
+
     def chroma_shape(self) -> tuple[int, int]:
-        if self.colorspace == "C420":
-            return (self.height // 2, self.width // 2)
-        return (self.height, self.width)
+        return _geometry(self.params)[3]
 
 
-def parse_y4m(data: bytes) -> Y4mVideo:
-    """The clip in data; its frames are read-only views of data, not copies."""
-    m = _STREAM_HEADER.match(data)
-    if m is None:
-        raise BadSignature("no 'YUV4MPEG2' line of space-separated parameters at byte 0")
-    tokens = m[1].split(b" ")
-    width = height = None
-    colorspace = "C420"
-    saw_rate = False
-    for tok in tokens:
+def _geometry(params: list[bytes]) -> tuple[int, int, str, tuple[int, int], int]:
+    """(width, height, colorspace, chroma shape, frame length) of the stream-header
+    tokens, the last token of a kind winning, else the first failing token's error."""
+    width, height, colorspace, saw_rate = None, None, "C420", False
+    for tok in params:
         if tok.startswith(b"W"):
             width = read_decimal(tok[1:], "width", BadSignature)
         elif tok.startswith(b"H"):
@@ -100,12 +99,18 @@ def parse_y4m(data: bytes) -> Y4mVideo:
     if not saw_rate:
         raise BadSignature("stream header lacks a frame rate")
     if colorspace == "C420" and (width % 2 or height % 2):
-        raise UnsupportedColorspace(
-            f"C420 requires even dimensions, stream is {width}x{height}"
-        )
+        raise UnsupportedColorspace(f"C420 requires even dimensions, stream is {width}x{height}")
+    chroma = (height // 2, width // 2) if colorspace == "C420" else (height, width)
+    return width, height, colorspace, chroma, width * height + 2 * math.prod(chroma)
 
-    video = Y4mVideo(width, height, colorspace, tokens)
-    frame_len = width * height + 2 * math.prod(video.chroma_shape())
+
+def parse_y4m(data: bytes) -> Y4mVideo:
+    """The clip in data; its frames are read-only views of data, not copies."""
+    m = _STREAM_HEADER.match(data)
+    if m is None:
+        raise BadSignature("no 'YUV4MPEG2' line of space-separated parameters at byte 0")
+    video = Y4mVideo(m[1].split(b" "))
+    width, height, _, _, frame_len = _geometry(video.params)
     pos, what = m.end(), f"a {width}x{height} frame"
     while pos < len(data):
         m = _FRAME_HEADER.match(data, pos)
@@ -118,18 +123,18 @@ def parse_y4m(data: bytes) -> Y4mVideo:
 
 
 def write_y4m(video: Y4mVideo) -> bytes:
-    n = video.width * video.height + 2 * math.prod(video.chroma_shape())
     if len(video.frames) != len(video.frame_headers):
         raise DimensionMismatch(f"{len(video.frames)} frames, {len(video.frame_headers)} suffixes")
     if not video.params or not all(map(_PARAM.fullmatch, video.params)):
         raise DimensionMismatch(f"params must be runs of bytes but space and LF: {video.params}")
+    n = _geometry(video.params)[4]
     parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
     for frame, suffix in zip(video.frames, video.frame_headers):
-        if frame.dtype != np.uint8 or frame.size != n:  # the join would misframe the file
-            raise DimensionMismatch(f"a frame is {n} uint8 samples, got {frame.size} {frame.dtype}")
+        if check_samples(frame, "a frame").size != n:  # the join would misframe the file
+            raise DimensionMismatch(f"a frame is {n} uint8 samples, got {frame.size}")
         if not _FRAME_HEADER.fullmatch(line := b"FRAME" + suffix + b"\n"):
             raise DimensionMismatch(f"a frame suffix is b'' or b' ...' without LF: {suffix!r}")
-        parts += (line, frame)
+        parts += (line, np.ascontiguousarray(frame))
     return b"".join(parts)  # each frame's one copy
 
 
@@ -168,17 +173,12 @@ def video_hide(
     host = y_host(video)
     capacities = [max_embeddable_bits(frame[host]) for frame in video.frames]
     segments = build_frames(secret, keys.data_key, iv, capacities)
-    # embedding leaves its input as the plain-domain marked cover
     frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys)
-    return replace(
-        video, params=list(video.params), frames=frames, frame_headers=list(video.frame_headers)
-    )
+    return Y4mVideo(list(video.params), frames, list(video.frame_headers))
 
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined in frame order."""
     secret, frames = reveal_units(video.frames, y_host(video), keys)
-    return secret, replace(
-        video, params=list(video.params), frames=frames, frame_headers=list(video.frame_headers)
-    )
+    return secret, Y4mVideo(list(video.params), frames, list(video.frame_headers))
 

@@ -35,7 +35,7 @@ def clip_file(tmp_path):
         u = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         v = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         frames.append(np.concatenate((y, u, v), axis=None))
-    clip = vid.Y4mVideo(32, 32, "C420", [b"W32", b"H32", b"F25:1", b"C420"], frames, [b""] * 3)
+    clip = vid.Y4mVideo([b"W32", b"H32", b"F25:1", b"C420"], frames, [b""] * 3)
     path = tmp_path / "cover.y4m"
     path.write_bytes(vid.write_y4m(clip))
     return path, clip

@@ -66,7 +66,7 @@ def _clip(colorspace: str) -> video.Y4mVideo:
         v = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
         frames.append(np.concatenate((y, u, v), axis=None))
     params = [b"W%d" % size, b"H%d" % size, b"F25:1", colorspace.encode()]
-    return video.Y4mVideo(size, size, colorspace, params, frames, [b""] * 3)
+    return video.Y4mVideo(params, frames, [b""] * 3)
 
 
 def test_image_hide_digest_and_roundtrip():

@@ -130,7 +130,7 @@ def _qcif_clip(rng, nframes: int) -> bytes:
         y[rng.random(y.size) < 0.03] = 61
         frames.append(np.concatenate((y, rng.integers(0, 256, y.size // 2, dtype=np.uint8))))
     params = [b"W176", b"H144", b"F25:1", b"C420"]
-    return video.write_y4m(video.Y4mVideo(width, height, "C420", params, frames, [b""] * nframes))
+    return video.write_y4m(video.Y4mVideo(params, frames, [b""] * nframes))
 
 
 @pytest.mark.parametrize("container", ["ppm", "ppm-long-frame", "y4m"])

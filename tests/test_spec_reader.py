@@ -32,7 +32,7 @@ def test_spec_reader_reveals_a_marked_y4m(colorspace):
         y[rng.random(size * size) < 0.4] = 91
         frames.append(np.concatenate((y, rng.integers(0, 256, 2 * chroma * chroma, np.uint8))))
     params = [b"W48", b"H48", b"F25:1", colorspace.encode()]
-    clip = video.Y4mVideo(size, size, colorspace, params, frames, [b""] * 3)
+    clip = video.Y4mVideo(params, frames, [b""] * 3)
     marked = video.video_hide(clip, SECRET, KEYS, iv=IV)
     assert pipeline.extract(marked.frames[0], video.y_host(marked)).segment_count == 2
     data = video.write_y4m(video.with_video_nonce(marked, KEYS.nonce))

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import embed_clip, make_cover, planes, zero_segment_clip
 from rdhkit import pipeline
@@ -37,7 +38,7 @@ def make_clip(rng, nframes=8, size=64, colorspace="C420", y_base=60):
         v = rng.integers(0, 256, (ch, ch), dtype=np.uint8)
         frames.append(np.concatenate((y, u, v), axis=None))
     params = [b"W%d" % size, b"H%d" % size, b"F25:1", colorspace.encode()]
-    return vid.Y4mVideo(size, size, colorspace, params, frames, [b""] * nframes)
+    return vid.Y4mVideo(params, frames, [b""] * nframes)
 
 
 # --- container ------------------------------------------------------------
@@ -184,10 +185,33 @@ def test_parsed_frames_are_read_only_views_of_their_input(buffer):
 
 def test_write_refuses_frames_that_are_not_uint8():
     clip = vid.parse_y4m(HEAD444 + b"FRAME\n" + bytes(range(12)))
-    # joined as they are, these 12 samples would write 96 raster bytes
-    wide = replace(clip, frames=[clip.frames[0].astype(np.int64)])
-    with pytest.raises(DimensionMismatch, match="uint8"):
-        vid.write_y4m(wide)
+    # joined as it is, the int64 frame's 12 samples would write 96 raster bytes
+    for frame in (clip.frames[0].astype(np.int64), bytes(12), list(range(12))):
+        with pytest.raises(DimensionMismatch, match="uint8"):
+            vid.write_y4m(replace(clip, frames=[frame]))
+
+
+def test_write_joins_a_strided_frame_as_its_samples():
+    frame = np.arange(24, dtype=np.uint8)[::2]
+    clip = vid.parse_y4m(HEAD444 + b"FRAME\n" + bytes(12))
+    raw = vid.write_y4m(replace(clip, frames=[frame]))
+    assert raw == HEAD444 + b"FRAME\n" + bytes(range(0, 24, 2))
+    assert np.array_equal(vid.parse_y4m(raw).frames[0], frame)
+
+
+@pytest.mark.parametrize(
+    "params,samples,expected",
+    [
+        ([b"W2", b"H2", b"F1:1", b"C444"], 48, DimensionMismatch),  # frames of a 4x4 clip
+        ([b"W4", b"H4", b"F1:1", b"C444"], 24, DimensionMismatch),  # a 4x4 C420 frame
+        ([b"W4", b"F1:1", b"C444"], 48, BadSignature),
+    ],
+    ids=["W2-H2-over-4x4", "C444-over-C420", "no-H"],
+)
+def test_write_sizes_frames_by_the_header_it_writes(params, samples, expected):
+    clip = vid.Y4mVideo(params, [np.zeros(samples, np.uint8)], [b""])
+    with pytest.raises(expected):
+        vid.write_y4m(clip)
 
 
 def test_write_refuses_frames_of_another_length():
@@ -300,6 +324,82 @@ def test_mutated_streams_raise_only_package_errors():
         accepted += 1
         assert vid.write_y4m(clip) == mutant  # what the reader accepts round-trips
     assert accepted > 100
+
+
+@st.composite
+def token_grammar_clips(draw):
+    """(clip, whether the writer must accept it) from a small token grammar: W, H,
+    F and C tokens present, missing, repeated or disagreeing with the frames,
+    extension and XRDHCTR= tokens, and frames of the wrong length, type or stride."""
+    only_good = draw(st.booleans())  # half the clips are well formed by construction
+
+    def pick(good, bad):
+        return draw(st.sampled_from(good if only_good else [*good, *bad]))
+
+    cs = pick([b"C444", b"C420", b"C420jpeg", b"C420mpeg2", b"C420paldv"], [])
+    width, height = pick([2, 4], [1, 3]), pick([2, 4], [1, 3])
+    accept = cs == b"C444" or width % 2 == height % 2 == 0
+    kinds = [  # each kind's token, then others of its kind, the first one well formed
+        (b"W%d" % width, [b"W%d" % (width + 1), b"W0", b"Wx"]),
+        (b"H%d" % height, [b"H%d" % (height + 2), b"H00", b"H"]),
+        (b"F25:1", [b"F30000:1001"]),
+        (cs, [b"C420" if cs == b"C444" else b"C444", b"C422"]),
+    ]
+    params = []
+    for right, others in draw(st.permutations(kinds)):
+        default = right.startswith(b"C420")  # a 4:2:0 clip may leave C out
+        form = pick(["present", "repeated", *["missing"] * default], ["missing", "disagreeing"])
+        if form == "present":
+            params.append(right)
+        elif form == "repeated":  # the last token of a kind wins
+            params += [others[0], right]
+        elif form == "disagreeing":
+            params.append(draw(st.sampled_from(others)))
+        if form == "missing":
+            accept &= default
+        elif form == "disagreeing":
+            accept &= right.startswith(b"F")  # every F token is a rate
+    extensions = [b"Ip", b"A1:1", b"Xcustom=1", b"XRDHCTR=00000000000000aa", b"XRDHCTR=-1"]
+    for token in draw(st.lists(st.sampled_from(extensions), max_size=3)):
+        params.insert(draw(st.integers(0, len(params))), token)
+
+    chroma = width * height if cs == b"C444" else (width // 2) * (height // 2)
+    n = width * height + 2 * chroma
+    frames = []
+    for _ in range(draw(st.integers(0, 3))):
+        samples = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), np.uint8)
+        kind = pick(["exact", "strided"], ["short", "long", "int16", "bytes", "list"])
+        frames.append({
+            "exact": samples,
+            "strided": np.repeat(samples, 2)[::2],
+            "short": samples[1:],
+            "long": np.append(samples, samples[:1]),
+            "int16": samples.astype(np.int16),
+            "bytes": samples.tobytes(),
+            "list": samples.tolist(),
+        }[kind])
+        accept &= kind in ("exact", "strided")
+    count = max(0, len(frames) + pick([0], [-1, 1]))
+    suffixes = [b"", b" ", b" Ixyz", b" Xa=b"]  # the frame-line suffixes the reader accepts
+    headers = [pick(suffixes, [b"Ixyz", b" a\nb"]) for _ in range(count)]
+    accept &= count == len(frames) and set(headers) <= set(suffixes)
+    return vid.Y4mVideo(params, frames, headers), accept
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_grammar_clips())
+def test_written_clips_read_back_or_raise_package_errors(case):
+    # the converse of test_mutated_streams_raise_only_package_errors
+    clip, accept = case
+    try:
+        data = vid.write_y4m(clip)
+    except RdhError:
+        assert not accept
+        return
+    back = vid.parse_y4m(data)
+    assert (back.params, back.frame_headers) == (clip.params, clip.frame_headers)
+    assert len(back.frames) == len(clip.frames)
+    assert all(np.array_equal(a, b) for a, b in zip(back.frames, clip.frames))
 
 
 # --- hide / reveal --------------------------------------------------------
@@ -446,7 +546,7 @@ def test_frame_that_cannot_hold_an_empty_segment_is_rejected(kind):
 
 
 def test_empty_video_rejected():
-    clip = vid.Y4mVideo(4, 4, "C444", [b"W4", b"H4", b"F1:1", b"C444"], [], [])
+    clip = vid.Y4mVideo([b"W4", b"H4", b"F1:1", b"C444"], [], [])
     with pytest.raises(MissingSegment):
         vid.video_reveal(clip, KEYS)
 
