@@ -127,7 +127,7 @@ def _hex_bytes(value: str, what: str, nbytes: int | None = None) -> bytes:
     except ValueError as exc:
         raise KeyEncodingError(f"{what} is not valid hex: {exc}") from None
     if nbytes is not None and len(raw) != nbytes:
-        raise KeyEncodingError(f"{what} must be {2 * nbytes} hex chars, got {len(value)}")
+        raise KeyEncodingError(f"{what} must be {2 * nbytes} hex chars, got {2 * len(raw)}")
     return raw
 
 
@@ -161,8 +161,6 @@ def _nonce(args, file_nonce: int | None = None) -> int:
     if args.nonce is None:
         # hide only: a fixed default reuses one keystream for every cover
         return int.from_bytes(os.urandom(8), "big")
-    if len(args.nonce) != 16:
-        raise KeyEncodingError(f"nonce must be 16 hex chars, got {len(args.nonce)}")
     nonce = int.from_bytes(_hex_bytes(args.nonce, "nonce", 8), "big")
     return nonce if file_nonce is None else file_nonce
 

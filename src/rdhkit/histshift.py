@@ -62,28 +62,23 @@ def count_values(flat: np.ndarray) -> np.ndarray:
     return hist
 
 
-def plan_hs(plane: np.ndarray) -> tuple[int, int, int]:
-    """Choose (peak, zero, capacity) for a plane.
+def plan_hs(plane: np.ndarray) -> tuple[int, int]:
+    """Choose (peak, zero) for a plane.
 
     Peak is the most frequent value (ties go to the smallest value); zero is
     the nearest empty bin above the peak, falling back to the nearest empty
-    bin below.  Capacity equals the peak count.
+    bin below.  The peak's count is the capacity, which hs_embed checks.
     """
     flat = check_samples(plane, "plane").reshape(-1)
     if flat.size == 0:
         raise CoverTooSmall("cannot plan an embedding on an empty plane")
     hist = count_values(flat)
     peak = int(hist.argmax())  # argmax returns the smallest index on ties
-    capacity = int(hist[peak])
     empty = np.flatnonzero(hist == 0)
     if empty.size == 0:
         raise NoZeroBin("all 256 gray values occur in the plane")
     above = empty[empty > peak]
-    if above.size:
-        zero = int(above[0])
-    else:
-        zero = int(empty[empty < peak][-1])
-    return peak, zero, capacity
+    return peak, int(above[0] if above.size else empty[-1])  # else every empty bin is below
 
 
 def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> None:

@@ -1,7 +1,7 @@
 """End-to-end hide/reveal: framing, room reservation, encrypted-domain embedding.
 
 One driver serves images and video.  A cover is a sequence of units, each
-a flat uint8 buffer, plus one host slice into every unit: an image is one
+a 1-D uint8 buffer, plus one host slice into every unit: an image is one
 unit, its interleaved RGB raster with host ``RED`` (``[0::3]``); a video
 has one unit per frame, its Y+U+V buffer with host ``[:w*h]`` (the Y plane).
 ``embed_segments`` gives unit i segment i of the encrypted secret (an empty
@@ -31,7 +31,8 @@ plane alike, and a host that cannot carry even L = 0 raises the reason.
 
 Room is reserved before encryption: the original LSBs of the header slots
 and region A are tucked reversibly into region B, the side header (peak u8,
-zero u8, L u32, RFC 1071 checksum u16) overwrites the header-slot LSBs, and
+zero u8, L u32, RFC 1071 checksum u16; ``pack_side_header`` writes it and
+``parse_side_header`` reads and checks it) overwrites the header-slot LSBs, and
 only then is the whole buffer encrypted as one Blowfish counter run.  The
 payload frame then overwrites region A's LSBs in the *encrypted* buffer.
 
@@ -194,29 +195,25 @@ def build_frames(
     return [PayloadFrame(i, count, iv, piece) for i, piece in enumerate(pieces)]
 
 
-@dataclass(frozen=True)
-class SideHeader:
-    """Fixed 8-byte record written into the header-slot LSBs before encryption."""
+_SIDE_HEADER = struct.Struct(">BBI")  # peak, zero, region_a_bits; a u16 checksum follows
 
-    peak: int
-    zero: int
-    region_a_bits: int
 
-    def pack(self) -> bytes:
-        body = struct.pack(">BBI", self.peak, self.zero, self.region_a_bits)
-        return body + struct.pack(">H", _ones_complement_sum(body))
+def pack_side_header(peak: int, zero: int, region_a_bits: int) -> bytes:
+    """The 8-byte record written into the header-slot LSBs before encryption."""
+    body = _SIDE_HEADER.pack(peak, zero, region_a_bits)
+    return body + struct.pack(">H", _ones_complement_sum(body))
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "SideHeader":
-        if len(data) != 8:
-            raise HeaderChecksum(f"side header must be 8 bytes, got {len(data)}")
-        peak, zero, region_a_bits = struct.unpack_from(">BBI", data)
-        (checksum,) = struct.unpack_from(">H", data, 6)
-        if checksum != _ones_complement_sum(data[:6]):
-            raise HeaderChecksum("side header checksum mismatch: wrong image key or damaged cover")
-        if peak == zero:
-            raise HeaderChecksum("side header names identical peak and zero bins")
-        return cls(peak, zero, region_a_bits)
+
+def parse_side_header(data: bytes) -> tuple[int, int, int]:
+    """(peak, zero, region_a_bits) of an 8-byte side header, else HeaderChecksum."""
+    if len(data) != 8:
+        raise HeaderChecksum(f"side header must be 8 bytes, got {len(data)}")
+    if int.from_bytes(data[6:], "big") != _ones_complement_sum(data[:6]):
+        raise HeaderChecksum("side header checksum mismatch: wrong image key or damaged cover")
+    peak, zero, region_a_bits = _SIDE_HEADER.unpack_from(data)
+    if peak == zero:
+        raise HeaderChecksum("side header names identical peak and zero bins")
+    return peak, zero, region_a_bits
 
 
 def _ones_complement_sum(data: bytes) -> int:
@@ -247,11 +244,11 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     region_b = out[header_end:]
     if region_b.size == 0:
         raise CapacityExceeded(needed=header_end, available=0, detail="region B is empty")
-    peak, zero, _ = plan_hs(region_b)  # hs_embed checks the capacity
+    peak, zero = plan_hs(region_b)  # hs_embed checks the capacity
     # the header slots' LSBs, then region A's: the first header_end rotated left by frame_bits
     backup = np.concatenate((out[frame_bits:header_end], out[:frame_bits])) & 1
     hs_embed(region_b, backup, peak, zero)
-    header = SideHeader(peak, zero, frame_bits).pack()
+    header = pack_side_header(peak, zero, frame_bits)
     _set_lsbs(out[frame_bits:header_end], np.unpackbits(np.frombuffer(header, np.uint8)))
     return out
 
@@ -264,22 +261,26 @@ def recover_plane(host: np.ndarray, frame_bits: int) -> None:
     Any other shape is refused: reshaping a non-contiguous plane copies it, and
     the restore would be lost with the copy.
     """
-    if check_samples(host, "host plane").ndim != 1:
-        raise DimensionMismatch(f"host plane must be 1-D, got shape {host.shape}")
-    n = host.size
+    n = _one_d(host, "host plane").size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
         )
     header_end = frame_bits + HEADER_SLOTS
-    header = SideHeader.unpack(np.packbits(host[frame_bits:header_end] & 1).tobytes())
-    if header.region_a_bits != frame_bits:
+    peak, zero, claimed = parse_side_header(np.packbits(host[frame_bits:header_end] & 1).tobytes())
+    if claimed != frame_bits:
         raise HeaderChecksum(
-            f"side header claims a {header.region_a_bits}-bit region A, "
+            f"side header claims a {claimed}-bit region A, "
             f"the payload frame occupies {frame_bits} bits"
         )
-    backup = hs_extract(host[header_end:], header.peak, header.zero, header_end)
+    backup = hs_extract(host[header_end:], peak, zero, header_end)
     _set_lsbs(host[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
+
+
+def _one_d(samples: np.ndarray, what: str) -> np.ndarray:
+    if check_samples(samples, what).ndim != 1:
+        raise DimensionMismatch(f"{what} must be 1-D, got shape {samples.shape}")
+    return samples
 
 
 def _set_lsbs(samples: np.ndarray, bits: np.ndarray) -> None:
@@ -317,7 +318,7 @@ def embed_segments(
     for i, raw in enumerate(units):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
-        raw[host] = reserve_room_plane(check_samples(raw, "unit")[host], bits.size)
+        raw[host] = reserve_room_plane(_one_d(raw, "unit")[host], bits.size)
         _set_lsbs(raw[host][: bits.size], bits)
         marked.append(bf_ctr_transform(state, counter, raw))
         _set_lsbs(marked[-1][host][: bits.size], bits)
@@ -337,7 +338,7 @@ def recover_units(
     state = bf_key_schedule(image_key)
     frames, restored, counter = [], [], nonce
     for raw in units:
-        frames.append(extract(check_samples(raw, "unit"), host))
+        frames.append(extract(_one_d(raw, "unit"), host))
         restored.append(bf_ctr_transform(state, counter, raw))
         recover_plane(restored[-1][host], frames[-1].num_bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)

@@ -25,8 +25,9 @@ bytes but LF>\\n``, then exactly its Y, U and V plane bytes
 
 A ``Y4mVideo`` holds what its file holds: the header tokens ``params``, the
 ``frames`` and their frame-line suffixes ``frame_headers``.  Its geometry is
-read from the tokens by the rule above, so the writer sizes each frame by the
-header it writes and refuses a clip that the reader would not read back.
+read from the tokens by the rule above: the writer, ``video_hide`` and
+``video_reveal`` take only 1-D frames of the size the header gives, and the
+writer refuses a clip that the reader would not read back.
 
 Unknown stream-header parameters and frame-line suffixes round-trip
 verbatim, so a marked video can carry its counter nonce as an
@@ -36,7 +37,6 @@ token of exactly that form counts: a sign, ``0x`` or ``_`` means no nonce.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -67,20 +67,17 @@ _COLORSPACES = {b"C444": "C444"} | dict.fromkeys(
 @dataclass
 class Y4mVideo:
     params: list[bytes]  # raw stream-header tokens, order preserved; the geometry's one source
-    frames: list[np.ndarray] = field(default_factory=list)  # flat C-contiguous Y+U+V uint8
+    frames: list[np.ndarray] = field(default_factory=list)  # 1-D Y+U+V uint8 buffers
     frame_headers: list[bytes] = field(default_factory=list)  # raw suffix per frame
 
     width = property(lambda self: _geometry(self.params)[0])
     height = property(lambda self: _geometry(self.params)[1])
     colorspace = property(lambda self: _geometry(self.params)[2])  # "C420" or "C444"
 
-    def chroma_shape(self) -> tuple[int, int]:
-        return _geometry(self.params)[3]
 
-
-def _geometry(params: list[bytes]) -> tuple[int, int, str, tuple[int, int], int]:
-    """(width, height, colorspace, chroma shape, frame length) of the stream-header
-    tokens, the last token of a kind winning, else the first failing token's error."""
+def _geometry(params: list[bytes]) -> tuple[int, int, str, int]:
+    """(width, height, colorspace, frame length) of the stream-header tokens,
+    the last token of a kind winning, else the first failing token's error."""
     width, height, colorspace, saw_rate = None, None, "C420", False
     for tok in params:
         if tok.startswith(b"W"):
@@ -100,8 +97,8 @@ def _geometry(params: list[bytes]) -> tuple[int, int, str, tuple[int, int], int]
         raise BadSignature("stream header lacks a frame rate")
     if colorspace == "C420" and (width % 2 or height % 2):
         raise UnsupportedColorspace(f"C420 requires even dimensions, stream is {width}x{height}")
-    chroma = (height // 2, width // 2) if colorspace == "C420" else (height, width)
-    return width, height, colorspace, chroma, width * height + 2 * math.prod(chroma)
+    chroma = (height // 2) * (width // 2) if colorspace == "C420" else height * width
+    return width, height, colorspace, width * height + 2 * chroma
 
 
 def parse_y4m(data: bytes) -> Y4mVideo:
@@ -110,7 +107,7 @@ def parse_y4m(data: bytes) -> Y4mVideo:
     if m is None:
         raise BadSignature("no 'YUV4MPEG2' line of space-separated parameters at byte 0")
     video = Y4mVideo(m[1].split(b" "))
-    width, height, _, _, frame_len = _geometry(video.params)
+    width, height, _, frame_len = _geometry(video.params)
     pos, what = m.end(), f"a {width}x{height} frame"
     while pos < len(data):
         m = _FRAME_HEADER.match(data, pos)
@@ -127,15 +124,22 @@ def write_y4m(video: Y4mVideo) -> bytes:
         raise DimensionMismatch(f"{len(video.frames)} frames, {len(video.frame_headers)} suffixes")
     if not video.params or not all(map(_PARAM.fullmatch, video.params)):
         raise DimensionMismatch(f"params must be runs of bytes but space and LF: {video.params}")
-    n = _geometry(video.params)[4]
     parts = [b"YUV4MPEG2 " + b" ".join(video.params) + b"\n"]
-    for frame, suffix in zip(video.frames, video.frame_headers):
-        if check_samples(frame, "a frame").size != n:  # the join would misframe the file
-            raise DimensionMismatch(f"a frame is {n} uint8 samples, got {frame.size}")
+    for frame, suffix in zip(_frames(video), video.frame_headers):
         if not _FRAME_HEADER.fullmatch(line := b"FRAME" + suffix + b"\n"):
             raise DimensionMismatch(f"a frame suffix is b'' or b' ...' without LF: {suffix!r}")
         parts += (line, np.ascontiguousarray(frame))
     return b"".join(parts)  # each frame's one copy
+
+
+def _frames(video: Y4mVideo) -> list[np.ndarray]:
+    """The clip's frames if each is its header's frame length of uint8 samples in 1-D:
+    a write would misframe the file, and a 2-D frame's host slice takes whole rows."""
+    n = _geometry(video.params)[3]
+    for frame in video.frames:
+        if check_samples(frame, "a frame").shape != (n,):
+            raise DimensionMismatch(f"a frame is {n} uint8 samples in 1-D, got shape {frame.shape}")
+    return video.frames
 
 
 def video_nonce(video: Y4mVideo) -> int | None:
@@ -171,7 +175,7 @@ def video_hide(
 ) -> Y4mVideo:
     """Split the encrypted secret across frames; every frame carries a segment."""
     host = y_host(video)
-    capacities = [max_embeddable_bits(frame[host]) for frame in video.frames]
+    capacities = [max_embeddable_bits(frame[host]) for frame in _frames(video)]
     segments = build_frames(secret, keys.data_key, iv, capacities)
     frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys)
     return Y4mVideo(list(video.params), frames, list(video.frame_headers))
@@ -179,6 +183,6 @@ def video_hide(
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined in frame order."""
-    secret, frames = reveal_units(video.frames, y_host(video), keys)
+    secret, frames = reveal_units(_frames(video), y_host(video), keys)
     return secret, Y4mVideo(list(video.params), frames, list(video.frame_headers))
 

@@ -80,11 +80,12 @@ def zero_segment_clip(clip, keys, iv=bytes(16)):
 
 def planes(clip, i):
     """Y, U and V of a Y4M clip's frame i, as 2-D views of its flat buffer."""
-    ch, cw = clip.chroma_shape()
-    ny, nc = clip.width * clip.height, ch * cw
+    h, w = clip.height, clip.width
+    ch, cw = (h // 2, w // 2) if clip.colorspace == "C420" else (h, w)
+    ny, nc = w * h, ch * cw
     frame = clip.frames[i]
     return (
-        frame[:ny].reshape(clip.height, clip.width),
+        frame[:ny].reshape(h, w),
         frame[ny : ny + nc].reshape(ch, cw),
         frame[ny + nc :].reshape(ch, cw),
     )

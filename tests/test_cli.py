@@ -161,6 +161,25 @@ def test_bad_key_encoding_exits_5(tmp_path, cover_file):
                        "--iv", "00"]) == 5
 
 
+def test_nonce_is_hex_read_like_the_keys_and_the_iv(tmp_path, cover_file, capsys):
+    # bytes.fromhex skips the spaces between byte pairs, as it does for --data-key and --iv
+    cover_path, _ = cover_file
+    secret, marked = tmp_path / "s.bin", tmp_path / "m.ppm"
+    secret.write_bytes(b"x")
+    args = ["hide", "--cover", cover_path, "--data", secret, "--out", marked,
+            "--data-key", DATA_KEY, "--image-key", IMAGE_KEY, "--nonce"]
+    assert run(args + ["00 00 00 00 00 00 00 aa"]) == 0
+    assert netpbm.load_ppm(marked.read_bytes())[1] == int(NONCE, 16)
+    marked.unlink()
+    capsys.readouterr()
+    # a count of the hex digits read, not of the characters given
+    for bad, got in (("00 00 00 00 00 00 aa", "got 14"), ("00" * 9, "got 18")):
+        assert run(args + [bad]) == 5
+        assert capsys.readouterr().err.strip().endswith(f"nonce must be 16 hex chars, {got}")
+    assert run(args + ["0" * 15]) == 5  # 7.5 bytes
+    assert not marked.exists()
+
+
 def test_data_key_given_twice_or_not_at_all_exits_5(tmp_path, cover_file, capsys):
     cover_path, _ = cover_file
     secret = tmp_path / "s.bin"

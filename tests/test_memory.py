@@ -42,8 +42,8 @@ N = 1 << 20
 def host():
     rng = np.random.default_rng(6)
     plane = np.clip(np.rint(rng.normal(128, 6, N)), 0, 255).astype(np.uint8)
-    peak, zero, capacity = plan_hs(plane)
-    bits = rng.integers(0, 2, capacity, dtype=np.uint8)
+    peak, zero = plan_hs(plane)
+    bits = rng.integers(0, 2, np.count_nonzero(plane == peak), dtype=np.uint8)
     frame_bits = max_embeddable_bits(plane) // 2
     marked = plane.copy()
     hs_embed(marked, bits, peak, zero)

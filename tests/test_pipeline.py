@@ -29,14 +29,15 @@ from rdhkit.pipeline import (
     HEADER_SLOTS,
     RED,
     PayloadFrame,
-    SideHeader,
     StegoKeys,
     build_frames,
     embed_segments,
     frame_num_bits,
     hide,
     max_embeddable_bits,
+    pack_side_header,
     parse_frame,
+    parse_side_header,
     recover_plane,
     recover_units,
     reserve_room_plane,
@@ -127,24 +128,23 @@ def test_mutated_frames_raise_only_package_errors():
 
 
 def test_side_header_roundtrip():
-    header = SideHeader(peak=200, zero=17, region_a_bits=123456)
-    packed = header.pack()
+    packed = pack_side_header(200, 17, 123456)
     assert len(packed) == 8
-    assert SideHeader.unpack(packed) == header
+    assert parse_side_header(packed) == (200, 17, 123456)
 
 
 def test_side_header_checksum_detects_damage():
-    packed = bytearray(SideHeader(1, 2, 3).pack())
+    packed = bytearray(pack_side_header(1, 2, 3))
     packed[2] ^= 0x40
     with pytest.raises(HeaderChecksum):
-        SideHeader.unpack(bytes(packed))
+        parse_side_header(bytes(packed))
 
 
 def test_side_header_rejects_equal_bins():
     body = bytes([9, 9]) + (50).to_bytes(4, "big")
     packed = body + pipeline._ones_complement_sum(body).to_bytes(2, "big")
     with pytest.raises(HeaderChecksum):
-        SideHeader.unpack(packed)
+        parse_side_header(packed)
 
 
 # --- frame building -------------------------------------------------------
@@ -271,15 +271,15 @@ def test_region_b_carries_the_header_slots_lsbs_then_region_as(nbits):
     plane = (50 + np.random.default_rng(25).integers(0, 2, size=800)).astype(np.uint8)
     reserved = reserve_room_plane(plane, nbits)
     header_end = nbits + HEADER_SLOTS
-    header = SideHeader.unpack(np.packbits(reserved[nbits:header_end] & 1).tobytes())
-    backup = hs_extract(reserved[header_end:], header.peak, header.zero, header_end)
+    peak, zero, _ = parse_side_header(np.packbits(reserved[nbits:header_end] & 1).tobytes())
+    backup = hs_extract(reserved[header_end:], peak, zero, header_end)
     want = np.concatenate([plane[nbits:header_end] & 1, plane[:nbits] & 1])
     assert np.array_equal(backup, want)
 
 
 def test_side_header_of_seven_bytes_is_a_header_checksum_error():
     with pytest.raises(HeaderChecksum) as exc:
-        SideHeader.unpack(b"1234567")
+        parse_side_header(b"1234567")
     assert exc.type is HeaderChecksum
 
 
@@ -313,9 +313,20 @@ def test_recover_plane_refuses_a_host_that_is_not_1d():
     assert np.array_equal(reserved, HOST)
 
 
+@pytest.mark.parametrize("shape", [(32, 32), (32, 32, 4)])
+def test_hide_and_reveal_take_only_rgb_arrays(shape):
+    image = np.zeros(shape, np.uint8)
+    with pytest.raises(DimensionMismatch, match=r"RGB \(h, w, 3\) array") as exc:
+        hide(image, b"x", KEYS, iv=IV)
+    assert exc.type is DimensionMismatch
+    with pytest.raises(DimensionMismatch, match=r"RGB \(h, w, 3\) array") as exc:
+        reveal(image, KEYS)
+    assert exc.type is DimensionMismatch
+
+
 def test_side_header_must_confirm_the_frame_length():
     plane = np.full(800, 50, np.uint8)
-    header = np.unpackbits(np.frombuffer(SideHeader(50, 52, 100).pack(), np.uint8))
+    header = np.unpackbits(np.frombuffer(pack_side_header(50, 52, 100), np.uint8))
     plane[40 : 40 + HEADER_SLOTS] |= header
     with pytest.raises(HeaderChecksum, match="claims a 100-bit region A") as exc:
         recover_plane(plane, 40)
@@ -380,6 +391,14 @@ def test_every_plane_and_unit_must_be_uint8_samples(name):
         SAMPLE_CALLS[name](_wrapping)
 
 
+def test_units_that_are_not_1d_are_refused_with_their_shape():
+    # a host slice of a 2-D unit takes whole rows, not the samples it names
+    with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
+        embed_segments([UNIT.reshape(64, 192).copy()], RED, [SEGMENT], KEYS)
+    with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
+        recover_units([_marked_unit().reshape(64, 192)], RED, KEYS.image_key, KEYS.nonce)
+
+
 def test_embed_segments_refuses_an_empty_segment_list():
     raw = make_cover(np.random.default_rng(28), 64, 64).reshape(-1)
     with pytest.raises(MissingSegment, match="no segments") as exc:
@@ -413,10 +432,10 @@ def bincount_max_embeddable_bits(plane):
         if region_b.size == 0:
             return False
         try:
-            _, _, capacity = plan_hs(region_b)
+            peak, _ = plan_hs(region_b)
         except NoZeroBin:
             return False
-        return capacity >= HEADER_SLOTS + length
+        return np.count_nonzero(region_b == peak) >= HEADER_SLOTS + length
 
     if n <= HEADER_SLOTS:
         return CoverTooSmall

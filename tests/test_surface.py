@@ -1,6 +1,7 @@
 """Public-surface guards: the package root exports the entry points alone and
 nothing imports another name from it, every public function or class in rdhkit
-has a caller, each per-unit cover step is called from one loop per direction,
+has a caller, and so does every public method and property of its classes,
+each per-unit cover step is called from one loop per direction,
 no function casts its samples to uint8 (``errors.check_samples`` refuses what
 is not uint8), and no module of the package or its tests imports a name it
 never uses.
@@ -38,11 +39,12 @@ def _public_definitions(tree: ast.Module) -> set[str]:
 
 
 def _references(tree: ast.Module) -> set[str]:
+    # only loads count: a property's own assignment stores its name
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
 
@@ -63,6 +65,37 @@ def test_every_public_name_has_a_caller_in_the_package():
         if name not in referenced and name not in ALLOWED_UNCALLED
     }
     assert not unused, f"public names nothing in the package calls: {sorted(unused)}"
+
+
+def _class_members(tree: ast.Module):
+    """(class, name) of each public method and property in the module's classes; a
+    property is a ``name = property(...)`` assignment in the class body."""
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "property"
+            ):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            yield from ((cls.name, name) for name in names if not name.startswith("_"))
+
+
+def test_every_public_method_and_property_has_a_use_in_the_package():
+    members, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        members += [(path.stem, cls, name) for cls, name in _class_members(tree)]
+        if path.name != "__init__.py":
+            used |= _references(tree)
+    assert ("pipeline", "PayloadFrame", "serialize") in members
+    assert ("video", "Y4mVideo", "width") in members
+    unused = [f"{module}.{cls}.{name}" for module, cls, name in members if name not in used]
+    assert not unused, f"methods and properties nothing in the package uses: {unused}"
 
 
 def test_the_root_exports_the_entry_points_alone():

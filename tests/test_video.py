@@ -221,6 +221,32 @@ def test_write_refuses_frames_of_another_length():
         vid.write_y4m(short)
 
 
+def with_2d_frames(clip):
+    """clip with each frame reshaped to rows of its width: as many samples, in 2-D."""
+    return replace(clip, frames=[frame.reshape(-1, clip.width) for frame in clip.frames])
+
+
+def test_write_refuses_a_frame_that_is_not_1d():
+    clip = with_2d_frames(make_clip(np.random.default_rng(60), nframes=2))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(96, 64\)") as exc:
+        vid.write_y4m(clip)
+    assert exc.type is DimensionMismatch
+
+
+def test_hide_and_reveal_refuse_frames_that_are_not_1d():
+    # a 2-D frame's host slice [:w*h] takes whole rows, so the host would be
+    # the frame's Y, U and V samples alike
+    clip = make_clip(np.random.default_rng(61), nframes=2)
+    with pytest.raises(DimensionMismatch, match=r"got shape \(96, 64\)") as exc:
+        vid.video_hide(with_2d_frames(clip), b"flat frames only", KEYS, iv=IV)
+    assert exc.type is DimensionMismatch
+    marked = vid.video_hide(clip, b"flat frames only", KEYS, iv=IV)
+    with pytest.raises(DimensionMismatch, match=r"got shape \(96, 64\)") as exc:
+        vid.video_reveal(with_2d_frames(marked), KEYS)
+    assert exc.type is DimensionMismatch
+    assert vid.video_reveal(marked, KEYS)[0] == b"flat frames only"
+
+
 @pytest.mark.parametrize(
     "change",
     [
