@@ -25,9 +25,9 @@ bytes but LF>\\n``, then exactly its Y, U and V plane bytes
 
 A ``Y4mVideo`` holds what its file holds: the header tokens ``params``, the
 ``frames`` and their frame-line suffixes ``frame_headers``.  Its geometry is
-read from the tokens by the rule above: the writer, ``video_hide`` and
-``video_reveal`` take only 1-D frames of the size the header gives, and the
-writer refuses a clip that the reader would not read back.
+read from the tokens by the rule above: the writer and ``video_hide`` take
+only 1-D frames of the size the header gives, and the writer refuses a clip
+that the reader would not read back.
 
 Unknown stream-header parameters and frame-line suffixes round-trip
 verbatim, so a marked video can carry its counter nonce as an
@@ -183,6 +183,6 @@ def video_hide(
 
 def video_reveal(video: Y4mVideo, keys: StegoKeys) -> tuple[bytes, Y4mVideo]:
     """Inverse of video_hide: (secret, original video), segments joined in frame order."""
-    secret, frames = reveal_units(_frames(video), y_host(video), keys)
+    secret, frames = reveal_units(video.frames, y_host(video), keys)
     return secret, Y4mVideo(list(video.params), frames, list(video.frame_headers))
 
