@@ -1,11 +1,14 @@
+import ctypes
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from rdhkit import blowfish as bf
+from conftest import make_cover
+from rdhkit import blowfish as bf, netpbm, pipeline, video
 from rdhkit.errors import BadKeyLength
 
 # from the published Blowfish ECB reference vector set
@@ -46,16 +49,141 @@ def test_schedule_is_deterministic():
     assert a.s == b.s
 
 
+NATIVE = bf._native_schedule()
+needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto BF_set_key on this platform")
+# the Python schedule, and the libcrypto one where the platform has it
+SCHEDULES = [bf._python_key_schedule] + ([NATIVE] if NATIVE else [])
+
+
 @pytest.mark.parametrize("key_hex,plain_hex,cipher_hex", ECB_VECTORS)
 def test_published_ecb_vectors(key_hex, plain_hex, cipher_hex):
-    state = bf.bf_key_schedule(bytes.fromhex(key_hex))
-    ct = bf.bf_encrypt_block(state, bytes.fromhex(plain_hex))
-    assert ct.hex().upper() == cipher_hex
+    for schedule in SCHEDULES:
+        state = schedule(bytes.fromhex(key_hex))
+        ct = bf.bf_encrypt_block(state, bytes.fromhex(plain_hex))
+        assert ct.hex().upper() == cipher_hex, schedule
 
 
 def test_variable_length_key_vector():
-    state = bf.bf_key_schedule(b"abcdefghijklmnopqrstuvwxyz")
-    assert bf.bf_encrypt_block(state, b"BLOWFISH").hex().upper() == "324ED0FEF413A203"
+    for schedule in SCHEDULES:
+        state = schedule(b"abcdefghijklmnopqrstuvwxyz")
+        assert bf.bf_encrypt_block(state, b"BLOWFISH").hex().upper() == "324ED0FEF413A203", schedule
+
+
+@needs_native
+@seed(1042)
+@settings(max_examples=100, deadline=None)
+@given(key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES))
+def test_native_schedule_matches_the_python_schedule(key):
+    native, python = NATIVE(key), bf._python_key_schedule(key)
+    assert native.p == python.p
+    assert native.s == python.s
+    assert np.array_equal(native._t01, python._t01)
+
+
+def test_the_schedule_runs_in_libcrypto_where_it_exports_bf_set_key(monkeypatch):
+    # a lookup or layout regression would fall back silently, with the same
+    # bytes and every other test green, at about a quarter of a round trip
+    if getattr(bf._libcrypto(), "BF_set_key", None) is None:
+        pytest.skip("this platform's libcrypto does not export BF_set_key")
+    expect = bf._python_key_schedule(b"silent fallback")
+
+    def refuse(key):
+        raise AssertionError("bf_key_schedule fell back to the Python schedule")
+
+    monkeypatch.setattr(bf, "_python_key_schedule", refuse)
+    state = bf.bf_key_schedule(b"silent fallback")
+    assert (state.p, state.s) == (expect.p, expect.s)
+
+
+@pytest.fixture
+def rebind():
+    """Binds again on the next schedule, and again after the test."""
+    bf._native_schedule.cache_clear()
+    yield
+    bf._native_schedule.cache_clear()
+
+
+_SET_KEY = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
+
+
+class StandIn:
+    """A library whose BF_set_key writes the given words, whatever the key."""
+
+    def __init__(self, words: np.ndarray):
+        self.BF_set_key = _SET_KEY(lambda buf, n, key: ctypes.memmove(buf, words.tobytes(), words.nbytes))
+
+
+ZERO_KEY = bf._python_key_schedule(bytes(8))
+ZERO_KEY_WORDS = np.array(ZERO_KEY.p + sum(ZERO_KEY.s, ()), dtype=np.uint32)
+
+
+# no library, no symbol, or a stand-in writing the words a layout or ABI
+# mismatch would
+@pytest.mark.parametrize(
+    "lib",
+    [
+        pytest.param(lambda: None, id="no-library"),
+        pytest.param(object, id="no-symbol"),
+        pytest.param(lambda: StandIn(ZERO_KEY_WORDS.byteswap()), id="other-byte-order"),
+        pytest.param(lambda: StandIn(np.roll(ZERO_KEY_WORDS, 1)), id="shifted-a-word"),
+        # a 64-bit BF_LONG fills the whole buffer
+        pytest.param(lambda: StandIn(ZERO_KEY_WORDS.astype(np.uint64)), id="64-bit-words"),
+    ],
+)
+def test_a_failed_binding_keeps_the_python_schedule(lib, monkeypatch, rebind):
+    monkeypatch.setattr(bf, "_libcrypto", lib)
+    key = b"fallback key"
+    state, expect = bf.bf_key_schedule(key), bf._python_key_schedule(key)
+    assert bf._native_schedule() is None
+    assert (state.p, state.s) == (expect.p, expect.s)
+    assert np.array_equal(state._t01, expect._t01)
+
+
+def test_the_check_accepts_a_stand_in_writing_the_true_words():
+    # the stand-in ignores its key, so only the all-zero key's state is right
+    schedule = bf._bind(StandIn(ZERO_KEY_WORDS))
+    assert schedule is not None
+    state = schedule(bytes(8))
+    assert (state.p, state.s) == (ZERO_KEY.p, ZERO_KEY.s)
+
+
+def test_no_hashlib_means_no_library(monkeypatch):
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # makes the import fail
+    assert bf._libcrypto() is None
+
+
+ROUNDTRIP_KEYS = pipeline.StegoKeys(bytes(range(16)), b"both schedules", 0x5EED)
+
+
+def _ppm_roundtrip() -> bytes:
+    cover = make_cover(np.random.default_rng(31), 48, 48)
+    result = pipeline.hide(cover, b"same bytes either way", ROUNDTRIP_KEYS, iv=bytes(16))
+    secret, original = pipeline.reveal(result.image, ROUNDTRIP_KEYS)
+    assert secret == b"same bytes either way" and np.array_equal(original, cover)
+    return netpbm.save_ppm(result.image, ROUNDTRIP_KEYS.nonce)
+
+
+def _y4m_roundtrip() -> bytes:
+    rng = np.random.default_rng(32)
+    frames = []
+    for _ in range(2):
+        y = np.full((64, 64), 90, dtype=np.uint8)
+        y[rng.random((64, 64)) < 0.4] = 91
+        frames.append(np.concatenate((y, rng.integers(0, 256, 2 * 32 * 32, dtype=np.uint8)), axis=None))
+    clip = video.Y4mVideo([b"W64", b"H64", b"F25:1", b"C420"], frames, [b""] * 2)
+    marked = video.video_hide(clip, b"same bytes either way", ROUNDTRIP_KEYS, iv=bytes(16))
+    secret, original = video.video_reveal(marked, ROUNDTRIP_KEYS)
+    assert secret == b"same bytes either way"
+    assert video.write_y4m(original) == video.write_y4m(clip)
+    return video.write_y4m(marked)
+
+
+@needs_native
+@pytest.mark.parametrize("roundtrip", [_ppm_roundtrip, _y4m_roundtrip], ids=["ppm", "y4m"])
+def test_roundtrip_bytes_are_the_same_on_either_schedule(roundtrip, monkeypatch):
+    native = roundtrip()
+    monkeypatch.setattr(bf, "_native_schedule", lambda: None)
+    assert roundtrip() == native
 
 
 def test_block_length_enforced():

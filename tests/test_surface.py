@@ -8,8 +8,7 @@ never uses.
 
 A module-level public name counts as used when some module of the package
 other than ``__init__.py`` refers to it by name or attribute; re-exporting it
-is not a use.  The allowlist holds the reference implementations that only
-tests call.
+is not a use.
 """
 
 import ast
@@ -27,10 +26,6 @@ ENTRY_POINTS = [
     "StegoKeys", "HideResult", "hide", "reveal",
     "Y4mVideo", "parse_y4m", "write_y4m", "video_hide", "video_reveal",
 ]
-
-# the scalar block cipher is the reference for the Blowfish known-answer and
-# keystream tests
-ALLOWED_UNCALLED = {"bf_encrypt_block"}
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:
@@ -58,11 +53,7 @@ def test_every_public_name_has_a_caller_in_the_package():
         if path.name != "__init__.py":
             referenced |= _references(tree)
     assert defined, f"no public definitions found under {PACKAGE}"
-    unused = {
-        f"{module}:{name}"
-        for name, module in defined.items()
-        if name not in referenced and name not in ALLOWED_UNCALLED
-    }
+    unused = {f"{module}:{name}" for name, module in defined.items() if name not in referenced}
     assert not unused, f"public names nothing in the package calls: {sorted(unused)}"
 
 
