@@ -6,8 +6,22 @@ plaintext bit, which the room-reservation step can restore.  A block mode
 would smear every flipped LSB over a whole 8-byte block on decryption and
 destroy reversibility.
 
-Keystream generation is vectorised with numpy: the Feistel rounds run on
-whole arrays of counter blocks at once.  Four choices keep it fast and small:
+Where the platform's libcrypto (the one CPython's ``_hashlib`` links)
+exports ``BF_set_key`` and ``BF_cbc_encrypt``, both run there.  Blowfish
+decryption is encryption with the P-array reversed, so under a ``BF_KEY``
+whose P-array is reversed, CBC decryption of the big-endian counter blocks
+c_1..c_m with IV c_0 = c_1 - 1 writes E(c_i) ^ c_(i-1): one bulk C loop per
+chunk, and one XOR with the counters shifted by a block leaves the
+keystream.  Each native state keeps its reversed-P key words.  The call
+releases the GIL, but it stays on one thread: splitting it over two was
+slower than one on two vCPUs.  Both symbols are bound together on the first
+schedule, or neither; the binding is kept only if the all-zero key's whole
+state matches a pinned digest and its keystream across the 2^64 wrap matches
+the scalar cipher.  No option selects the path.
+
+Elsewhere the keystream is computed in numpy, which also serves the tests as
+the reference: the Feistel rounds run on whole arrays of counter blocks at
+once.  Four choices keep it fast and small:
 
 - A fused S0+S1 table.  Each key schedule also builds
   ``t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32`` (65,536 words, 256 KB),
@@ -41,22 +55,20 @@ filled and returns that buffer, a fresh, flat, writable uint8 array: the
 pipeline writes the payload frame straight into it, with no copy.
 
 The key schedule is 521 chained block encryptions, so it cannot be
-vectorised.  It runs in the platform's libcrypto when that exports
-``BF_set_key`` (deprecated in OpenSSL 3, absent from ``no-deprecated``
-builds), else in Python, with the same state; the library is over ten times
-faster.  The library is the one CPython's ``_hashlib`` links, bound once
-through ctypes on the first schedule and kept only if its state for the
-all-zero key encrypts the zero block to the published vector.  The Python
-schedule stays as the fallback and the tests' reference.  Its scalar block
-function, also the single-block API, unrolls all 16 rounds, with F inlined
-and each P-array XOR folded into a round: no loop, no call and no swap per
-block.
+vectorised.  It runs in libcrypto where that is bound (both symbols are
+deprecated in OpenSSL 3 and absent from ``no-deprecated`` builds), else in
+Python, with the same state; the library is over ten times faster.  The
+Python schedule stays as the fallback and the tests' reference.  Its scalar
+block function, also the single-block API, unrolls all 16 rounds, with F
+inlined and each P-array XOR folded into a round: no loop, no call and no
+swap per block.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 
 import numpy as np
 
@@ -86,7 +98,7 @@ _STATE_WORDS = 18 + 4 * 256  # the P-array and the four S-boxes
 class BlowfishState:
     """P-array and S-boxes after key mixing, as ints and as uint32 arrays, plus fused S0+S1."""
 
-    __slots__ = ("p", "s", "_p32", "_s_np", "_t01")
+    __slots__ = ("p", "s", "_p32", "_s_np", "_t01", "_keystream")
 
     def __init__(self, p: list[int], s: list[list[int]]):
         self.p = tuple(p)
@@ -95,6 +107,9 @@ class BlowfishState:
         self._s_np = np.asarray(s, dtype=np.uint32)  # one (4, 256) array
         # _t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32, 65,536 entries
         self._t01 = (self._s_np[0][:, None] + self._s_np[1][None, :]).reshape(-1)
+        # the libcrypto keystream under this state, set by the libcrypto
+        # schedule: (nonce, blocks) -> None.  None runs the numpy kernel
+        self._keystream = None
 
 
 def bf_key_schedule(key: bytes) -> BlowfishState:
@@ -146,24 +161,47 @@ def _native_schedule():
     return _bind(_libcrypto())
 
 
+# SHA-256 of the all-zero 8-byte key's 1,042 state words, big-endian
+_ZERO_KEY_DIGEST = "e230e9720babf049ceb56b06dee05423d9a7cbdfaea0cb673b0ea8a29c805b57"
+
+
+def _state_digest(state: BlowfishState) -> str:
+    words = np.concatenate((state._p32, state._s_np.reshape(-1)))
+    return hashlib.sha256(words.astype(">u4").tobytes()).hexdigest()
+
+
 def _bind(lib):
-    """A key schedule calling lib's BF_set_key, or None where lib is None, lacks
-    the symbol, or writes a state that fails the all-zero key's vector."""
+    """A key schedule calling lib's BF_set_key, whose states run their keystream
+    through lib's BF_cbc_encrypt; or None where lib is None, lacks either
+    symbol, or fails the all-zero key's state digest or keystream."""
     set_key = getattr(lib, "BF_set_key", None)
-    if set_key is None:
+    cbc = getattr(lib, "BF_cbc_encrypt", None)
+    if set_key is None or cbc is None:
         return None
     set_key.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
     set_key.restype = None
+    # BF_cbc_encrypt(in, out, length, schedule, ivec, enc)
+    cbc.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_long,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
+    cbc.restype = None
 
     def schedule(key: bytes) -> BlowfishState:
         # BF_KEY is P[18] then S[4 * 256] of BF_LONG; twice the room of 32-bit
         # words, so a 64-bit BF_LONG writes in bounds and fails the check below
         words = np.zeros(2 * _STATE_WORDS, dtype=np.uint32)
         set_key(words.ctypes.data, len(key), bytes(key))
-        return BlowfishState(words[:18].tolist(), words[18:_STATE_WORDS].reshape(4, 256).tolist())
+        state = BlowfishState(words[:18].tolist(), words[18:_STATE_WORDS].reshape(4, 256).tolist())
+        words[:18] = words[17::-1].copy()  # decryption under the reversed P encrypts
+        state._keystream = functools.partial(_native_keystream, cbc, words)
+        return state
 
-    # the first published ECB vector: the all-zero key encrypts zeros to this
-    if bf_encrypt_block(schedule(bytes(8)), bytes(8)) != bytes.fromhex("4EF997456198DD78"):
+    zero = schedule(bytes(8))
+    if _state_digest(zero) != _ZERO_KEY_DIGEST:
+        return None
+    # three counters across the 2^64 wrap, against the scalar cipher
+    stream = np.empty((3, 2), dtype=">u4")
+    zero._keystream(_MASK64, stream)
+    counters = (_MASK64, 0, 1)
+    if stream.tobytes() != b"".join(bf_encrypt_block(zero, c.to_bytes(8, "big")) for c in counters):
         return None
     return schedule
 
@@ -214,8 +252,47 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     writable uint8 array of len(data).
     """
     nbytes = len(data)
-    nblocks = (nbytes + 7) // 8
-    words = np.empty((nblocks, 2), dtype=">u4")
+    blocks = np.empty(((nbytes + 7) // 8, 2), dtype=">u4")
+    if state._keystream is None:
+        _numpy_keystream(state, nonce, blocks)
+    else:
+        state._keystream(nonce, blocks)
+    out = blocks.view(np.uint8).reshape(-1)[:nbytes]
+    np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
+    return out
+
+
+def _native_keystream(cbc, bf_key: np.ndarray, nonce: int, blocks: np.ndarray) -> None:
+    """Write the keystream from counter nonce into blocks through libcrypto's
+    BF_cbc_encrypt, decrypting under bf_key, the state with its P-array reversed.
+
+    Each chunk's counters c_0..c_m go into one reused buffer, c_0 being the
+    one before the chunk's first, and are byte-swapped there into big-endian
+    blocks.  CBC decryption of c_1..c_m with IV c_0 writes E(c_i) ^ c_(i-1),
+    and XORing the buffer's first m blocks back leaves E(c_i).
+    """
+    nblocks = len(blocks)
+    n = min(_CHUNK_BLOCKS, nblocks)
+    ramp = np.arange(n + 1, dtype=np.uint64)
+    counters = np.empty(n + 1, dtype=np.uint64)
+    iv = np.empty(1, dtype=np.uint64)  # BF_cbc_encrypt overwrites its IV
+    stream = blocks.view(np.uint64).reshape(-1)  # XOR is byte-order-free
+    out, ctr, key, ivec = (a.ctypes.data for a in (blocks, counters, bf_key, iv))
+    for start in range(0, nblocks, _CHUNK_BLOCKS):
+        m = min(_CHUNK_BLOCKS, nblocks - start)
+        c = counters[: m + 1]
+        np.add(ramp[: m + 1], (nonce + start - 1) & _MASK64, out=c)  # wraps mod 2^64
+        c.byteswap(inplace=True)
+        iv[0] = c[0]
+        cbc(ctr + 8, out + 8 * start, 8 * m, key, ivec, 0)
+        chunk = stream[start : start + m]
+        np.bitwise_xor(chunk, c[:m], out=chunk)
+
+
+def _numpy_keystream(state: BlowfishState, nonce: int, blocks: np.ndarray) -> None:
+    """Write the keystream from counter nonce into blocks, (n, 2) big-endian
+    words, with the Feistel rounds run on whole chunks of counters in numpy."""
+    nblocks = len(blocks)
     n = min(_CHUNK_BLOCKS, nblocks)
     # little-endian halves, so the S-box indices are plain views of a half:
     # half-word 1 is x >> 16, byte 1 is (x >> 8) & 0xFF, byte 0 is x & 0xFF
@@ -247,12 +324,9 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
             xl, xr, il, ir = xr, xl, ir, il
         # the names still carry the last round's swap, so the halves are
         # whitened crosswise into the output words: (xr ^ P17, xl ^ P16)
-        np.bitwise_xor(xr, p[17], out=words[start : start + m, 0])
-        np.bitwise_xor(xl, p[16], out=words[start : start + m, 1])
+        np.bitwise_xor(xr, p[17], out=blocks[start : start + m, 0])
+        np.bitwise_xor(xl, p[16], out=blocks[start : start + m, 1])
         start += m
-    out = words.view(np.uint8).reshape(-1)[:nbytes]
-    np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
-    return out
 
 
 def _index_views(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

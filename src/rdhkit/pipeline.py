@@ -81,7 +81,7 @@ from .histshift import count_values, hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
 from .metrics import psnr_of_mse, squared_error
 
-# bench/spans.py traces the plain-domain PSNR through this name, so it stays
+# bench/spans.py traces hide's PSNR through this name, so it stays
 # bound here although hide computes it from the host's squared error
 from .metrics import psnr  # noqa: F401
 
@@ -305,10 +305,11 @@ def embed_segments(
     Units beyond the last segment carry an empty one, so every unit is
     recoverable on its own; an empty segment list raises MissingSegment, and
     fewer units than segments CapacityError.  Room is reserved in unit[host]
-    and the frame written into its region-A LSBs, both in place, so each unit
-    is left as its plain-domain marked cover.  The unit returned for it is
-    that cover encrypted as one counter run, with the frame written again
-    over the encrypted host.
+    in place, and the unit returned for it is that unit encrypted as one
+    counter run, with the frame written over the encrypted host's region-A
+    LSBs.  Each unit is left as the image-key holder decrypts the returned
+    one: the reserved unit with region A's LSBs flipped wherever the frame
+    flipped an encrypted LSB.
     """
     if not segments:
         raise MissingSegment("no segments to embed")
@@ -319,8 +320,8 @@ def embed_segments(
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
         raw[host] = reserve_room_plane(_one_d(raw, "unit")[host], bits.size)
-        _set_lsbs(raw[host][: bits.size], bits)
         marked.append(bf_ctr_transform(state, counter, raw))
+        raw[host][: bits.size] ^= (marked[-1][host][: bits.size] ^ bits) & 1
         _set_lsbs(marked[-1][host][: bits.size], bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)
     if len(marked) < count:
@@ -381,7 +382,7 @@ RED = np.s_[0::3]  # an image's host: the red samples of its interleaved RGB ras
 @dataclass(frozen=True)
 class HideResult:
     image: np.ndarray
-    plain_psnr: float  # original vs plain-domain marked image, pre-encryption
+    plain_psnr: float  # original vs the marked image decrypted with the image key
     frame_bits: int
     capacity_bits: int  # max_embeddable_bits of the red plane: the longest frame it holds
 

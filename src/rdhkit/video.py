@@ -10,7 +10,7 @@ secret splits into segments, and a frame that cannot carry one raises the
 reason.  A parsed frame, a read-only view of the parsed bytes, already is
 that unit, so ``video_reveal`` hands the frames over as they are, and
 ``video_hide`` hands over one copy per frame, made as the driver reaches it,
-because embedding leaves its input as the plain-domain marked cover.
+because embedding leaves its input as the decrypted marked frame.
 
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before

@@ -1,5 +1,6 @@
 import ctypes
 import hashlib
+import itertools
 import random
 import sys
 
@@ -50,9 +51,11 @@ def test_schedule_is_deterministic():
 
 
 NATIVE = bf._native_schedule()
-needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto BF_set_key on this platform")
+needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto Blowfish binding on this platform")
 # the Python schedule, and the libcrypto one where the platform has it
 SCHEDULES = [bf._python_key_schedule] + ([NATIVE] if NATIVE else [])
+# a state's schedule also picks its keystream: the Python one's runs in numpy,
+# the libcrypto one's through BF_cbc_encrypt, so the keystream tests run both
 
 
 @pytest.mark.parametrize("key_hex,plain_hex,cipher_hex", ECB_VECTORS)
@@ -80,11 +83,16 @@ def test_native_schedule_matches_the_python_schedule(key):
     assert np.array_equal(native._t01, python._t01)
 
 
+def _skip_without_libcrypto_blowfish():
+    lib = bf._libcrypto()
+    if getattr(lib, "BF_set_key", None) is None or getattr(lib, "BF_cbc_encrypt", None) is None:
+        pytest.skip("this platform's libcrypto does not export BF_set_key and BF_cbc_encrypt")
+
+
 def test_the_schedule_runs_in_libcrypto_where_it_exports_bf_set_key(monkeypatch):
     # a lookup or layout regression would fall back silently, with the same
     # bytes and every other test green, at about a quarter of a round trip
-    if getattr(bf._libcrypto(), "BF_set_key", None) is None:
-        pytest.skip("this platform's libcrypto does not export BF_set_key")
+    _skip_without_libcrypto_blowfish()
     expect = bf._python_key_schedule(b"silent fallback")
 
     def refuse(key):
@@ -93,6 +101,24 @@ def test_the_schedule_runs_in_libcrypto_where_it_exports_bf_set_key(monkeypatch)
     monkeypatch.setattr(bf, "_python_key_schedule", refuse)
     state = bf.bf_key_schedule(b"silent fallback")
     assert (state.p, state.s) == (expect.p, expect.s)
+
+
+def test_the_keystream_runs_in_libcrypto_where_it_exports_bf_cbc_encrypt(monkeypatch):
+    # the same silent fallback, for the larger part of a round trip
+    _skip_without_libcrypto_blowfish()
+    data = random.Random(33).randbytes(8 * CHUNK + 13)
+    expect = bf.bf_ctr_transform(bf._python_key_schedule(b"silent fallback"), MASK64 - 9, data)
+
+    def refuse(state, nonce, blocks):
+        raise AssertionError("bf_ctr_transform fell back to the numpy keystream")
+
+    monkeypatch.setattr(bf, "_numpy_keystream", refuse)
+    out = bf.bf_ctr_transform(bf.bf_key_schedule(b"silent fallback"), MASK64 - 9, data)
+    assert out.tobytes() == expect.tobytes()
+
+
+def test_the_pinned_zero_key_digest_is_the_python_schedules_state():
+    assert bf._state_digest(bf._python_key_schedule(bytes(8))) == bf._ZERO_KEY_DIGEST
 
 
 @pytest.fixture
@@ -104,21 +130,38 @@ def rebind():
 
 
 _SET_KEY = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
+# BF_cbc_encrypt(in, out, length, key, ivec, enc)
+_CBC_ARGS = (ctypes.c_void_p,) * 2 + (ctypes.c_long,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
+_CBC = ctypes.CFUNCTYPE(None, *_CBC_ARGS)
+PLATFORM_CBC = getattr(bf._libcrypto(), "BF_cbc_encrypt", None)
+if PLATFORM_CBC is not None:
+    PLATFORM_CBC.argtypes, PLATFORM_CBC.restype = _CBC_ARGS, None
 
 
 class StandIn:
-    """A library whose BF_set_key writes the given words, whatever the key."""
+    """A library whose BF_set_key writes the given words, whatever the key, and
+    whose BF_cbc_encrypt is cbc (the platform's by default), or missing if None."""
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: np.ndarray, cbc=PLATFORM_CBC):
         self.BF_set_key = _SET_KEY(lambda buf, n, key: ctypes.memmove(buf, words.tobytes(), words.nbytes))
+        if cbc is not None:
+            self.BF_cbc_encrypt = cbc
 
 
 ZERO_KEY = bf._python_key_schedule(bytes(8))
 ZERO_KEY_WORDS = np.array(ZERO_KEY.p + sum(ZERO_KEY.s, ()), dtype=np.uint32)
+# one S-box word the zero block's encryption never reads, off by one bit
+ONE_WORD_OFF = ZERO_KEY_WORDS.copy()
+ONE_WORD_OFF[18 + 700] ^= 1
+
+
+def _garbled_cbc(inp, out, length, key, ivec, enc):
+    PLATFORM_CBC(inp, out, length, key, ivec, enc)
+    ctypes.memset(out, 0x5A, 1)
 
 
 # no library, no symbol, or a stand-in writing the words a layout or ABI
-# mismatch would
+# mismatch would, or one wrong word, or a wrong keystream
 @pytest.mark.parametrize(
     "lib",
     [
@@ -128,6 +171,13 @@ ZERO_KEY_WORDS = np.array(ZERO_KEY.p + sum(ZERO_KEY.s, ()), dtype=np.uint32)
         pytest.param(lambda: StandIn(np.roll(ZERO_KEY_WORDS, 1)), id="shifted-a-word"),
         # a 64-bit BF_LONG fills the whole buffer
         pytest.param(lambda: StandIn(ZERO_KEY_WORDS.astype(np.uint64)), id="64-bit-words"),
+        pytest.param(lambda: StandIn(ONE_WORD_OFF), id="s-box-word-700-off"),
+        pytest.param(lambda: StandIn(ZERO_KEY_WORDS, cbc=None), id="no-cbc-symbol"),
+        pytest.param(
+            lambda: StandIn(ZERO_KEY_WORDS, cbc=_CBC(_garbled_cbc)),
+            id="cbc-writes-wrong-bytes",
+            marks=needs_native,
+        ),
     ],
 )
 def test_a_failed_binding_keeps_the_python_schedule(lib, monkeypatch, rebind):
@@ -137,14 +187,21 @@ def test_a_failed_binding_keeps_the_python_schedule(lib, monkeypatch, rebind):
     assert bf._native_schedule() is None
     assert (state.p, state.s) == (expect.p, expect.s)
     assert np.array_equal(state._t01, expect._t01)
+    # neither symbol is bound: the keystream is the numpy kernel's
+    assert state._keystream is None
+    data = bytes(8 * 300 + 5)
+    stream = bf.bf_ctr_transform(state, MASK64 - 7, data)
+    assert stream.tobytes() == bf.bf_ctr_transform(expect, MASK64 - 7, data).tobytes()
 
 
+@needs_native
 def test_the_check_accepts_a_stand_in_writing_the_true_words():
     # the stand-in ignores its key, so only the all-zero key's state is right
     schedule = bf._bind(StandIn(ZERO_KEY_WORDS))
     assert schedule is not None
     state = schedule(bytes(8))
     assert (state.p, state.s) == (ZERO_KEY.p, ZERO_KEY.s)
+    assert state._keystream is not None
 
 
 def test_no_hashlib_means_no_library(monkeypatch):
@@ -193,48 +250,51 @@ def test_block_length_enforced():
 
 
 def test_ctr_first_keystream_block_matches_zero_vector():
-    state = bf.bf_key_schedule(bytes(8))
-    # encrypting plaintext zeros under nonce 0 exposes the raw keystream
-    out = bf.bf_ctr_transform(state, 0, bytes(8))
-    assert out.tobytes().hex().upper() == "4EF997456198DD78"
+    for schedule in SCHEDULES:
+        # encrypting plaintext zeros under nonce 0 exposes the raw keystream
+        out = bf.bf_ctr_transform(schedule(bytes(8)), 0, bytes(8))
+        assert out.tobytes().hex().upper() == "4EF997456198DD78", schedule
 
 
 def test_ctr_is_an_involution():
-    rng = random.Random(13)
-    state = bf.bf_key_schedule(b"ctr key!")
-    for n in (0, 1, 7, 8, 9, 100, 4096):
-        data = rng.randbytes(n)
-        nonce = rng.getrandbits(64)
-        back = bf.bf_ctr_transform(state, nonce, bf.bf_ctr_transform(state, nonce, data))
-        assert back.tobytes() == data
-    assert bf.bf_ctr_transform(state, 5, b"").tobytes() == b""
+    for schedule in SCHEDULES:
+        rng = random.Random(13)
+        state = schedule(b"ctr key!")
+        for n in (0, 1, 7, 8, 9, 100, 4096):
+            data = rng.randbytes(n)
+            nonce = rng.getrandbits(64)
+            back = bf.bf_ctr_transform(state, nonce, bf.bf_ctr_transform(state, nonce, data))
+            assert back.tobytes() == data, schedule
+        assert bf.bf_ctr_transform(state, 5, b"").tobytes() == b""
 
 
 def test_ctr_matches_scalar_block_reference():
-    rng = random.Random(14)
-    state = bf.bf_key_schedule(b"refcheck")
-    for _ in range(10):
-        nonce = rng.getrandbits(64)
-        n = rng.randrange(1, 120)
-        data = rng.randbytes(n)
-        stream = bytearray()
-        i = 0
-        while len(stream) < n:
-            counter = ((nonce + i) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-            stream.extend(bf.bf_encrypt_block(state, counter))
-            i += 1
-        expect = bytes(a ^ b for a, b in zip(data, stream))
-        assert bf.bf_ctr_transform(state, nonce, data).tobytes() == expect
+    for schedule in SCHEDULES:
+        rng = random.Random(14)
+        state = schedule(b"refcheck")
+        for _ in range(10):
+            nonce = rng.getrandbits(64)
+            n = rng.randrange(1, 120)
+            data = rng.randbytes(n)
+            stream = bytearray()
+            i = 0
+            while len(stream) < n:
+                counter = ((nonce + i) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+                stream.extend(bf.bf_encrypt_block(state, counter))
+                i += 1
+            expect = bytes(a ^ b for a, b in zip(data, stream))
+            assert bf.bf_ctr_transform(state, nonce, data).tobytes() == expect, schedule
 
 
 def test_ctr_counter_wraps_mod_2_64():
-    state = bf.bf_key_schedule(b"wrapwrap")
-    data = bytes(24)
-    out = bf.bf_ctr_transform(state, 0xFFFFFFFFFFFFFFFF, data)
-    k0 = bf.bf_encrypt_block(state, (0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-    k1 = bf.bf_encrypt_block(state, (0).to_bytes(8, "big"))
-    k2 = bf.bf_encrypt_block(state, (1).to_bytes(8, "big"))
-    assert out.tobytes() == k0 + k1 + k2
+    for schedule in SCHEDULES:
+        state = schedule(b"wrapwrap")
+        data = bytes(24)
+        out = bf.bf_ctr_transform(state, 0xFFFFFFFFFFFFFFFF, data)
+        k0 = bf.bf_encrypt_block(state, (0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+        k1 = bf.bf_encrypt_block(state, (0).to_bytes(8, "big"))
+        k2 = bf.bf_encrypt_block(state, (1).to_bytes(8, "big"))
+        assert out.tobytes() == k0 + k1 + k2, schedule
 
 
 CONTRACT_DATA = random.Random(16).randbytes(1001)
@@ -247,12 +307,13 @@ CONTRACT_DATA = random.Random(16).randbytes(1001)
 )
 def test_ctr_returns_a_fresh_writable_array(given):
     before = bytes(given)
-    out = bf.bf_ctr_transform(bf.bf_key_schedule(b"contract"), 21, given)
-    assert isinstance(out, np.ndarray)
-    assert out.dtype == np.uint8 and out.ndim == 1 and out.size == len(given)
-    assert out.flags.writeable
-    assert not np.shares_memory(out, np.frombuffer(given, np.uint8))
-    assert bytes(given) == before
+    for schedule in SCHEDULES:
+        out = bf.bf_ctr_transform(schedule(b"contract"), 21, given)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.uint8 and out.ndim == 1 and out.size == len(given)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, np.frombuffer(given, np.uint8))
+        assert bytes(given) == before
 
 
 def test_ctr_bit_locality():
@@ -284,9 +345,10 @@ MASK64 = (1 << 64) - 1
 
 @pytest.mark.parametrize("nonce,nbytes,digest", GOLDEN_KEYSTREAMS)
 def test_keystream_golden_digests(nonce, nbytes, digest):
-    stream = bf.bf_ctr_transform(bf.bf_key_schedule(GOLDEN_KEY), nonce, bytes(nbytes))
-    assert len(stream) == nbytes
-    assert hashlib.sha256(stream).hexdigest() == digest
+    for schedule in SCHEDULES:
+        stream = bf.bf_ctr_transform(schedule(GOLDEN_KEY), nonce, bytes(nbytes))
+        assert len(stream) == nbytes
+        assert hashlib.sha256(stream).hexdigest() == digest, schedule
 
 
 def _counter_blocks(nonce: int, nbytes: int) -> bytes:
@@ -299,7 +361,7 @@ def _scalar_stream(state, nonce: int, nblocks: int) -> bytes:
     return b"".join(bf.bf_encrypt_block(state, c) for c in counters)
 
 
-ROWS_STATE = bf.bf_key_schedule(b"row by column")
+ROWS_STATES = [schedule(b"row by column") for schedule in SCHEDULES]
 
 
 @pytest.mark.parametrize("high", [0x5EED, 0xFFFFFFFF], ids=["carry", "wrap-2^64"])
@@ -308,19 +370,19 @@ def test_low_word_carry_at_each_offset_from_a_row_start(high, offset):
     # rounds 0-1 come from per-row tables, one run before the low word
     # carries and one after; the first run is offset + start_col blocks long
     # (none for 0) and starts at column (-offset - start_col) mod 256
-    for start_col in (0, 0x9D):
+    for state, start_col in itertools.product(ROWS_STATES, (0, 0x9D)):
         nonce = ((high << 32) + (1 << 32) - offset - start_col) & MASK64
         nblocks = offset + start_col + 300
-        stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
-        assert stream == _scalar_stream(ROWS_STATE, nonce, nblocks), (offset, start_col)
+        stream = bf.bf_ctr_transform(state, nonce, bytes(8 * nblocks)).tobytes()
+        assert stream == _scalar_stream(state, nonce, nblocks), (offset, start_col)
 
 
 def test_runs_shorter_than_a_row():
-    for nonce in (0x0123456789ABCD9D, 0xFEDCBA98765432FF):
+    for state, nonce in itertools.product(ROWS_STATES, (0x0123456789ABCD9D, 0xFEDCBA98765432FF)):
         assert nonce & 0xFF
-        expect = _scalar_stream(ROWS_STATE, nonce, 255)
+        expect = _scalar_stream(state, nonce, 255)
         for nblocks in range(1, 256):
-            stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
+            stream = bf.bf_ctr_transform(state, nonce, bytes(8 * nblocks)).tobytes()
             assert stream == expect[: 8 * nblocks], (nonce, nblocks)
 
 
@@ -333,19 +395,21 @@ def test_runs_shorter_than_a_row():
 )
 def test_keystream_near_every_low_word_carry_matches_scalar_blocks(high, delta, nblocks):
     nonce = ((high << 32) + delta) & MASK64
-    stream = bf.bf_ctr_transform(ROWS_STATE, nonce, bytes(8 * nblocks)).tobytes()
-    assert stream == _scalar_stream(ROWS_STATE, nonce, nblocks)
+    for state in ROWS_STATES:
+        stream = bf.bf_ctr_transform(state, nonce, bytes(8 * nblocks)).tobytes()
+        assert stream == _scalar_stream(state, nonce, nblocks)
 
 
 def test_keystream_around_a_chunk_boundary_matches_scalar_blocks():
-    state = bf.bf_key_schedule(b"chunked!")
-    for nonce, nbytes in [
+    states = [schedule(b"chunked!") for schedule in SCHEDULES]
+    edges = [
         (0x00000000FFFFFFF0 - CHUNK, 8 * (CHUNK + 40) + 3),  # carry just after the boundary
         ((0x0A << 32) + (1 << 32) - CHUNK, 8 * (CHUNK + 300)),  # carry on a chunk's first block
         ((0x0A << 32) + (1 << 32) - CHUNK + 1, 8 * (CHUNK + 300)),  # carry on a chunk's last block
         (0x01234567FFFFFF00, 4099),  # carry into a non-zero high word
         (0xFFFFFFFEFFFFFFF0, 8 * (CHUNK + 3)),  # carry into high word 0xFFFFFFFF
-    ]:
+    ]
+    for state, (nonce, nbytes) in itertools.product(states, edges):
         stream = bf.bf_ctr_transform(state, nonce, bytes(nbytes)).tobytes()
         assert len(stream) == nbytes
         nblocks = (nbytes + 7) // 8
@@ -385,12 +449,27 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
     # the library refuses Blowfish-CTR, so encrypt the counter blocks in ECB
     enc = Cipher(decrepit.Blowfish(key), modes.ECB()).encryptor()
     expect = (enc.update(_counter_blocks(nonce, nbytes)) + enc.finalize())[:nbytes]
-    state = bf.bf_key_schedule(key)
-    assert bf.bf_ctr_transform(state, nonce, bytes(nbytes)).tobytes() == expect
     data = random.Random(nbytes).randbytes(nbytes)
-    out = bf.bf_ctr_transform(state, nonce, data).tobytes()
-    assert out == bytes(a ^ b for a, b in zip(data, expect))
+    for schedule in SCHEDULES:
+        state = schedule(key)
+        assert bf.bf_ctr_transform(state, nonce, bytes(nbytes)).tobytes() == expect, schedule
+        out = bf.bf_ctr_transform(state, nonce, data).tobytes()
+        assert out == bytes(a ^ b for a, b in zip(data, expect)), schedule
 
+
+
+@needs_native
+@seed(3249)
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES),
+    nonce=st.integers(0, MASK64),
+    nbytes=st.integers(0, 3 * 8 * CHUNK),
+)
+def test_libcrypto_keystream_matches_the_numpy_kernel(key, nonce, nbytes):
+    data = bytes(nbytes)
+    native = bf.bf_ctr_transform(NATIVE(key), nonce, data)
+    assert native.tobytes() == bf.bf_ctr_transform(bf._python_key_schedule(key), nonce, data).tobytes()
 
 
 def test_block_matches_independent_blowfish_at_every_key_length():

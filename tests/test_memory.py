@@ -30,7 +30,7 @@ import pytest
 from conftest import make_cover
 from rdhkit import metrics, netpbm, pipeline, video
 from rdhkit.aes import aes_cbc_encrypt
-from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
+from rdhkit.blowfish import _python_key_schedule, bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.huffman import huffman_compress, huffman_decompress
 from rdhkit.pipeline import max_embeddable_bits, recover_plane, reserve_room_plane
@@ -57,6 +57,7 @@ def host():
         reserved=reserve_room_plane(plane, frame_bits),
         other=plane ^ rng.integers(0, 2, N, dtype=np.uint8),
         state=bf_key_schedule(b"memory bound key"),
+        numpy_state=_python_key_schedule(b"memory bound key"),
     )
 
 
@@ -87,12 +88,25 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
     "recover_plane": (1.1, lambda h: recover_plane(h.reserved, h.frame_bits)),
     "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
-    # the result (1), four 16K-block word buffers (0.25) and ndarray.take's
-    # intp copy of one index (0.125) read 1.375; one more chunk-sized word
-    # array (0.0625) would cross 1.43.  The nonce's low word carries in the
-    # first chunk
-    "bf_ctr_transform": (1.43, lambda h: bf_ctr_transform(h.state, 0xFFFFFF00, h.plane)),
+    # the numpy keystream: the result (1), four 16K-block word buffers (0.25)
+    # and ndarray.take's intp copy of one index (0.125) read 1.375; one more
+    # chunk-sized word array (0.0625) would cross 1.43.  The nonce's low word
+    # carries in the first chunk
+    "bf_ctr_transform": (1.43, lambda h: bf_ctr_transform(h.numpy_state, 0xFFFFFF00, h.plane)),
+    # the libcrypto keystream: the result (1), one chunk's 64-bit counters
+    # (0.125) and the ramp they are added from (0.125) read 1.25; a chunk-sized
+    # word array more (0.0625), or counters for the whole input, would cross 1.3
+    "bf_ctr_transform_libcrypto": (
+        1.3,
+        lambda h: bf_ctr_transform(_libcrypto(h.state), 0xFFFFFF00, h.plane),
+    ),
 }
+
+
+def _libcrypto(state):
+    if state._keystream is None:
+        pytest.skip("this platform's libcrypto keystream is not bound")
+    return state
 
 
 @pytest.mark.parametrize("name", KERNELS)

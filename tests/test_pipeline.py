@@ -24,6 +24,7 @@ from rdhkit.errors import (
     RdhError,
 )
 from rdhkit.huffman import huffman_compress
+from rdhkit.metrics import psnr
 from rdhkit.pipeline import (
     FRAME_OVERHEAD_BYTES,
     HEADER_SLOTS,
@@ -333,13 +334,15 @@ def test_side_header_must_confirm_the_frame_length():
     assert exc.type is HeaderChecksum
 
 
-def test_embed_leaves_the_frame_in_the_plain_domain_host():
+def test_embed_leaves_the_unit_as_the_image_key_holder_decrypts_it():
     raw = make_cover(np.random.default_rng(26), 64, 64).reshape(-1)
-    frame = PayloadFrame(0, 1, IV, b"plain-domain marked cover")
+    frame = PayloadFrame(0, 1, IV, b"decrypted marked cover")
     bits = np.unpackbits(np.frombuffer(frame.serialize(), np.uint8))
     (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS)
-    assert np.array_equal(raw[pipeline.RED][: bits.size] & 1, bits)
     assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
+    assert np.array_equal(raw, decrypted(out))
+    # region A's plain LSBs are the frame XOR the keystream, not the frame
+    assert not np.array_equal(raw[pipeline.RED][: bits.size] & 1, bits)
 
 
 def test_embed_segments_refuses_more_segments_than_units():
@@ -646,6 +649,12 @@ def test_hide_plain_domain_changes_only_red():
     result = hide(cover, b"xyz", KEYS, iv=IV)
     assert np.array_equal(decrypted(result.image)[:, :, 1:], cover[:, :, 1:])
     assert result.plain_psnr > 30
+
+
+def test_hide_reports_the_psnr_of_the_decrypted_marked_image():
+    cover = make_cover(np.random.default_rng(28), 48, 48)
+    result = hide(cover, b"what the receiver sees", KEYS, iv=IV)
+    assert result.plain_psnr == pytest.approx(psnr(cover, decrypted(result.image)), abs=1e-9)
 
 
 @pytest.mark.parametrize("index,count", [(1, 2), (0, 2), (0, 0)])
