@@ -1,34 +1,51 @@
-"""AES-128 for the payload path: T-table block cipher plus CBC with PKCS#7.
+"""AES-128 for the payload path: CBC with PKCS#7, in libcrypto or in Python.
 
-Rounds use the 32-bit T-table form of Rijndael (FIPS-197 §5; Daemen and
-Rijmen, *The Design of Rijndael*, §4.2): SubBytes, ShiftRows and MixColumns
-fold into four 256-entry word tables, so a round is 16 table lookups XORed
-into four column words.  CBC encryption chains each block into the next, so
-it runs block by block on a 16-byte state: one ``struct`` unpack names the
-bytes, the lookups take the names in ShiftRows order (so ShiftRows costs
-nothing), and one pack makes bytes of the four column words.  The last round
-has no MixColumns: ``(state * 5)[::5]`` is the state after ShiftRows (byte
-i is byte 5i mod 16), and ``bytes.translate`` substitutes all 16 bytes at
-once.  Whitening and the chain are one 128-bit int XOR per block.  Larger
-tables lose: 65,536-entry byte-pair tables (T0^T1, T2^T3) halve the lookups
-but slowed every benchmark workload, with about 5 MB of ints going cold
-between calls.  CBC decryption has no chain between blocks, so
-``decrypt_block`` runs the equivalent inverse cipher (FIPS-197 §5.3.5:
-InvMixColumns applied to round keys 1-9) on every block at once, with numpy
-uint32 inverse T-tables gathered over all blocks.
+Where the platform's libcrypto (the one CPython's ``_hashlib`` links)
+exports ``AES_set_encrypt_key``, ``AES_set_decrypt_key`` and
+``AES_cbc_encrypt``, CBC (NIST SP 800-38A §6.2) runs there, over the whole
+padded input in one call per direction.  All three symbols are bound
+together on the first call, or none; the binding is kept only if it
+encrypts and decrypts the FIPS-197 C.1 block and the SP 800-38A F.2.1 CBC
+vector byte for byte.  No option selects the path.  Padding and unpadding
+stay in Python, and every input is checked here before any C call: the
+library reads 16 key bytes whatever the key's length, and it writes the
+chain back into a private copy of the IV, never the caller's.
+
+Elsewhere the cipher runs in Python, which also serves the tests as the
+reference; both paths give the same bytes.  Its rounds use the 32-bit
+T-table form of Rijndael (FIPS-197 §5; Daemen and Rijmen, *The Design of
+Rijndael*, §4.2): SubBytes, ShiftRows and MixColumns fold into four
+256-entry word tables, so a round is 16 table lookups XORed into four column
+words.  CBC encryption chains each block into the next, so it runs block by
+block on a 16-byte state: one ``struct`` unpack names the bytes, the lookups
+take the names in ShiftRows order (so ShiftRows costs nothing), and one pack
+makes bytes of the four column words.  The last round has no MixColumns:
+``(state * 5)[::5]`` is the state after ShiftRows (byte i is byte 5i mod
+16), and ``bytes.translate`` substitutes all 16 bytes at once.  Whitening
+and the chain are one 128-bit int XOR per block.  Larger tables lose:
+65,536-entry byte-pair tables (T0^T1, T2^T3) halve the lookups but slowed
+every benchmark workload, with about 5 MB of ints going cold between calls.
+CBC decryption has no chain between blocks, so ``decrypt_block`` runs the
+equivalent inverse cipher (FIPS-197 §5.3.5: InvMixColumns applied to round
+keys 1-9) on every block at once, with numpy uint32 inverse T-tables
+gathered over all blocks.
 
 ``expand_key`` returns the 44 schedule words w[0..43] of FIPS-197 §5.2, the
-form both directions read.  The FIPS-197 known-answer block (the first block
-of a zero-IV CBC encryption is ECB) and the NIST SP 800-38A F.2.1 CBC
-vectors check both byte for byte.  Only the 128-bit key size is supported.
+form both Python directions read.  The FIPS-197 known-answer block (the
+first block of a zero-IV CBC encryption is ECB) and the NIST SP 800-38A
+F.2.1 CBC vectors check both paths byte for byte.  Only the 128-bit key size
+is supported.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import struct
 
 import numpy as np
 
+from .blowfish import _libcrypto
 from .errors import BadKeyLength, BadLength, BadPadding
 
 BLOCK_SIZE = 16
@@ -62,8 +79,7 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 def expand_key(key: bytes) -> list[int]:
     """The 44 schedule words w[0..43] of FIPS-197 §5.2; round r's key is w[4r..4r+3]."""
-    if len(key) != 16:
-        raise BadKeyLength(f"AES-128 key must be 16 bytes, got {len(key)}")
+    _check_key(key)
     w = list(struct.unpack(">4I", key))
     for i in range(4, 44):
         temp = w[i - 1]
@@ -160,6 +176,16 @@ def decrypt_block(block: bytes, round_keys: list[int]) -> bytes:
     return (_INV_SBOX_NP[state.take(_INV_SHIFT_ROWS, axis=1)] ^ rk[0]).tobytes()
 
 
+def _check_key(key: bytes) -> None:
+    if len(key) != 16:
+        raise BadKeyLength(f"AES-128 key must be 16 bytes, got {len(key)}")
+
+
+def _check_iv(iv: bytes) -> None:
+    if len(iv) != BLOCK_SIZE:
+        raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+
+
 def _pad(data: bytes) -> bytes:
     n = BLOCK_SIZE - len(data) % BLOCK_SIZE
     return data + bytes([n]) * n
@@ -174,18 +200,34 @@ def _unpad(data: bytes) -> bytes:
 
 def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     """CBC over PKCS#7-padded data; output is always a whole number of blocks."""
-    if len(iv) != BLOCK_SIZE:
-        raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+    _check_iv(iv)
+    _check_key(key)
+    return (_native_cbc() or _python_cbc)(_pad(data), key, iv, 1)
+
+
+def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
+    _check_iv(iv)
+    _check_key(key)
+    if not data or len(data) % BLOCK_SIZE:
+        raise BadLength(f"ciphertext length {len(data)} is not a positive multiple of {BLOCK_SIZE}")
+    return _unpad((_native_cbc() or _python_cbc)(data, key, iv, 0))
+
+
+def _python_cbc(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
+    """CBC over whole blocks in Python, encrypting if enc: the fallback, and
+    the tests' reference."""
+    if not enc:
+        decrypted = np.frombuffer(decrypt_block(blocks, expand_key(key)), np.uint8)
+        return (decrypted ^ np.frombuffer(iv + blocks[:-BLOCK_SIZE], np.uint8)).tobytes()
     t0, t1, t2, t3, unpack, pack = _TE0, _TE1, _TE2, _TE3, _STATE.unpack, _COLUMNS.pack
     rk = expand_key(key)
     rk0 = int.from_bytes(pack(*rk[:4]), "big")
     rk10 = int.from_bytes(pack(*rk[40:]), "big")
     middle = [rk[r : r + 4] for r in range(4, 4 * NUM_ROUNDS, 4)]  # round keys 1-9
-    padded = _pad(data)
     out = bytearray()
     chain = int.from_bytes(iv, "big") ^ rk0
-    for i in range(0, len(padded), 16):
-        state = (int.from_bytes(padded[i : i + 16], "big") ^ chain).to_bytes(16, "big")
+    for i in range(0, len(blocks), 16):
+        state = (int.from_bytes(blocks[i : i + 16], "big") ^ chain).to_bytes(16, "big")
         for k0, k1, k2, k3 in middle:
             # byte 4c + r is row r of column c; column c takes row r from column c + r
             a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = unpack(state)
@@ -201,9 +243,64 @@ def aes_cbc_encrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
     return bytes(out)
 
 
-def aes_cbc_decrypt(data: bytes, key: bytes, iv: bytes) -> bytes:
-    if len(iv) != BLOCK_SIZE:
-        raise BadLength(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    decrypted = np.frombuffer(decrypt_block(data, expand_key(key)), np.uint8)
-    chain = np.frombuffer(iv + data[:-BLOCK_SIZE], np.uint8)
-    return _unpad((decrypted ^ chain).tobytes())
+@functools.cache
+def _native_cbc():
+    """The libcrypto CBC, bound on first use, or None to run it in Python."""
+    return _bind(_libcrypto())
+
+
+# (key, iv, plaintext, ciphertext): the FIPS-197 C.1 block, whose zero-IV CBC
+# is ECB, and the NIST SP 800-38A F.2.1 CBC-AES128 vector
+_CHECK_VECTORS = tuple(
+    tuple(map(bytes.fromhex, vector))
+    for vector in (
+        (
+            "000102030405060708090a0b0c0d0e0f",
+            "00" * 16,
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        ),
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "000102030405060708090a0b0c0d0e0f",
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+            "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+            "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+            "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+        ),
+    )
+)
+# AES_KEY: unsigned int rd_key[60], then int rounds
+_AES_KEY_WORDS = 61
+
+
+def _bind(lib):
+    """CBC over whole blocks through lib's AES_cbc_encrypt, called as
+    _python_cbc is; or None where lib is None, lacks any of the three symbols,
+    or fails the check vectors in either direction."""
+    set_encrypt_key = getattr(lib, "AES_set_encrypt_key", None)
+    set_decrypt_key = getattr(lib, "AES_set_decrypt_key", None)
+    cbc = getattr(lib, "AES_cbc_encrypt", None)
+    if set_encrypt_key is None or set_decrypt_key is None or cbc is None:
+        return None
+    # AES_set_*_key(user_key, bits, schedule)
+    for set_key in (set_encrypt_key, set_decrypt_key):
+        set_key.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
+        set_key.restype = ctypes.c_int
+    # AES_cbc_encrypt(in, out, length, schedule, ivec, enc)
+    cbc.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
+    cbc.restype = None
+
+    def run(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
+        # the caller has checked the key, the IV and, decrypting, the length
+        schedule = (ctypes.c_uint32 * _AES_KEY_WORDS)()
+        (set_encrypt_key if enc else set_decrypt_key)(bytes(key), 128, schedule)
+        out = ctypes.create_string_buffer(len(blocks))
+        chain = ctypes.create_string_buffer(bytes(iv), BLOCK_SIZE)  # the library writes it back
+        cbc(bytes(blocks), out, len(blocks), schedule, chain, enc)
+        return out.raw
+
+    for key, iv, plaintext, ciphertext in _CHECK_VECTORS:
+        if run(plaintext, key, iv, 1) != ciphertext or run(ciphertext, key, iv, 0) != plaintext:
+            return None
+    return run

@@ -89,3 +89,40 @@ def planes(clip, i):
         frame[ny : ny + nc].reshape(ch, cw),
         frame[ny + nc :].reshape(ch, cw),
     )
+
+
+def _roundtrip_keys():
+    from rdhkit.pipeline import StegoKeys
+
+    return StegoKeys(bytes(range(16)), b"either path", 0x5EED)
+
+
+def ppm_roundtrip() -> bytes:
+    """Hide and reveal on a small PPM cover, checking both; the marked file."""
+    from rdhkit import netpbm, pipeline
+
+    keys = _roundtrip_keys()
+    cover = make_cover(np.random.default_rng(31), 48, 48)
+    result = pipeline.hide(cover, b"same bytes either way", keys, iv=bytes(16))
+    secret, original = pipeline.reveal(result.image, keys)
+    assert secret == b"same bytes either way" and np.array_equal(original, cover)
+    return netpbm.save_ppm(result.image, keys.nonce)
+
+
+def y4m_roundtrip() -> bytes:
+    """Hide and reveal on a small two-frame Y4M clip, checking both; the marked file."""
+    from rdhkit import video
+
+    keys = _roundtrip_keys()
+    rng = np.random.default_rng(32)
+    frames = []
+    for _ in range(2):
+        y = np.full((64, 64), 90, dtype=np.uint8)
+        y[rng.random((64, 64)) < 0.4] = 91
+        frames.append(np.concatenate((y, rng.integers(0, 256, 2 * 32 * 32, dtype=np.uint8)), axis=None))
+    clip = video.Y4mVideo([b"W64", b"H64", b"F25:1", b"C420"], frames, [b""] * 2)
+    marked = video.video_hide(clip, b"same bytes either way", keys, iv=bytes(16))
+    secret, original = video.video_reveal(marked, keys)
+    assert secret == b"same bytes either way"
+    assert video.write_y4m(original) == video.write_y4m(clip)
+    return video.write_y4m(marked)

@@ -1,8 +1,11 @@
+import ctypes
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from conftest import ppm_roundtrip, y4m_roundtrip
 from rdhkit import aes
 from rdhkit.errors import BadKeyLength, BadLength, BadPadding, RdhError
 
@@ -27,6 +30,19 @@ SP800_38A_CIPHER = bytes.fromhex(
     "73bed6b8e3c1743b7116e69e22229516"
     "3ff1caa1681fac09120eca307586e1a7"
 )
+
+
+NATIVE = aes._native_cbc()
+needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto AES binding on this platform")
+
+
+def each_path(monkeypatch):
+    """Yields the name of each CBC path, libcrypto first where it is bound,
+    while aes_cbc_encrypt and aes_cbc_decrypt run on it."""
+    if NATIVE is not None:
+        yield "libcrypto"
+    monkeypatch.setattr(aes, "_native_cbc", lambda: None)
+    yield "python"
 
 
 def test_round_key_zero_is_the_key():
@@ -58,16 +74,20 @@ def ecb(block, key):
     return aes.aes_cbc_encrypt(block, key, bytes(16))[:16]
 
 
-def test_known_answer_block():
-    ks = aes.expand_key(KAT_KEY)
-    assert ecb(KAT_PLAIN, KAT_KEY) == KAT_CIPHER
-    assert aes.decrypt_block(KAT_CIPHER, ks) == KAT_PLAIN
+def test_known_answer_block(monkeypatch):
+    assert aes.decrypt_block(KAT_CIPHER, aes.expand_key(KAT_KEY)) == KAT_PLAIN
+    for path in each_path(monkeypatch):
+        assert ecb(KAT_PLAIN, KAT_KEY) == KAT_CIPHER, path
+        out = aes.aes_cbc_encrypt(KAT_PLAIN, KAT_KEY, bytes(16))
+        assert aes.aes_cbc_decrypt(out, KAT_KEY, bytes(16)) == KAT_PLAIN, path
 
 
 def test_sub_bytes_component_via_final_round(monkeypatch):
     # under all-zero round keys a uniform state is a fixed point of ShiftRows
     # and of MixColumns (2 ^ 3 ^ 1 ^ 1 = 1), so each T-table round, the last
-    # one included, reduces to SubBytes on every byte
+    # one included, reduces to SubBytes on every byte.  The patched schedule
+    # reaches the Python cipher alone
+    monkeypatch.setattr(aes, "_native_cbc", lambda: None)
     zero_keys = (0,) * 44
     monkeypatch.setattr(aes, "expand_key", lambda key: zero_keys)
     sub10 = list(range(256))
@@ -111,75 +131,119 @@ def test_all_zero_decrypt_is_deterministic():
     assert len(once) == 16
 
 
-def test_cbc_empty_input_is_one_padding_block():
-    out = aes.aes_cbc_encrypt(b"", KAT_KEY, bytes(16))
-    assert len(out) == 16
-    assert aes.aes_cbc_decrypt(out, KAT_KEY, bytes(16)) == b""
+def test_cbc_empty_input_is_one_padding_block(monkeypatch):
+    for path in each_path(monkeypatch):
+        out = aes.aes_cbc_encrypt(b"", KAT_KEY, bytes(16))
+        assert len(out) == 16, path
+        assert aes.aes_cbc_decrypt(out, KAT_KEY, bytes(16)) == b"", path
 
 
-def test_cbc_output_length_rule():
-    for n in (0, 1, 15, 16, 17, 32):
-        out = aes.aes_cbc_encrypt(bytes(n), KAT_KEY, bytes(16))
-        assert len(out) == (n // 16 + 1) * 16
+def test_cbc_output_length_rule(monkeypatch):
+    for path in each_path(monkeypatch):
+        for n in (0, 1, 15, 16, 17, 32):
+            out = aes.aes_cbc_encrypt(bytes(n), KAT_KEY, bytes(16))
+            assert len(out) == (n // 16 + 1) * 16, path
 
 
-def test_cbc_roundtrip_all_lengths_to_1000():
-    rng = random.Random(3)
-    key, iv = rng.randbytes(16), rng.randbytes(16)
-    for n in range(0, 1001):
-        data = rng.randbytes(n)
-        assert aes.aes_cbc_decrypt(aes.aes_cbc_encrypt(data, key, iv), key, iv) == data
+def test_cbc_roundtrip_all_lengths_to_1000(monkeypatch):
+    for path in each_path(monkeypatch):
+        rng = random.Random(3)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        for n in range(0, 1001):
+            data = rng.randbytes(n)
+            assert aes.aes_cbc_decrypt(aes.aes_cbc_encrypt(data, key, iv), key, iv) == data, path
 
 
-def test_cbc_bit_flip_corrupts_two_blocks_only():
-    rng = random.Random(4)
-    key, iv = rng.randbytes(16), rng.randbytes(16)
-    data = rng.randbytes(64)  # 4 data blocks + 1 padding block
-    ct = bytearray(aes.aes_cbc_encrypt(data, key, iv))
-    ct[16 + 3] ^= 0x10  # flip one bit inside ciphertext block 1
-    out = aes.aes_cbc_decrypt(bytes(ct), key, iv)
-    blocks_in = [data[i : i + 16] for i in range(0, 64, 16)]
-    blocks_out = [out[i : i + 16] for i in range(0, 64, 16)]
-    assert blocks_out[0] == blocks_in[0]
-    assert blocks_out[1] != blocks_in[1]  # garbled
-    diff = bytes(a ^ b for a, b in zip(blocks_out[2], blocks_in[2]))
-    assert diff == bytes([0, 0, 0, 0x10] + [0] * 12)  # exactly the flipped bit
-    assert blocks_out[3] == blocks_in[3]
+def test_cbc_bit_flip_corrupts_two_blocks_only(monkeypatch):
+    for path in each_path(monkeypatch):
+        rng = random.Random(4)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        data = rng.randbytes(64)  # 4 data blocks + 1 padding block
+        ct = bytearray(aes.aes_cbc_encrypt(data, key, iv))
+        ct[16 + 3] ^= 0x10  # flip one bit inside ciphertext block 1
+        out = aes.aes_cbc_decrypt(bytes(ct), key, iv)
+        blocks_in = [data[i : i + 16] for i in range(0, 64, 16)]
+        blocks_out = [out[i : i + 16] for i in range(0, 64, 16)]
+        assert blocks_out[0] == blocks_in[0], path
+        assert blocks_out[1] != blocks_in[1], path  # garbled
+        diff = bytes(a ^ b for a, b in zip(blocks_out[2], blocks_in[2]))
+        assert diff == bytes([0, 0, 0, 0x10] + [0] * 12), path  # exactly the flipped bit
+        assert blocks_out[3] == blocks_in[3], path
 
 
-def test_cbc_length_validation():
-    with pytest.raises(BadLength):
-        aes.aes_cbc_decrypt(bytes(15), KAT_KEY, bytes(16))
-    with pytest.raises(BadLength):
-        aes.aes_cbc_decrypt(b"", KAT_KEY, bytes(16))
-    with pytest.raises(BadLength):
-        aes.aes_cbc_encrypt(b"x", KAT_KEY, bytes(8))
+def test_cbc_length_validation(monkeypatch):
+    for path in each_path(monkeypatch):
+        with pytest.raises(BadLength):
+            aes.aes_cbc_decrypt(bytes(15), KAT_KEY, bytes(16))
+        with pytest.raises(BadLength):
+            aes.aes_cbc_decrypt(b"", KAT_KEY, bytes(16))
+        with pytest.raises(BadLength):
+            aes.aes_cbc_encrypt(b"x", KAT_KEY, bytes(8))
 
 
-def test_cbc_decrypt_rejects_a_short_iv():
-    with pytest.raises(BadLength, match="IV") as exc:
-        aes.aes_cbc_decrypt(bytes(16), KAT_KEY, bytes(15))
-    assert exc.type is BadLength
+def test_cbc_decrypt_rejects_a_short_iv(monkeypatch):
+    for path in each_path(monkeypatch):
+        with pytest.raises(BadLength, match="IV") as exc:
+            aes.aes_cbc_decrypt(bytes(16), KAT_KEY, bytes(15))
+        assert exc.type is BadLength, path
 
 
-def test_wrong_key_raises_bad_padding_almost_always():
-    rng = random.Random(5)
-    key, iv = rng.randbytes(16), rng.randbytes(16)
-    ct = aes.aes_cbc_encrypt(b"secret", key, iv)
-    bad_padding = 0
-    trials = 1000
-    for _ in range(trials):
-        wrong = rng.randbytes(16)
-        if wrong == key:
-            continue
-        try:
-            out = aes.aes_cbc_decrypt(ct, wrong, iv)
-        except BadPadding:
-            bad_padding += 1
-        else:
-            assert out != b"secret"  # a padding fluke must still not reveal the plaintext
-    # expected rate ~255/256; leave slack for the seeded fluke count
-    assert bad_padding >= trials * 0.98
+def test_every_input_is_checked_before_the_cipher_runs(monkeypatch):
+    # libcrypto reads 16 key bytes through its pointer whatever the key's
+    # length, and it trusts the ciphertext length: a bad input must be
+    # refused before either path is reached
+    def refuse(blocks, key, iv, enc):
+        raise AssertionError("the cipher ran on an unchecked input")
+
+    monkeypatch.setattr(aes, "_native_cbc", lambda: refuse)
+    for key in (b"", bytes(15), bytes(17), bytes(32)):
+        with pytest.raises(BadKeyLength):
+            aes.aes_cbc_encrypt(b"secret", key, bytes(16))
+        with pytest.raises(BadKeyLength):
+            aes.aes_cbc_decrypt(bytes(32), key, bytes(16))
+    for iv in (b"", bytes(15), bytes(17)):
+        with pytest.raises(BadLength, match="IV"):
+            aes.aes_cbc_encrypt(b"secret", KAT_KEY, iv)
+        with pytest.raises(BadLength, match="IV"):
+            aes.aes_cbc_decrypt(bytes(32), KAT_KEY, iv)
+    for ciphertext in (b"", bytes(1), bytes(15), bytes(17), bytes(47)):
+        with pytest.raises(BadLength):
+            aes.aes_cbc_decrypt(ciphertext, KAT_KEY, bytes(16))
+
+
+def test_the_callers_iv_and_data_are_unchanged(monkeypatch):
+    # AES_cbc_encrypt writes the chain back through its IV pointer
+    rng = random.Random(7)
+    for path in each_path(monkeypatch):
+        for kind in (bytes, bytearray):
+            key, iv, data = rng.randbytes(16), kind(rng.randbytes(16)), kind(rng.randbytes(100))
+            iv_before, data_before = bytes(iv), bytes(data)
+            ciphertext = kind(aes.aes_cbc_encrypt(data, key, iv))
+            assert (iv, data) == (iv_before, data_before), (path, kind)
+            ciphertext_before = bytes(ciphertext)
+            assert aes.aes_cbc_decrypt(ciphertext, key, iv) == data_before, (path, kind)
+            assert (iv, ciphertext) == (iv_before, ciphertext_before), (path, kind)
+
+
+def test_wrong_key_raises_bad_padding_almost_always(monkeypatch):
+    for path in each_path(monkeypatch):
+        rng = random.Random(5)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        ct = aes.aes_cbc_encrypt(b"secret", key, iv)
+        bad_padding = 0
+        trials = 1000
+        for _ in range(trials):
+            wrong = rng.randbytes(16)
+            if wrong == key:
+                continue
+            try:
+                out = aes.aes_cbc_decrypt(ct, wrong, iv)
+            except BadPadding:
+                bad_padding += 1
+            else:
+                assert out != b"secret", path  # a padding fluke must still not reveal the plaintext
+        # expected rate ~255/256; leave slack for the seeded fluke count
+        assert bad_padding >= trials * 0.98, path
 
 
 def test_decrypt_block_works_on_every_block_at_once():
@@ -194,11 +258,12 @@ def test_decrypt_block_works_on_every_block_at_once():
             aes.decrypt_block(bad, ks)
 
 
-def test_sp800_38a_cbc_vectors():
-    out = aes.aes_cbc_encrypt(SP800_38A_PLAIN, SP800_38A_KEY, SP800_38A_IV)
-    assert out[:64] == SP800_38A_CIPHER
-    assert len(out) == 80  # the PKCS#7 block follows the four vector blocks
-    assert aes.aes_cbc_decrypt(out, SP800_38A_KEY, SP800_38A_IV) == SP800_38A_PLAIN
+def test_sp800_38a_cbc_vectors(monkeypatch):
+    for path in each_path(monkeypatch):
+        out = aes.aes_cbc_encrypt(SP800_38A_PLAIN, SP800_38A_KEY, SP800_38A_IV)
+        assert out[:64] == SP800_38A_CIPHER, path
+        assert len(out) == 80, path  # the PKCS#7 block follows the four vector blocks
+        assert aes.aes_cbc_decrypt(out, SP800_38A_KEY, SP800_38A_IV) == SP800_38A_PLAIN, path
     # the vector blocks alone: block decryptions XORed with the IV and the shifted ciphertext
     blocks = aes.decrypt_block(SP800_38A_CIPHER, aes.expand_key(SP800_38A_KEY))
     chain = SP800_38A_IV + SP800_38A_CIPHER[:48]
@@ -224,49 +289,187 @@ def _cryptography_cbc(key: bytes, iv: bytes):
     return encrypt, decrypt
 
 
-def test_cbc_matches_cryptography_both_ways():
-    rng = random.Random(38)
-    for _ in range(4):
-        key, iv = rng.randbytes(16), rng.randbytes(16)
-        encrypt, decrypt = _cryptography_cbc(key, iv)
-        for n in range(301):
-            data = rng.randbytes(n)
-            expect = encrypt(data)
-            ours = aes.aes_cbc_encrypt(data, key, iv)
-            assert ours == expect
-            assert aes.aes_cbc_decrypt(expect, key, iv) == data
-            assert decrypt(ours) == data
+def test_cbc_matches_cryptography_both_ways(monkeypatch):
+    for path in each_path(monkeypatch):
+        rng = random.Random(38)
+        for _ in range(4):
+            key, iv = rng.randbytes(16), rng.randbytes(16)
+            encrypt, decrypt = _cryptography_cbc(key, iv)
+            for n in range(301):
+                data = rng.randbytes(n)
+                expect = encrypt(data)
+                ours = aes.aes_cbc_encrypt(data, key, iv)
+                assert ours == expect, path
+                assert aes.aes_cbc_decrypt(expect, key, iv) == data, path
+                assert decrypt(ours) == data, path
 
 
-def test_cbc_matches_cryptography_at_bench_sizes():
+def test_cbc_matches_cryptography_at_bench_sizes(monkeypatch):
     # payload-16k's Huffman output is 9,753 bytes; 16,384 is a whole number of
     # blocks, so its PKCS#7 block is all padding
-    rng = random.Random(39)
-    for n in (9753, 16384, 20000, *(rng.randrange(20001) for _ in range(5))):
-        key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(n)
-        encrypt, decrypt = _cryptography_cbc(key, iv)
-        ours = aes.aes_cbc_encrypt(data, key, iv)
-        assert ours == encrypt(data), n
-        assert decrypt(ours) == data
+    for path in each_path(monkeypatch):
+        rng = random.Random(39)
+        for n in (9753, 16384, 20000, *(rng.randrange(20001) for _ in range(5))):
+            key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(n)
+            encrypt, decrypt = _cryptography_cbc(key, iv)
+            ours = aes.aes_cbc_encrypt(data, key, iv)
+            assert ours == encrypt(data), (path, n)
+            assert aes.aes_cbc_decrypt(encrypt(data), key, iv) == data, (path, n)
+            assert decrypt(ours) == data, (path, n)
 
 
-def test_mutated_ciphertexts_raise_only_package_errors():
-    rng = random.Random(2025)
-    key, iv = rng.randbytes(16), rng.randbytes(16)
-    ciphertext = aes.aes_cbc_encrypt(rng.randbytes(90), key, iv)
-    for _ in range(3000):
-        mutant = bytearray(ciphertext)
-        kind = rng.randrange(4)
-        if kind == 0:
-            for _ in range(rng.randrange(1, 4)):
-                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
-        elif kind == 1:
-            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
-        elif kind == 2:
-            del mutant[rng.randrange(len(mutant) + 1) :]
-        else:
-            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 33))
-        try:
-            aes.aes_cbc_decrypt(bytes(mutant), key, iv)
-        except RdhError:
-            pass
+def test_mutated_ciphertexts_raise_only_package_errors(monkeypatch):
+    for path in each_path(monkeypatch):
+        rng = random.Random(2025)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        ciphertext = aes.aes_cbc_encrypt(rng.randbytes(90), key, iv)
+        for _ in range(3000):
+            mutant = bytearray(ciphertext)
+            kind = rng.randrange(4)
+            if kind == 0:
+                for _ in range(rng.randrange(1, 4)):
+                    mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            elif kind == 2:
+                del mutant[rng.randrange(len(mutant) + 1) :]
+            else:
+                mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 33))
+            try:
+                aes.aes_cbc_decrypt(bytes(mutant), key, iv)
+            except RdhError:
+                pass
+
+
+@needs_native
+@seed(1408)
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    iv=st.binary(min_size=16, max_size=16),
+    n=st.integers(0, 20000),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_libcrypto_cbc_matches_the_python_cbc(key, iv, n, data_seed):
+    padded = aes._pad(random.Random(data_seed).randbytes(n))
+    ciphertext = NATIVE(padded, key, iv, 1)
+    assert ciphertext == aes._python_cbc(padded, key, iv, 1)
+    assert NATIVE(ciphertext, key, iv, 0) == aes._python_cbc(ciphertext, key, iv, 0) == padded
+    # decryption of blocks no encryption made: any whole number of blocks
+    blocks = random.Random(data_seed).randbytes(len(padded))
+    assert NATIVE(blocks, key, iv, 0) == aes._python_cbc(blocks, key, iv, 0)
+
+
+SYMBOLS = ("AES_set_encrypt_key", "AES_set_decrypt_key", "AES_cbc_encrypt")
+PLATFORM = aes._libcrypto()
+_SET_KEY_ARGS = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
+_SET_KEY = ctypes.CFUNCTYPE(ctypes.c_int, *_SET_KEY_ARGS)
+# AES_cbc_encrypt(in, out, length, schedule, ivec, enc)
+_CBC_ARGS = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
+_CBC = ctypes.CFUNCTYPE(None, *_CBC_ARGS)
+PLATFORM_FUNCTIONS = {name: getattr(PLATFORM, name, None) for name in SYMBOLS}
+for _name, _fn in PLATFORM_FUNCTIONS.items():
+    if _fn is not None:
+        _fn.argtypes, _fn.restype = (_CBC_ARGS, None) if _name == "AES_cbc_encrypt" else (_SET_KEY_ARGS, ctypes.c_int)
+
+
+def test_cbc_runs_in_libcrypto_where_it_exports_the_three_symbols(monkeypatch):
+    # a lookup or layout regression would fall back silently, with the same
+    # bytes and every other test green, at about 8 ms of payload-16k's 14 ms hide
+    if None in PLATFORM_FUNCTIONS.values():
+        pytest.skip("this platform's libcrypto does not export the three AES symbols")
+    data = random.Random(34).randbytes(1000)
+    expect = aes._python_cbc(aes._pad(data), KAT_KEY, SP800_38A_IV, 1)
+
+    def refuse(*args):
+        raise AssertionError("AES-CBC fell back to the Python cipher")
+
+    monkeypatch.setattr(aes, "_python_cbc", refuse)
+    monkeypatch.setattr(aes, "decrypt_block", refuse)
+    ciphertext = aes.aes_cbc_encrypt(data, KAT_KEY, SP800_38A_IV)
+    assert ciphertext == expect
+    assert aes.aes_cbc_decrypt(ciphertext, KAT_KEY, SP800_38A_IV) == data
+
+
+class StandIn:
+    """A library exporting the platform's three AES functions, with any of
+    them replaced by the given stand-ins, or missing where given None."""
+
+    def __init__(self, **replaced):
+        for name, fn in {**PLATFORM_FUNCTIONS, **replaced}.items():
+            if fn is not None:
+                setattr(self, name, fn)
+
+
+def _ecb(inp, out, length, schedule, ivec, enc):
+    # every block under a fresh all-zero IV: CBC with the chain ignored
+    for i in range(0, length, 16):
+        zero_iv = ctypes.create_string_buffer(16)
+        PLATFORM_FUNCTIONS["AES_cbc_encrypt"](inp + i, out + i, 16, schedule, zero_iv, enc)
+
+
+def _garbled(inp, out, length, schedule, ivec, enc):
+    PLATFORM_FUNCTIONS["AES_cbc_encrypt"](inp, out, length, schedule, ivec, enc)
+    ctypes.c_uint8.from_address(out + length - 1).value ^= 1
+
+
+def _one_word_off(name):
+    # round key 5's second word, one bit off
+    def set_key(user_key, bits, schedule):
+        result = PLATFORM_FUNCTIONS[name](user_key, bits, schedule)
+        ctypes.c_uint32.from_address(schedule + 4 * 21).value ^= 1
+        return result
+
+    return _SET_KEY(set_key)
+
+
+@pytest.fixture
+def rebind():
+    """Binds again on the next call, and again after the test."""
+    aes._native_cbc.cache_clear()
+    yield
+    aes._native_cbc.cache_clear()
+
+
+# no library, no symbol, or a stand-in that drops the chain, garbles a byte
+# or schedules one wrong round-key word
+@pytest.mark.parametrize(
+    "lib",
+    [
+        pytest.param(lambda: None, id="no-library"),
+        pytest.param(object, id="no-symbol"),
+        *(pytest.param(lambda name=name: StandIn(**{name: None}), id=f"no-{name}") for name in SYMBOLS),
+        pytest.param(lambda: StandIn(AES_cbc_encrypt=_CBC(_ecb)), id="cbc-ignores-the-chain", marks=needs_native),
+        pytest.param(lambda: StandIn(AES_cbc_encrypt=_CBC(_garbled)), id="cbc-garbles-a-byte", marks=needs_native),
+        *(
+            pytest.param(
+                lambda name=name: StandIn(**{name: _one_word_off(name)}), id=f"{name}-word-off", marks=needs_native
+            )
+            for name in SYMBOLS[:2]
+        ),
+    ],
+)
+def test_a_failed_binding_keeps_the_python_cbc(lib, monkeypatch, rebind):
+    monkeypatch.setattr(aes, "_libcrypto", lib)
+    rng = random.Random(35)
+    key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(300)
+    expect = aes._python_cbc(aes._pad(data), key, iv, 1)
+    assert aes.aes_cbc_encrypt(data, key, iv) == expect
+    assert aes.aes_cbc_decrypt(expect, key, iv) == data
+    assert aes._native_cbc() is None
+
+
+@needs_native
+def test_the_check_accepts_the_platforms_functions_through_a_stand_in():
+    # the stand-ins above fail the check only by what they change
+    run = aes._bind(StandIn())
+    assert run is not None
+    assert run(SP800_38A_PLAIN, SP800_38A_KEY, SP800_38A_IV, 1) == SP800_38A_CIPHER
+
+
+@needs_native
+@pytest.mark.parametrize("roundtrip", [ppm_roundtrip, y4m_roundtrip], ids=["ppm", "y4m"])
+def test_roundtrip_bytes_are_the_same_on_either_path(roundtrip, monkeypatch):
+    native = roundtrip()
+    monkeypatch.setattr(aes, "_native_cbc", lambda: None)
+    assert roundtrip() == native

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import make_cover
-from rdhkit import blowfish as bf, netpbm, pipeline, video
+from conftest import ppm_roundtrip, y4m_roundtrip
+from rdhkit import blowfish as bf
 from rdhkit.errors import BadKeyLength
 
 # from the published Blowfish ECB reference vector set
@@ -209,34 +209,8 @@ def test_no_hashlib_means_no_library(monkeypatch):
     assert bf._libcrypto() is None
 
 
-ROUNDTRIP_KEYS = pipeline.StegoKeys(bytes(range(16)), b"both schedules", 0x5EED)
-
-
-def _ppm_roundtrip() -> bytes:
-    cover = make_cover(np.random.default_rng(31), 48, 48)
-    result = pipeline.hide(cover, b"same bytes either way", ROUNDTRIP_KEYS, iv=bytes(16))
-    secret, original = pipeline.reveal(result.image, ROUNDTRIP_KEYS)
-    assert secret == b"same bytes either way" and np.array_equal(original, cover)
-    return netpbm.save_ppm(result.image, ROUNDTRIP_KEYS.nonce)
-
-
-def _y4m_roundtrip() -> bytes:
-    rng = np.random.default_rng(32)
-    frames = []
-    for _ in range(2):
-        y = np.full((64, 64), 90, dtype=np.uint8)
-        y[rng.random((64, 64)) < 0.4] = 91
-        frames.append(np.concatenate((y, rng.integers(0, 256, 2 * 32 * 32, dtype=np.uint8)), axis=None))
-    clip = video.Y4mVideo([b"W64", b"H64", b"F25:1", b"C420"], frames, [b""] * 2)
-    marked = video.video_hide(clip, b"same bytes either way", ROUNDTRIP_KEYS, iv=bytes(16))
-    secret, original = video.video_reveal(marked, ROUNDTRIP_KEYS)
-    assert secret == b"same bytes either way"
-    assert video.write_y4m(original) == video.write_y4m(clip)
-    return video.write_y4m(marked)
-
-
 @needs_native
-@pytest.mark.parametrize("roundtrip", [_ppm_roundtrip, _y4m_roundtrip], ids=["ppm", "y4m"])
+@pytest.mark.parametrize("roundtrip", [ppm_roundtrip, y4m_roundtrip], ids=["ppm", "y4m"])
 def test_roundtrip_bytes_are_the_same_on_either_schedule(roundtrip, monkeypatch):
     native = roundtrip()
     monkeypatch.setattr(bf, "_native_schedule", lambda: None)
