@@ -45,7 +45,6 @@ import struct
 
 import numpy as np
 
-from .blowfish import _libcrypto
 from .errors import BadKeyLength, BadLength, BadPadding
 
 BLOCK_SIZE = 16
@@ -241,6 +240,17 @@ def _python_cbc(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
         out += block.to_bytes(16, "big")
         chain = block ^ rk0
     return bytes(out)
+
+
+def _libcrypto():
+    """The libcrypto CPython's _hashlib links, as a ctypes library, or None."""
+    try:
+        import _hashlib
+
+        # symbol lookups through this handle also search the libraries it links
+        return ctypes.CDLL(_hashlib.__file__)
+    except (ImportError, AttributeError, OSError):  # no OpenSSL, built in, or unloadable
+        return None
 
 
 @functools.cache

@@ -6,24 +6,22 @@ plaintext bit, which the room-reservation step can restore.  A block mode
 would smear every flipped LSB over a whole 8-byte block on decryption and
 destroy reversibility.
 
-Where the platform's libcrypto (the one CPython's ``_hashlib`` links)
-exports ``BF_set_key`` and ``BF_cbc_encrypt``, both run there.  Blowfish
-decryption is encryption with the P-array reversed, so under a ``BF_KEY``
-whose P-array is reversed, CBC decryption of the big-endian counter blocks
-c_1..c_m with IV c_0 = c_1 - 1 writes E(c_i) ^ c_(i-1): one bulk C loop per
-chunk, and one XOR with the counters shifted by a block leaves the
-keystream.  Each native state keeps its reversed-P key words.  The call
-releases the GIL, but it stays on one thread: splitting it over two was
-slower than one on two vCPUs.  Both symbols are bound together on the first
-schedule, or neither; the binding is kept only if the all-zero key's whole
-state matches a pinned digest and its keystream across the 2^64 wrap matches
-the scalar cipher.  No option selects the path.
+Where the platform's libgcrypt (``libgcrypt.so.20``) loads, a key is a
+libgcrypt Blowfish-CTR handle, whose counter is the whole block, big-endian,
+mod 2^64: this format's.  A transform is one ``gcry_cipher_setctr`` and one
+``gcry_cipher_encrypt`` into a fresh array, under a per-key lock, as the
+handle carries the counter between them.  The library is bound on the first
+schedule, and kept only if a pinned known answer matches, across the 2^64
+wrap and for a ragged call followed by an aligned one.  A key it refuses
+(a weak key, whose S-boxes repeat a word) gets the Python schedule.
+Collecting a key closes its handle.  No option selects the path.
 
-Elsewhere the keystream is computed in numpy, which also serves the tests as
-the reference: the Feistel rounds run on whole arrays of counter blocks at
-once.  Four choices keep it fast and small:
+Elsewhere the key schedule runs in Python and the keystream in numpy, with
+the same bytes; both are also the tests' reference.  The numpy kernel runs
+the Feistel rounds on whole arrays of counter blocks at once.  Four choices
+keep it fast and small:
 
-- A fused S0+S1 table.  Each key schedule also builds
+- A fused S0+S1 table.  Each Python schedule also builds
   ``t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32`` (65,536 words, 256 KB),
   so the round function is ``(t01[x >> 16] ^ S2[(x >> 8) & 0xFF]) +
   S3[x & 0xFF]``: three lookups instead of four, and no mask on the high
@@ -50,25 +48,22 @@ once.  Four choices keep it fast and small:
   half.  Rounds 0 and 1 thus make no per-block gather, and only rounds 2-15
   gather per block.
 
-``bf_ctr_transform`` XORs the data into the keystream buffer it has just
-filled and returns that buffer, a fresh, flat, writable uint8 array: the
-pipeline writes the payload frame straight into it, with no copy.
+Either path returns a fresh, flat, writable uint8 array (numpy's is the
+keystream buffer, XORed in place), which the pipeline writes the payload
+frame straight into, with no copy.
 
 The key schedule is 521 chained block encryptions, so it cannot be
-vectorised.  It runs in libcrypto where that is bound (both symbols are
-deprecated in OpenSSL 3 and absent from ``no-deprecated`` builds), else in
-Python, with the same state; the library is over ten times faster.  The
-Python schedule stays as the fallback and the tests' reference.  Its scalar
-block function, also the single-block API, unrolls all 16 rounds, with F
-inlined and each P-array XOR folded into a round: no loop, no call and no
-swap per block.
+vectorised.  Its scalar block function, also the single-block API on a
+Python schedule, unrolls all 16 rounds, with F inlined and each P-array XOR
+folded into a round: no loop, no call and no swap per block.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
+import threading
+import weakref
 
 import numpy as np
 
@@ -92,34 +87,36 @@ MAX_KEY_BYTES = 56
 # that scratch, which set the image round trip's memory peak
 _CHUNK_BLOCKS = 1 << 14
 _BYTES = np.arange(256, dtype=np.uint8)
-_STATE_WORDS = 18 + 4 * 256  # the P-array and the four S-boxes
 
 
 class BlowfishState:
-    """P-array and S-boxes after key mixing, as ints and as uint32 arrays, plus fused S0+S1."""
+    """A scheduled key: a libgcrypt cipher, (nonce, data) -> output, holding no
+    tables here; or, with cipher None, the P-array and S-boxes after key mixing,
+    as ints and as uint32 arrays, plus fused S0+S1."""
 
-    __slots__ = ("p", "s", "_p32", "_s_np", "_t01", "_keystream")
+    __slots__ = ("p", "s", "_p32", "_s_np", "_t01", "_cipher")
 
-    def __init__(self, p: list[int], s: list[list[int]]):
-        self.p = tuple(p)
-        self._p32 = np.asarray(p, dtype=np.uint32)
-        self.s = tuple(tuple(box) for box in s)
-        self._s_np = np.asarray(s, dtype=np.uint32)  # one (4, 256) array
-        # _t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32, 65,536 entries
-        self._t01 = (self._s_np[0][:, None] + self._s_np[1][None, :]).reshape(-1)
-        # the libcrypto keystream under this state, set by the libcrypto
-        # schedule: (nonce, blocks) -> None.  None runs the numpy kernel
-        self._keystream = None
+    def __init__(self, p: list[int] | None, s: list[list[int]] | None, cipher=None):
+        self._cipher = cipher
+        if cipher is None:
+            self.p = tuple(p)
+            self._p32 = np.asarray(p, dtype=np.uint32)
+            self.s = tuple(tuple(box) for box in s)
+            self._s_np = np.asarray(s, dtype=np.uint32)  # one (4, 256) array
+            # _t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32, 65,536 entries
+            self._t01 = (self._s_np[0][:, None] + self._s_np[1][None, :]).reshape(-1)
 
 
 def bf_key_schedule(key: bytes) -> BlowfishState:
-    """Mix the key into the pi-initialized P-array and S-boxes, in libcrypto
-    where it is bound, else in Python; the state is the same either way."""
+    """Mix the key into a libgcrypt cipher where that is bound and takes the
+    key, else into the P-array and S-boxes in Python; the bytes are the same."""
     if not MIN_KEY_BYTES <= len(key) <= MAX_KEY_BYTES:
         raise BadKeyLength(
             f"Blowfish key must be {MIN_KEY_BYTES}..{MAX_KEY_BYTES} bytes, got {len(key)}"
         )
-    return (_native_schedule() or _python_key_schedule)(key)
+    native = _native_schedule()
+    state = native(key) if native else None
+    return state or _python_key_schedule(key)
 
 
 def _python_key_schedule(key: bytes) -> BlowfishState:
@@ -144,66 +141,89 @@ def _python_key_schedule(key: bytes) -> BlowfishState:
     return BlowfishState(p, s)
 
 
-def _libcrypto():
-    """The libcrypto CPython's _hashlib links, as a ctypes library, or None."""
-    try:
-        import _hashlib
+def _gcry_ctr(handle, setctr, encrypt, lock, nonce: int, data: bytes | np.ndarray) -> np.ndarray:
+    """data XORed with the keystream from counter nonce under a libgcrypt
+    handle, in a fresh array."""
+    src = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(src.size, dtype=np.uint8)
+    counter = (nonce & _MASK64).to_bytes(8, "big")
+    with lock:  # threads sharing the key must not interleave the pair
+        err = setctr(handle, counter, 8)
+        err = err or encrypt(handle, out.ctypes.data, out.size, src.ctypes.data, src.size)
+    if err:
+        raise RuntimeError(f"libgcrypt Blowfish-CTR failed with gcry_error_t {err:#x}")
+    return out
 
-        # symbol lookups through this handle also search the libraries it links
-        return ctypes.CDLL(_hashlib.__file__)
-    except (ImportError, AttributeError, OSError):  # no OpenSSL, built in, or unloadable
+
+def _load_libgcrypt():
+    """libgcrypt by soname, as a ctypes library, or None."""
+    try:
+        return ctypes.CDLL("libgcrypt.so.20")
+    except OSError:
         return None
 
 
 @functools.cache
 def _native_schedule():
-    """The libcrypto key schedule, bound on first use, or None to run it in Python."""
-    return _bind(_libcrypto())
+    """The libgcrypt key schedule, bound on first use, or None to run it in Python."""
+    return _bind(_load_libgcrypt())
 
 
-# SHA-256 of the all-zero 8-byte key's 1,042 state words, big-endian
-_ZERO_KEY_DIGEST = "e230e9720babf049ceb56b06dee05423d9a7cbdfaea0cb673b0ea8a29c805b57"
-
-
-def _state_digest(state: BlowfishState) -> str:
-    words = np.concatenate((state._p32, state._s_np.reshape(-1)))
-    return hashlib.sha256(words.astype(">u4").tobytes()).hexdigest()
+# The known answer, under the key of one of the published ECB vectors: that
+# vector's block, then the keystream from counter 2^64 - 2 across the wrap to
+# counter 1, whose first 13 bytes a first call gets, leaving three bytes of a
+# block unused, and all of which a second call from the same counter gets.  A
+# counter written or counted in the other byte order, or whose low word alone
+# counts, misses it
+_CHECK_KEY, _CHECK_BLOCK, _CHECK_CIPHERTEXT = (
+    bytes.fromhex(h) for h in ("0123456789ABCDEF", "1111111111111111", "61F9C3802281B096")
+)
+_CHECK_NONCE = _MASK64 - 1
+_CHECK_LENGTHS = (13, 32)
+_CHECK_STREAM = bytes.fromhex("59bc08a9702930831c6cd49835c7b012245946885754369a3b538209f118ef2a")
+_GCRY_NAMES = "check_version cipher_open cipher_setkey cipher_setctr cipher_encrypt cipher_close".split()
 
 
 def _bind(lib):
-    """A key schedule calling lib's BF_set_key, whose states run their keystream
-    through lib's BF_cbc_encrypt; or None where lib is None, lacks either
-    symbol, or fails the all-zero key's state digest or keystream."""
-    set_key = getattr(lib, "BF_set_key", None)
-    cbc = getattr(lib, "BF_cbc_encrypt", None)
-    if set_key is None or cbc is None:
+    """A key schedule opening one lib Blowfish-CTR handle per key, which
+    returns None for a key the library refuses; or None where lib is None,
+    lacks a symbol, fails its version check or misses the known answer."""
+    try:  # lib is None or lacks a symbol
+        version, open_, setkey, setctr, encrypt, close = (getattr(lib, "gcry_" + n) for n in _GCRY_NAMES)
+    except AttributeError:
         return None
-    set_key.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
-    set_key.restype = None
-    # BF_cbc_encrypt(in, out, length, schedule, ivec, enc)
-    cbc.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_long,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
-    cbc.restype = None
+    version.argtypes, version.restype = (ctypes.c_char_p,), ctypes.c_char_p
+    # gcry_cipher_open(&handle, algo, mode, flags); it and the calls after it
+    # return a gcry_error_t, 0 on success
+    open_.argtypes = (ctypes.POINTER(ctypes.c_void_p), ctypes.c_int, ctypes.c_int, ctypes.c_uint)
+    setkey.argtypes = setctr.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t)
+    # gcry_cipher_encrypt(handle, out, outsize, in, inlen)
+    encrypt.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t)
+    open_.restype = setkey.restype = setctr.restype = encrypt.restype = ctypes.c_uint
+    close.argtypes, close.restype = (ctypes.c_void_p,), None
+    if version(None) is None:  # gcry_check_version also initialises the library
+        return None
 
-    def schedule(key: bytes) -> BlowfishState:
-        # BF_KEY is P[18] then S[4 * 256] of BF_LONG; twice the room of 32-bit
-        # words, so a 64-bit BF_LONG writes in bounds and fails the check below
-        words = np.zeros(2 * _STATE_WORDS, dtype=np.uint32)
-        set_key(words.ctypes.data, len(key), bytes(key))
-        state = BlowfishState(words[:18].tolist(), words[18:_STATE_WORDS].reshape(4, 256).tolist())
-        words[:18] = words[17::-1].copy()  # decryption under the reversed P encrypts
-        state._keystream = functools.partial(_native_keystream, cbc, words)
-        return state
+    def schedule(key: bytes) -> BlowfishState | None:
+        handle = ctypes.c_void_p()
+        if open_(ctypes.byref(handle), 4, 6, 0):  # GCRY_CIPHER_BLOWFISH, GCRY_CIPHER_MODE_CTR
+            return None
+        cipher = functools.partial(_gcry_ctr, handle, setctr, encrypt, threading.Lock())
+        weakref.finalize(cipher, close, handle)
+        if setkey(handle, bytes(key), len(key)):  # a weak key, say
+            return None  # dropping the cipher closes its handle
+        return BlowfishState(None, None, cipher)
 
-    zero = schedule(bytes(8))
-    if _state_digest(zero) != _ZERO_KEY_DIGEST:
+    check = schedule(_CHECK_KEY)
+    if check is None:
         return None
-    # three counters across the 2^64 wrap, against the scalar cipher
-    stream = np.empty((3, 2), dtype=">u4")
-    zero._keystream(_MASK64, stream)
-    counters = (_MASK64, 0, 1)
-    if stream.tobytes() != b"".join(bf_encrypt_block(zero, c.to_bytes(8, "big")) for c in counters):
+    try:
+        block = bf_encrypt_block(check, _CHECK_BLOCK)
+        calls = [check._cipher(_CHECK_NONCE, bytes(n)).tobytes() for n in _CHECK_LENGTHS]
+    except RuntimeError:  # setctr or encrypt returned an error
         return None
-    return schedule
+    expect = [_CHECK_STREAM[:n] for n in _CHECK_LENGTHS]
+    return schedule if (block, calls) == (_CHECK_CIPHERTEXT, expect) else None
 
 
 def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
@@ -237,6 +257,8 @@ def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
 def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
     if len(block) != 8:
         raise ValueError(f"block must be 8 bytes, got {len(block)}")
+    if state._cipher is not None:  # E(block) is the keystream at counter = block
+        return state._cipher(int.from_bytes(block, "big"), bytes(8)).tobytes()
     xl = int.from_bytes(block[:4], "big")
     xr = int.from_bytes(block[4:], "big")
     xl, xr = _encrypt_words(state.p, state.s, xl, xr)
@@ -248,45 +270,17 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     each Blowfish-encrypted; applying it twice is the identity.
 
     data is bytes or a contiguous uint8 array and is left unchanged.  The
-    result is the keystream buffer itself, XORed in place: a fresh, flat,
-    writable uint8 array of len(data).
+    result is a fresh, flat, writable uint8 array of len(data): libgcrypt's
+    output, or the numpy keystream buffer XORed in place.
     """
+    if state._cipher is not None:
+        return state._cipher(nonce, data)
     nbytes = len(data)
     blocks = np.empty(((nbytes + 7) // 8, 2), dtype=">u4")
-    if state._keystream is None:
-        _numpy_keystream(state, nonce, blocks)
-    else:
-        state._keystream(nonce, blocks)
+    _numpy_keystream(state, nonce, blocks)
     out = blocks.view(np.uint8).reshape(-1)[:nbytes]
     np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
     return out
-
-
-def _native_keystream(cbc, bf_key: np.ndarray, nonce: int, blocks: np.ndarray) -> None:
-    """Write the keystream from counter nonce into blocks through libcrypto's
-    BF_cbc_encrypt, decrypting under bf_key, the state with its P-array reversed.
-
-    Each chunk's counters c_0..c_m go into one reused buffer, c_0 being the
-    one before the chunk's first, and are byte-swapped there into big-endian
-    blocks.  CBC decryption of c_1..c_m with IV c_0 writes E(c_i) ^ c_(i-1),
-    and XORing the buffer's first m blocks back leaves E(c_i).
-    """
-    nblocks = len(blocks)
-    n = min(_CHUNK_BLOCKS, nblocks)
-    ramp = np.arange(n + 1, dtype=np.uint64)
-    counters = np.empty(n + 1, dtype=np.uint64)
-    iv = np.empty(1, dtype=np.uint64)  # BF_cbc_encrypt overwrites its IV
-    stream = blocks.view(np.uint64).reshape(-1)  # XOR is byte-order-free
-    out, ctr, key, ivec = (a.ctypes.data for a in (blocks, counters, bf_key, iv))
-    for start in range(0, nblocks, _CHUNK_BLOCKS):
-        m = min(_CHUNK_BLOCKS, nblocks - start)
-        c = counters[: m + 1]
-        np.add(ramp[: m + 1], (nonce + start - 1) & _MASK64, out=c)  # wraps mod 2^64
-        c.byteswap(inplace=True)
-        iv[0] = c[0]
-        cbc(ctr + 8, out + 8 * start, 8 * m, key, ivec, 0)
-        chunk = stream[start : start + m]
-        np.bitwise_xor(chunk, c[:m], out=chunk)
 
 
 def _numpy_keystream(state: BlowfishState, nonce: int, blocks: np.ndarray) -> None:

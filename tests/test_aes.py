@@ -1,5 +1,6 @@
 import ctypes
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -371,6 +372,11 @@ PLATFORM_FUNCTIONS = {name: getattr(PLATFORM, name, None) for name in SYMBOLS}
 for _name, _fn in PLATFORM_FUNCTIONS.items():
     if _fn is not None:
         _fn.argtypes, _fn.restype = (_CBC_ARGS, None) if _name == "AES_cbc_encrypt" else (_SET_KEY_ARGS, ctypes.c_int)
+
+
+def test_no_hashlib_means_no_library(monkeypatch):
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # makes the import fail
+    assert aes._libcrypto() is None
 
 
 def test_cbc_runs_in_libcrypto_where_it_exports_the_three_symbols(monkeypatch):

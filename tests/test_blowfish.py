@@ -1,12 +1,14 @@
 import ctypes
+import gc
 import hashlib
 import itertools
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from conftest import ppm_roundtrip, y4m_roundtrip
 from rdhkit import blowfish as bf
@@ -44,18 +46,21 @@ def test_key_length_limits():
 
 
 def test_schedule_is_deterministic():
-    a = bf.bf_key_schedule(b"same key")
-    b = bf.bf_key_schedule(b"same key")
+    # a libgcrypt key holds no tables; the tests below compare it by its bytes
+    a = bf._python_key_schedule(b"same key")
+    b = bf._python_key_schedule(b"same key")
     assert a.p == b.p
     assert a.s == b.s
 
 
-NATIVE = bf._native_schedule()
-needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto Blowfish binding on this platform")
-# the Python schedule, and the libcrypto one where the platform has it
+LIB = bf._load_libgcrypt()
+# binding LIB also types the functions the stand-ins below call through
+NATIVE = bf._bind(LIB)
+needs_native = pytest.mark.skipif(NATIVE is None, reason="no libgcrypt Blowfish binding on this platform")
+# the Python schedule, and the libgcrypt one where the platform has it
 SCHEDULES = [bf._python_key_schedule] + ([NATIVE] if NATIVE else [])
 # a state's schedule also picks its keystream: the Python one's runs in numpy,
-# the libcrypto one's through BF_cbc_encrypt, so the keystream tests run both
+# the libgcrypt one's through gcry_cipher_encrypt, so the keystream tests run both
 
 
 @pytest.mark.parametrize("key_hex,plain_hex,cipher_hex", ECB_VECTORS)
@@ -75,50 +80,24 @@ def test_variable_length_key_vector():
 @needs_native
 @seed(1042)
 @settings(max_examples=100, deadline=None)
-@given(key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES))
-def test_native_schedule_matches_the_python_schedule(key):
-    native, python = NATIVE(key), bf._python_key_schedule(key)
-    assert native.p == python.p
-    assert native.s == python.s
-    assert np.array_equal(native._t01, python._t01)
+@given(
+    key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES),
+    block=st.binary(min_size=8, max_size=8),
+)
+def test_native_schedule_matches_the_python_schedule(key, block):
+    # a libgcrypt key holds no tables, so it is compared by what it encrypts
+    native = NATIVE(key)
+    assume(native is not None)  # not one of the rare weak keys libgcrypt refuses
+    assert bf.bf_encrypt_block(native, block) == bf.bf_encrypt_block(bf._python_key_schedule(key), block)
 
 
-def _skip_without_libcrypto_blowfish():
-    lib = bf._libcrypto()
-    if getattr(lib, "BF_set_key", None) is None or getattr(lib, "BF_cbc_encrypt", None) is None:
-        pytest.skip("this platform's libcrypto does not export BF_set_key and BF_cbc_encrypt")
+def _skip_without_libgcrypt():
+    if LIB is None:
+        pytest.skip("libgcrypt.so.20 does not load on this platform")
 
 
-def test_the_schedule_runs_in_libcrypto_where_it_exports_bf_set_key(monkeypatch):
-    # a lookup or layout regression would fall back silently, with the same
-    # bytes and every other test green, at about a quarter of a round trip
-    _skip_without_libcrypto_blowfish()
-    expect = bf._python_key_schedule(b"silent fallback")
-
-    def refuse(key):
-        raise AssertionError("bf_key_schedule fell back to the Python schedule")
-
-    monkeypatch.setattr(bf, "_python_key_schedule", refuse)
-    state = bf.bf_key_schedule(b"silent fallback")
-    assert (state.p, state.s) == (expect.p, expect.s)
-
-
-def test_the_keystream_runs_in_libcrypto_where_it_exports_bf_cbc_encrypt(monkeypatch):
-    # the same silent fallback, for the larger part of a round trip
-    _skip_without_libcrypto_blowfish()
-    data = random.Random(33).randbytes(8 * CHUNK + 13)
-    expect = bf.bf_ctr_transform(bf._python_key_schedule(b"silent fallback"), MASK64 - 9, data)
-
-    def refuse(state, nonce, blocks):
-        raise AssertionError("bf_ctr_transform fell back to the numpy keystream")
-
-    monkeypatch.setattr(bf, "_numpy_keystream", refuse)
-    out = bf.bf_ctr_transform(bf.bf_key_schedule(b"silent fallback"), MASK64 - 9, data)
-    assert out.tobytes() == expect.tobytes()
-
-
-def test_the_pinned_zero_key_digest_is_the_python_schedules_state():
-    assert bf._state_digest(bf._python_key_schedule(bytes(8))) == bf._ZERO_KEY_DIGEST
+def _refuse(*args):
+    raise AssertionError("Blowfish fell back to the Python schedule or the numpy keystream")
 
 
 @pytest.fixture
@@ -129,84 +108,195 @@ def rebind():
     bf._native_schedule.cache_clear()
 
 
-_SET_KEY = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p)
-# BF_cbc_encrypt(in, out, length, key, ivec, enc)
-_CBC_ARGS = (ctypes.c_void_p,) * 2 + (ctypes.c_long,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
-_CBC = ctypes.CFUNCTYPE(None, *_CBC_ARGS)
-PLATFORM_CBC = getattr(bf._libcrypto(), "BF_cbc_encrypt", None)
-if PLATFORM_CBC is not None:
-    PLATFORM_CBC.argtypes, PLATFORM_CBC.restype = _CBC_ARGS, None
+def test_the_schedule_runs_in_libgcrypt_where_it_loads(monkeypatch, rebind):
+    # a lookup or binding regression would fall back silently, with the same
+    # bytes and every other test green, at more than half a round trip; the
+    # binding's own check runs no Python schedule either
+    _skip_without_libgcrypt()
+    expect = bf.bf_encrypt_block(bf._python_key_schedule(b"silent fallback"), b"BLOWFISH")
+    monkeypatch.setattr(bf, "_python_key_schedule", _refuse)
+    state = bf.bf_key_schedule(b"silent fallback")
+    assert state._cipher is not None
+    assert bf.bf_encrypt_block(state, b"BLOWFISH") == expect
+
+
+def test_the_keystream_runs_in_libgcrypt_where_it_loads(monkeypatch):
+    # the same silent fallback, for the larger part of a round trip
+    _skip_without_libgcrypt()
+    data = random.Random(33).randbytes(8 * CHUNK + 13)
+    expect = bf.bf_ctr_transform(bf._python_key_schedule(b"silent fallback"), MASK64 - 9, data)
+    monkeypatch.setattr(bf, "_numpy_keystream", _refuse)
+    out = bf.bf_ctr_transform(bf.bf_key_schedule(b"silent fallback"), MASK64 - 9, data)
+    assert out.tobytes() == expect.tobytes()
+
+
+def test_the_pinned_known_answer_is_the_python_schedules_output():
+    state = bf._python_key_schedule(bf._CHECK_KEY)
+    assert bf.bf_encrypt_block(state, bf._CHECK_BLOCK) == bf._CHECK_CIPHERTEXT
+    assert max(bf._CHECK_LENGTHS) == len(bf._CHECK_STREAM)
+    for n in bf._CHECK_LENGTHS:
+        assert bf.bf_ctr_transform(state, bf._CHECK_NONCE, bytes(n)).tobytes() == bf._CHECK_STREAM[:n]
 
 
 class StandIn:
-    """A library whose BF_set_key writes the given words, whatever the key, and
-    whose BF_cbc_encrypt is cbc (the platform's by default), or missing if None."""
+    """The platform's libgcrypt with the given functions in place of its own,
+    and without those given as None."""
 
-    def __init__(self, words: np.ndarray, cbc=PLATFORM_CBC):
-        self.BF_set_key = _SET_KEY(lambda buf, n, key: ctypes.memmove(buf, words.tobytes(), words.nbytes))
-        if cbc is not None:
-            self.BF_cbc_encrypt = cbc
-
-
-ZERO_KEY = bf._python_key_schedule(bytes(8))
-ZERO_KEY_WORDS = np.array(ZERO_KEY.p + sum(ZERO_KEY.s, ()), dtype=np.uint32)
-# one S-box word the zero block's encryption never reads, off by one bit
-ONE_WORD_OFF = ZERO_KEY_WORDS.copy()
-ONE_WORD_OFF[18 + 700] ^= 1
+    def __init__(self, **functions):
+        for name in bf._GCRY_NAMES:
+            function = functions.get(name, getattr(LIB, "gcry_" + name))
+            if function is not None:
+                setattr(self, "gcry_" + name, function)
 
 
-def _garbled_cbc(inp, out, length, key, ivec, enc):
-    PLATFORM_CBC(inp, out, length, key, ivec, enc)
-    ctypes.memset(out, 0x5A, 1)
+def _garbled_encrypt(handle, out, outsize, src, inlen):
+    err = LIB.gcry_cipher_encrypt(handle, out, outsize, src, inlen)
+    ctypes.memset(out, 0x5A, min(inlen, 1))
+    return err
 
 
-# no library, no symbol, or a stand-in writing the words a layout or ABI
-# mismatch would, or one wrong word, or a wrong keystream
+def _keeps_leftover():
+    """A library whose setctr keeps the keystream a ragged encrypt left unused,
+    which the next encrypt then uses first."""
+    left = bytearray()
+
+    def encrypt(handle, out, outsize, src, inlen):
+        used = min(len(left), inlen)
+        head = bytes(a ^ b for a, b in zip(ctypes.string_at(src, used), left))
+        del left[:used]
+        err = LIB.gcry_cipher_encrypt(handle, out + used, outsize - used, src + used, inlen - used)
+        ctypes.memmove(out, head, used)
+        pad = -(inlen - used) % 8
+        if pad:  # the rest of the last block's keystream, kept
+            tail = ctypes.create_string_buffer(pad)
+            LIB.gcry_cipher_encrypt(handle, tail, pad, bytes(pad), pad)
+            left[:] = tail.raw
+        return err
+
+    return StandIn(cipher_encrypt=encrypt)
+
+
+def _fails(*args):
+    return 1  # a gcry_error_t other than 0
+
+
+def _stand_in(id, **functions):
+    return pytest.param(lambda: StandIn(**functions), marks=needs_native, id=id)
+
+
+def _counter_reversed(handle, counter, n):
+    return LIB.gcry_cipher_setctr(handle, counter[::-1], n)
+
+
+# no library, no symbol, a failed version check, an error from each call, a
+# garbled byte, a counter in the other byte order, or leftover keystream kept
+# across setctr
 @pytest.mark.parametrize(
     "lib",
     [
         pytest.param(lambda: None, id="no-library"),
         pytest.param(object, id="no-symbol"),
-        pytest.param(lambda: StandIn(ZERO_KEY_WORDS.byteswap()), id="other-byte-order"),
-        pytest.param(lambda: StandIn(np.roll(ZERO_KEY_WORDS, 1)), id="shifted-a-word"),
-        # a 64-bit BF_LONG fills the whole buffer
-        pytest.param(lambda: StandIn(ZERO_KEY_WORDS.astype(np.uint64)), id="64-bit-words"),
-        pytest.param(lambda: StandIn(ONE_WORD_OFF), id="s-box-word-700-off"),
-        pytest.param(lambda: StandIn(ZERO_KEY_WORDS, cbc=None), id="no-cbc-symbol"),
-        pytest.param(
-            lambda: StandIn(ZERO_KEY_WORDS, cbc=_CBC(_garbled_cbc)),
-            id="cbc-writes-wrong-bytes",
-            marks=needs_native,
-        ),
+        _stand_in("no-setctr-symbol", cipher_setctr=None),
+        _stand_in("version-check-fails", check_version=lambda version: None),
+        _stand_in("open-fails", cipher_open=_fails),
+        _stand_in("setkey-fails", cipher_setkey=_fails),
+        _stand_in("setctr-fails", cipher_setctr=_fails),
+        _stand_in("encrypt-fails", cipher_encrypt=_fails),
+        _stand_in("encrypt-garbles-a-byte", cipher_encrypt=_garbled_encrypt),
+        _stand_in("other-byte-order", cipher_setctr=_counter_reversed),
+        pytest.param(_keeps_leftover, marks=needs_native, id="setctr-keeps-leftover"),
     ],
 )
 def test_a_failed_binding_keeps_the_python_schedule(lib, monkeypatch, rebind):
-    monkeypatch.setattr(bf, "_libcrypto", lib)
+    monkeypatch.setattr(bf, "_load_libgcrypt", lib)
     key = b"fallback key"
     state, expect = bf.bf_key_schedule(key), bf._python_key_schedule(key)
     assert bf._native_schedule() is None
+    assert state._cipher is None
     assert (state.p, state.s) == (expect.p, expect.s)
     assert np.array_equal(state._t01, expect._t01)
-    # neither symbol is bound: the keystream is the numpy kernel's
-    assert state._keystream is None
+    data = bytes(8 * 300 + 5)
+    stream = bf.bf_ctr_transform(state, MASK64 - 7, data)
+    assert stream.tobytes() == bf.bf_ctr_transform(expect, MASK64 - 7, data).tobytes()
+
+
+# libgcrypt refuses this key as weak: the Python schedule's S1 repeats a word
+WEAK_KEY = b"weak098604"
+
+
+@needs_native
+def test_a_key_libgcrypt_refuses_falls_back_alone():
+    expect = bf._python_key_schedule(WEAK_KEY)
+    assert len(set(expect.s[1])) == 255
+    assert NATIVE(WEAK_KEY) is None
+    state = bf.bf_key_schedule(WEAK_KEY)
+    assert (state.p, state.s) == (expect.p, expect.s)
+    data = bytes(8 * 50 + 1)
+    assert bf.bf_ctr_transform(state, 3, data).tobytes() == bf.bf_ctr_transform(expect, 3, data).tobytes()
+    # the binding stays: the next key runs in libgcrypt
+    assert bf.bf_key_schedule(b"weak098605")._cipher is not None
+
+
+@needs_native
+def test_the_check_accepts_a_stand_in_writing_the_true_words():
+    # every function is the platform's: each failure above differs in one
+    schedule = bf._bind(StandIn())
+    assert schedule is not None
+    state, expect = schedule(b"fallback key"), bf._python_key_schedule(b"fallback key")
+    assert state._cipher is not None
     data = bytes(8 * 300 + 5)
     stream = bf.bf_ctr_transform(state, MASK64 - 7, data)
     assert stream.tobytes() == bf.bf_ctr_transform(expect, MASK64 - 7, data).tobytes()
 
 
 @needs_native
-def test_the_check_accepts_a_stand_in_writing_the_true_words():
-    # the stand-in ignores its key, so only the all-zero key's state is right
-    schedule = bf._bind(StandIn(ZERO_KEY_WORDS))
-    assert schedule is not None
-    state = schedule(bytes(8))
-    assert (state.p, state.s) == (ZERO_KEY.p, ZERO_KEY.s)
-    assert state._keystream is not None
+def test_collecting_a_key_closes_its_handle(monkeypatch, rebind):
+    closed = []
+
+    def close(handle):
+        closed.append(handle.value)
+        LIB.gcry_cipher_close(handle)
+
+    monkeypatch.setattr(bf, "_load_libgcrypt", lambda: StandIn(cipher_close=close))
+    state = bf.bf_key_schedule(b"short-lived key")
+    handle = state._cipher.args[0].value
+    assert len(closed) == 1  # the binding's check key, closed once checked
+    closed.clear()
+    gc.collect()
+    assert closed == []
+    del state
+    gc.collect()
+    assert closed == [handle]
 
 
-def test_no_hashlib_means_no_library(monkeypatch):
-    monkeypatch.setitem(sys.modules, "_hashlib", None)  # makes the import fail
-    assert bf._libcrypto() is None
+@needs_native
+def test_threads_sharing_a_key_each_get_their_own_keystream():
+    # the handle carries the counter from setctr to encrypt, and ctypes drops
+    # the GIL between them; each thread's calls cross 2^64 from its own nonce
+    state, reference = NATIVE(b"shared by threads"), bf._python_key_schedule(b"shared by threads")
+    jobs = [(MASK64 - 3 - 5 * i, 8 * (20 + 7 * i) + i) for i in range(4)]
+    expect = [bf.bf_ctr_transform(reference, nonce, bytes(n)).tobytes() for nonce, n in jobs]
+    wrong = []
+
+    def run(i):
+        nonce, n = jobs[i]
+        for _ in range(2000):
+            if bf.bf_ctr_transform(state, nonce, bytes(n)).tobytes() != expect[i]:
+                wrong.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @needs_native
@@ -437,13 +527,15 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
 @settings(max_examples=40, deadline=None)
 @given(
     key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES),
-    nonce=st.integers(0, MASK64),
+    before_wrap=st.integers(1, 4 * CHUNK),
     nbytes=st.integers(0, 3 * 8 * CHUNK),
 )
-def test_libcrypto_keystream_matches_the_numpy_kernel(key, nonce, nbytes):
-    data = bytes(nbytes)
-    native = bf.bf_ctr_transform(NATIVE(key), nonce, data)
-    assert native.tobytes() == bf.bf_ctr_transform(bf._python_key_schedule(key), nonce, data).tobytes()
+def test_libgcrypt_keystream_matches_the_numpy_kernel(key, before_wrap, nbytes):
+    native = NATIVE(key)
+    assume(native is not None)  # not one of the rare weak keys libgcrypt refuses
+    nonce, data = (1 << 64) - before_wrap, bytes(nbytes)
+    expect = bf.bf_ctr_transform(bf._python_key_schedule(key), nonce, data)
+    assert bf.bf_ctr_transform(native, nonce, data).tobytes() == expect.tobytes()
 
 
 def test_block_matches_independent_blowfish_at_every_key_length():
@@ -457,8 +549,9 @@ def test_block_matches_independent_blowfish_at_every_key_length():
         expect = enc.update(block) + enc.finalize()
         assert bf.bf_encrypt_block(bf.bf_key_schedule(key), block) == expect, klen
 
+
 def test_fused_table_is_s0_plus_s1():
-    state = bf.bf_key_schedule(b"fusedtab")
+    state = bf._python_key_schedule(b"fusedtab")
     s0, s1 = state.s[0], state.s[1]
     assert state._t01.shape == (65536,)
     for a, b in ((0, 0), (0, 255), (255, 0), (255, 255), (17, 200), (128, 1)):
@@ -466,6 +559,6 @@ def test_fused_table_is_s0_plus_s1():
 
 
 def test_precast_p_words_are_p():
-    state = bf.bf_key_schedule(b"precast P")
+    state = bf._python_key_schedule(b"precast P")
     assert state._p32.dtype == np.uint32 and state._p32.shape == (18,)
     assert state._p32.tolist() == list(state.p)

@@ -1,7 +1,10 @@
 import argparse
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,27 @@ def test_hide_reveal_happy_path(tmp_path, cover_file, capsys):
     back, _ = netpbm.load_ppm(recovered.read_bytes())
     assert np.array_equal(back, cover)
 
+
+
+def test_a_hide_reveal_round_trip_writes_nothing_to_stderr(tmp_path, cover_file):
+    # libgcrypt writes its own warnings straight to file descriptor 2, so the
+    # commands run in a fresh interpreter, where the library first loads
+    cover_path, _ = cover_file
+    secret, marked, revealed = tmp_path / "secret.bin", tmp_path / "marked.ppm", tmp_path / "out.bin"
+    secret.write_bytes(b"quiet, please")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    keys = ["--data-key", DATA_KEY, "--image-key", IMAGE_KEY]
+    for argv in (
+        ["hide", "--cover", cover_path, "--data", secret, "--out", marked, "--nonce", NONCE, *keys],
+        ["reveal", "--input", marked, "--out", revealed, *keys],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "rdhkit.cli", *map(str, argv)],
+            capture_output=True, cwd=tmp_path, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), argv
+    assert revealed.read_bytes() == b"quiet, please"
 
 def test_hide_without_nonce_draws_a_fresh_one_per_cover(tmp_path, cover_file):
     cover_path, cover = cover_file
