@@ -1,15 +1,8 @@
-"""AES-128 for the payload path: CBC with PKCS#7, in libcrypto or in Python.
+"""AES-128 for the payload path: CBC with PKCS#7, in libgcrypt or in Python.
 
-Where the platform's libcrypto (the one CPython's ``_hashlib`` links)
-exports ``AES_set_encrypt_key``, ``AES_set_decrypt_key`` and
-``AES_cbc_encrypt``, CBC (NIST SP 800-38A §6.2) runs there, over the whole
-padded input in one call per direction.  All three symbols are bound
-together on the first call, or none; the binding is kept only if it
-encrypts and decrypts the FIPS-197 C.1 block and the SP 800-38A F.2.1 CBC
-vector byte for byte.  No option selects the path.  Padding and unpadding
-stay in Python, and every input is checked here before any C call: the
-library reads 16 key bytes whatever the key's length, and it writes the
-chain back into a private copy of the IV, never the caller's.
+Where ``_gcrypt`` loads libgcrypt, CBC (NIST SP 800-38A §6.2) runs there,
+in one call per direction on a handle keyed for that call.  Padding and the
+checks of every input stay in Python, and no option selects the path.
 
 Elsewhere the cipher runs in Python, which also serves the tests as the
 reference; both paths give the same bytes.  Its rounds use the 32-bit
@@ -39,12 +32,12 @@ is supported.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import struct
 
 import numpy as np
 
+from . import _gcrypt
 from .errors import BadKeyLength, BadLength, BadPadding
 
 BLOCK_SIZE = 16
@@ -242,21 +235,10 @@ def _python_cbc(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
     return bytes(out)
 
 
-def _libcrypto():
-    """The libcrypto CPython's _hashlib links, as a ctypes library, or None."""
-    try:
-        import _hashlib
-
-        # symbol lookups through this handle also search the libraries it links
-        return ctypes.CDLL(_hashlib.__file__)
-    except (ImportError, AttributeError, OSError):  # no OpenSSL, built in, or unloadable
-        return None
-
-
 @functools.cache
 def _native_cbc():
-    """The libcrypto CBC, bound on first use, or None to run it in Python."""
-    return _bind(_libcrypto())
+    """libgcrypt's CBC, bound on first use, or None to run it in Python."""
+    return _bind(_gcrypt._load())
 
 
 # (key, iv, plaintext, ciphertext): the FIPS-197 C.1 block, whose zero-IV CBC
@@ -280,37 +262,24 @@ _CHECK_VECTORS = tuple(
         ),
     )
 )
-# AES_KEY: unsigned int rd_key[60], then int rounds
-_AES_KEY_WORDS = 61
 
 
 def _bind(lib):
-    """CBC over whole blocks through lib's AES_cbc_encrypt, called as
-    _python_cbc is; or None where lib is None, lacks any of the three symbols,
-    or fails the check vectors in either direction."""
-    set_encrypt_key = getattr(lib, "AES_set_encrypt_key", None)
-    set_decrypt_key = getattr(lib, "AES_set_decrypt_key", None)
-    cbc = getattr(lib, "AES_cbc_encrypt", None)
-    if set_encrypt_key is None or set_decrypt_key is None or cbc is None:
+    """CBC over whole blocks on one lib AES-128-CBC handle per call, called as
+    _python_cbc is; or None where lib is None or misses the check vectors in
+    either direction."""
+    if lib is None:
         return None
-    # AES_set_*_key(user_key, bits, schedule)
-    for set_key in (set_encrypt_key, set_decrypt_key):
-        set_key.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
-        set_key.restype = ctypes.c_int
-    # AES_cbc_encrypt(in, out, length, schedule, ivec, enc)
-    cbc.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
-    cbc.restype = None
 
     def run(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
         # the caller has checked the key, the IV and, decrypting, the length
-        schedule = (ctypes.c_uint32 * _AES_KEY_WORDS)()
-        (set_encrypt_key if enc else set_decrypt_key)(bytes(key), 128, schedule)
-        out = ctypes.create_string_buffer(len(blocks))
-        chain = ctypes.create_string_buffer(bytes(iv), BLOCK_SIZE)  # the library writes it back
-        cbc(bytes(blocks), out, len(blocks), schedule, chain, enc)
-        return out.raw
+        cbc = _gcrypt.cipher(lib, _gcrypt.AES128, _gcrypt.CBC, key)
+        if cbc is None:  # libgcrypt refuses no AES key of the right length
+            raise RuntimeError("libgcrypt refused an AES-128 key")
+        return cbc(bytes(iv), blocks, decrypt=not enc).tobytes()
 
-    for key, iv, plaintext, ciphertext in _CHECK_VECTORS:
-        if run(plaintext, key, iv, 1) != ciphertext or run(ciphertext, key, iv, 0) != plaintext:
-            return None
-    return run
+    try:
+        ok = all(run(p, key, iv, 1) == c and run(c, key, iv, 0) == p for key, iv, p, c in _CHECK_VECTORS)
+    except RuntimeError:  # a call returned an error
+        return None
+    return run if ok else None

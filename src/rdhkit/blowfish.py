@@ -6,15 +6,10 @@ plaintext bit, which the room-reservation step can restore.  A block mode
 would smear every flipped LSB over a whole 8-byte block on decryption and
 destroy reversibility.
 
-Where the platform's libgcrypt (``libgcrypt.so.20``) loads, a key is a
-libgcrypt Blowfish-CTR handle, whose counter is the whole block, big-endian,
-mod 2^64: this format's.  A transform is one ``gcry_cipher_setctr`` and one
-``gcry_cipher_encrypt`` into a fresh array, under a per-key lock, as the
-handle carries the counter between them.  The library is bound on the first
-schedule, and kept only if a pinned known answer matches, across the 2^64
-wrap and for a ragged call followed by an aligned one.  A key it refuses
-(a weak key, whose S-boxes repeat a word) gets the Python schedule.
-Collecting a key closes its handle.  No option selects the path.
+Where ``_gcrypt`` loads libgcrypt, a key is a libgcrypt Blowfish-CTR
+handle, whose counter is the whole block, big-endian, mod 2^64: this
+format's.  A weak key, which the library refuses, gets the Python schedule.
+No option selects the path.
 
 Elsewhere the key schedule runs in Python and the keystream in numpy, with
 the same bytes; both are also the tests' reference.  The numpy kernel runs
@@ -60,13 +55,11 @@ folded into a round: no loop, no call and no swap per block.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import threading
-import weakref
 
 import numpy as np
 
+from . import _gcrypt
 from ._pi_digits import PI_FRACTION_HEX
 from .errors import BadKeyLength
 
@@ -90,7 +83,7 @@ _BYTES = np.arange(256, dtype=np.uint8)
 
 
 class BlowfishState:
-    """A scheduled key: a libgcrypt cipher, (nonce, data) -> output, holding no
+    """A scheduled key: a libgcrypt cipher, (counter, data) -> output, holding no
     tables here; or, with cipher None, the P-array and S-boxes after key mixing,
     as ints and as uint32 arrays, plus fused S0+S1."""
 
@@ -141,32 +134,10 @@ def _python_key_schedule(key: bytes) -> BlowfishState:
     return BlowfishState(p, s)
 
 
-def _gcry_ctr(handle, setctr, encrypt, lock, nonce: int, data: bytes | np.ndarray) -> np.ndarray:
-    """data XORed with the keystream from counter nonce under a libgcrypt
-    handle, in a fresh array."""
-    src = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(src.size, dtype=np.uint8)
-    counter = (nonce & _MASK64).to_bytes(8, "big")
-    with lock:  # threads sharing the key must not interleave the pair
-        err = setctr(handle, counter, 8)
-        err = err or encrypt(handle, out.ctypes.data, out.size, src.ctypes.data, src.size)
-    if err:
-        raise RuntimeError(f"libgcrypt Blowfish-CTR failed with gcry_error_t {err:#x}")
-    return out
-
-
-def _load_libgcrypt():
-    """libgcrypt by soname, as a ctypes library, or None."""
-    try:
-        return ctypes.CDLL("libgcrypt.so.20")
-    except OSError:
-        return None
-
-
 @functools.cache
 def _native_schedule():
     """The libgcrypt key schedule, bound on first use, or None to run it in Python."""
-    return _bind(_load_libgcrypt())
+    return _bind(_gcrypt._load())
 
 
 # The known answer, under the key of one of the published ECB vectors: that
@@ -181,46 +152,26 @@ _CHECK_KEY, _CHECK_BLOCK, _CHECK_CIPHERTEXT = (
 _CHECK_NONCE = _MASK64 - 1
 _CHECK_LENGTHS = (13, 32)
 _CHECK_STREAM = bytes.fromhex("59bc08a9702930831c6cd49835c7b012245946885754369a3b538209f118ef2a")
-_GCRY_NAMES = "check_version cipher_open cipher_setkey cipher_setctr cipher_encrypt cipher_close".split()
 
 
 def _bind(lib):
     """A key schedule opening one lib Blowfish-CTR handle per key, which
-    returns None for a key the library refuses; or None where lib is None,
-    lacks a symbol, fails its version check or misses the known answer."""
-    try:  # lib is None or lacks a symbol
-        version, open_, setkey, setctr, encrypt, close = (getattr(lib, "gcry_" + n) for n in _GCRY_NAMES)
-    except AttributeError:
-        return None
-    version.argtypes, version.restype = (ctypes.c_char_p,), ctypes.c_char_p
-    # gcry_cipher_open(&handle, algo, mode, flags); it and the calls after it
-    # return a gcry_error_t, 0 on success
-    open_.argtypes = (ctypes.POINTER(ctypes.c_void_p), ctypes.c_int, ctypes.c_int, ctypes.c_uint)
-    setkey.argtypes = setctr.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t)
-    # gcry_cipher_encrypt(handle, out, outsize, in, inlen)
-    encrypt.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t)
-    open_.restype = setkey.restype = setctr.restype = encrypt.restype = ctypes.c_uint
-    close.argtypes, close.restype = (ctypes.c_void_p,), None
-    if version(None) is None:  # gcry_check_version also initialises the library
+    returns None for a key the library refuses; or None where lib is None or
+    misses the known answer."""
+    if lib is None:
         return None
 
     def schedule(key: bytes) -> BlowfishState | None:
-        handle = ctypes.c_void_p()
-        if open_(ctypes.byref(handle), 4, 6, 0):  # GCRY_CIPHER_BLOWFISH, GCRY_CIPHER_MODE_CTR
-            return None
-        cipher = functools.partial(_gcry_ctr, handle, setctr, encrypt, threading.Lock())
-        weakref.finalize(cipher, close, handle)
-        if setkey(handle, bytes(key), len(key)):  # a weak key, say
-            return None  # dropping the cipher closes its handle
-        return BlowfishState(None, None, cipher)
+        cipher = _gcrypt.cipher(lib, _gcrypt.BLOWFISH, _gcrypt.CTR, key)
+        return cipher and BlowfishState(None, None, cipher)
 
-    check = schedule(_CHECK_KEY)
-    if check is None:
-        return None
     try:
+        check = schedule(_CHECK_KEY)
+        if check is None:
+            return None
         block = bf_encrypt_block(check, _CHECK_BLOCK)
-        calls = [check._cipher(_CHECK_NONCE, bytes(n)).tobytes() for n in _CHECK_LENGTHS]
-    except RuntimeError:  # setctr or encrypt returned an error
+        calls = [check._cipher(_CHECK_NONCE.to_bytes(8, "big"), bytes(n)).tobytes() for n in _CHECK_LENGTHS]
+    except RuntimeError:  # a call returned an error
         return None
     expect = [_CHECK_STREAM[:n] for n in _CHECK_LENGTHS]
     return schedule if (block, calls) == (_CHECK_CIPHERTEXT, expect) else None
@@ -258,7 +209,7 @@ def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
     if len(block) != 8:
         raise ValueError(f"block must be 8 bytes, got {len(block)}")
     if state._cipher is not None:  # E(block) is the keystream at counter = block
-        return state._cipher(int.from_bytes(block, "big"), bytes(8)).tobytes()
+        return state._cipher(bytes(block), bytes(8)).tobytes()
     xl = int.from_bytes(block[:4], "big")
     xr = int.from_bytes(block[4:], "big")
     xl, xr = _encrypt_words(state.p, state.s, xl, xr)
@@ -269,12 +220,14 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     """XOR data with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
     each Blowfish-encrypted; applying it twice is the identity.
 
-    data is bytes or a contiguous uint8 array and is left unchanged.  The
-    result is a fresh, flat, writable uint8 array of len(data): libgcrypt's
-    output, or the numpy keystream buffer XORed in place.
+    data is bytes or a 1-D uint8 array and is left unchanged; a strided one is
+    copied first.  The result is a fresh, flat, writable uint8 array of
+    len(data): libgcrypt's output, or the numpy keystream buffer XORed in place.
     """
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data)  # no copy of a contiguous array
     if state._cipher is not None:
-        return state._cipher(nonce, data)
+        return state._cipher((nonce & _MASK64).to_bytes(8, "big"), data)
     nbytes = len(data)
     blocks = np.empty(((nbytes + 7) // 8, 2), dtype=">u4")
     _numpy_keystream(state, nonce, blocks)

@@ -1,4 +1,10 @@
 import numpy as np
+import pytest
+
+from rdhkit import _gcrypt
+
+GCRYPT = _gcrypt._load()
+needs_gcrypt = pytest.mark.skipif(GCRYPT is None, reason="libgcrypt.so.20 does not load on this platform")
 
 
 def make_cover(rng, height, width, red_spread=4, red_base=None, concentration=0.88):
@@ -126,3 +132,59 @@ def y4m_roundtrip() -> bytes:
     assert secret == b"same bytes either way"
     assert video.write_y4m(original) == video.write_y4m(clip)
     return video.write_y4m(marked)
+
+
+class GcryptStandIn:
+    """The platform's libgcrypt with the given functions in place of its own,
+    and without those given as None."""
+
+    def __init__(self, **functions):
+        for name in _gcrypt._CALLS:
+            function = functions.get(name, getattr(GCRYPT, "gcry_" + name))
+            if function is not None:
+                setattr(self, "gcry_" + name, function)
+
+
+def gcrypt_fails(*args):
+    return 1  # a gcry_error_t other than 0
+
+
+def gcrypt_case(id, **functions):
+    """A failed-binding case: a stand-in library with the given functions."""
+    return pytest.param(lambda: GcryptStandIn(**functions), marks=needs_gcrypt, id=id)
+
+
+# the library the failed-binding tests of both ciphers load in place of the
+# platform's: none, one without a call either cipher needs, one whose
+# version check fails, or one where a call both ciphers make returns an error.
+# Each module adds the failures of the calls and bytes its own cipher alone
+# makes
+GCRYPT_FAILURES = [
+    pytest.param(lambda: None, id="no-library"),
+    pytest.param(object, id="no-symbol"),
+    *(gcrypt_case(f"no-{call}-symbol", **{"cipher_" + call: None}) for call in ("setiv", "setctr", "decrypt")),
+    gcrypt_case("version-check-fails", check_version=lambda version: None),
+    gcrypt_case("open-fails", cipher_open=gcrypt_fails),
+    gcrypt_case("setkey-fails", cipher_setkey=gcrypt_fails),
+    gcrypt_case("encrypt-fails", cipher_encrypt=gcrypt_fails),
+]
+
+
+@pytest.fixture
+def load_gcrypt(monkeypatch):
+    """Makes _gcrypt load what the given function returns, typed as the
+    platform's library is, and binds both ciphers again on their next use
+    and after the test."""
+    from rdhkit import aes, blowfish
+
+    def load(make):
+        lib = _gcrypt._typed(make())
+        monkeypatch.setattr(_gcrypt, "_load", lambda: lib)
+        rebind()
+
+    def rebind():
+        aes._native_cbc.cache_clear()
+        blowfish._native_schedule.cache_clear()
+
+    yield load
+    rebind()

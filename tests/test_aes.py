@@ -1,13 +1,13 @@
 import ctypes
 import random
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import ppm_roundtrip, y4m_roundtrip
-from rdhkit import aes
+from conftest import (GCRYPT, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt,
+                      ppm_roundtrip, y4m_roundtrip)
+from rdhkit import aes, blowfish
 from rdhkit.errors import BadKeyLength, BadLength, BadPadding, RdhError
 
 # published FIPS-197 walkthrough values
@@ -34,14 +34,14 @@ SP800_38A_CIPHER = bytes.fromhex(
 
 
 NATIVE = aes._native_cbc()
-needs_native = pytest.mark.skipif(NATIVE is None, reason="no libcrypto AES binding on this platform")
+needs_native = pytest.mark.skipif(NATIVE is None, reason="no libgcrypt AES binding on this platform")
 
 
 def each_path(monkeypatch):
-    """Yields the name of each CBC path, libcrypto first where it is bound,
+    """Yields the name of each CBC path, libgcrypt first where it is bound,
     while aes_cbc_encrypt and aes_cbc_decrypt run on it."""
     if NATIVE is not None:
-        yield "libcrypto"
+        yield "libgcrypt"
     monkeypatch.setattr(aes, "_native_cbc", lambda: None)
     yield "python"
 
@@ -190,9 +190,8 @@ def test_cbc_decrypt_rejects_a_short_iv(monkeypatch):
 
 
 def test_every_input_is_checked_before_the_cipher_runs(monkeypatch):
-    # libcrypto reads 16 key bytes through its pointer whatever the key's
-    # length, and it trusts the ciphertext length: a bad input must be
-    # refused before either path is reached
+    # a bad input must be refused with the package's own error before either
+    # path is reached, not left to the library's error codes
     def refuse(blocks, key, iv, enc):
         raise AssertionError("the cipher ran on an unchecked input")
 
@@ -213,7 +212,8 @@ def test_every_input_is_checked_before_the_cipher_runs(monkeypatch):
 
 
 def test_the_callers_iv_and_data_are_unchanged(monkeypatch):
-    # AES_cbc_encrypt writes the chain back through its IV pointer
+    # CBC carries the chain from block to block; it must not be written back
+    # into the caller's IV or data
     rng = random.Random(7)
     for path in each_path(monkeypatch):
         for kind in (bytes, bytearray):
@@ -351,7 +351,7 @@ def test_mutated_ciphertexts_raise_only_package_errors(monkeypatch):
     n=st.integers(0, 20000),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_libcrypto_cbc_matches_the_python_cbc(key, iv, n, data_seed):
+def test_libgcrypt_cbc_matches_the_python_cbc(key, iv, n, data_seed):
     padded = aes._pad(random.Random(data_seed).randbytes(n))
     ciphertext = NATIVE(padded, key, iv, 1)
     assert ciphertext == aes._python_cbc(padded, key, iv, 1)
@@ -361,29 +361,11 @@ def test_libcrypto_cbc_matches_the_python_cbc(key, iv, n, data_seed):
     assert NATIVE(blocks, key, iv, 0) == aes._python_cbc(blocks, key, iv, 0)
 
 
-SYMBOLS = ("AES_set_encrypt_key", "AES_set_decrypt_key", "AES_cbc_encrypt")
-PLATFORM = aes._libcrypto()
-_SET_KEY_ARGS = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
-_SET_KEY = ctypes.CFUNCTYPE(ctypes.c_int, *_SET_KEY_ARGS)
-# AES_cbc_encrypt(in, out, length, schedule, ivec, enc)
-_CBC_ARGS = (ctypes.c_void_p,) * 2 + (ctypes.c_size_t,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int,)
-_CBC = ctypes.CFUNCTYPE(None, *_CBC_ARGS)
-PLATFORM_FUNCTIONS = {name: getattr(PLATFORM, name, None) for name in SYMBOLS}
-for _name, _fn in PLATFORM_FUNCTIONS.items():
-    if _fn is not None:
-        _fn.argtypes, _fn.restype = (_CBC_ARGS, None) if _name == "AES_cbc_encrypt" else (_SET_KEY_ARGS, ctypes.c_int)
-
-
-def test_no_hashlib_means_no_library(monkeypatch):
-    monkeypatch.setitem(sys.modules, "_hashlib", None)  # makes the import fail
-    assert aes._libcrypto() is None
-
-
-def test_cbc_runs_in_libcrypto_where_it_exports_the_three_symbols(monkeypatch):
-    # a lookup or layout regression would fall back silently, with the same
-    # bytes and every other test green, at about 8 ms of payload-16k's 14 ms hide
-    if None in PLATFORM_FUNCTIONS.values():
-        pytest.skip("this platform's libcrypto does not export the three AES symbols")
+@needs_gcrypt
+def test_cbc_runs_in_libgcrypt_where_it_loads(monkeypatch, load_gcrypt):
+    # a lookup or binding regression would fall back silently, with the same
+    # bytes and every other test green, at about 8 ms of payload-16k's 14 ms
+    # hide; the binding's own check runs no Python cipher either
     data = random.Random(34).randbytes(1000)
     expect = aes._python_cbc(aes._pad(data), KAT_KEY, SP800_38A_IV, 1)
 
@@ -392,71 +374,41 @@ def test_cbc_runs_in_libcrypto_where_it_exports_the_three_symbols(monkeypatch):
 
     monkeypatch.setattr(aes, "_python_cbc", refuse)
     monkeypatch.setattr(aes, "decrypt_block", refuse)
+    load_gcrypt(lambda: GCRYPT)
     ciphertext = aes.aes_cbc_encrypt(data, KAT_KEY, SP800_38A_IV)
     assert ciphertext == expect
     assert aes.aes_cbc_decrypt(ciphertext, KAT_KEY, SP800_38A_IV) == data
 
 
-class StandIn:
-    """A library exporting the platform's three AES functions, with any of
-    them replaced by the given stand-ins, or missing where given None."""
+def _garbled(name):
+    """The platform's gcry_cipher_<name>, with the last byte it writes flipped."""
 
-    def __init__(self, **replaced):
-        for name, fn in {**PLATFORM_FUNCTIONS, **replaced}.items():
-            if fn is not None:
-                setattr(self, name, fn)
+    def garbled(handle, out, outsize, src, inlen):
+        err = getattr(GCRYPT, "gcry_cipher_" + name)(handle, out, outsize, src, inlen)
+        ctypes.c_uint8.from_address(out + inlen - 1).value ^= 1
+        return err
 
-
-def _ecb(inp, out, length, schedule, ivec, enc):
-    # every block under a fresh all-zero IV: CBC with the chain ignored
-    for i in range(0, length, 16):
-        zero_iv = ctypes.create_string_buffer(16)
-        PLATFORM_FUNCTIONS["AES_cbc_encrypt"](inp + i, out + i, 16, schedule, zero_iv, enc)
+    return garbled
 
 
-def _garbled(inp, out, length, schedule, ivec, enc):
-    PLATFORM_FUNCTIONS["AES_cbc_encrypt"](inp, out, length, schedule, ivec, enc)
-    ctypes.c_uint8.from_address(out + length - 1).value ^= 1
+def _ecb(handle, algo, mode, flags):
+    return GCRYPT.gcry_cipher_open(handle, algo, 1, flags)  # GCRY_CIPHER_MODE_ECB, whatever was asked
 
 
-def _one_word_off(name):
-    # round key 5's second word, one bit off
-    def set_key(user_key, bits, schedule):
-        result = PLATFORM_FUNCTIONS[name](user_key, bits, schedule)
-        ctypes.c_uint32.from_address(schedule + 4 * 21).value ^= 1
-        return result
-
-    return _SET_KEY(set_key)
-
-
-@pytest.fixture
-def rebind():
-    """Binds again on the next call, and again after the test."""
-    aes._native_cbc.cache_clear()
-    yield
-    aes._native_cbc.cache_clear()
-
-
-# no library, no symbol, or a stand-in that drops the chain, garbles a byte
-# or schedules one wrong round-key word
+# the failures of both ciphers, an error from setiv or decrypt, a byte
+# garbled both ways, or a CBC handle that drops the chain
 @pytest.mark.parametrize(
     "lib",
     [
-        pytest.param(lambda: None, id="no-library"),
-        pytest.param(object, id="no-symbol"),
-        *(pytest.param(lambda name=name: StandIn(**{name: None}), id=f"no-{name}") for name in SYMBOLS),
-        pytest.param(lambda: StandIn(AES_cbc_encrypt=_CBC(_ecb)), id="cbc-ignores-the-chain", marks=needs_native),
-        pytest.param(lambda: StandIn(AES_cbc_encrypt=_CBC(_garbled)), id="cbc-garbles-a-byte", marks=needs_native),
-        *(
-            pytest.param(
-                lambda name=name: StandIn(**{name: _one_word_off(name)}), id=f"{name}-word-off", marks=needs_native
-            )
-            for name in SYMBOLS[:2]
-        ),
+        *GCRYPT_FAILURES,
+        gcrypt_case("setiv-fails", cipher_setiv=gcrypt_fails),
+        gcrypt_case("decrypt-fails", cipher_decrypt=gcrypt_fails),
+        gcrypt_case("cbc-garbles-a-byte", cipher_encrypt=_garbled("encrypt"), cipher_decrypt=_garbled("decrypt")),
+        gcrypt_case("cbc-ignores-the-chain", cipher_open=_ecb),
     ],
 )
-def test_a_failed_binding_keeps_the_python_cbc(lib, monkeypatch, rebind):
-    monkeypatch.setattr(aes, "_libcrypto", lib)
+def test_a_failed_binding_keeps_the_python_cbc(lib, load_gcrypt):
+    load_gcrypt(lib)
     rng = random.Random(35)
     key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(300)
     expect = aes._python_cbc(aes._pad(data), key, iv, 1)
@@ -468,14 +420,17 @@ def test_a_failed_binding_keeps_the_python_cbc(lib, monkeypatch, rebind):
 @needs_native
 def test_the_check_accepts_the_platforms_functions_through_a_stand_in():
     # the stand-ins above fail the check only by what they change
-    run = aes._bind(StandIn())
+    run = aes._bind(GcryptStandIn())
     assert run is not None
     assert run(SP800_38A_PLAIN, SP800_38A_KEY, SP800_38A_IV, 1) == SP800_38A_CIPHER
 
 
-@needs_native
+@needs_gcrypt
 @pytest.mark.parametrize("roundtrip", [ppm_roundtrip, y4m_roundtrip], ids=["ppm", "y4m"])
-def test_roundtrip_bytes_are_the_same_on_either_path(roundtrip, monkeypatch):
+def test_roundtrip_bytes_are_the_same_on_either_path(roundtrip, load_gcrypt):
+    # one loader decides both ciphers: without the library, AES and Blowfish
+    # both run in Python and numpy, and the files are the native run's
     native = roundtrip()
-    monkeypatch.setattr(aes, "_native_cbc", lambda: None)
+    load_gcrypt(lambda: None)
+    assert aes._native_cbc() is None and blowfish._native_schedule() is None
     assert roundtrip() == native

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import ppm_roundtrip, y4m_roundtrip
+from conftest import GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt
 from rdhkit import blowfish as bf
 from rdhkit.errors import BadKeyLength
 
@@ -53,8 +53,6 @@ def test_schedule_is_deterministic():
     assert a.s == b.s
 
 
-LIB = bf._load_libgcrypt()
-# binding LIB also types the functions the stand-ins below call through
 NATIVE = bf._bind(LIB)
 needs_native = pytest.mark.skipif(NATIVE is None, reason="no libgcrypt Blowfish binding on this platform")
 # the Python schedule, and the libgcrypt one where the platform has it
@@ -91,28 +89,16 @@ def test_native_schedule_matches_the_python_schedule(key, block):
     assert bf.bf_encrypt_block(native, block) == bf.bf_encrypt_block(bf._python_key_schedule(key), block)
 
 
-def _skip_without_libgcrypt():
-    if LIB is None:
-        pytest.skip("libgcrypt.so.20 does not load on this platform")
-
-
 def _refuse(*args):
     raise AssertionError("Blowfish fell back to the Python schedule or the numpy keystream")
 
 
-@pytest.fixture
-def rebind():
-    """Binds again on the next schedule, and again after the test."""
-    bf._native_schedule.cache_clear()
-    yield
-    bf._native_schedule.cache_clear()
-
-
-def test_the_schedule_runs_in_libgcrypt_where_it_loads(monkeypatch, rebind):
+@needs_gcrypt
+def test_the_schedule_runs_in_libgcrypt_where_it_loads(monkeypatch, load_gcrypt):
     # a lookup or binding regression would fall back silently, with the same
     # bytes and every other test green, at more than half a round trip; the
     # binding's own check runs no Python schedule either
-    _skip_without_libgcrypt()
+    load_gcrypt(lambda: LIB)
     expect = bf.bf_encrypt_block(bf._python_key_schedule(b"silent fallback"), b"BLOWFISH")
     monkeypatch.setattr(bf, "_python_key_schedule", _refuse)
     state = bf.bf_key_schedule(b"silent fallback")
@@ -120,9 +106,9 @@ def test_the_schedule_runs_in_libgcrypt_where_it_loads(monkeypatch, rebind):
     assert bf.bf_encrypt_block(state, b"BLOWFISH") == expect
 
 
+@needs_gcrypt
 def test_the_keystream_runs_in_libgcrypt_where_it_loads(monkeypatch):
     # the same silent fallback, for the larger part of a round trip
-    _skip_without_libgcrypt()
     data = random.Random(33).randbytes(8 * CHUNK + 13)
     expect = bf.bf_ctr_transform(bf._python_key_schedule(b"silent fallback"), MASK64 - 9, data)
     monkeypatch.setattr(bf, "_numpy_keystream", _refuse)
@@ -136,17 +122,6 @@ def test_the_pinned_known_answer_is_the_python_schedules_output():
     assert max(bf._CHECK_LENGTHS) == len(bf._CHECK_STREAM)
     for n in bf._CHECK_LENGTHS:
         assert bf.bf_ctr_transform(state, bf._CHECK_NONCE, bytes(n)).tobytes() == bf._CHECK_STREAM[:n]
-
-
-class StandIn:
-    """The platform's libgcrypt with the given functions in place of its own,
-    and without those given as None."""
-
-    def __init__(self, **functions):
-        for name in bf._GCRY_NAMES:
-            function = functions.get(name, getattr(LIB, "gcry_" + name))
-            if function is not None:
-                setattr(self, "gcry_" + name, function)
 
 
 def _garbled_encrypt(handle, out, outsize, src, inlen):
@@ -173,42 +148,27 @@ def _keeps_leftover():
             left[:] = tail.raw
         return err
 
-    return StandIn(cipher_encrypt=encrypt)
-
-
-def _fails(*args):
-    return 1  # a gcry_error_t other than 0
-
-
-def _stand_in(id, **functions):
-    return pytest.param(lambda: StandIn(**functions), marks=needs_native, id=id)
+    return GcryptStandIn(cipher_encrypt=encrypt)
 
 
 def _counter_reversed(handle, counter, n):
     return LIB.gcry_cipher_setctr(handle, counter[::-1], n)
 
 
-# no library, no symbol, a failed version check, an error from each call, a
-# garbled byte, a counter in the other byte order, or leftover keystream kept
-# across setctr
+# the failures of both ciphers, an error from setctr, a garbled byte, a
+# counter in the other byte order, or leftover keystream kept across setctr
 @pytest.mark.parametrize(
     "lib",
     [
-        pytest.param(lambda: None, id="no-library"),
-        pytest.param(object, id="no-symbol"),
-        _stand_in("no-setctr-symbol", cipher_setctr=None),
-        _stand_in("version-check-fails", check_version=lambda version: None),
-        _stand_in("open-fails", cipher_open=_fails),
-        _stand_in("setkey-fails", cipher_setkey=_fails),
-        _stand_in("setctr-fails", cipher_setctr=_fails),
-        _stand_in("encrypt-fails", cipher_encrypt=_fails),
-        _stand_in("encrypt-garbles-a-byte", cipher_encrypt=_garbled_encrypt),
-        _stand_in("other-byte-order", cipher_setctr=_counter_reversed),
-        pytest.param(_keeps_leftover, marks=needs_native, id="setctr-keeps-leftover"),
+        *GCRYPT_FAILURES,
+        gcrypt_case("setctr-fails", cipher_setctr=gcrypt_fails),
+        gcrypt_case("encrypt-garbles-a-byte", cipher_encrypt=_garbled_encrypt),
+        gcrypt_case("other-byte-order", cipher_setctr=_counter_reversed),
+        pytest.param(_keeps_leftover, marks=needs_gcrypt, id="setctr-keeps-leftover"),
     ],
 )
-def test_a_failed_binding_keeps_the_python_schedule(lib, monkeypatch, rebind):
-    monkeypatch.setattr(bf, "_load_libgcrypt", lib)
+def test_a_failed_binding_keeps_the_python_schedule(lib, load_gcrypt):
+    load_gcrypt(lib)
     key = b"fallback key"
     state, expect = bf.bf_key_schedule(key), bf._python_key_schedule(key)
     assert bf._native_schedule() is None
@@ -240,7 +200,7 @@ def test_a_key_libgcrypt_refuses_falls_back_alone():
 @needs_native
 def test_the_check_accepts_a_stand_in_writing_the_true_words():
     # every function is the platform's: each failure above differs in one
-    schedule = bf._bind(StandIn())
+    schedule = bf._bind(GcryptStandIn())
     assert schedule is not None
     state, expect = schedule(b"fallback key"), bf._python_key_schedule(b"fallback key")
     assert state._cipher is not None
@@ -250,16 +210,16 @@ def test_the_check_accepts_a_stand_in_writing_the_true_words():
 
 
 @needs_native
-def test_collecting_a_key_closes_its_handle(monkeypatch, rebind):
+def test_collecting_a_key_closes_its_handle(load_gcrypt):
     closed = []
 
     def close(handle):
         closed.append(handle.value)
         LIB.gcry_cipher_close(handle)
 
-    monkeypatch.setattr(bf, "_load_libgcrypt", lambda: StandIn(cipher_close=close))
+    load_gcrypt(lambda: GcryptStandIn(cipher_close=close))
     state = bf.bf_key_schedule(b"short-lived key")
-    handle = state._cipher.args[0].value
+    handle = state._cipher.args[1].value
     assert len(closed) == 1  # the binding's check key, closed once checked
     closed.clear()
     gc.collect()
@@ -297,14 +257,6 @@ def test_threads_sharing_a_key_each_get_their_own_keystream():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-
-
-@needs_native
-@pytest.mark.parametrize("roundtrip", [ppm_roundtrip, y4m_roundtrip], ids=["ppm", "y4m"])
-def test_roundtrip_bytes_are_the_same_on_either_schedule(roundtrip, monkeypatch):
-    native = roundtrip()
-    monkeypatch.setattr(bf, "_native_schedule", lambda: None)
-    assert roundtrip() == native
 
 
 def test_block_length_enforced():

@@ -1,7 +1,8 @@
 """Public-surface guards: the package root exports the entry points alone and
 nothing imports another name from it, every public function or class in rdhkit
 has a caller, and so does every public method and property of its classes,
-each per-unit cover step is called from one loop per direction,
+each per-unit cover step is called from one loop per direction, only
+``_gcrypt`` binds a native library,
 no function casts its samples to uint8 (``errors.check_samples`` refuses what
 is not uint8), and no module of the package or its tests imports a name it
 never uses.
@@ -136,6 +137,20 @@ def test_only_pipeline_knows_the_host_layout():
         if "HEADER_SLOTS" in _references(tree) | imported:
             outside.add(path.name)
     assert not outside, f"modules besides pipeline.py refer to HEADER_SLOTS: {sorted(outside)}"
+
+
+def test_only_gcrypt_binds_a_native_library():
+    # both ciphers run in one native library or in neither; a second binding
+    # would double the configurations the tests must cover
+    outside = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module}
+        for module in {name.split(".")[0] for name in imported} & {"ctypes", "_hashlib"}:
+            if (path.name, module) != ("_gcrypt.py", "ctypes"):
+                outside.add(f"{path.name}:{module}")
+    assert not outside, f"native bindings outside _gcrypt.py: {sorted(outside)}"
 
 
 # the steps each direction runs on a unit sit in one loop, so a change to the

@@ -247,6 +247,32 @@ def test_hide_and_reveal_refuse_frames_that_are_not_1d():
     assert vid.video_reveal(marked, KEYS)[0] == b"flat frames only"
 
 
+def strided(frames):
+    """Each frame as a strided view of a new buffer twice its length: the same samples."""
+    return [np.repeat(frame, 2)[::2] for frame in frames]
+
+
+@pytest.mark.parametrize("path", ["platform", "python"])
+def test_reveal_and_embed_read_strided_frames_as_their_samples(path, load_gcrypt):
+    # the cover cipher reads each unit as one buffer; a strided 1-D frame is
+    # as good a frame as a contiguous one on either cipher path
+    if path == "python":
+        load_gcrypt(lambda: None)
+    clip = make_clip(np.random.default_rng(62), nframes=3)
+    marked = vid.video_hide(clip, b"any 1-D frame", KEYS, iv=IV)
+    secret, original = vid.video_reveal(replace(marked, frames=strided(marked.frames)), KEYS)
+    assert secret == b"any 1-D frame"
+    assert vid.write_y4m(original) == vid.write_y4m(clip)
+    host = vid.y_host(clip)
+    capacities = [pipeline.max_embeddable_bits(frame[host]) for frame in clip.frames]
+    segments = build_frames(b"any 1-D frame", KEYS.data_key, IV, capacities)
+    units, flat = strided(clip.frames), [frame.copy() for frame in clip.frames]
+    marked_units = pipeline.embed_segments(units, host, segments, KEYS)
+    marked_flat = pipeline.embed_segments(flat, host, segments, KEYS)
+    assert all(np.array_equal(a, b) for a, b in zip(marked_units, marked_flat))
+    assert all(np.array_equal(a, b) for a, b in zip(units, flat))
+
+
 @pytest.mark.parametrize(
     "change",
     [
