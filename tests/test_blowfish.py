@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt
+from conftest import (GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt,
+                      ppm_roundtrip, y4m_roundtrip)
 from rdhkit import blowfish as bf
 from rdhkit.errors import BadKeyLength
 
@@ -258,6 +259,14 @@ def test_threads_sharing_a_key_each_get_their_own_keystream():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
 
+
+@needs_native
+@pytest.mark.parametrize("roundtrip", [ppm_roundtrip, y4m_roundtrip], ids=["ppm", "y4m"])
+def test_roundtrip_bytes_are_the_same_on_either_schedule(roundtrip, monkeypatch):
+    # Blowfish alone on the Python schedule, AES still where it was bound
+    native = roundtrip()
+    monkeypatch.setattr(bf, "_native_schedule", lambda: None)
+    assert roundtrip() == native
 
 def test_block_length_enforced():
     state = bf.bf_key_schedule(b"abcd")
