@@ -15,13 +15,10 @@ take the names in ShiftRows order (so ShiftRows costs nothing), and one pack
 makes bytes of the four column words.  The last round has no MixColumns:
 ``(state * 5)[::5]`` is the state after ShiftRows (byte i is byte 5i mod
 16), and ``bytes.translate`` substitutes all 16 bytes at once.  Whitening
-and the chain are one 128-bit int XOR per block.  Larger tables lose:
-65,536-entry byte-pair tables (T0^T1, T2^T3) halve the lookups but slowed
-every benchmark workload, with about 5 MB of ints going cold between calls.
-CBC decryption has no chain between blocks, so ``decrypt_block`` runs the
-equivalent inverse cipher (FIPS-197 §5.3.5: InvMixColumns applied to round
-keys 1-9) on every block at once, with numpy uint32 inverse T-tables
-gathered over all blocks.
+and the chain are one 128-bit int XOR per block.  CBC decryption has no
+chain between blocks, so ``decrypt_block`` runs the equivalent inverse
+cipher (FIPS-197 §5.3.5: InvMixColumns applied to round keys 1-9) on every
+block at once, with numpy uint32 inverse T-tables gathered over all blocks.
 
 ``expand_key`` returns the 44 schedule words w[0..43] of FIPS-197 §5.2, the
 form both Python directions read.  The FIPS-197 known-answer block (the
@@ -274,8 +271,6 @@ def _bind(lib):
     def run(blocks: bytes, key: bytes, iv: bytes, enc: int) -> bytes:
         # the caller has checked the key, the IV and, decrypting, the length
         cbc = _gcrypt.cipher(lib, _gcrypt.AES128, _gcrypt.CBC, key)
-        if cbc is None:  # libgcrypt refuses no AES key of the right length
-            raise RuntimeError("libgcrypt refused an AES-128 key")
         return cbc(bytes(iv), blocks, decrypt=not enc).tobytes()
 
     try:

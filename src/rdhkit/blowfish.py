@@ -6,15 +6,13 @@ plaintext bit, which the room-reservation step can restore.  A block mode
 would smear every flipped LSB over a whole 8-byte block on decryption and
 destroy reversibility.
 
-Where ``_gcrypt`` loads libgcrypt, a key is a libgcrypt Blowfish-CTR
-handle, whose counter is the whole block, big-endian, mod 2^64: this
-format's.  A weak key, which the library refuses, gets the Python schedule.
-No option selects the path.
+Where ``_gcrypt`` loads libgcrypt, every key, a weak one included, is a
+libgcrypt Blowfish-CTR handle, whose counter is the whole block, big-endian,
+mod 2^64: this format's.  No option selects the path.
 
 Elsewhere the key schedule runs in Python and the keystream in numpy, with
 the same bytes; both are also the tests' reference.  The numpy kernel runs
-the Feistel rounds on whole arrays of counter blocks at once.  Four choices
-keep it fast and small:
+all 16 Feistel rounds on whole arrays of counter blocks at once:
 
 - A fused S0+S1 table.  Each Python schedule also builds
   ``t01[(a << 8) | b] = (S0[a] + S1[b]) mod 2^32`` (65,536 words, 256 KB),
@@ -28,20 +26,8 @@ keep it fast and small:
   chunk, which the ``ndarray.take`` method (not the slower ``np.take``
   wrapper) gathers through in ``"wrap"`` mode straight into preallocated
   outputs.  The wrap is exact, as a uint16 index always lies inside the
-  65,536-entry fused table and a uint8 index inside an S-box; the default
-  bounds check would also stage each gather in a temporary.  The last
-  round's halves are whitened straight into the big-endian output.
-- 32-bit counter words, no 64-bit counter array.  A chunk also ends where
-  the low word carries, so its counters share one high word and their low
-  words count up from the chunk's first without wrapping.
-- Counter-determined rounds.  Within a chunk, round 0's input is the high
-  word alone, so its F is one scalar; it sets the key K that round 1's input
-  ``v ^ K`` carries, v being the low word.  Round 1's F is then a row term,
-  ``T01 ^ S2`` of ``(v >> 8) ^ (K >> 8)``, plus a column term, ``S3`` of
-  ``(v & 0xFF) ^ (K & 0xFF)``: a table of one word per 256-counter row the
-  chunk touches and one of 256 words, added by broadcasting into the left
-  half.  Rounds 0 and 1 thus make no per-block gather, and only rounds 2-15
-  gather per block.
+  fused table and a uint8 index inside an S-box; the default bounds check
+  would also stage each gather in a temporary.
 
 Either path returns a fresh, flat, writable uint8 array (numpy's is the
 keystream buffer, XORed in place), which the pipeline writes the payload
@@ -76,10 +62,8 @@ MAX_KEY_BYTES = 56
 # counter blocks per vectorised pass: at 16K blocks the four 64 KB word
 # buffers a round works in and the 256 KB fused table stay near the cache, and
 # a call's scratch (those buffers plus ndarray.take's 128 KB intp index copy)
-# is 384 KB.  32K blocks took about 3.5% less time on a 786 KB call, for twice
-# that scratch, which set the image round trip's memory peak
+# is 384 KB
 _CHUNK_BLOCKS = 1 << 14
-_BYTES = np.arange(256, dtype=np.uint8)
 
 
 class BlowfishState:
@@ -101,15 +85,14 @@ class BlowfishState:
 
 
 def bf_key_schedule(key: bytes) -> BlowfishState:
-    """Mix the key into a libgcrypt cipher where that is bound and takes the
-    key, else into the P-array and S-boxes in Python; the bytes are the same."""
+    """Mix the key into a libgcrypt cipher where that is bound, else into the
+    P-array and S-boxes in Python; the bytes are the same."""
     if not MIN_KEY_BYTES <= len(key) <= MAX_KEY_BYTES:
         raise BadKeyLength(
             f"Blowfish key must be {MIN_KEY_BYTES}..{MAX_KEY_BYTES} bytes, got {len(key)}"
         )
     native = _native_schedule()
-    state = native(key) if native else None
-    return state or _python_key_schedule(key)
+    return native(key) if native else _python_key_schedule(key)
 
 
 def _python_key_schedule(key: bytes) -> BlowfishState:
@@ -145,36 +128,35 @@ def _native_schedule():
 # counter 1, whose first 13 bytes a first call gets, leaving three bytes of a
 # block unused, and all of which a second call from the same counter gets.  A
 # counter written or counted in the other byte order, or whose low word alone
-# counts, misses it
+# counts, misses it.  Last, the same block under a weak key (the Python
+# schedule's S1 repeats a word), which a library keying no weak key misses
 _CHECK_KEY, _CHECK_BLOCK, _CHECK_CIPHERTEXT = (
     bytes.fromhex(h) for h in ("0123456789ABCDEF", "1111111111111111", "61F9C3802281B096")
 )
 _CHECK_NONCE = _MASK64 - 1
 _CHECK_LENGTHS = (13, 32)
 _CHECK_STREAM = bytes.fromhex("59bc08a9702930831c6cd49835c7b012245946885754369a3b538209f118ef2a")
+_CHECK_WEAK_KEY, _CHECK_WEAK_CIPHERTEXT = b"weak098604", bytes.fromhex("e0d7a972a5637fa7")
 
 
 def _bind(lib):
-    """A key schedule opening one lib Blowfish-CTR handle per key, which
-    returns None for a key the library refuses; or None where lib is None or
-    misses the known answer."""
+    """A key schedule opening one lib Blowfish-CTR handle per key; or None
+    where lib is None or misses the known answer."""
     if lib is None:
         return None
 
-    def schedule(key: bytes) -> BlowfishState | None:
-        cipher = _gcrypt.cipher(lib, _gcrypt.BLOWFISH, _gcrypt.CTR, key)
-        return cipher and BlowfishState(None, None, cipher)
+    def schedule(key: bytes) -> BlowfishState:
+        return BlowfishState(None, None, _gcrypt.cipher(lib, _gcrypt.BLOWFISH, _gcrypt.CTR, key))
 
     try:
         check = schedule(_CHECK_KEY)
-        if check is None:
-            return None
         block = bf_encrypt_block(check, _CHECK_BLOCK)
         calls = [check._cipher(_CHECK_NONCE.to_bytes(8, "big"), bytes(n)).tobytes() for n in _CHECK_LENGTHS]
+        weak = bf_encrypt_block(schedule(_CHECK_WEAK_KEY), _CHECK_BLOCK)
     except RuntimeError:  # a call returned an error
         return None
     expect = [_CHECK_STREAM[:n] for n in _CHECK_LENGTHS]
-    return schedule if (block, calls) == (_CHECK_CIPHERTEXT, expect) else None
+    return schedule if (block, calls, weak) == (_CHECK_CIPHERTEXT, expect, _CHECK_WEAK_CIPHERTEXT) else None
 
 
 def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
@@ -249,17 +231,19 @@ def _numpy_keystream(state: BlowfishState, nonce: int, blocks: np.ndarray) -> No
     g_buf = np.empty(n, dtype=np.uint32)
     p, t01, s2, s3 = state._p32, state._t01, state._s_np[2], state._s_np[3]
 
-    start = 0
-    while start < nblocks:
+    for start in range(0, nblocks, _CHUNK_BLOCKS):
         base = (nonce + start) & _MASK64
         high, low = base >> 32, base & _MASK32
-        m = min(_CHUNK_BLOCKS, nblocks - start, (1 << 32) - low)  # ends at the low word's carry
+        m = min(_CHUNK_BLOCKS, nblocks - start)
         xl, xr, f, g = xl_buf[:m], xr_buf[:m], f_buf[:m], g_buf[:m]
-        _first_two_rounds(state, high, low, xl, xr)
+        # the counters' low words, wrapping, then their high words: a low word
+        # below the chunk's first has carried
+        np.add(np.arange(m, dtype=np.uint32), low, out=xr)
+        np.less(xr, low, out=xl)
+        xl += high
         il, ir = _index_views(xl), _index_views(xr)
-        for i in range(2, 16):
-            if i > 2:  # round 2's P entry is already in xl
-                np.bitwise_xor(xl, p[i], out=xl)
+        for i in range(16):
+            np.bitwise_xor(xl, p[i], out=xl)
             # F(x) = (T01[x >> 16] ^ S2[(x >> 8) & 0xFF]) + S3[x & 0xFF]
             hw, b1, b0 = il
             t01.take(hw, out=f, mode="wrap")
@@ -273,50 +257,9 @@ def _numpy_keystream(state: BlowfishState, nonce: int, blocks: np.ndarray) -> No
         # whitened crosswise into the output words: (xr ^ P17, xl ^ P16)
         np.bitwise_xor(xr, p[17], out=blocks[start : start + m, 0])
         np.bitwise_xor(xl, p[16], out=blocks[start : start + m, 1])
-        start += m
 
 
 def _index_views(half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The S-box indices of a little-endian half: x >> 16, (x >> 8) & 0xFF, x & 0xFF."""
     x8 = half.view(np.uint8)
     return half.view("<u2")[1::2], x8[1::4], x8[0::4]
-
-
-def _first_two_rounds(
-    state: BlowfishState, high: int, low: int, xl: np.ndarray, xr: np.ndarray
-) -> None:
-    """Rounds 0 and 1 for the counters (high, low + i), i < len(xl), whose low
-    words do not wrap; writes the halves that enter round 2, with P2 in xl.
-
-    Round 0's input is the high word alone, so its F is one scalar, and round
-    1's input is v ^ key with v = low + i.  Its F depends on x >> 8 =
-    (v >> 8) ^ (key >> 8) through T01 ^ S2 and on x & 0xFF = (v & 0xFF) ^
-    (key & 0xFF) through S3, so it is a row term plus a column term over the
-    256-counter rows: one small table for each, broadcast into xl.
-    """
-    p, (s0, s1, s2, s3) = state.p, state.s
-    x = high ^ p[0]
-    key = ((s0[x >> 24] + s1[x >> 16 & 0xFF] ^ s2[x >> 8 & 0xFF]) + s3[x & 0xFF] & _MASK32) ^ p[1]
-    np.bitwise_xor(np.arange(low, low + xl.size, dtype=np.uint32), key, out=xr)  # v ^ key
-    # x >> 8 for each 256-counter row the chunk touches, x & 0xFF for each column
-    rows = np.arange(low >> 8, ((low + xl.size - 1) >> 8) + 1, dtype=np.uint32)
-    rows ^= key >> 8
-    cols = _BYTES ^ (key & 0xFF)
-    row_f = state._t01.take(rows >> 8, mode="wrap")
-    row_f ^= state._s_np[2].take(rows & 0xFF, mode="wrap")
-    _rows_plus_cols(row_f, state._s_np[3].take(cols, mode="wrap"), low & 0xFF, xl)
-    np.bitwise_xor(xl, x ^ p[2], out=xl)  # round 1 XORs F into high ^ P0
-
-
-def _rows_plus_cols(rows: np.ndarray, cols: np.ndarray, col: int, out: np.ndarray) -> None:
-    """out[i] = rows[k] + cols[j] (mod 2^32) with (k, j) = divmod(col + i, 256):
-    the row-major table of row-by-column sums, read from column col of row 0,
-    written straight into out as a head row, whole rows and a tail row."""
-    m = out.size
-    head = min(m, 256 - col)
-    np.add(rows[0], cols[col : col + head], out=out[:head])
-    full, tail = divmod(m - head, 256)
-    if full:
-        np.add(rows[1 : 1 + full, None], cols, out=out[head : head + 256 * full].reshape(full, 256))
-    if tail:
-        np.add(rows[1 + full], cols[:tail], out=out[m - tail :])

@@ -97,17 +97,17 @@ def planes(clip, i):
     )
 
 
-def _roundtrip_keys():
+def _roundtrip_keys(image_key=b"either path"):
     from rdhkit.pipeline import StegoKeys
 
-    return StegoKeys(bytes(range(16)), b"either path", 0x5EED)
+    return StegoKeys(bytes(range(16)), image_key, 0x5EED)
 
 
-def ppm_roundtrip() -> bytes:
+def ppm_roundtrip(image_key=b"either path") -> bytes:
     """Hide and reveal on a small PPM cover, checking both; the marked file."""
     from rdhkit import netpbm, pipeline
 
-    keys = _roundtrip_keys()
+    keys = _roundtrip_keys(image_key)
     cover = make_cover(np.random.default_rng(31), 48, 48)
     result = pipeline.hide(cover, b"same bytes either way", keys, iv=bytes(16))
     secret, original = pipeline.reveal(result.image, keys)
@@ -156,15 +156,17 @@ def gcrypt_case(id, **functions):
 
 # the library the failed-binding tests of both ciphers load in place of the
 # platform's: none, one without a call either cipher needs, one whose
-# version check fails, or one where a call both ciphers make returns an error.
+# version check fails, or one where a call both ciphers make (the weak-key
+# ctl among them) returns an error.
 # Each module adds the failures of the calls and bytes its own cipher alone
 # makes
 GCRYPT_FAILURES = [
     pytest.param(lambda: None, id="no-library"),
     pytest.param(object, id="no-symbol"),
-    *(gcrypt_case(f"no-{call}-symbol", **{"cipher_" + call: None}) for call in ("setiv", "setctr", "decrypt")),
+    *(gcrypt_case(f"no-{call}-symbol", **{"cipher_" + call: None}) for call in ("ctl", "setiv", "setctr", "decrypt")),
     gcrypt_case("version-check-fails", check_version=lambda version: None),
     gcrypt_case("open-fails", cipher_open=gcrypt_fails),
+    gcrypt_case("ctl-fails", cipher_ctl=gcrypt_fails),
     gcrypt_case("setkey-fails", cipher_setkey=gcrypt_fails),
     gcrypt_case("encrypt-fails", cipher_encrypt=gcrypt_fails),
 ]

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import (GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt,
                       ppm_roundtrip, y4m_roundtrip)
@@ -55,6 +55,8 @@ def test_schedule_is_deterministic():
 
 
 NATIVE = bf._bind(LIB)
+# a key libgcrypt calls weak: the Python schedule's S1 repeats a word
+WEAK_KEY = b"weak098604"
 needs_native = pytest.mark.skipif(NATIVE is None, reason="no libgcrypt Blowfish binding on this platform")
 # the Python schedule, and the libgcrypt one where the platform has it
 SCHEDULES = [bf._python_key_schedule] + ([NATIVE] if NATIVE else [])
@@ -83,10 +85,10 @@ def test_variable_length_key_vector():
     key=st.binary(min_size=bf.MIN_KEY_BYTES, max_size=bf.MAX_KEY_BYTES),
     block=st.binary(min_size=8, max_size=8),
 )
+@example(key=WEAK_KEY, block=b"BLOWFISH")
 def test_native_schedule_matches_the_python_schedule(key, block):
     # a libgcrypt key holds no tables, so it is compared by what it encrypts
     native = NATIVE(key)
-    assume(native is not None)  # not one of the rare weak keys libgcrypt refuses
     assert bf.bf_encrypt_block(native, block) == bf.bf_encrypt_block(bf._python_key_schedule(key), block)
 
 
@@ -120,6 +122,8 @@ def test_the_keystream_runs_in_libgcrypt_where_it_loads(monkeypatch):
 def test_the_pinned_known_answer_is_the_python_schedules_output():
     state = bf._python_key_schedule(bf._CHECK_KEY)
     assert bf.bf_encrypt_block(state, bf._CHECK_BLOCK) == bf._CHECK_CIPHERTEXT
+    weak = bf._python_key_schedule(bf._CHECK_WEAK_KEY)
+    assert bf.bf_encrypt_block(weak, bf._CHECK_BLOCK) == bf._CHECK_WEAK_CIPHERTEXT
     assert max(bf._CHECK_LENGTHS) == len(bf._CHECK_STREAM)
     for n in bf._CHECK_LENGTHS:
         assert bf.bf_ctr_transform(state, bf._CHECK_NONCE, bytes(n)).tobytes() == bf._CHECK_STREAM[:n]
@@ -156,12 +160,18 @@ def _counter_reversed(handle, counter, n):
     return LIB.gcry_cipher_setctr(handle, counter[::-1], n)
 
 
+def _weak_key_not_allowed(handle, cmd, buffer, buflen):
+    return 0  # success, without allowing the handle weak keys
+
+
 # the failures of both ciphers, an error from setctr, a garbled byte, a
-# counter in the other byte order, or leftover keystream kept across setctr
+# counter in the other byte order, leftover keystream kept across setctr, or
+# a ctl that leaves weak keys unkeyed
 @pytest.mark.parametrize(
     "lib",
     [
         *GCRYPT_FAILURES,
+        gcrypt_case("weak-key-not-allowed", cipher_ctl=_weak_key_not_allowed),
         gcrypt_case("setctr-fails", cipher_setctr=gcrypt_fails),
         gcrypt_case("encrypt-garbles-a-byte", cipher_encrypt=_garbled_encrypt),
         gcrypt_case("other-byte-order", cipher_setctr=_counter_reversed),
@@ -181,21 +191,23 @@ def test_a_failed_binding_keeps_the_python_schedule(lib, load_gcrypt):
     assert stream.tobytes() == bf.bf_ctr_transform(expect, MASK64 - 7, data).tobytes()
 
 
-# libgcrypt refuses this key as weak: the Python schedule's S1 repeats a word
-WEAK_KEY = b"weak098604"
+@needs_native
+def test_a_weak_key_runs_in_libgcrypt():
+    expect = bf._python_key_schedule(WEAK_KEY)
+    assert len(set(expect.s[1])) == 255
+    state = bf.bf_key_schedule(WEAK_KEY)
+    assert state._cipher is not None
+    assert bf.bf_encrypt_block(state, b"BLOWFISH") == bf.bf_encrypt_block(expect, b"BLOWFISH")
+    data = bytes(8 * 50 + 3)
+    nonce = MASK64 - 4  # across the wrap at 2^64
+    assert bf.bf_ctr_transform(state, nonce, data).tobytes() == bf.bf_ctr_transform(expect, nonce, data).tobytes()
 
 
 @needs_native
-def test_a_key_libgcrypt_refuses_falls_back_alone():
-    expect = bf._python_key_schedule(WEAK_KEY)
-    assert len(set(expect.s[1])) == 255
-    assert NATIVE(WEAK_KEY) is None
-    state = bf.bf_key_schedule(WEAK_KEY)
-    assert (state.p, state.s) == (expect.p, expect.s)
-    data = bytes(8 * 50 + 1)
-    assert bf.bf_ctr_transform(state, 3, data).tobytes() == bf.bf_ctr_transform(expect, 3, data).tobytes()
-    # the binding stays: the next key runs in libgcrypt
-    assert bf.bf_key_schedule(b"weak098605")._cipher is not None
+def test_a_weak_image_key_marks_the_same_bytes_without_the_library(load_gcrypt):
+    native = ppm_roundtrip(WEAK_KEY)
+    load_gcrypt(lambda: None)
+    assert ppm_roundtrip(WEAK_KEY) == native
 
 
 @needs_native
@@ -221,7 +233,7 @@ def test_collecting_a_key_closes_its_handle(load_gcrypt):
     load_gcrypt(lambda: GcryptStandIn(cipher_close=close))
     state = bf.bf_key_schedule(b"short-lived key")
     handle = state._cipher.args[1].value
-    assert len(closed) == 1  # the binding's check key, closed once checked
+    assert len(closed) == 2  # the binding's two check keys, closed once checked
     closed.clear()
     gc.collect()
     assert closed == []
@@ -392,9 +404,8 @@ ROWS_STATES = [schedule(b"row by column") for schedule in SCHEDULES]
 @pytest.mark.parametrize("high", [0x5EED, 0xFFFFFFFF], ids=["carry", "wrap-2^64"])
 @pytest.mark.parametrize("offset", [0, 1, 255, 256, 257])
 def test_low_word_carry_at_each_offset_from_a_row_start(high, offset):
-    # rounds 0-1 come from per-row tables, one run before the low word
-    # carries and one after; the first run is offset + start_col blocks long
-    # (none for 0) and starts at column (-offset - start_col) mod 256
+    # the call starts at column (-offset - start_col) mod 256 of a 256-counter
+    # row, and its low word carries offset + start_col blocks in (at once for 0)
     for state, start_col in itertools.product(ROWS_STATES, (0, 0x9D)):
         nonce = ((high << 32) + (1 << 32) - offset - start_col) & MASK64
         nblocks = offset + start_col + 300
@@ -491,9 +502,9 @@ def test_keystream_matches_independent_blowfish(nonce, nbytes):
     before_wrap=st.integers(1, 4 * CHUNK),
     nbytes=st.integers(0, 3 * 8 * CHUNK),
 )
+@example(key=WEAK_KEY, before_wrap=5, nbytes=403)
 def test_libgcrypt_keystream_matches_the_numpy_kernel(key, before_wrap, nbytes):
     native = NATIVE(key)
-    assume(native is not None)  # not one of the rare weak keys libgcrypt refuses
     nonce, data = (1 << 64) - before_wrap, bytes(nbytes)
     expect = bf.bf_ctr_transform(bf._python_key_schedule(key), nonce, data)
     assert bf.bf_ctr_transform(native, nonce, data).tobytes() == expect.tobytes()

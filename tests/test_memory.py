@@ -89,9 +89,10 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
     "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
     # the numpy keystream: the result (1), four 16K-block word buffers (0.25)
-    # and ndarray.take's intp copy of one index (0.125) read 1.375; one more
-    # chunk-sized word array (0.0625) would cross 1.43.  The nonce's low word
-    # carries in the first chunk
+    # and ndarray.take's intp copy of one index (0.125) read 1.375; a chunk's
+    # counters come from a transient arange freed before its first gather, and
+    # one more chunk-sized word array held beside them (0.0625) would cross
+    # 1.43.  The nonce's low word carries in the first chunk
     "bf_ctr_transform": (1.43, lambda h: bf_ctr_transform(h.numpy_state, 0xFFFFFF00, h.plane)),
     # the libgcrypt keystream: the result (1) alone, written by the library
     # straight from the input; a keystream buffer or a counter array beside it
