@@ -21,9 +21,9 @@ first block's count is the running sum), a fixed 512 KB temporary.
 Extraction scans from a first step sized by the bit count, at most
 _SCAN_STEP samples a step, and stops at the step holding the last.
 
-All functions take numpy uint8 arrays of any shape (flat and strided views
-of image planes included) and refuse any other plane with
-``check_samples``'s DimensionMismatch.
+The shifts take uint8 planes of any shape (flat and strided views of image
+planes included) and ``count_values`` a 1-D one, refusing any other plane
+with ``check_samples``'s DimensionMismatch; ``plan_hs`` takes its histogram.
 """
 
 from __future__ import annotations
@@ -56,23 +56,21 @@ _SCAN_STEP = 1 << 14
 
 def count_values(flat: np.ndarray) -> np.ndarray:
     """The 256-bin histogram of a flat uint8 array, counted BLOCK samples at a time."""
-    hist = np.bincount(flat[:BLOCK], minlength=256)
+    hist = np.bincount(check_samples(flat, "plane")[:BLOCK], minlength=256)
     for start in range(BLOCK, flat.size, BLOCK):
         hist += np.bincount(flat[start : start + BLOCK], minlength=256)
     return hist
 
 
-def plan_hs(plane: np.ndarray) -> tuple[int, int]:
-    """Choose (peak, zero) for a plane.
+def plan_hs(hist: np.ndarray) -> tuple[int, int]:
+    """Choose (peak, zero) from a plane's 256-bin histogram, as count_values gives it.
 
     Peak is the most frequent value (ties go to the smallest value); zero is
     the nearest empty bin above the peak, falling back to the nearest empty
     bin below.  The peak's count is the capacity, which hs_embed checks.
     """
-    flat = check_samples(plane, "plane").reshape(-1)
-    if flat.size == 0:
+    if not hist.any():
         raise CoverTooSmall("cannot plan an embedding on an empty plane")
-    hist = count_values(flat)
     peak = int(hist.argmax())  # argmax returns the smallest index on ties
     empty = np.flatnonzero(hist == 0)
     if empty.size == 0:

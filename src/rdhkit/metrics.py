@@ -16,8 +16,7 @@ from .errors import DimensionMismatch, check_samples
 from .histshift import BLOCK
 
 
-def squared_error(a: np.ndarray, b: np.ndarray) -> np.int64:
-    """The exact sum of squared differences of two same-shaped uint8 arrays."""
+def mse(a: np.ndarray, b: np.ndarray) -> float:
     a, b = check_samples(a, "a PSNR input"), check_samples(b, "a PSNR input")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
@@ -29,13 +28,9 @@ def squared_error(a: np.ndarray, b: np.ndarray) -> np.int64:
         sq -= b[start : start + BLOCK]
         np.square(sq, out=sq)
         total += sq.view(np.uint16).sum(dtype=np.int64)
-    return total
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
     # the int64 sum is an exact integer below 2^53, so dividing it gives the
     # same float as the mean of int64 squares (nan for empty input, like that mean)
-    return float(squared_error(a, b) / np.size(a))
+    return float(total / a.size)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -28,6 +28,8 @@ How long region A may be is decided in one place, ``max_embeddable_bits``:
 the longest L whose region B can still take the 64+L backup bits.  Every
 cover is sized by it, an image's red samples and each video frame's Y
 plane alike, and a host that cannot carry even L = 0 raises the reason.
+Each host is counted once (``count_values``); that histogram sizes it and
+reserves it, region B's at any L being it less the first L+64 samples' count.
 
 Room is reserved before encryption: the original LSBs of the header slots
 and region A are tucked reversibly into region B, the side header (peak u8,
@@ -77,12 +79,12 @@ from .errors import (
     check_nonce,
     check_samples,
 )
-from .histshift import count_values, hs_embed, hs_extract, plan_hs
+from .histshift import BLOCK, count_values, hs_embed, hs_extract, plan_hs
 from .huffman import huffman_compress, huffman_decompress
-from .metrics import psnr_of_mse, squared_error
+from .metrics import psnr_of_mse
 
-# bench/spans.py traces hide's PSNR through this name, so it stays
-# bound here although hide computes it from the host's squared error
+# bench/spans.py traces hide's PSNR through this name, so it stays bound
+# here although hide computes the PSNR from a count of changed samples
 from .metrics import psnr  # noqa: F401
 
 FRAME_MAGIC = b"RDH1"
@@ -225,13 +227,14 @@ def _ones_complement_sum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
+def reserve_room_plane(flat: np.ndarray, frame_bits: int, hist: np.ndarray) -> np.ndarray:
     """Room-reserve a flat host plane for a frame_bits-long region A; flat is not written.
 
     Region A is left untouched; its original LSBs plus the header slots' travel
     inside region B's histogram shift, made in place in the one contiguous copy
-    returned.  Shifting an image's stride-3 red samples where they lie instead
-    made image hides slower.
+    returned; region B is planned from hist, count_values of all of flat, less
+    the first frame_bits + HEADER_SLOTS samples' count.  Shifting an image's
+    stride-3 red samples where they lie instead made image hides slower.
     """
     out = check_samples(flat, "host plane").flatten()  # the one copy
     n = out.size
@@ -244,7 +247,7 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int) -> np.ndarray:
     region_b = out[header_end:]
     if region_b.size == 0:
         raise CapacityExceeded(needed=header_end, available=0, detail="region B is empty")
-    peak, zero = plan_hs(region_b)  # hs_embed checks the capacity
+    peak, zero = plan_hs(_region_b(hist, out, header_end))  # hs_embed checks the capacity
     # the header slots' LSBs, then region A's: the first header_end rotated left by frame_bits
     backup = np.concatenate((out[frame_bits:header_end], out[:frame_bits])) & 1
     hs_embed(region_b, backup, peak, zero)
@@ -277,6 +280,13 @@ def recover_plane(host: np.ndarray, frame_bits: int) -> None:
     _set_lsbs(host[:header_end], np.concatenate((backup[HEADER_SLOTS:], backup[:HEADER_SLOTS])))
 
 
+def _region_b(hist: np.ndarray, flat: np.ndarray, header_end: int) -> np.ndarray:
+    """Region B's histogram, a new array: flat's count hist less that of flat[:header_end]."""
+    if np.shape(hist) != (256,) or np.sum(hist) != flat.size:
+        raise DimensionMismatch(f"hist must count the {flat.size} host samples in 256 bins")
+    return hist - count_values(flat[:header_end])
+
+
 def _one_d(samples: np.ndarray, what: str) -> np.ndarray:
     if check_samples(samples, what).ndim != 1:
         raise DimensionMismatch(f"{what} must be 1-D, got shape {samples.shape}")
@@ -298,28 +308,30 @@ def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
 
 
 def embed_segments(
-    units: Iterable[np.ndarray], host: slice, segments: list[PayloadFrame], keys: StegoKeys
+    units: Iterable[np.ndarray], host: slice, segments: list[PayloadFrame], keys: StegoKeys,
+    hists: list[np.ndarray],
 ) -> list[np.ndarray]:
     """Embed segment i in unit i under its own counter range; the encrypted units.
 
     Units beyond the last segment carry an empty one, so every unit is
     recoverable on its own; an empty segment list raises MissingSegment, and
     fewer units than segments CapacityError.  Room is reserved in unit[host]
-    in place, and the unit returned for it is that unit encrypted as one
-    counter run, with the frame written over the encrypted host's region-A
-    LSBs.  Each unit is left as the image-key holder decrypts the returned
-    one: the reserved unit with region A's LSBs flipped wherever the frame
-    flipped an encrypted LSB.
+    in place, planned from hists[i], its count_values (one per unit, else
+    zip's ValueError), and the unit returned for it is that unit encrypted
+    as one counter run, with the frame written over the encrypted host's
+    region-A LSBs.  Each unit is left as the image-key holder decrypts the
+    returned one: the reserved unit with region A's LSBs flipped wherever
+    the frame flipped an encrypted LSB.
     """
     if not segments:
         raise MissingSegment("no segments to embed")
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
     marked, counter = [], keys.nonce
-    for i, raw in enumerate(units):
+    for i, (raw, hist) in enumerate(zip(units, hists, strict=True)):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
-        raw[host] = reserve_room_plane(_one_d(raw, "unit")[host], bits.size)
+        raw[host] = reserve_room_plane(_one_d(raw, "unit")[host], bits.size, hist)
         marked.append(bf_ctr_transform(state, counter, raw))
         raw[host][: bits.size] ^= (marked[-1][host][: bits.size] ^ bits) & 1
         _set_lsbs(marked[-1][host][: bits.size], bits)
@@ -391,12 +403,14 @@ def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = N
     """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
     flat = _raster(cover)
     raw = flat.copy()
-    capacity_bits = max_embeddable_bits(raw[RED])
+    hist = count_values(raw[RED])
+    capacity_bits = max_embeddable_bits(raw[RED], hist)
     segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
-    # the cipher state (its 256 KB fused table) is not held while the PSNR runs
-    (out,) = embed_segments([raw], RED, segments, keys)
-    # embedding changes only the host, so its squared error is the raster's
-    quality = psnr_of_mse(squared_error(flat[RED], raw[RED]) / raw.size)
+    (out,) = embed_segments([raw], RED, segments, keys, [hist])
+    # each sample embedding changes moves by 1: the squared error is a count, BLOCK by BLOCK
+    changed = sum(np.count_nonzero(flat[i : i + BLOCK] != raw[i : i + BLOCK])
+                  for i in range(0, raw.size, BLOCK))
+    quality = psnr_of_mse(changed / raw.size)
     return HideResult(out.reshape(cover.shape), quality, segments[0].num_bits, capacity_bits)
 
 
@@ -406,8 +420,8 @@ def reveal(marked: np.ndarray, keys: StegoKeys) -> tuple[bytes, np.ndarray]:
     return secret, original.reshape(marked.shape)
 
 
-def max_embeddable_bits(plane: np.ndarray) -> int:
-    """Largest region-A bit length this host plane can reserve room for.
+def max_embeddable_bits(plane: np.ndarray, hist: np.ndarray) -> int:
+    """Largest region-A bit length this host plane, whose count_values is hist, can hold.
 
     Length L is feasible when region B, the samples after L + HEADER_SLOTS,
     has an empty bin and a peak bin of at least HEADER_SLOTS + L samples.
@@ -420,15 +434,16 @@ def max_embeddable_bits(plane: np.ndarray) -> int:
     given bin is large enough form a prefix, and so does their union.  (When
     L = 0 has no empty bin, one can appear at a larger L; NoZeroBin is raised
     all the same.)  So the answer is the largest prefix end over all bins.
-    The peak's is found first.  Another bin can end later only if region B
-    still holds it HEADER_SLOTS + best + 1 times at L = best + 1, and one
-    count of the samples up to there finds every such bin.
+    The peak's is found first, in hist less the first HEADER_SLOTS samples'
+    count (a new array: hist is not written).  Another bin can end later only
+    if region B holds it more than HEADER_SLOTS + best times at L = best, and
+    one count of the samples up to there finds every such bin.
     """
     flat = check_samples(plane, "host plane").reshape(-1)
     n = flat.size
     if n <= HEADER_SLOTS:
         raise CoverTooSmall(f"host of {n} samples leaves no region B after the header")
-    hist = count_values(flat[HEADER_SLOTS:])  # region B at L = 0
+    hist = _region_b(hist, flat, HEADER_SLOTS)
     if hist.min() > 0:
         raise NoZeroBin("all 256 gray values occur in region B")
     if hist.max() < HEADER_SLOTS:
@@ -438,10 +453,10 @@ def max_embeddable_bits(plane: np.ndarray) -> int:
     peak = int(hist.argmax())
     best = _longest_prefix(flat, peak, int(hist[peak]), 0, 0)
     hist[peak] = 0  # its prefix ends at best
-    at = best + 1
-    if (hist >= HEADER_SLOTS + at).any():
+    at = best
+    if (hist > HEADER_SLOTS + at).any():
         hist -= count_values(flat[HEADER_SLOTS : HEADER_SLOTS + at])
-        for value in np.flatnonzero(hist >= HEADER_SLOTS + at).tolist():
+        for value in np.flatnonzero(hist > HEADER_SLOTS + at).tolist():
             best = _longest_prefix(flat, value, int(hist[value]), at, best)
     return best
 

@@ -5,12 +5,12 @@
 the frame's Y+U+V bytes as one flat buffer, host ``y_host`` (the Y plane,
 slice ``[:w*h]``), just as an image is one unit whose host is its red
 samples.  Each frame's capacity is ``pipeline.max_embeddable_bits`` of its Y
-plane, the same rule an image's red plane follows; it sets how the encrypted
-secret splits into segments, and a frame that cannot carry one raises the
-reason.  A parsed frame, a read-only view of the parsed bytes, already is
-that unit, so ``video_reveal`` hands the frames over as they are, and
-``video_hide`` hands over one copy per frame, made as the driver reaches it,
-because embedding leaves its input as the decrypted marked frame.
+plane, whose one count also reserves it, as for an image's red plane; it sets
+how the encrypted secret splits into segments, and a frame that cannot carry
+one raises the reason.  A parsed frame, a read-only view of the parsed bytes,
+already is that unit, so ``video_reveal`` hands the frames over as they are,
+and ``video_hide`` hands over one copy per frame, made as the driver reaches
+it, because embedding leaves its input as the decrypted marked frame.
 
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (BadSignature, DimensionMismatch, TruncatedFrame, UnsupportedColorspace,
                      check_nonce, check_samples, read_decimal, read_samples)
+from .histshift import count_values
 from .pipeline import StegoKeys, build_frames, embed_segments, max_embeddable_bits, reveal_units
 
 # bench/spans.py traces layers through the names this module binds, so these
@@ -175,9 +176,10 @@ def video_hide(
 ) -> Y4mVideo:
     """Split the encrypted secret across frames; every frame carries a segment."""
     host = y_host(video)
-    capacities = [max_embeddable_bits(frame[host]) for frame in _frames(video)]
+    hists = [count_values(frame[host]) for frame in _frames(video)]  # each Y plane counted once
+    capacities = [max_embeddable_bits(f[host], hist) for f, hist in zip(video.frames, hists)]
     segments = build_frames(secret, keys.data_key, iv, capacities)
-    frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys)
+    frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys, hists)
     return Y4mVideo(list(video.params), frames, list(video.frame_headers))
 
 

@@ -22,6 +22,13 @@ def make_cover(rng, height, width, red_spread=4, red_base=None, concentration=0.
     return img
 
 
+def host_hist(plane):
+    """count_values of a host plane of any shape: the histogram hide counts once."""
+    from rdhkit.histshift import count_values
+
+    return count_values(plane.reshape(-1))
+
+
 def random_keys(rng):
     from rdhkit.pipeline import StegoKeys
 
@@ -38,7 +45,7 @@ def max_secret_bytes(cover):
     from rdhkit.pipeline import FRAME_OVERHEAD_BYTES, max_embeddable_bits
 
     try:
-        limit = max_embeddable_bits(cover[:, :, 0])
+        limit = max_embeddable_bits(cover[:, :, 0], host_hist(cover[:, :, 0]))
     except CapacityError:
         return None
     max_ct = limit // 8 - FRAME_OVERHEAD_BYTES
@@ -61,7 +68,7 @@ def image_with_frame(cover, frame, keys):
     from rdhkit.pipeline import RED, embed_segments
 
     raw = cover.reshape(-1).copy()
-    (out,) = embed_segments([raw], RED, [frame], keys)
+    (out,) = embed_segments([raw], RED, [frame], keys, [host_hist(raw[RED])])
     return out.reshape(cover.shape)
 
 
@@ -72,8 +79,9 @@ def embed_clip(clip, segments, keys):
 
     from rdhkit import pipeline, video
 
-    frames = [frame.copy() for frame in clip.frames]
-    return replace(clip, frames=pipeline.embed_segments(frames, video.y_host(clip), segments, keys))
+    frames, host = [frame.copy() for frame in clip.frames], video.y_host(clip)
+    hists = [host_hist(frame[host]) for frame in frames]
+    return replace(clip, frames=pipeline.embed_segments(frames, host, segments, keys, hists))
 
 
 def zero_segment_clip(clip, keys, iv=bytes(16)):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import embed_clip, image_with_frame, make_cover, planes, zero_segment_clip
+from conftest import (embed_clip, host_hist, image_with_frame, make_cover, planes,
+                      zero_segment_clip)
 from rdhkit import cli, netpbm, video as vid
 from rdhkit.pipeline import PayloadFrame, StegoKeys, max_embeddable_bits
 
@@ -61,7 +62,8 @@ def test_hide_reveal_happy_path(tmp_path, cover_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PSNR(plain-marked): " in out
-    assert f"CAPACITY-BITS: {max_embeddable_bits(cover[:, :, 0])}" in out.splitlines()
+    red = cover[:, :, 0]
+    assert f"CAPACITY-BITS: {max_embeddable_bits(red, host_hist(red))}" in out.splitlines()
 
     # nonce travels inside the marked file
     _, nonce = netpbm.load_ppm(marked.read_bytes())

@@ -31,7 +31,7 @@ import pytest
 from conftest import make_cover
 from rdhkit import aes, metrics, netpbm, pipeline, video
 from rdhkit.blowfish import _python_key_schedule, bf_ctr_transform, bf_key_schedule
-from rdhkit.histshift import hs_embed, hs_extract, plan_hs
+from rdhkit.histshift import count_values, hs_embed, hs_extract, plan_hs
 from rdhkit.huffman import huffman_compress, huffman_decompress
 from rdhkit.pipeline import max_embeddable_bits, recover_plane, reserve_room_plane
 
@@ -42,19 +42,21 @@ N = 1 << 20
 def host():
     rng = np.random.default_rng(6)
     plane = np.clip(np.rint(rng.normal(128, 6, N)), 0, 255).astype(np.uint8)
-    peak, zero = plan_hs(plane)
+    hist = count_values(plane)
+    peak, zero = plan_hs(hist)
     bits = rng.integers(0, 2, np.count_nonzero(plane == peak), dtype=np.uint8)
-    frame_bits = max_embeddable_bits(plane) // 2
+    frame_bits = max_embeddable_bits(plane, hist) // 2
     marked = plane.copy()
     hs_embed(marked, bits, peak, zero)
     return SimpleNamespace(
         plane=plane,
+        hist=hist,
         bits=bits,
         peak=peak,
         zero=zero,
         marked=marked,
         frame_bits=frame_bits,
-        reserved=reserve_room_plane(plane, frame_bits),
+        reserved=reserve_room_plane(plane, frame_bits, hist),
         other=plane ^ rng.integers(0, 2, N, dtype=np.uint8),
         state=bf_key_schedule(b"memory bound key"),
         numpy_state=_python_key_schedule(b"memory bound key"),
@@ -73,7 +75,7 @@ def _peak_bytes(fn) -> int:
 
 
 KERNELS = {  # name: (bound in bytes per sample, the call)
-    "plan_hs": (5, lambda h: plan_hs(h.plane)),
+    "count_values": (5, lambda h: count_values(h.plane)),
     # the shifts write the plane in place and hold one one-byte mask at a time:
     # the mask (1) plus the marked values (embed, 0.066) or the carried bits and
     # one scan step's temporaries (extract); a second plane-sized mask alive
@@ -82,11 +84,11 @@ KERNELS = {  # name: (bound in bytes per sample, the call)
     "hs_extract": (1.2, lambda h: hs_extract(h.marked, h.peak, h.zero, h.bits.size)),
     # the one plane copy it returns (1) plus hs_embed's region-B mask; one more
     # plane-sized buffer would cross it
-    "reserve_room_plane": (2.2, lambda h: reserve_room_plane(h.plane, h.frame_bits)),
+    "reserve_room_plane": (2.2, lambda h: reserve_room_plane(h.plane, h.frame_bits, h.hist)),
     # restored in place: only hs_extract's region-B mask is plane-sized; a
     # result plane beside it would read 2.0
     "recover_plane": (1.1, lambda h: recover_plane(h.reserved, h.frame_bits)),
-    "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane)),
+    "max_embeddable_bits": (1, lambda h: max_embeddable_bits(h.plane, h.hist)),
     "mse": (1, lambda h: metrics.mse(h.plane, h.other)),
     # the numpy keystream: the result (1), four 16K-block word buffers (0.25)
     # and ndarray.take's intp copy of one index (0.125) read 1.375; a chunk's

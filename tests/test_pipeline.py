@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import image_with_frame, make_cover, max_secret_bytes, random_keys
-from rdhkit import pipeline
+from conftest import host_hist, image_with_frame, make_cover, max_secret_bytes, random_keys
+from rdhkit import pipeline, video
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.errors import (
@@ -214,7 +214,7 @@ def test_reserve_recover_plane_roundtrip():
         plane = (50 + rng.integers(0, 2, size=800)).astype(np.uint8)
         nbits = int(rng.integers(0, 120))
         original = plane.copy()
-        reserved = reserve_room_plane(plane, nbits)
+        reserved = reserve_room_plane(plane, nbits, host_hist(plane))
         # region A untouched by reservation itself, which leaves the caller's host as it was
         assert np.array_equal(reserved[:nbits], plane[:nbits])
         assert np.array_equal(plane, original)
@@ -224,7 +224,7 @@ def test_reserve_recover_plane_roundtrip():
         recover_plane(raster[0::3], nbits)
         assert np.array_equal(raster[0::3], plane)
         # only the host is restored: the raster's other samples keep the reserved ones
-        marked = np.repeat(reserve_room_plane(plane, nbits), 3)
+        marked = np.repeat(reserve_room_plane(plane, nbits, host_hist(plane)), 3)
         assert np.array_equal(raster[1::3], marked[1::3])
         assert np.array_equal(raster[2::3], marked[2::3])
 
@@ -232,7 +232,7 @@ def test_reserve_recover_plane_roundtrip():
 def test_reserve_room_zero_length_region():
     rng = np.random.default_rng(22)
     plane = (9 + rng.integers(0, 2, size=300)).astype(np.uint8)
-    reserved = reserve_room_plane(plane, 0)
+    reserved = reserve_room_plane(plane, 0, host_hist(plane))
     assert not np.array_equal(reserved, plane)  # header still written
     recover_plane(reserved, 0)
     assert np.array_equal(reserved, plane)
@@ -249,28 +249,28 @@ def test_reserve_room_image_level_touches_only_red():
 def test_reserve_room_cover_too_small():
     plane = np.full(64, 5, dtype=np.uint8)  # an 8x8 red plane
     with pytest.raises(CoverTooSmall):
-        reserve_room_plane(plane, 1)
+        reserve_room_plane(plane, 1, host_hist(plane))
 
 
 def test_reserve_room_hs_capacity_exceeded():
     # region B exists but its peak bin is far too small for 64+L bits
     plane = np.arange(200, dtype=np.uint8)
     with pytest.raises(CapacityExceeded) as info:
-        reserve_room_plane(plane, 64)
+        reserve_room_plane(plane, 64, host_hist(plane))
     assert (info.value.needed, info.value.available) == (64 + HEADER_SLOTS, 1)
 
 
 def test_reserve_room_no_zero_bin():
     plane = np.tile(np.arange(256, dtype=np.uint8), 4)
     with pytest.raises(NoZeroBin):
-        reserve_room_plane(plane, 8)
+        reserve_room_plane(plane, 8, host_hist(plane))
 
 
 @pytest.mark.parametrize("nbits", [0, 77])
 def test_region_b_carries_the_header_slots_lsbs_then_region_as(nbits):
     # the backup order is part of the on-disk format
     plane = (50 + np.random.default_rng(25).integers(0, 2, size=800)).astype(np.uint8)
-    reserved = reserve_room_plane(plane, nbits)
+    reserved = reserve_room_plane(plane, nbits, host_hist(plane))
     header_end = nbits + HEADER_SLOTS
     peak, zero, _ = parse_side_header(np.packbits(reserved[nbits:header_end] & 1).tobytes())
     backup = hs_extract(reserved[header_end:], peak, zero, header_end)
@@ -287,7 +287,7 @@ def test_side_header_of_seven_bytes_is_a_header_checksum_error():
 def test_reservation_that_leaves_region_b_empty_is_rejected():
     plane = np.full(800, 50, np.uint8)
     with pytest.raises(CapacityExceeded, match="region B is empty") as exc:
-        reserve_room_plane(plane, plane.size - HEADER_SLOTS)
+        reserve_room_plane(plane, plane.size - HEADER_SLOTS, host_hist(plane))
     assert exc.type is CapacityExceeded
 
 
@@ -301,7 +301,7 @@ def test_recovery_of_a_region_longer_than_the_plane_is_a_header_checksum_error()
 def test_recover_plane_refuses_a_host_that_is_not_1d():
     # reshape(-1) copies a non-contiguous 2-D host, and an in-place restore
     # into that copy would be dropped
-    reserved = reserve_room_plane(HOST, 8)
+    reserved = reserve_room_plane(HOST, 8, host_hist(HOST))
     spaced = np.zeros((2 * HOST.size // 40, 40), np.uint8)
     spaced[:, ::2] = reserved.reshape(-1, 20)
     for host in (reserved.reshape(40, 20), spaced[:, ::2], reserved.reshape(1, -1)):
@@ -338,7 +338,7 @@ def test_embed_leaves_the_unit_as_the_image_key_holder_decrypts_it():
     raw = make_cover(np.random.default_rng(26), 64, 64).reshape(-1)
     frame = PayloadFrame(0, 1, IV, b"decrypted marked cover")
     bits = np.unpackbits(np.frombuffer(frame.serialize(), np.uint8))
-    (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS)
+    (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS, [host_hist(raw[RED])])
     assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
     assert np.array_equal(raw, decrypted(out))
     # region A's plain LSBs are the frame XOR the keystream, not the frame
@@ -351,7 +351,7 @@ def test_embed_segments_refuses_more_segments_than_units():
     raw = make_cover(np.random.default_rng(27), 64, 64).reshape(-1)
     segments = [PayloadFrame(i, 3, IV, b"x" * 16) for i in range(3)]
     with pytest.raises(CapacityError, match="3 segments, but the cover has only 1 units"):
-        embed_segments([raw], RED, segments, KEYS)
+        embed_segments([raw], RED, segments, KEYS, [host_hist(raw[RED])])
 
 
 def _wrapping(samples):
@@ -364,22 +364,25 @@ def _wrapping(samples):
 HOST = (50 + np.random.default_rng(32).integers(0, 2, size=800)).astype(np.uint8)
 UNIT = make_cover(np.random.default_rng(33), 64, 64).reshape(-1)
 SEGMENT = PayloadFrame(0, 1, IV, b"x" * 16)
+HISTS = [host_hist(HOST), host_hist(UNIT[RED])]
 
 
 def _marked_unit():
-    (marked,) = embed_segments([UNIT.copy()], RED, [SEGMENT], KEYS)
+    (marked,) = embed_segments([UNIT.copy()], RED, [SEGMENT], KEYS, HISTS[1:])
     return marked
 
 
 # each call passes one array through `given`; every one succeeds on uint8 samples
 SAMPLE_CALLS = {
-    "plan_hs": lambda given: plan_hs(given(HOST)),
+    "plan_hs": lambda given: plan_hs(host_hist(given(HOST))),  # count_values checks the samples
     "hs_embed": lambda given: hs_embed(given(HOST.copy()), [1, 0], 50, 52),
     "hs_extract": lambda given: hs_extract(given(HOST.copy()), 50, 52, 3),
-    "max_embeddable_bits": lambda given: max_embeddable_bits(given(HOST)),
-    "reserve_room_plane": lambda given: reserve_room_plane(given(HOST), 8),
-    "recover_plane": lambda given: recover_plane(given(reserve_room_plane(HOST, 8)), 8),
-    "embed_segments": lambda given: embed_segments([given(UNIT.copy())], RED, [SEGMENT], KEYS),
+    "max_embeddable_bits": lambda given: max_embeddable_bits(given(HOST), HISTS[0]),
+    "reserve_room_plane": lambda given: reserve_room_plane(given(HOST), 8, HISTS[0]),
+    "recover_plane": lambda given: recover_plane(given(reserve_room_plane(HOST, 8, HISTS[0])), 8),
+    "embed_segments": lambda given: embed_segments(
+        [given(UNIT.copy())], RED, [SEGMENT], KEYS, HISTS[1:]
+    ),
     "recover_units": lambda given: recover_units(
         [given(_marked_unit())], RED, KEYS.image_key, KEYS.nonce
     ),
@@ -397,7 +400,7 @@ def test_every_plane_and_unit_must_be_uint8_samples(name):
 def test_units_that_are_not_1d_are_refused_with_their_shape():
     # a host slice of a 2-D unit takes whole rows, not the samples it names
     with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
-        embed_segments([UNIT.reshape(64, 192).copy()], RED, [SEGMENT], KEYS)
+        embed_segments([UNIT.reshape(64, 192).copy()], RED, [SEGMENT], KEYS, HISTS[1:])
     with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
         recover_units([_marked_unit().reshape(64, 192)], RED, KEYS.image_key, KEYS.nonce)
 
@@ -405,7 +408,7 @@ def test_units_that_are_not_1d_are_refused_with_their_shape():
 def test_embed_segments_refuses_an_empty_segment_list():
     raw = make_cover(np.random.default_rng(28), 64, 64).reshape(-1)
     with pytest.raises(MissingSegment, match="no segments") as exc:
-        embed_segments([raw], RED, [], KEYS)
+        embed_segments([raw], RED, [], KEYS, [host_hist(raw[RED])])
     assert exc.type is MissingSegment
 
 
@@ -413,12 +416,39 @@ def test_max_embeddable_bits_is_the_exact_boundary():
     rng = np.random.default_rng(24)
     for _ in range(10):
         plane = (100 + rng.integers(0, 2, size=int(rng.integers(500, 2000)))).astype(np.uint8)
-        limit = max_embeddable_bits(plane)
-        reserve_room_plane(plane, limit)  # must succeed
+        limit = max_embeddable_bits(plane, host_hist(plane))
+        reserve_room_plane(plane, limit, host_hist(plane))  # must succeed
         with pytest.raises((CapacityExceeded, CoverTooSmall)):
-            reserve_room_plane(plane, limit + 1)
+            reserve_room_plane(plane, limit + 1, host_hist(plane))
     with pytest.raises(CapacityExceeded):  # region B's peak holds 1 of 64 header bits
-        max_embeddable_bits(np.arange(256, dtype=np.uint8))
+        every = np.arange(256, dtype=np.uint8)
+        max_embeddable_bits(every, host_hist(every))
+
+
+def test_sizing_and_reservation_take_only_the_whole_hosts_histogram():
+    hist = host_hist(HOST)
+    wrong = {
+        "short": hist[:255],
+        "long": np.append(hist, 0),
+        "another plane's": host_hist(HOST[1:]),
+        "double": 2 * hist,
+    }
+    for name, bad in wrong.items():
+        before = bad.copy()
+        with pytest.raises(DimensionMismatch, match="256 bins"):
+            max_embeddable_bits(HOST, bad)
+        with pytest.raises(DimensionMismatch, match="256 bins"):
+            reserve_room_plane(HOST, 8, bad)
+        assert np.array_equal(bad, before), name
+    # both derive region B's histogram in a new array, the search's writes included
+    before = hist.copy()
+    limit = max_embeddable_bits(HOST, hist)
+    assert np.array_equal(hist, before)
+    reserve_room_plane(HOST, limit, hist)
+    assert np.array_equal(hist, before)
+    units = [UNIT.copy(), UNIT.copy()]
+    with pytest.raises(ValueError, match="shorter"):  # one histogram per unit
+        embed_segments(units, RED, [SEGMENT], KEYS, HISTS[1:])
 
 
 def bincount_max_embeddable_bits(plane):
@@ -435,7 +465,7 @@ def bincount_max_embeddable_bits(plane):
         if region_b.size == 0:
             return False
         try:
-            peak, _ = plan_hs(region_b)
+            peak, _ = plan_hs(host_hist(region_b))
         except NoZeroBin:
             return False
         return np.count_nonzero(region_b == peak) >= HEADER_SLOTS + length
@@ -443,7 +473,7 @@ def bincount_max_embeddable_bits(plane):
     if n <= HEADER_SLOTS:
         return CoverTooSmall
     try:
-        plan_hs(flat[HEADER_SLOTS:])
+        plan_hs(host_hist(flat[HEADER_SLOTS:]))
     except NoZeroBin:
         return NoZeroBin
     if not feasible(0):
@@ -476,7 +506,7 @@ def seeded_plane(rng, kind, n):
 
 def embeddable_or_reason(plane):
     try:
-        return max_embeddable_bits(plane)
+        return max_embeddable_bits(plane, host_hist(plane))
     except (CapacityExceeded, CoverTooSmall, NoZeroBin) as exc:
         return type(exc)
 
@@ -501,12 +531,12 @@ def test_max_embeddable_bits_raises_when_only_a_longer_region_a_empties_a_bin():
     # so from L = 1 on region B has an empty bin and a peak big enough
     body = np.concatenate([np.arange(1, 256), np.full(4000, 100)]).astype(np.uint8)
     plane = np.concatenate([np.full(HEADER_SLOTS, 100, np.uint8), [0], body]).astype(np.uint8)
-    reserve_room_plane(plane, 16)  # a longer region A is feasible
+    reserve_room_plane(plane, 16, host_hist(plane))  # a longer region A is feasible
     with pytest.raises(NoZeroBin):
-        reserve_room_plane(plane, 0)
+        reserve_room_plane(plane, 0, host_hist(plane))
     assert bincount_max_embeddable_bits(plane) is NoZeroBin
     with pytest.raises(NoZeroBin):
-        max_embeddable_bits(plane)
+        max_embeddable_bits(plane, host_hist(plane))
     # so hide rejects a cover with this red plane up front
     cover = np.zeros((plane.size, 1, 3), dtype=np.uint8)
     cover[:, 0, 0] = plane
@@ -534,6 +564,65 @@ def test_max_embeddable_bits_counts_at_most_2n_samples(monkeypatch, kind):
         monkeypatch.setattr(np, name, counting)
     assert embeddable_or_reason(plane) == want
     assert 0 < sum(counted) <= 2 * n
+
+
+def gaussian_cover(rng, height, width):
+    """A cover whose red plane is sigma=6 Gaussian noise, as in the benchmark."""
+    cover = make_cover(rng, height, width)
+    cover[:, :, 0] = np.clip(np.rint(rng.normal(128, 6, (height, width))), 0, 255)
+    return cover
+
+
+def counted_samples(monkeypatch):
+    """The sizes of the arrays np.bincount is given from here on."""
+    counted = []
+
+    def counting(x, *args, _count=np.bincount, **kwargs):
+        counted.append(np.asarray(x).size)
+        return _count(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    return counted
+
+
+# one count of a host sizes and reserves it; beyond it max_embeddable_bits
+# counts the HEADER_SLOTS header slots at L = 0 and at most capacity_bits
+# samples more, the reservation the first frame_bits + HEADER_SLOTS, and
+# huffman_compress the secret's bytes.  Counting each host twice crosses it
+def hide_count_bound(n, capacity_bits, frame_bits):
+    return n + capacity_bits + frame_bits + 2 * HEADER_SLOTS
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "peaked"])
+def test_hide_counts_each_host_sample_once(monkeypatch, kind):
+    rng = np.random.default_rng(41)
+    cover = gaussian_cover(rng, 512, 512) if kind == "gaussian" else make_cover(rng, 512, 512)
+    secret = b"count each host sample once"
+    counted = counted_samples(monkeypatch)
+    result = hide(cover, secret, KEYS, iv=IV)
+    bound = hide_count_bound(512 * 512, result.capacity_bits, result.frame_bits)
+    assert 0 < sum(counted) <= bound + len(secret)
+
+
+def test_video_hide_counts_each_y_plane_once(monkeypatch):
+    rng = np.random.default_rng(42)
+    n = 176 * 144
+    frames = [
+        np.concatenate((np.clip(np.rint(rng.normal(100, 6, n)), 0, 255).astype(np.uint8),
+                        rng.integers(0, 256, n // 2, dtype=np.uint8)))
+        for _ in range(3)
+    ]
+    clip = video.Y4mVideo([b"W176", b"H144", b"F25:1", b"C420"], frames, [b""] * 3)
+    secret = rng.bytes(100)
+    host = video.y_host(clip)
+    capacities = [max_embeddable_bits(f[host], host_hist(f[host])) for f in frames]
+    segments = build_frames(secret, KEYS.data_key, IV, capacities)
+    assert len(segments) == 2  # the third frame carries an empty segment
+    bits = [s.num_bits for s in segments] + [frame_num_bits(0)]
+    counted = counted_samples(monkeypatch)
+    video.video_hide(clip, secret, KEYS, iv=IV)
+    bound = sum(hide_count_bound(n, c, b) for c, b in zip(capacities, bits))
+    assert 0 < sum(counted) <= bound + len(secret)
 
 
 def whole_host_frame(raw, host):
@@ -593,14 +682,15 @@ def test_keys_take_both_ends_of_the_nonce_domain():
 
 @pytest.mark.parametrize("host", [RED, np.s_[:1600]], ids=["image", "video"])
 def test_embedding_leaves_every_sample_outside_the_host_unchanged(host):
-    # hide's PSNR counts the squared error of the host alone
+    # embedding writes the host alone, in a frame's Y as in an image's red samples
     rng = np.random.default_rng(31)
     cover = make_cover(rng, 40, 40)
     before = cover.reshape(-1).copy()
     before[host] = cover[:, :, 0].reshape(-1)  # the peaked plane, as a frame's Y
     raw = before.copy()
-    frames = build_frames(b"outside", KEYS.data_key, IV, [max_embeddable_bits(raw[host])])
-    embed_segments([raw], host, frames, KEYS)
+    hist = host_hist(raw[host])
+    frames = build_frames(b"outside", KEYS.data_key, IV, [max_embeddable_bits(raw[host], hist)])
+    embed_segments([raw], host, frames, KEYS, [hist])
     outside = np.ones(raw.size, dtype=bool)
     outside[host] = False
     assert np.array_equal(raw[outside], before[outside])
@@ -652,9 +742,24 @@ def test_hide_plain_domain_changes_only_red():
 
 
 def test_hide_reports_the_psnr_of_the_decrypted_marked_image():
-    cover = make_cover(np.random.default_rng(28), 48, 48)
-    result = hide(cover, b"what the receiver sees", KEYS, iv=IV)
-    assert result.plain_psnr == pytest.approx(psnr(cover, decrypted(result.image)), abs=1e-9)
+    # hide counts changed samples, which is the squared error only because
+    # embedding moves every sample it changes by exactly 1
+    rng = np.random.default_rng(28)
+    full = make_cover(rng, 64, 64)
+    room = hide(full, b"", KEYS, iv=IV).capacity_bits // 8 - FRAME_OVERHEAD_BYTES
+    text = rng.bytes(room)  # the longest prefix whose ciphertext fills the room
+    longest = next(k for k in range(room, -1, -1) if ciphertext_len(text[:k]) <= room)
+    covers = [
+        (gaussian_cover(rng, 160, 160), b"what the receiver sees"),
+        (make_cover(rng, 48, 48), b"what the receiver sees"),
+        (full, text[:longest]),
+    ]
+    for cover, secret in covers:
+        result = hide(cover, secret, KEYS, iv=IV)
+        plain = decrypted(result.image)
+        assert np.abs(cover.astype(np.int16) - plain).max() <= 1
+        assert result.plain_psnr == psnr(cover, plain)
+    assert result.frame_bits > result.capacity_bits - 8 * 16  # within a block of full
 
 
 @pytest.mark.parametrize("index,count", [(1, 2), (0, 2), (0, 0)])
@@ -730,14 +835,16 @@ def test_cover_too_small_for_any_frame():
         hide(tiny, b"", KEYS, iv=IV)
 
 
+def ciphertext_len(secret):  # PKCS#7 pads the compressed secret to whole blocks
+    return len(huffman_compress(secret)) // 16 * 16 + 16
+
+
 def test_hide_reports_and_enforces_the_true_capacity():
     cover = make_cover(np.random.default_rng(37), 64, 64)
-    cap = max_embeddable_bits(cover[:, :, 0])
+    red = cover[:, :, 0]
+    cap = max_embeddable_bits(red, host_hist(red))
     assert hide(cover, b"fits", KEYS, iv=IV).capacity_bits == cap
     room = cap // 8 - FRAME_OVERHEAD_BYTES
-
-    def ciphertext_len(secret):  # PKCS#7 pads the compressed secret to whole blocks
-        return len(huffman_compress(secret)) // 16 * 16 + 16
 
     # the shortest prefix of a 4-symbol text whose ciphertext overruns the room
     text = bytes(np.random.default_rng(38).integers(0, 4, size=8 * room, dtype=np.uint8))
@@ -757,7 +864,7 @@ def test_capacity_accounting_matches_oracle():
 
     # brute-force oracle for the largest secret that must succeed:
     # frame bits <= n - 64 and histogram-shift capacity >= 64 + frame bits
-    limit_bits = max_embeddable_bits(red)
+    limit_bits = max_embeddable_bits(red, host_hist(red))
     for secret_len in range(0, 200, 13):
         secret = rng.bytes(secret_len)
         frames = build_frames(secret, KEYS.data_key, IV, [10**9])
@@ -814,13 +921,14 @@ def test_units_of_one_cover_never_share_a_counter_block(nonce, shapes):
     covers = [make_cover(rng, h, w).reshape(-1) for h, w in shapes]
     keys = StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
     secret = b"end to end"
-    capacities = [max_embeddable_bits(c[RED]) for c in covers]
+    hists = [host_hist(c[RED]) for c in covers]
+    capacities = [max_embeddable_bits(c[RED], h) for c, h in zip(covers, hists)]
     segments = build_frames(secret, keys.data_key, IV, capacities)
     embedded: list[tuple[int, int]] = []
     recovered: list[tuple[int, int]] = []
     with pytest.MonkeyPatch.context() as mp:
         _record_counter_runs(mp, embedded)
-        marked = embed_segments([c.copy() for c in covers], RED, segments, keys)
+        marked = embed_segments([c.copy() for c in covers], RED, segments, keys, hists)
         _record_counter_runs(mp, recovered)
         got, restored = pipeline.reveal_units(marked, RED, keys)
     assert got == secret
@@ -840,11 +948,12 @@ def test_equal_units_keep_the_fixed_stride_counter_layout(nonce):
     rng = np.random.default_rng(40)
     covers = [make_cover(rng, 41, 43).reshape(-1) for _ in range(4)]
     keys = StegoKeys(KEYS.data_key, KEYS.image_key, nonce)
-    capacities = [max_embeddable_bits(c[RED]) for c in covers]
+    hists = [host_hist(c[RED]) for c in covers]
+    capacities = [max_embeddable_bits(c[RED], h) for c, h in zip(covers, hists)]
     segments = build_frames(b"stride", keys.data_key, IV, capacities)
     runs: list[tuple[int, int]] = []
     with pytest.MonkeyPatch.context() as mp:
         _record_counter_runs(mp, runs)
-        embed_segments([c.copy() for c in covers], RED, segments, keys)
+        embed_segments([c.copy() for c in covers], RED, segments, keys, hists)
     stride = -(-covers[0].size // 8)
     assert [base for base, _ in runs] == [(nonce + i * stride) & MASK64 for i in range(4)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import embed_clip, make_cover, planes, zero_segment_clip
+from conftest import embed_clip, host_hist, make_cover, planes, zero_segment_clip
 from rdhkit import pipeline
 from rdhkit import video as vid
 from rdhkit.errors import (
@@ -264,11 +264,12 @@ def test_reveal_and_embed_read_strided_frames_as_their_samples(path, load_gcrypt
     assert secret == b"any 1-D frame"
     assert vid.write_y4m(original) == vid.write_y4m(clip)
     host = vid.y_host(clip)
-    capacities = [pipeline.max_embeddable_bits(frame[host]) for frame in clip.frames]
+    hists = [host_hist(frame[host]) for frame in clip.frames]
+    capacities = [pipeline.max_embeddable_bits(f[host], h) for f, h in zip(clip.frames, hists)]
     segments = build_frames(b"any 1-D frame", KEYS.data_key, IV, capacities)
     units, flat = strided(clip.frames), [frame.copy() for frame in clip.frames]
-    marked_units = pipeline.embed_segments(units, host, segments, KEYS)
-    marked_flat = pipeline.embed_segments(flat, host, segments, KEYS)
+    marked_units = pipeline.embed_segments(units, host, segments, KEYS, hists)
+    marked_flat = pipeline.embed_segments(flat, host, segments, KEYS, hists)
     assert all(np.array_equal(a, b) for a, b in zip(marked_units, marked_flat))
     assert all(np.array_equal(a, b) for a, b in zip(units, flat))
 
