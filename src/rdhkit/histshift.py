@@ -20,6 +20,9 @@ of positions.  Only counting widens (``np.bincount`` makes each sample an
 first block's count is the running sum), a fixed 512 KB temporary.
 Extraction scans from a first step sized by the bit count, at most
 _SCAN_STEP samples a step, and stops at the step holding the last.
+Embedding clears its peak mask after the _MARK_STEP-sample step holding the
+last carried bit, so the masked write selects only the steps that carry (a
+third of a 512x512 image's for 1 KB); an exact end made video hides slower.
 
 The shifts take uint8 planes of any shape (flat and strided views of image
 planes included) and ``count_values`` a 1-D one, refusing any other plane
@@ -52,6 +55,8 @@ _SCAN_PER_BIT = 16
 # the carried samples it selects, and at BLOCK these temporaries set the peak
 # memory of revealing a 16 KB secret, whose 78,344-bit frame spans many steps
 _SCAN_STEP = 1 << 14
+# hs_embed's peak-mask cut falls on these steps: 8K marked QCIF planes faster than 16K or 4K
+_MARK_STEP = 1 << 13
 
 
 def count_values(flat: np.ndarray) -> np.ndarray:
@@ -80,7 +85,8 @@ def plan_hs(hist: np.ndarray) -> tuple[int, int]:
 
 
 def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> None:
-    """Shift the open interval between peak and zero, then encode bits at the peak, in place."""
+    """Shift the open interval between peak and zero, then encode bits at the peak, in place:
+    bits[k] at the k-th peak sample in row-major order, every check before the shift."""
     _check_bins(peak, zero)
     bits = np.asarray(bits).reshape(-1)  # integers or bools, checked before any cast
     if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
@@ -94,9 +100,14 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> None:
     run = _in_run(plane, min(peak, zero) + 1, abs(peak - zero) - 1)
     (np.add if peak < zero else np.subtract)(plane, run.view(np.uint8), out=plane)
     del run  # so the peak mask below is the one plane-sized mask alive
-    marked = np.full(count, peak, dtype=np.uint8)
+    # C-ordered, so its flat view is row-major on any layout: cut after the last carrying step
+    flat, kept, end = np.equal(plane, peak, order="C").reshape(-1), 0, 0
+    while kept < bits.size:
+        kept, end = kept + np.count_nonzero(flat[end : end + _MARK_STEP]), end + _MARK_STEP
+    flat[end:] = False
+    marked = np.full(kept, peak, dtype=np.uint8)
     marked[: bits.size] = peak + bits if peak < zero else peak - bits
-    plane[plane == peak] = marked  # the shift moved no sample onto or off the peak
+    plane[flat.reshape(plane.shape)] = marked  # the shift moved no sample onto or off the peak
 
 
 def hs_extract(plane: np.ndarray, peak: int, zero: int, nbits: int) -> np.ndarray:

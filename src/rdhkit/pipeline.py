@@ -28,8 +28,10 @@ How long region A may be is decided in one place, ``max_embeddable_bits``:
 the longest L whose region B can still take the 64+L backup bits.  Every
 cover is sized by it, an image's red samples and each video frame's Y
 plane alike, and a host that cannot carry even L = 0 raises the reason.
-Each host is counted once (``count_values``); that histogram sizes it and
-reserves it, region B's at any L being it less the first L+64 samples' count.
+Each host is one contiguous plane (an image's red samples copied once, a
+frame's Y plane where it lies), counted once (``count_values``); plane and
+count size it and reserve it, region B's count at any L being the count less
+the first L+64 samples'.
 
 Room is reserved before encryption: the original LSBs of the header slots
 and region A are tucked reversibly into region B, the side header (peak u8,
@@ -233,8 +235,8 @@ def reserve_room_plane(flat: np.ndarray, frame_bits: int, hist: np.ndarray) -> n
     Region A is left untouched; its original LSBs plus the header slots' travel
     inside region B's histogram shift, made in place in the one contiguous copy
     returned; region B is planned from hist, count_values of all of flat, less
-    the first frame_bits + HEADER_SLOTS samples' count.  Shifting an image's
-    stride-3 red samples where they lie instead made image hides slower.
+    the first frame_bits + HEADER_SLOTS samples' count.  hide passes the contiguous red
+    plane it counted, so the copy is a memcpy (shifting the stride-3 samples was slower).
     """
     out = check_samples(flat, "host plane").flatten()  # the one copy
     n = out.size
@@ -309,29 +311,32 @@ def extract(raw: np.ndarray, host: slice) -> PayloadFrame:
 
 def embed_segments(
     units: Iterable[np.ndarray], host: slice, segments: list[PayloadFrame], keys: StegoKeys,
-    hists: list[np.ndarray],
+    hists: list[np.ndarray], planes: list[np.ndarray],
 ) -> list[np.ndarray]:
     """Embed segment i in unit i under its own counter range; the encrypted units.
 
     Units beyond the last segment carry an empty one, so every unit is
     recoverable on its own; an empty segment list raises MissingSegment, and
     fewer units than segments CapacityError.  Room is reserved in unit[host]
-    in place, planned from hists[i], its count_values (one per unit, else
-    zip's ValueError), and the unit returned for it is that unit encrypted
-    as one counter run, with the frame written over the encrypted host's
-    region-A LSBs.  Each unit is left as the image-key holder decrypts the
-    returned one: the reserved unit with region A's LSBs flipped wherever
-    the frame flipped an encrypted LSB.
+    from planes[i], its samples as the caller counted them (1-D and as long,
+    else DimensionMismatch before any write), planned from hists[i], its
+    count_values (one of each per unit, else zip's ValueError), and the unit
+    returned for it is that unit encrypted as one counter run, with the frame
+    written over the encrypted host's region-A LSBs.  Each unit is left as the
+    image-key holder decrypts the returned one: the reserved unit with region
+    A's LSBs flipped wherever the frame flipped an encrypted LSB.
     """
     if not segments:
         raise MissingSegment("no segments to embed")
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
     marked, counter = [], keys.nonce
-    for i, (raw, hist) in enumerate(zip(units, hists, strict=True)):
+    for i, (raw, hist, plane) in enumerate(zip(units, hists, planes, strict=True)):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
-        raw[host] = reserve_room_plane(_one_d(raw, "unit")[host], bits.size, hist)
+        if _one_d(plane, "host plane").size != (n := _one_d(raw, "unit")[host].size):
+            raise DimensionMismatch(f"unit {i}'s host plane has {plane.size} samples, not {n}")
+        raw[host] = reserve_room_plane(plane, bits.size, hist)
         marked.append(bf_ctr_transform(state, counter, raw))
         raw[host][: bits.size] ^= (marked[-1][host][: bits.size] ^ bits) & 1
         _set_lsbs(marked[-1][host][: bits.size], bits)
@@ -400,13 +405,15 @@ class HideResult:
 
 
 def hide(cover: np.ndarray, secret: bytes, keys: StegoKeys, iv: bytes | None = None) -> HideResult:
-    """Embed a secret; reveal() with the same keys inverts this bit-exactly."""
+    """Embed a secret; reveal() with the same keys inverts this bit-exactly.  The red
+    samples are copied once into the one contiguous plane counted, sized and reserved."""
     flat = _raster(cover)
     raw = flat.copy()
-    hist = count_values(raw[RED])
-    capacity_bits = max_embeddable_bits(raw[RED], hist)
+    red = raw[RED].copy()
+    hist = count_values(red)
+    capacity_bits = max_embeddable_bits(red, hist)
     segments = build_frames(secret, keys.data_key, iv, [capacity_bits])
-    (out,) = embed_segments([raw], RED, segments, keys, [hist])
+    (out,) = embed_segments([raw], RED, segments, keys, [hist], [red])
     # each sample embedding changes moves by 1: the squared error is a count, BLOCK by BLOCK
     changed = sum(np.count_nonzero(flat[i : i + BLOCK] != raw[i : i + BLOCK])
                   for i in range(0, raw.size, BLOCK))

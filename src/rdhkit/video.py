@@ -5,12 +5,13 @@
 the frame's Y+U+V bytes as one flat buffer, host ``y_host`` (the Y plane,
 slice ``[:w*h]``), just as an image is one unit whose host is its red
 samples.  Each frame's capacity is ``pipeline.max_embeddable_bits`` of its Y
-plane, whose one count also reserves it, as for an image's red plane; it sets
-how the encrypted secret splits into segments, and a frame that cannot carry
-one raises the reason.  A parsed frame, a read-only view of the parsed bytes,
-already is that unit, so ``video_reveal`` hands the frames over as they are,
-and ``video_hide`` hands over one copy per frame, made as the driver reaches
-it, because embedding leaves its input as the decrypted marked frame.
+plane, contiguous where it lies, whose one count also reserves it, as for an
+image's red plane copy; it sets how the encrypted secret splits into
+segments, and a frame that cannot carry one raises the reason.  A parsed
+frame, a read-only view of the parsed bytes, already is that unit, so
+``video_reveal`` hands the frames over as they are, and ``video_hide`` hands
+over one copy per frame, made as the driver reaches it, because embedding
+leaves its input as the decrypted marked frame.
 
 The reader accepts one grammar.  The stream header is the line
 ``YUV4MPEG2 P1 P2 ... Pn\\n``: one or more parameters, each one space before
@@ -176,10 +177,11 @@ def video_hide(
 ) -> Y4mVideo:
     """Split the encrypted secret across frames; every frame carries a segment."""
     host = y_host(video)
-    hists = [count_values(frame[host]) for frame in _frames(video)]  # each Y plane counted once
-    capacities = [max_embeddable_bits(f[host], hist) for f, hist in zip(video.frames, hists)]
+    planes = [frame[host] for frame in _frames(video)]  # each Y plane: counted, sized and reserved
+    hists = [count_values(plane) for plane in planes]
+    capacities = [max_embeddable_bits(plane, hist) for plane, hist in zip(planes, hists)]
     segments = build_frames(secret, keys.data_key, iv, capacities)
-    frames = embed_segments((frame.copy() for frame in video.frames), host, segments, keys, hists)
+    frames = embed_segments((f.copy() for f in video.frames), host, segments, keys, hists, planes)
     return Y4mVideo(list(video.params), frames, list(video.frame_headers))
 
 

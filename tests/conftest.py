@@ -68,7 +68,7 @@ def image_with_frame(cover, frame, keys):
     from rdhkit.pipeline import RED, embed_segments
 
     raw = cover.reshape(-1).copy()
-    (out,) = embed_segments([raw], RED, [frame], keys, [host_hist(raw[RED])])
+    (out,) = embed_segments([raw], RED, [frame], keys, [host_hist(raw[RED])], [raw[RED]])
     return out.reshape(cover.shape)
 
 
@@ -80,8 +80,8 @@ def embed_clip(clip, segments, keys):
     from rdhkit import pipeline, video
 
     frames, host = [frame.copy() for frame in clip.frames], video.y_host(clip)
-    hists = [host_hist(frame[host]) for frame in frames]
-    return replace(clip, frames=pipeline.embed_segments(frames, host, segments, keys, hists))
+    hists, planes = [host_hist(frame[host]) for frame in frames], [frame[host] for frame in frames]
+    return replace(clip, frames=pipeline.embed_segments(frames, host, segments, keys, hists, planes))
 
 
 def zero_segment_clip(clip, keys, iv=bytes(16)):

@@ -459,6 +459,74 @@ def test_extract_matches_reference_across_scan_steps(peak, zero):
     }
 
 
+def _pairs(logical):
+    buf = np.full(2 * logical.size, 77, np.uint8)
+    buf[0::2] = logical.reshape(-1)
+    return buf
+
+
+def _grid(logical):
+    buf = np.full((2 * logical.shape[0], 3 * logical.shape[1]), 77, np.uint8)
+    buf[::2, 1::3] = logical
+    return buf
+
+
+# name: (the buffer holding a 2-D plane, the plane as a view of that buffer);
+# the strided planes sit in buffers whose other bytes are 77
+STEP_LAYOUTS = {
+    "C": (np.copy, lambda buf: buf),
+    "Fortran": (np.asfortranarray, lambda buf: buf),
+    "1-D strided": (_pairs, lambda buf: buf[0::2]),
+    "2-D strided": (_grid, lambda buf: buf[::2, 1::3]),
+}
+
+
+def step_plane(rng, shape, peak, zero, last):
+    """A plane without the zero bin whose peak samples are about 1 in 16, row-major
+    sample last among them; the other values fill the shift interval and beyond."""
+    others = np.setdiff1d(np.arange(256), [peak, zero]).astype(np.uint8)
+    flat = rng.choice(others, shape[0] * shape[1])
+    flat[rng.random(flat.size) < 1 / 16] = peak
+    flat[last] = peak
+    return flat.reshape(shape)
+
+
+@pytest.mark.parametrize("peak, zero", [(100, 104), (100, 96)], ids=["up", "down"])
+@pytest.mark.parametrize("layout", STEP_LAYOUTS)
+def test_embed_matches_reference_across_mark_steps(layout, peak, zero):
+    # hs_embed cuts its peak mask after the _MARK_STEP-sample step (row-major)
+    # holding the last carried bit: put the bits.size-th peak sample on the
+    # last sample of a step and on the first of the next, on planes of more
+    # than three steps, beside no bits, every peak sample's, one bit too many
+    # and a bit that is not 0 or 1
+    build, view = STEP_LAYOUTS[layout]
+    rng = np.random.default_rng(506)
+    step = hs._MARK_STEP
+    shape = (131, 256)  # four steps and a part
+    seen = set()
+    for last in (2 * step - 1, 2 * step):
+        logical = step_plane(rng, shape, peak, zero, last)
+        carriers = np.flatnonzero(logical == peak)
+        at = int(np.searchsorted(carriers, last)) + 1  # the at-th peak sample is last
+        assert carriers[at - 1] == last
+        for nbits, bad in ((0, 0), (at, 0), (carriers.size, 0), (carriers.size + 1, 0), (at, 2)):
+            bits = rng.integers(0, 2, nbits, dtype=np.uint8)
+            bits[nbits - 1 :] |= bad
+            buf = build(logical)
+            plane = view(buf)
+            assert plane.size > 3 * step and plane.flags.c_contiguous == (layout == "C")
+            want = outcome(mask_hs_embed, plane, bits, peak, zero)
+            got = outcome(embedded, plane, bits, peak, zero)
+            if isinstance(want, type):
+                assert got is want
+                assert np.array_equal(buf, build(logical)), "a refusal wrote to the buffer"
+            else:
+                assert_same(got, want, plane.shape)
+                assert np.array_equal(buf, build(want.reshape(shape)))
+            seen.add(want if isinstance(want, type) else "marked")
+    assert seen == {"marked", CapacityExceeded, ValueError}
+
+
 @pytest.mark.parametrize(
     "values, peak, zero",
     [

@@ -338,7 +338,9 @@ def test_embed_leaves_the_unit_as_the_image_key_holder_decrypts_it():
     raw = make_cover(np.random.default_rng(26), 64, 64).reshape(-1)
     frame = PayloadFrame(0, 1, IV, b"decrypted marked cover")
     bits = np.unpackbits(np.frombuffer(frame.serialize(), np.uint8))
-    (out,) = pipeline.embed_segments([raw], pipeline.RED, [frame], KEYS, [host_hist(raw[RED])])
+    (out,) = pipeline.embed_segments(
+        [raw], pipeline.RED, [frame], KEYS, [host_hist(raw[RED])], [raw[RED]]
+    )
     assert np.array_equal(out[pipeline.RED][: bits.size] & 1, bits)
     assert np.array_equal(raw, decrypted(out))
     # region A's plain LSBs are the frame XOR the keystream, not the frame
@@ -351,7 +353,7 @@ def test_embed_segments_refuses_more_segments_than_units():
     raw = make_cover(np.random.default_rng(27), 64, 64).reshape(-1)
     segments = [PayloadFrame(i, 3, IV, b"x" * 16) for i in range(3)]
     with pytest.raises(CapacityError, match="3 segments, but the cover has only 1 units"):
-        embed_segments([raw], RED, segments, KEYS, [host_hist(raw[RED])])
+        embed_segments([raw], RED, segments, KEYS, [host_hist(raw[RED])], [raw[RED]])
 
 
 def _wrapping(samples):
@@ -365,10 +367,11 @@ HOST = (50 + np.random.default_rng(32).integers(0, 2, size=800)).astype(np.uint8
 UNIT = make_cover(np.random.default_rng(33), 64, 64).reshape(-1)
 SEGMENT = PayloadFrame(0, 1, IV, b"x" * 16)
 HISTS = [host_hist(HOST), host_hist(UNIT[RED])]
+PLANES = [HOST, np.ascontiguousarray(UNIT[RED])]  # the planes HISTS count
 
 
 def _marked_unit():
-    (marked,) = embed_segments([UNIT.copy()], RED, [SEGMENT], KEYS, HISTS[1:])
+    (marked,) = embed_segments([UNIT.copy()], RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:])
     return marked
 
 
@@ -381,7 +384,10 @@ SAMPLE_CALLS = {
     "reserve_room_plane": lambda given: reserve_room_plane(given(HOST), 8, HISTS[0]),
     "recover_plane": lambda given: recover_plane(given(reserve_room_plane(HOST, 8, HISTS[0])), 8),
     "embed_segments": lambda given: embed_segments(
-        [given(UNIT.copy())], RED, [SEGMENT], KEYS, HISTS[1:]
+        [given(UNIT.copy())], RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:]
+    ),
+    "embed_segments-plane": lambda given: embed_segments(
+        [UNIT.copy()], RED, [SEGMENT], KEYS, HISTS[1:], [given(PLANES[1])]
     ),
     "recover_units": lambda given: recover_units(
         [given(_marked_unit())], RED, KEYS.image_key, KEYS.nonce
@@ -400,15 +406,52 @@ def test_every_plane_and_unit_must_be_uint8_samples(name):
 def test_units_that_are_not_1d_are_refused_with_their_shape():
     # a host slice of a 2-D unit takes whole rows, not the samples it names
     with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
-        embed_segments([UNIT.reshape(64, 192).copy()], RED, [SEGMENT], KEYS, HISTS[1:])
+        embed_segments([UNIT.reshape(64, 192).copy()], RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:])
     with pytest.raises(DimensionMismatch, match=r"unit must be 1-D, got shape \(64, 192\)"):
         recover_units([_marked_unit().reshape(64, 192)], RED, KEYS.image_key, KEYS.nonce)
+
+
+@pytest.mark.parametrize(
+    "plane, match",
+    [
+        (PLANES[1].reshape(64, 64), r"host plane must be 1-D, got shape \(64, 64\)"),
+        (PLANES[1][:-1], "host plane has 4095 samples, not 4096"),
+        (np.concatenate((PLANES[1], PLANES[1][:1])), "host plane has 4097 samples, not 4096"),
+        # read-only and 2^40 samples long: a check that read the samples would not return
+        (np.broadcast_to(np.uint8(0), (1 << 40,)), "host plane has 1099511627776 samples, not 4096"),
+    ],
+    ids=["2-D", "short", "long", "huge"],
+)
+def test_embed_segments_refuses_a_host_plane_unlike_its_host_before_any_work(
+    plane, match, monkeypatch
+):
+    # the plane is reserved in place of unit[host]: another shape or length
+    # would misplace the frame, and the refusal comes before the reservation
+    # and the keystream, from the plane's shape alone
+    def never(*args):
+        raise AssertionError("the unit was reserved or encrypted")
+
+    monkeypatch.setattr(pipeline, "reserve_room_plane", never)
+    monkeypatch.setattr(pipeline, "bf_ctr_transform", never)
+    unit = UNIT.copy()
+    with pytest.raises(DimensionMismatch, match=match) as exc:
+        embed_segments([unit], RED, [SEGMENT], KEYS, HISTS[1:], [plane])
+    assert exc.type is DimensionMismatch
+    assert np.array_equal(unit, UNIT)
+
+
+def test_embed_segments_reserves_the_host_plane_it_is_given():
+    # the plane stands for unit[host]; the unit's own host samples are not read again
+    raw = UNIT.copy()
+    raw[RED] = 0
+    (marked,) = embed_segments([raw], RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:])
+    assert np.array_equal(marked, _marked_unit())
 
 
 def test_embed_segments_refuses_an_empty_segment_list():
     raw = make_cover(np.random.default_rng(28), 64, 64).reshape(-1)
     with pytest.raises(MissingSegment, match="no segments") as exc:
-        embed_segments([raw], RED, [], KEYS, [host_hist(raw[RED])])
+        embed_segments([raw], RED, [], KEYS, [host_hist(raw[RED])], [raw[RED]])
     assert exc.type is MissingSegment
 
 
@@ -448,7 +491,7 @@ def test_sizing_and_reservation_take_only_the_whole_hosts_histogram():
     assert np.array_equal(hist, before)
     units = [UNIT.copy(), UNIT.copy()]
     with pytest.raises(ValueError, match="shorter"):  # one histogram per unit
-        embed_segments(units, RED, [SEGMENT], KEYS, HISTS[1:])
+        embed_segments(units, RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:])
 
 
 def bincount_max_embeddable_bits(plane):
@@ -690,7 +733,7 @@ def test_embedding_leaves_every_sample_outside_the_host_unchanged(host):
     raw = before.copy()
     hist = host_hist(raw[host])
     frames = build_frames(b"outside", KEYS.data_key, IV, [max_embeddable_bits(raw[host], hist)])
-    embed_segments([raw], host, frames, KEYS, [hist])
+    embed_segments([raw], host, frames, KEYS, [hist], [raw[host]])
     outside = np.ones(raw.size, dtype=bool)
     outside[host] = False
     assert np.array_equal(raw[outside], before[outside])
@@ -928,7 +971,9 @@ def test_units_of_one_cover_never_share_a_counter_block(nonce, shapes):
     recovered: list[tuple[int, int]] = []
     with pytest.MonkeyPatch.context() as mp:
         _record_counter_runs(mp, embedded)
-        marked = embed_segments([c.copy() for c in covers], RED, segments, keys, hists)
+        marked = embed_segments(
+            [c.copy() for c in covers], RED, segments, keys, hists, [c[RED] for c in covers]
+        )
         _record_counter_runs(mp, recovered)
         got, restored = pipeline.reveal_units(marked, RED, keys)
     assert got == secret
@@ -954,6 +999,8 @@ def test_equal_units_keep_the_fixed_stride_counter_layout(nonce):
     runs: list[tuple[int, int]] = []
     with pytest.MonkeyPatch.context() as mp:
         _record_counter_runs(mp, runs)
-        embed_segments([c.copy() for c in covers], RED, segments, keys, hists)
+        embed_segments(
+            [c.copy() for c in covers], RED, segments, keys, hists, [c[RED] for c in covers]
+        )
     stride = -(-covers[0].size // 8)
     assert [base for base, _ in runs] == [(nonce + i * stride) & MASK64 for i in range(4)]

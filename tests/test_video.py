@@ -268,8 +268,9 @@ def test_reveal_and_embed_read_strided_frames_as_their_samples(path, load_gcrypt
     capacities = [pipeline.max_embeddable_bits(f[host], h) for f, h in zip(clip.frames, hists)]
     segments = build_frames(b"any 1-D frame", KEYS.data_key, IV, capacities)
     units, flat = strided(clip.frames), [frame.copy() for frame in clip.frames]
-    marked_units = pipeline.embed_segments(units, host, segments, KEYS, hists)
-    marked_flat = pipeline.embed_segments(flat, host, segments, KEYS, hists)
+    planes = [frame[host] for frame in clip.frames]
+    marked_units = pipeline.embed_segments(units, host, segments, KEYS, hists, planes)
+    marked_flat = pipeline.embed_segments(flat, host, segments, KEYS, hists, planes)
     assert all(np.array_equal(a, b) for a, b in zip(marked_units, marked_flat))
     assert all(np.array_equal(a, b) for a, b in zip(units, flat))
 
