@@ -29,25 +29,27 @@ all 16 Feistel rounds on whole arrays of counter blocks at once:
   fused table and a uint8 index inside an S-box; the default bounds check
   would also stage each gather in a temporary.
 
-Either path returns a fresh, flat, writable uint8 array (numpy's is the
-keystream buffer, XORed in place), which the pipeline writes the payload
-frame straight into, with no copy.
+Both paths read one input, checked before the path is chosen: bytes-like
+data or a 1-D uint8 array, any other array raising DimensionMismatch.  Either
+returns a fresh, flat, writable uint8 array (numpy's is the keystream buffer,
+XORed in place), which the pipeline writes the payload frame straight into.
 
 The key schedule is 521 chained block encryptions, so it cannot be
 vectorised.  Its scalar block function, also the single-block API on a
-Python schedule, unrolls all 16 rounds, with F inlined and each P-array XOR
-folded into a round: no loop, no call and no swap per block.
+Python schedule and the scalar reference the tests hold the numpy kernel to,
+is the 16-round Feistel loop of the cipher's description, with F inlined.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
 from . import _gcrypt
 from ._pi_digits import PI_FRACTION_HEX
-from .errors import BadKeyLength
+from .errors import BadKeyLength, check_flat
 
 _WORDS = [int(PI_FRACTION_HEX[i : i + 8], 16) for i in range(0, len(PI_FRACTION_HEX), 8)]
 P_INIT: tuple[int, ...] = tuple(_WORDS[:18])
@@ -160,31 +162,14 @@ def _bind(lib):
 
 
 def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
-    # all 16 rounds unrolled, so the halves never swap; each round's line also
-    # applies the next P entry (the last one P16), and by precedence reads
-    # half ^= p ^ (S0 + S1 ^ S2) + S3 & mask.  One mask per round suffices: the
-    # low 32 bits of a sum or xor depend only on those of its operands.  p is
-    # unpacked per call, as the P-array phase rewrites it between blocks.
+    # F inlined, by precedence (S0 + S1 ^ S2) + S3 & mask: one mask suffices, as
+    # the low 32 bits of a sum or xor depend only on those of its operands
     s0, s1, s2, s3 = s
-    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16, p17 = p
-    xl ^= p0
-    xr ^= p1 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p2 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p3 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p4 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p5 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p6 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p7 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p8 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p9 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p10 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p11 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p12 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p13 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p14 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    xr ^= p15 ^ (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
-    xl ^= p16 ^ (s0[xr >> 24] + s1[xr >> 16 & 0xFF] ^ s2[xr >> 8 & 0xFF]) + s3[xr & 0xFF] & _MASK32
-    return xr ^ p17, xl
+    for i in range(16):
+        xl ^= p[i]
+        xr ^= (s0[xl >> 24] + s1[xl >> 16 & 0xFF] ^ s2[xl >> 8 & 0xFF]) + s3[xl & 0xFF] & _MASK32
+        xl, xr = xr, xl
+    return xr ^ p[17], xl ^ p[16]
 
 
 def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
@@ -192,29 +177,29 @@ def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
         raise ValueError(f"block must be 8 bytes, got {len(block)}")
     if state._cipher is not None:  # E(block) is the keystream at counter = block
         return state._cipher(bytes(block), bytes(8)).tobytes()
-    xl = int.from_bytes(block[:4], "big")
-    xr = int.from_bytes(block[4:], "big")
-    xl, xr = _encrypt_words(state.p, state.s, xl, xr)
-    return xl.to_bytes(4, "big") + xr.to_bytes(4, "big")
+    xl, xr = _encrypt_words(state.p, state.s, *struct.unpack(">II", block))
+    return struct.pack(">II", xl, xr)
 
 
 def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray) -> np.ndarray:
     """XOR data with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
     each Blowfish-encrypted; applying it twice is the identity.
 
-    data is bytes or a 1-D uint8 array and is left unchanged; a strided one is
-    copied first.  The result is a fresh, flat, writable uint8 array of
-    len(data): libgcrypt's output, or the numpy keystream buffer XORed in place.
+    Either path takes data, left unchanged, as bytes-like (read as its bytes) or
+    a 1-D uint8 array (a strided one is copied first); any other array raises
+    DimensionMismatch.  The result is a fresh, flat, writable uint8 array of
+    data's size: libgcrypt's output, or the numpy keystream buffer XORed in place.
     """
     if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data)  # no copy of a contiguous array
+        data = np.ascontiguousarray(check_flat(data, "keystream input"))  # no copy if contiguous
+    else:
+        data = np.frombuffer(data, np.uint8)
     if state._cipher is not None:
         return state._cipher((nonce & _MASK64).to_bytes(8, "big"), data)
-    nbytes = len(data)
-    blocks = np.empty(((nbytes + 7) // 8, 2), dtype=">u4")
+    blocks = np.empty(((data.size + 7) // 8, 2), dtype=">u4")
     _numpy_keystream(state, nonce, blocks)
-    out = blocks.view(np.uint8).reshape(-1)[:nbytes]
-    np.bitwise_xor(out, np.frombuffer(data, dtype=np.uint8), out=out)
+    out = blocks.view(np.uint8).reshape(-1)[: data.size]
+    np.bitwise_xor(out, data, out=out)
     return out
 
 

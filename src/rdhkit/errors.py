@@ -3,7 +3,8 @@
 Grouped by how the CLI reports them: capacity problems (exit 2), payload /
 stego integrity problems (exit 3), on-disk container problems (exit 4) and
 key material problems (exit 5).  ``check_nonce`` holds the nonce's one domain,
-``check_samples`` the one sample type of every plane, raster and unit.  The
+``check_samples`` the one sample type of every plane, raster and unit, and
+``check_flat`` adds the 1-D rule of every unit and counted or keyed buffer.  The
 PPM and Y4M readers share two rules: ``read_decimal`` reads each header
 number and ``read_samples`` each raster or frame.
 """
@@ -149,6 +150,13 @@ def check_samples(array: object, what: str) -> np.ndarray:
     if not isinstance(array, np.ndarray) or array.dtype != np.uint8:
         kind = getattr(array, "dtype", type(array).__name__)
         raise DimensionMismatch(f"{what} must be uint8 samples, got {kind}")
+    return array
+
+
+def check_flat(array: object, what: str) -> np.ndarray:
+    """array itself if it is a 1-D numpy uint8 array, else DimensionMismatch naming what."""
+    if check_samples(array, what).ndim != 1:
+        raise DimensionMismatch(f"{what} must be 1-D, got shape {array.shape}")
     return array
 
 

@@ -25,8 +25,8 @@ last carried bit, so the masked write selects only the steps that carry (a
 third of a 512x512 image's for 1 KB); an exact end made video hides slower.
 
 The shifts take uint8 planes of any shape (flat and strided views of image
-planes included) and ``count_values`` a 1-D one, refusing any other plane
-with ``check_samples``'s DimensionMismatch; ``plan_hs`` takes its histogram.
+planes included) and ``count_values`` a 1-D one; any other plane raises
+DimensionMismatch before it is read.  ``plan_hs`` takes the histogram.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     NoZeroBin,
     PayloadOverrun,
     ZeroBinNotEmpty,
+    check_flat,
     check_samples,
 )
 
@@ -60,8 +61,8 @@ _MARK_STEP = 1 << 13
 
 
 def count_values(flat: np.ndarray) -> np.ndarray:
-    """The 256-bin histogram of a flat uint8 array, counted BLOCK samples at a time."""
-    hist = np.bincount(check_samples(flat, "plane")[:BLOCK], minlength=256)
+    """The 256-bin histogram of a 1-D uint8 array, counted BLOCK samples at a time."""
+    hist = np.bincount(check_flat(flat, "plane")[:BLOCK], minlength=256)
     for start in range(BLOCK, flat.size, BLOCK):
         hist += np.bincount(flat[start : start + BLOCK], minlength=256)
     return hist

@@ -78,6 +78,7 @@ from .errors import (
     HeaderChecksum,
     MissingSegment,
     NoZeroBin,
+    check_flat,
     check_nonce,
     check_samples,
 )
@@ -161,35 +162,32 @@ def build_frames(
     """Compress, encrypt and split the secret greedily across embedding units.
 
     Unit u receives the largest ciphertext slice whose whole frame fits
-    capacities[u] bits.  All frames repeat the same IV, a random one if iv is
-    None; CBC runs once over the full ciphertext before splitting.  Each
-    unit's frame carries its index and the segment count as u16 fields, so
-    there are at most 65535 units.
+    capacities[u] bits.  Every unit, those past the last segment included,
+    must hold an empty frame, else CapacityExceeded before any compression or
+    encryption.  All frames repeat the same IV, a random one if iv is None;
+    CBC runs once over the full ciphertext before splitting.  Each unit's
+    frame carries its index and the segment count as u16 fields, so there
+    are at most 65535 units.
     """
     if len(capacities) > 0xFFFF:
         raise CapacityError(
             f"{len(capacities)} units, but u16 segment indices and counts number at most 65535"
         )
+    for u, cap in enumerate(capacities):
+        if cap < frame_num_bits(0):
+            raise CapacityExceeded(frame_num_bits(0), cap, f"unit {u} cannot hold even an empty frame")
     if iv is None:
         iv = os.urandom(16)
     ciphertext = aes_cbc_encrypt(huffman_compress(secret), data_key, iv)
-    pieces: list[bytes] = []
-    offset = 0
+    pieces, offset = [], 0
     for cap in capacities:
-        room = cap // 8 - FRAME_OVERHEAD_BYTES
-        if room < 0:
-            raise CapacityExceeded(
-                needed=frame_num_bits(0),
-                available=cap,
-                detail=f"unit {len(pieces)} cannot hold even an empty frame",
-            )
-        take = min(room, len(ciphertext) - offset)
+        take = min(cap // 8 - FRAME_OVERHEAD_BYTES, len(ciphertext) - offset)
         pieces.append(ciphertext[offset : offset + take])
         offset += take
         if offset == len(ciphertext):
             break
     if offset < len(ciphertext):
-        usable = 8 * sum(max(0, c // 8 - FRAME_OVERHEAD_BYTES) for c in capacities)
+        usable = 8 * sum(c // 8 - FRAME_OVERHEAD_BYTES for c in capacities)
         raise CapacityExceeded(
             needed=8 * len(ciphertext),
             available=usable,
@@ -266,7 +264,7 @@ def recover_plane(host: np.ndarray, frame_bits: int) -> None:
     Any other shape is refused: reshaping a non-contiguous plane copies it, and
     the restore would be lost with the copy.
     """
-    n = _one_d(host, "host plane").size
+    n = check_flat(host, "host plane").size
     if frame_bits > n - HEADER_SLOTS:
         raise HeaderChecksum(
             f"declared region of {frame_bits} bits does not fit a plane of {n} samples"
@@ -287,12 +285,6 @@ def _region_b(hist: np.ndarray, flat: np.ndarray, header_end: int) -> np.ndarray
     if np.shape(hist) != (256,) or np.sum(hist) != flat.size:
         raise DimensionMismatch(f"hist must count the {flat.size} host samples in 256 bins")
     return hist - count_values(flat[:header_end])
-
-
-def _one_d(samples: np.ndarray, what: str) -> np.ndarray:
-    if check_samples(samples, what).ndim != 1:
-        raise DimensionMismatch(f"{what} must be 1-D, got shape {samples.shape}")
-    return samples
 
 
 def _set_lsbs(samples: np.ndarray, bits: np.ndarray) -> None:
@@ -334,7 +326,7 @@ def embed_segments(
     for i, (raw, hist, plane) in enumerate(zip(units, hists, planes, strict=True)):
         segment = segments[i] if i < count else PayloadFrame(i, count, iv, b"")
         bits = np.unpackbits(np.frombuffer(segment.serialize(), np.uint8))
-        if _one_d(plane, "host plane").size != (n := _one_d(raw, "unit")[host].size):
+        if check_flat(plane, "host plane").size != (n := check_flat(raw, "unit")[host].size):
             raise DimensionMismatch(f"unit {i}'s host plane has {plane.size} samples, not {n}")
         raw[host] = reserve_room_plane(plane, bits.size, hist)
         marked.append(bf_ctr_transform(state, counter, raw))
@@ -356,7 +348,7 @@ def recover_units(
     state = bf_key_schedule(image_key)
     frames, restored, counter = [], [], nonce
     for raw in units:
-        frames.append(extract(_one_d(raw, "unit"), host))
+        frames.append(extract(check_flat(raw, "unit"), host))
         restored.append(bf_ctr_transform(state, counter, raw))
         recover_plane(restored[-1][host], frames[-1].num_bits)
         counter = (counter + (raw.size + 7) // 8) % (1 << 64)

@@ -13,7 +13,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from conftest import (GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt,
                       ppm_roundtrip, y4m_roundtrip)
 from rdhkit import blowfish as bf
-from rdhkit.errors import BadKeyLength
+from rdhkit.errors import BadKeyLength, DimensionMismatch
 
 # from the published Blowfish ECB reference vector set
 ECB_VECTORS = [
@@ -351,6 +351,30 @@ def test_ctr_returns_a_fresh_writable_array(given):
         assert out.flags.writeable
         assert not np.shares_memory(out, np.frombuffer(given, np.uint8))
         assert bytes(given) == before
+
+
+def test_both_paths_take_one_input_rule():
+    # libgcrypt and the numpy kernel read each bytes-like form and 1-D uint8
+    # array as the same bytes, and refuse the same arrays: a 2-D one, which
+    # libgcrypt would read whole, and a uint16 one, which it would read as bytes
+    data = random.Random(17).randbytes(1001)
+    flat = np.frombuffer(data, np.uint8)
+    forms = {
+        "bytes": data,
+        "bytearray": bytearray(data),
+        "memoryview": memoryview(data),
+        "contiguous": flat.copy(),
+        "strided": np.repeat(flat, 2)[::2],
+    }
+    assert not forms["strided"].flags.c_contiguous
+    expect = bf.bf_ctr_transform(bf._python_key_schedule(b"one rule"), MASK64 - 3, data).tobytes()
+    for schedule in SCHEDULES:
+        state = schedule(b"one rule")
+        for name, given in forms.items():
+            assert bf.bf_ctr_transform(state, MASK64 - 3, given).tobytes() == expect, (schedule, name)
+        for bad in (flat[:24].reshape(4, 6), flat[:12].view(np.uint16)):
+            with pytest.raises(DimensionMismatch):
+                bf.bf_ctr_transform(state, MASK64 - 3, bad)
 
 
 def test_ctr_bit_locality():

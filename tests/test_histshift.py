@@ -28,6 +28,14 @@ def test_count_values_on_both_sides_of_one_block(size):
     assert hist.tolist() == np.bincount(flat.astype(np.int64), minlength=256).tolist()
 
 
+@pytest.mark.parametrize(
+    "plane", [np.zeros((4, 4), np.uint8), np.zeros(16, np.uint16)], ids=["2-D", "uint16"]
+)
+def test_count_values_refuses_a_plane_that_is_not_1d_uint8(plane):
+    with pytest.raises(DimensionMismatch):
+        hs.count_values(plane)
+
+
 def test_plan_constant_plane():
     plane = np.full((4, 4), 9, dtype=np.uint8)
     assert hs.plan_hs(host_hist(plane)) == (9, 10)
@@ -525,6 +533,51 @@ def test_embed_matches_reference_across_mark_steps(layout, peak, zero):
                 assert np.array_equal(buf, build(want.reshape(shape)))
             seen.add(want if isinstance(want, type) else "marked")
     assert seen == {"marked", CapacityExceeded, ValueError}
+
+
+@pytest.mark.parametrize("peak, zero", [(100, 140), (100, 60)], ids=["up", "down"])
+@pytest.mark.parametrize("layout", STEP_LAYOUTS)
+def test_extract_matches_reference_across_scan_steps_on_every_layout(layout, peak, zero):
+    # hs_extract scans the row-major flat view of any layout: put the nbits-th
+    # carried bit on the last sample of a scan step and on the first of the
+    # next, for a first step shorter than _SCAN_STEP and one as long, on
+    # planes of more than two steps; the bytes between a strided plane's
+    # samples stay as they were
+    build, view = STEP_LAYOUTS[layout]
+    rng = np.random.default_rng(507)
+    mark = peak + 1 if peak < zero else peak - 1
+    cap = hs._SCAN_STEP
+    shape = (160, 256)  # two and a half steps
+    size = shape[0] * shape[1]
+    seen = set()
+    for nbits in (328, cap // hs._SCAN_PER_BIT + 76):
+        step = min(cap, hs._SCAN_PER_BIT * nbits)
+        for edge in (step, step + cap):
+            for last in (edge - 1, edge):
+                before = rng.choice(last, nbits - 1, replace=False)
+                after = rng.choice(np.arange(last + 1, size), 50, replace=False)
+                logical = scan_plane(rng, size, peak, mark, np.concatenate((before, [last], after)))
+                carried = np.flatnonzero((logical == peak) | (logical == mark))
+                assert carried[nbits - 1] == last
+                logical = logical.reshape(shape)
+                for n in (nbits - 1, nbits, nbits + 1, carried.size + 1):
+                    buf = build(logical)
+                    plane = view(buf)
+                    assert plane.size > 2 * cap and plane.flags.c_contiguous == (layout == "C")
+                    want = outcome(mask_hs_extract, plane, peak, zero, n)
+                    got = outcome(extracted, plane, peak, zero, n)
+                    if isinstance(want, type):
+                        assert got is want is PayloadOverrun
+                        assert np.array_equal(buf, build(logical)), "a refusal wrote to the buffer"
+                        continue
+                    assert_same(got, want, plane.shape)
+                    assert np.array_equal(buf, build(want[0].reshape(shape)))
+                seen.add(("before" if last < edge else "at", "first" if edge == step else "later"))
+        seen.add("short first step" if step < cap else "full first step")
+    assert seen == {
+        "short first step", "full first step",
+        ("before", "first"), ("at", "first"), ("before", "later"), ("at", "later"),
+    }
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from rdhkit.errors import (
     BadPadding,
     BadSignature,
     CapacityError,
+    CapacityExceeded,
     DimensionMismatch,
     HeaderChecksum,
     KeyEncodingError,
@@ -21,7 +22,7 @@ from rdhkit.errors import (
     TruncatedFrame,
     UnsupportedColorspace,
 )
-from rdhkit.pipeline import PayloadFrame, StegoKeys, build_frames
+from rdhkit.pipeline import PayloadFrame, StegoKeys, build_frames, frame_num_bits
 
 KEYS = StegoKeys(data_key=bytes(range(16)), image_key=b"video key", nonce=900)
 IV = bytes(range(200, 216))
@@ -493,6 +494,28 @@ def test_video_hide_is_deterministic():
     a = vid.video_hide(clip, b"abc", KEYS, iv=IV)
     b = vid.video_hide(clip, b"abc", KEYS, iv=IV)
     assert vid.write_y4m(a) == vid.write_y4m(b)
+
+
+def test_a_unit_that_cannot_hold_an_empty_frame_is_refused_before_any_payload_work(monkeypatch):
+    # the secret fits frame 0; frame 2, past the last segment, still carries an
+    # empty frame, and its Y plane holds fewer bits than one
+    clip = make_clip(np.random.default_rng(40), nframes=3)
+    host = vid.y_host(clip)
+    y = clip.frames[2][host]
+    y[:] = np.random.default_rng(41).integers(11, 255, y.size, dtype=np.uint8)
+    y[-150:] = 10  # region B's one bin above HEADER_SLOTS, and bins 0..9 are empty
+    capacities = [pipeline.max_embeddable_bits(f[host], host_hist(f[host])) for f in clip.frames]
+    assert 0 < capacities[2] < frame_num_bits(0) <= min(capacities[:2])
+
+    def never(*args):
+        raise AssertionError("compressed or encrypted before every unit was checked")
+
+    monkeypatch.setattr(pipeline, "huffman_compress", never)
+    monkeypatch.setattr(pipeline, "aes_cbc_encrypt", never)
+    with pytest.raises(CapacityExceeded, match="unit 2 cannot hold even an empty frame") as info:
+        vid.video_hide(clip, b"ten bytes!", KEYS, iv=IV)
+    assert (info.value.needed, info.value.available) == (frame_num_bits(0), capacities[2])
+    assert info.traceback[-1].name == "build_frames"
 
 
 def test_segments_out_of_unit_order_are_a_missing_segment():
