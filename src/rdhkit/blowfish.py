@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _gcrypt
 from ._pi_digits import PI_FRACTION_HEX
-from .errors import BadKeyLength, check_flat
+from .errors import BadKeyLength, BadLength, check_flat
 
 _WORDS = [int(PI_FRACTION_HEX[i : i + 8], 16) for i in range(0, len(PI_FRACTION_HEX), 8)]
 P_INIT: tuple[int, ...] = tuple(_WORDS[:18])
@@ -174,7 +174,7 @@ def _encrypt_words(p, s, xl: int, xr: int) -> tuple[int, int]:
 
 def bf_encrypt_block(state: BlowfishState, block: bytes) -> bytes:
     if len(block) != 8:
-        raise ValueError(f"block must be 8 bytes, got {len(block)}")
+        raise BadLength(f"block must be 8 bytes, got {len(block)}")
     if state._cipher is not None:  # E(block) is the keystream at counter = block
         return state._cipher(bytes(block), bytes(8)).tobytes()
     xl, xr = _encrypt_words(state.p, state.s, *struct.unpack(">II", block))
@@ -185,15 +185,16 @@ def bf_ctr_transform(state: BlowfishState, nonce: int, data: bytes | np.ndarray)
     """XOR data with the keystream of big-endian counter blocks (nonce + i) mod 2^64,
     each Blowfish-encrypted; applying it twice is the identity.
 
-    Either path takes data, left unchanged, as bytes-like (read as its bytes) or
-    a 1-D uint8 array (a strided one is copied first); any other array raises
-    DimensionMismatch.  The result is a fresh, flat, writable uint8 array of
-    data's size: libgcrypt's output, or the numpy keystream buffer XORed in place.
+    Either path takes data, left unchanged, as bytes-like (read as its bytes, a
+    strided memoryview's in order) or a 1-D uint8 array (a strided one is
+    copied first); any other array raises DimensionMismatch.  The result is a
+    fresh, flat, writable uint8 array of data's size: libgcrypt's output, or
+    the numpy keystream buffer XORed in place.
     """
     if isinstance(data, np.ndarray):
         data = np.ascontiguousarray(check_flat(data, "keystream input"))  # no copy if contiguous
     else:
-        data = np.frombuffer(data, np.uint8)
+        data = np.frombuffer(data if memoryview(data).c_contiguous else bytes(data), np.uint8)
     if state._cipher is not None:
         return state._cipher((nonce & _MASK64).to_bytes(8, "big"), data)
     blocks = np.empty(((data.size + 7) // 8, 2), dtype=">u4")

@@ -17,15 +17,12 @@ class RdhError(Exception):
 
 
 class DimensionMismatch(RdhError):
-    """Two rasters that must share a shape do not."""
+    """An array or its parameters break a layer's input rule: a shape, a
+    sample type, or a value range such as payload bits of 0 and 1."""
 
 
 class ZeroBinNotEmpty(RdhError):
     """The chosen zero bin already contains samples."""
-
-
-class EmptyInput(RdhError):
-    """An operation that needs at least one symbol got none."""
 
 
 class TooLarge(RdhError):
@@ -77,11 +74,11 @@ class BadCrc(PayloadError):
 
 
 class CorruptTable(PayloadError):
-    """A Huffman code table violates the Kraft equality or lists duplicates."""
+    """A Deflate stream is malformed, or inflates to other than its declared length."""
 
 
 class Truncated(PayloadError):
-    """A Huffman bitstream ends before the declared symbol count."""
+    """A Deflate stream ends early, or is too short for its declared length."""
 
 
 class BadPadding(PayloadError):

@@ -25,8 +25,9 @@ last carried bit, so the masked write selects only the steps that carry (a
 third of a 512x512 image's for 1 KB); an exact end made video hides slower.
 
 The shifts take uint8 planes of any shape (flat and strided views of image
-planes included) and ``count_values`` a 1-D one; any other plane raises
-DimensionMismatch before it is read.  ``plan_hs`` takes the histogram.
+planes included) and ``count_values`` a 1-D one; any other plane, bits other
+than 0 and 1, and bins that are not two distinct byte values raise
+DimensionMismatch before the plane is read.  ``plan_hs`` takes the histogram.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def hs_embed(plane: np.ndarray, bits, peak: int, zero: int) -> None:
     _check_bins(peak, zero)
     bits = np.asarray(bits).reshape(-1)  # integers or bools, checked before any cast
     if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
-        raise ValueError("payload bits must be 0 or 1")
+        raise DimensionMismatch("payload bits must be 0 or 1")
     _check_writeable(plane)
     if (plane == zero).any():
         raise ZeroBinNotEmpty(f"bin {zero} is not empty")
@@ -147,6 +148,6 @@ def _check_writeable(plane) -> None:
 
 def _check_bins(peak: int, zero: int) -> None:
     if not (0 <= peak <= 255 and 0 <= zero <= 255):
-        raise ValueError(f"bins must be byte values, got peak={peak} zero={zero}")
+        raise DimensionMismatch(f"bins must be byte values, got peak={peak} zero={zero}")
     if peak == zero:
-        raise ValueError("peak and zero bins must differ")
+        raise DimensionMismatch("peak and zero bins must differ")

@@ -1,71 +1,66 @@
-"""Canonical Huffman compression for the secret payload.
+"""Canonical Huffman compression for the secret payload, as one raw Deflate stream.
 
-The container is deliberately tiny and deterministic: a fixed header, the
-code table as (symbol, length) pairs, and the packed bitstream.  Codewords
-themselves are never stored; both sides rebuild them canonically from the
-lengths, ordered by (length, symbol value).
+    "HUF2" | original_len u32 big-endian | raw Deflate stream (RFC 1951)
 
-Layout, all integers big-endian::
+The stream is whichever of two RFC 1951 (Deutsch, 1996) forms is shorter.  One
+is a final dynamic block (§3.2.7): HLIT 257 (the bytes and end-of-block) and
+HDIST 1 (one distance code, of length 0), so every symbol is a literal; the
+code-length code's lengths, 3 bits each in the RFC's order, trailing zeros
+trimmed; the 258 code lengths, one code-length symbol each (no run-length
+symbols 16-18); then each byte's codeword and end-of-block.  The other is
+stored blocks (§3.2.4) of at most 65,535 bytes behind 5 header bytes, the last
+final, one empty block for empty input.  So a container exceeds its input by
+at most 8 bytes plus 5 per started 65,535 (one at least).
 
-    "HUF1" | original_len u32 | symbol_count u16 | symbol_count x (symbol u8, length u8) | bitstream
+Codes are canonical (§3.2.2): assigned in (length, symbol) order, from
+Huffman's lengths for the byte counts with end-of-block at weight 1.  Where
+the longest exceeds Deflate's limit, 15 bits for literals and 7 for the
+code-length code, every present weight is halved, rounding up, and the code
+rebuilt.  Fields go out least significant bit first, codewords most
+significant bit first (§3.1.1).  The encoder is the package's own, so this
+text and not a zlib build fixes its bytes; any conformant inflater reads them.
 
-The bitstream is MSB-first.  The encoder derives every byte value's codeword
-from the code lengths, as the decoder does, lays the codewords out as rows of
-bits and packs the rows of the whole input with ``np.packbits``.
-Decoding is table-driven (Moffat and Turpin, "On the Implementation of
-Minimum Redundancy Prefix Codes", IEEE Trans. Commun. 45(10), 1997).  For
-every bit position of the stream, numpy looks the ``_PEEK_BITS`` bits from
-there up in a canonical table, out of 24-bit windows, one per stream byte,
-and keeps two byte tables: the symbol of the codeword that starts at that
-bit and its length.  The Python loop only chases the positions, each one's
-length on from the last, and stores each position's symbol.  The tables are
-built for ``_TABLE_CHUNK`` stream bytes at a time, from the byte the chase has
-reached on, so the decoder holds no more than its output and one chunk's
-tables however long the stream.  Length 0 marks a code longer than the peek,
-which only the rarest symbols get; it is looked up length by length in the
-stream itself, and may run past the chunk's end.  Lengths are bounded by the
-u8 length field, so a code is at most 255 bits.  Prefixes that start no
-codeword raise ``Truncated``, and a declared length that needs more symbols
-than the stream has bits is rejected before any output is allocated.
+The decoder is stdlib zlib's.  It checks the magic (BadMagic), refuses an
+original_len over 8 per stream byte before any output (Truncated: a literal
+takes a bit at least), and inflates at most one byte more than declared: the
+stream must end after exactly original_len bytes, with nothing left over.  An
+early end raises Truncated; any other fault, zlib's errors too, CorruptTable.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+import zlib
 
 import numpy as np
 
-from .errors import BadMagic, CorruptTable, EmptyInput, TooLarge, Truncated
+from .errors import BadMagic, CorruptTable, TooLarge, Truncated
 
-MAGIC = b"HUF1"
+MAGIC = b"HUF2"
 _MAX_INPUT = 0xFFFFFFFF
-_HEADER = struct.Struct(">4sIH")
-_PEEK_BITS = 11  # codes up to this long decode with one table lookup
+_HEADER = struct.Struct(">4sI")
 _PACK_CHUNK = 1 << 16  # symbols laid out as bit rows at a time, to bound the rows' memory
-# stream bytes per decode table build.  A build holds about 120 bytes per chunk
-# byte, so a 16 KB secret decodes in 0.27 MB; 4 KB chunks decoded it only 1.2%
-# faster, in 0.51 MB
-_TABLE_CHUNK = 1 << 11
+_STORED = 0xFFFF  # data bytes per stored block at most
+_END = 256  # the end-of-block literal
+# the order in which the code-length code's lengths are sent (RFC 1951 §3.2.7)
+_CL_ORDER = np.array([16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15])
 
 
-def code_lengths(freq: list[int]) -> list[int]:
-    """Optimal prefix code length of each of the 256 byte values, 0 = absent.
+def code_lengths(freq: list[int], limit: int) -> list[int]:
+    """Prefix code length of each symbol, 0 = absent, none longer than limit bits.
 
     The merge queue is ordered by (weight, smallest symbol value contained),
     so two runs over the same input always build the same tree.  A lone
-    symbol gets length 1, never 0.
+    symbol gets length 1, never 0.  If the longest code exceeds limit, every
+    present weight is halved, rounding up, and the code rebuilt.
     """
-    present = [s for s in range(256) if freq[s] > 0]
-    if not present:
-        raise EmptyInput("cannot build a code for an empty frequency table")
-
-    lengths = [0] * 256
-    if len(present) == 1:
-        lengths[present[0]] = 1
     # heap entries: (weight, smallest symbol, symbols); a merge deepens them all
-    heap = [(freq[s], s, [s]) for s in present]
+    heap = [(weight, s, [s]) for s, weight in enumerate(freq) if weight > 0]
     heapq.heapify(heap)
+    lengths = [0] * len(freq)
+    if len(heap) == 1:
+        lengths[heap[0][1]] = 1
     while len(heap) > 1:
         w1, m1, group = heapq.heappop(heap)
         w2, m2, other = heapq.heappop(heap)
@@ -73,155 +68,76 @@ def code_lengths(freq: list[int]) -> list[int]:
         for s in group:
             lengths[s] += 1
         heapq.heappush(heap, (w1 + w2, min(m1, m2), group))
+    if max(lengths, default=0) > limit:
+        return code_lengths([(weight + 1) // 2 for weight in freq], limit)
     return lengths
 
 
-def _assign_canonical(lengths: list[int]) -> list[int]:
-    codes = [0] * 256
-    order = sorted((s for s in range(256) if lengths[s] > 0), key=lambda s: (lengths[s], s))
-    code = prev_len = 0
-    for s in order:
-        code <<= lengths[s] - prev_len
-        codes[s] = code
-        code += 1
-        prev_len = lengths[s]
-    return codes
-
-
-def _check_kraft(lengths: list[int]) -> None:
-    present = [s for s in range(256) if lengths[s] > 0]
-    if len(present) < 2:
-        return
-    # scale by 2^max_len to stay in integers
-    max_len = max(lengths[s] for s in present)
-    total = sum(1 << (max_len - lengths[s]) for s in present)
-    if total != 1 << max_len:
-        raise CorruptTable("code lengths violate the Kraft equality")
+def _pack_codes(symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every symbol's canonical codeword in turn, most significant bit first, one bit per byte."""
+    width = int(lengths.max())
+    # in (length, symbol) order, each code left-aligned to width bits is the
+    # sum of the 2^(width - length) spans of the codes before it
+    order = np.argsort(lengths, kind="stable")
+    span = np.where(lengths > 0, 1 << (width - lengths), 0)[order]
+    codes = np.empty_like(span)
+    codes[order] = np.cumsum(span) - span
+    rows = ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    used = np.arange(width) < lengths[:, None]  # row s's codeword bits
+    chunks = (symbols[i : i + _PACK_CHUNK] for i in range(0, symbols.size, _PACK_CHUNK))
+    return np.concatenate([rows[c][used[c]] for c in chunks])
 
 
 def huffman_compress(data: bytes) -> bytes:
     """Serialized container that huffman_decompress inverts exactly."""
     if len(data) > _MAX_INPUT:
         raise TooLarge(f"input of {len(data)} bytes exceeds the 32-bit length field")
-    if not data:
-        return _HEADER.pack(MAGIC, 0, 0)
-    lengths = code_lengths(np.bincount(np.frombuffer(data, np.uint8), minlength=256).tolist())
-    table = bytes(b for s, length in enumerate(lengths) if length for b in (s, length))
-    return _HEADER.pack(MAGIC, len(data), len(table) // 2) + table + _pack_codes(data, lengths)
+    header, symbols = _HEADER.pack(MAGIC, len(data)), np.frombuffer(data, np.uint8)
+    freq = np.bincount(symbols, minlength=_END + 1)
+    freq[_END] = 1
+    lengths = np.array(code_lengths(freq.tolist(), 15))
+    sequence = np.append(lengths, 0)  # the literal code's lengths, then the distance code's
+    cl_freq = np.bincount(sequence, minlength=len(_CL_ORDER))
+    cl_lengths = np.array(code_lengths(cl_freq.tolist(), 7))
+    sent = cl_lengths[_CL_ORDER]
+    sent = sent[: np.flatnonzero(sent)[-1] + 1]  # 0 is sent fourth, so 4 at least
+    nbits = 17 + 3 * sent.size + int(cl_freq @ cl_lengths) + int(freq @ lengths)
+    if len(data) + 5 * max(1, -(-len(data) // _STORED)) < (nbits + 7) // 8:
+        return header + _stored(data)
+    # BFINAL 1, BTYPE 2 (dynamic), HLIT 0 and HDIST 0 (257 and 1 codes), HCLEN, then the sent lengths
+    head = (1 | 2 << 1 | (sent.size - 4) << 13) >> np.arange(17)
+    fields = np.concatenate([head, (sent[:, None] >> np.arange(3)).reshape(-1)]) & 1
+    codes = [_pack_codes(sequence, cl_lengths), _pack_codes(np.append(symbols, _END), lengths)]
+    bits = np.concatenate([fields.astype(np.uint8), *codes])
+    return header + np.packbits(bits, bitorder="little").tobytes()
 
 
-def _pack_codes(data: bytes, lengths: list[int]) -> bytes:
-    """Every byte's canonical codeword in turn, MSB first, zero-padded to a whole byte."""
-    width = max(lengths)
-    rows = np.zeros((256, width), np.uint8)  # row s: the bits of s's codeword
-    for s, code in enumerate(_assign_canonical(lengths)):
-        if lengths[s]:
-            rows[s, : lengths[s]] = [int(bit) for bit in format(code, f"0{lengths[s]}b")]
-    used = np.arange(width) < np.array(lengths)[:, None]
-    symbols = np.frombuffer(data, np.uint8)
-    chunks = (symbols[i : i + _PACK_CHUNK] for i in range(0, symbols.size, _PACK_CHUNK))
-    return np.packbits(np.concatenate([rows[c][used[c]] for c in chunks])).tobytes()
+def _stored(data: bytes) -> bytes:
+    """Stored blocks: a BFINAL byte, LEN and NLEN little-endian, then up to 65,535 bytes."""
+    out = bytearray()
+    for start in range(0, len(data), _STORED) or [0]:
+        run = data[start : start + _STORED]
+        out += struct.pack("<BHH", start + _STORED >= len(data), len(run), len(run) ^ 0xFFFF) + run
+    return bytes(out)
 
 
 def huffman_decompress(container: bytes) -> bytes:
     """Inverse of huffman_compress."""
     if len(container) < _HEADER.size:
         raise BadMagic("container shorter than its fixed header")
-    magic, original_len, symbol_count = _HEADER.unpack_from(container)
+    magic, original_len = _HEADER.unpack_from(container)
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    table_end = _HEADER.size + 2 * symbol_count
-    if len(container) < table_end:
-        raise CorruptTable("container ends inside the code table")
-
-    lengths = [0] * 256
-    for i in range(symbol_count):
-        sym = container[_HEADER.size + 2 * i]
-        length = container[_HEADER.size + 2 * i + 1]
-        if length == 0:
-            raise CorruptTable(f"symbol {sym} listed with length 0")
-        if lengths[sym] != 0:
-            raise CorruptTable(f"symbol {sym} listed twice")
-        lengths[sym] = length
-
-    if original_len == 0:
-        return b""
-    if symbol_count == 0:
-        raise CorruptTable("no symbols but a nonzero original length")
-    _check_kraft(lengths)
-    stream = memoryview(container)[table_end:]
-    # every codeword has at least one bit
+    stream = memoryview(container)[_HEADER.size :]
     if original_len > 8 * len(stream):
-        raise Truncated(f"{original_len} symbols cannot fit a {8 * len(stream)}-bit stream")
-    return _decode(stream, lengths, original_len)
-
-
-def _decode(stream: bytes, lengths: list[int], count: int) -> bytes:
-    peek = min(max(lengths), _PEEK_BITS)
-    # symbol_of[p], length_of[p]: the codeword that starts the peek p, length 0
-    # where that codeword is longer than the peek or where no codeword fits.
-    # In (length, symbol) order, each canonical code up to the peek long
-    # starts the next 2^(peek - length) peeks from peek 0 on
-    short = sorted((s for s in range(256) if 0 < lengths[s] <= peek), key=lambda s: (lengths[s], s))
-    pairs = b"".join(bytes([s, lengths[s]]) * (1 << (peek - lengths[s])) for s in short)
-    symbol_of, length_of = np.frombuffer(pairs.ljust(2 << peek, b"\0"), np.uint8).reshape(-1, 2).T.copy()
-    long_codes = {  # (length, codeword) -> symbol, for lengths beyond the peek
-        (lengths[s], code): s for s, code in enumerate(_assign_canonical(lengths)) if lengths[s] > peek
-    }
-    long_lengths = sorted({length for length, _ in long_codes})
-    out = bytearray(count)
-    pos = i = 0
-    while i < count:
-        if pos >= 8 * len(stream):
-            raise Truncated(f"bitstream exhausted after {i} of {count} symbols")
-        # tables for the bits of the chunk from pos's byte on; the chase reads
-        # them at pos - base, and a read past the chunk raises IndexError
-        base = pos & ~7
-        steps, symbols = _chunk_tables(stream, base >> 3, peek, symbol_of, length_of)
-        pos -= base
-        try:
-            for i in range(i, count):
-                if step := steps[pos]:
-                    out[i] = symbols[pos]
-                    pos += step
-                else:
-                    out[i], step = _long_code(stream, base + pos, long_lengths, long_codes)
-                    pos += step
-            i = count  # every symbol decoded
-        except IndexError:
-            pass
-        pos += base
-    if pos > 8 * len(stream):
-        raise Truncated(f"bitstream exhausted inside symbol {count - 1}")
-    return bytes(out)
-
-
-def _chunk_tables(stream: bytes, first: int, peek: int, symbol_of, length_of) -> tuple[bytes, bytes]:
-    """Code length and symbol of the codeword at each bit of stream bytes first on, one chunk's worth."""
-    size = min(_TABLE_CHUNK, len(stream) - first)
-    tail = stream[first : first + size + 2]
-    held = np.zeros(size + 2, np.intp)  # zero past the stream's end
-    held[: len(tail)] = np.frombuffer(tail, np.uint8)
-    window = held[:-2] << 16  # the 24 bits from each byte on
-    window |= held[1:-1] << 8
-    window |= held[2:]
-    # one column per bit offset, in place: a broadcast shift would hold
-    # buffers of its own as large as the peeks
-    peeks = np.empty((size, 8), np.intp)
-    for bit in range(8):
-        np.right_shift(window, 24 - peek - bit, out=peeks[:, bit])
-    peeks &= (1 << peek) - 1
-    return length_of.take(peeks).tobytes(), symbol_of.take(peeks).tobytes()
-
-
-def _long_code(stream: bytes, pos: int, long_lengths: list, long_codes: dict) -> tuple[int, int]:
-    """(symbol, length) of a codeword longer than the peek, tried length by length."""
-    for length in long_lengths:
-        end = pos + length
-        if end > 8 * len(stream):
-            raise Truncated("bitstream exhausted inside a codeword")
-        first, last = pos >> 3, (end + 7) >> 3
-        code = int.from_bytes(stream[first:last], "big") >> (8 * last - end) & ((1 << length) - 1)
-        if (length, code) in long_codes:
-            return long_codes[length, code], length
-    raise Truncated("bit pattern matches no codeword")
+        raise Truncated(f"{original_len} bytes cannot come from a {8 * len(stream)}-bit stream")
+    inflater = zlib.decompressobj(-15)
+    try:  # one byte more than declared, which a longer stream fills
+        out = inflater.decompress(stream, original_len + 1)
+    except zlib.error as exc:
+        raise CorruptTable(f"not a Deflate stream: {exc}") from None
+    if not inflater.eof and len(out) <= original_len:
+        raise Truncated(f"stream ends after {len(out)} of {original_len} bytes, before its final block")
+    if inflater.unused_data or len(out) != original_len:
+        raise CorruptTable(f"stream does not end after exactly {original_len} bytes")
+    return out

@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,16 +310,19 @@ def embed_segments(
     Units beyond the last segment carry an empty one, so every unit is
     recoverable on its own; an empty segment list raises MissingSegment, and
     fewer units than segments CapacityError.  Room is reserved in unit[host]
-    from planes[i], its samples as the caller counted them (1-D and as long,
-    else DimensionMismatch before any write), planned from hists[i], its
-    count_values (one of each per unit, else zip's ValueError), and the unit
-    returned for it is that unit encrypted as one counter run, with the frame
-    written over the encrypted host's region-A LSBs.  Each unit is left as the
-    image-key holder decrypts the returned one: the reserved unit with region
-    A's LSBs flipped wherever the frame flipped an encrypted LSB.
+    from planes[i], its samples as the caller counted them (1-D and as long),
+    planned from hists[i], its count_values: one of each per unit, else
+    DimensionMismatch before any write (units from a generator are counted as
+    they come, by zip's ValueError).  The unit returned for it is that unit
+    encrypted as one counter run, with the frame written over the encrypted
+    host's region-A LSBs.  Each unit is left as the image-key holder decrypts
+    the returned one: the reserved unit with region A's LSBs flipped wherever
+    the frame flipped an encrypted LSB.
     """
     if not segments:
         raise MissingSegment("no segments to embed")
+    if len(hists) != len(planes) or isinstance(units, Sized) and len(units) != len(planes):
+        raise DimensionMismatch(f"{len(planes)} planes, {len(hists)} histograms: not one of each per unit")
     state = bf_key_schedule(keys.image_key)
     count, iv = len(segments), segments[0].iv
     marked, counter = [], keys.nonce

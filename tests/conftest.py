@@ -51,15 +51,9 @@ def max_secret_bytes(cover):
     max_ct = limit // 8 - FRAME_OVERHEAD_BYTES
     if max_ct < 16:
         return None
-    budget = max_ct - 16 - 11  # CBC padding + container fixed header
-    if budget <= 0:
-        return 0
-    # random bytes cost at most 2 table bytes + 1 bitstream byte each while
-    # the alphabet is growing, and 523 fixed table bytes once it is full
-    small = budget // 3
-    if small <= 256:
-        return small
-    return max(256, budget - 523)
+    budget = max_ct - 16 - 8  # CBC padding + container fixed header
+    # the codec grows any input by at most 5 bytes per started 65,535, one block at least
+    return max(0, budget - 5 * -(-budget // 65540))
 
 
 def image_with_frame(cover, frame, keys):

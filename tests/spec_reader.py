@@ -2,10 +2,10 @@
 
 It imports nothing from rdhkit: the block ciphers come from the
 ``cryptography`` package (AES-128-CBC, and Blowfish-ECB over the big-endian
-counter blocks), and the canonical-Huffman decoder and the histogram-shift
-inverse are its own.  A change that moves a byte of the on-disk formats
-fails here even when rdhkit's writer and reader move together, so a format
-change updates this file first.
+counter blocks), stdlib ``zlib`` inflates the secret's raw Deflate stream,
+and the histogram-shift inverse is its own.  A change that moves a byte of
+the on-disk formats fails here even when rdhkit's writer and reader move
+together, so a format change updates this file first.
 """
 
 import re
@@ -104,22 +104,9 @@ def _restore_host(host: np.ndarray, a: int) -> None:
 
 
 def _huffman_decode(container: bytes) -> bytes:
-    """HUF1 | original_len u32 | symbol_count u16 | (symbol, length) pairs | bitstream."""
-    magic, original_len, count = struct.unpack_from(">4sIH", container)
-    assert magic == b"HUF1"
-    table = container[10 : 10 + 2 * count]
-    codes, code, previous = {}, 0, 0
-    for length, symbol in sorted(zip(table[1::2], table[0::2])):  # canonical order
-        code <<= length - previous
-        codes[length, code] = symbol
-        code, previous = code + 1, length
-    out, code, length = bytearray(), 0, 0
-    for bit in np.unpackbits(np.frombuffer(container, np.uint8, offset=10 + 2 * count)).tolist():
-        if len(out) == original_len:
-            break
-        code, length = code << 1 | bit, length + 1
-        if (length, code) in codes:
-            out.append(codes[length, code])
-            code = length = 0
-    assert len(out) == original_len
-    return bytes(out)
+    """HUF2 | original_len u32 | raw Deflate stream, which stdlib zlib inflates."""
+    magic, original_len = struct.unpack_from(">4sI", container)
+    assert magic == b"HUF2"
+    data = zlib.decompress(container[8:], -15)
+    assert len(data) == original_len
+    return data

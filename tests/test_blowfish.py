@@ -13,7 +13,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from conftest import (GCRYPT as LIB, GCRYPT_FAILURES, GcryptStandIn, gcrypt_case, gcrypt_fails, needs_gcrypt,
                       ppm_roundtrip, y4m_roundtrip)
 from rdhkit import blowfish as bf
-from rdhkit.errors import BadKeyLength, DimensionMismatch
+from rdhkit.errors import BadKeyLength, BadLength, DimensionMismatch
 
 # from the published Blowfish ECB reference vector set
 ECB_VECTORS = [
@@ -282,8 +282,9 @@ def test_roundtrip_bytes_are_the_same_on_either_schedule(roundtrip, monkeypatch)
 
 def test_block_length_enforced():
     state = bf.bf_key_schedule(b"abcd")
-    with pytest.raises(ValueError):
-        bf.bf_encrypt_block(state, b"short")
+    for block in (b"short", bytes(9), b""):
+        with pytest.raises(BadLength):
+            bf.bf_encrypt_block(state, block)
 
 
 def test_ctr_first_keystream_block_matches_zero_vector():
@@ -363,6 +364,7 @@ def test_both_paths_take_one_input_rule():
         "bytes": data,
         "bytearray": bytearray(data),
         "memoryview": memoryview(data),
+        "strided memoryview": memoryview(bytes(np.repeat(flat, 2)))[::2],
         "contiguous": flat.copy(),
         "strided": np.repeat(flat, 2)[::2],
     }

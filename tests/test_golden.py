@@ -29,20 +29,20 @@ KEYS = pipeline.StegoKeys(
 IV = bytes.fromhex("a0a1a2a3a4a5a6a7a8a9aaabacadaeaf")
 SECRET = b"golden digests pin the embedding bytes " * 3
 
-IMAGE_DIGEST = "c30b38f62accf2d35be7f8cfd1d2bd67da89372a9b7f613eaf35ea3b06669bf4"
+IMAGE_DIGEST = "02cc2e53024a33ef7e1bc7c11230ba2b4be0bc2be8226bde758d0e12185b8b1b"
 # original vs the marked image decrypted with the image key
-IMAGE_PLAIN_PSNR = 59.051751791580344
+IMAGE_PLAIN_PSNR = 58.813722644854096
 # the secret spans two frames; the third carries an empty segment.  Frame i
 # is encrypted from counter nonce + i * ceil(frame bytes / 8)
 VIDEO_DIGESTS = {
-    "C420": "c5c5ac323d6de73aa3589b4b25cf6cb270b681fe4f2d52199c138dcfce8c72dc",
-    "C444": "6006a71195b2114402f3e1e1abff8646b566fcb1cd867f5878a347d561f9683f",
+    "C420": "86441e3725cc3c33d84d50017e7104db0a37430d2b62c324cfc67f221b79e870",
+    "C444": "7fe9cc4bd33ae0187392961185046b5ae0c15016390221c7861d3c5365da2b45",
 }
 
 BENCH_HIDE_DIGESTS = {
-    "image-1k": "9ba6ec69243d40db2e08d51a5e5e5f66e310bd7b99de13041e524c5255341693",
-    "payload-16k": "04ddb8aacb7f73ab85efb6bce1b52f7d91fa8526070bb74ed984aa768bba71aa",
-    "video-qcif": "021df00d937744ce6b88c8e7ad7e2e13033fc12e9b3a2df096124e6f8dca6483",
+    "image-1k": "b646eef61c6e35a6cff22e50c7478618ee673750080537865d65dcf029ef65e0",
+    "payload-16k": "7c8368319320e90207fd863767ebe86e8a9b4c955dad236054d9fc191388037e",
+    "video-qcif": "339b59dbc6339d1f93b0fe2e3868a059b22c88cce9ba3cd3749258bdb4d3d17b",
 }
 
 

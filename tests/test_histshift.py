@@ -156,10 +156,12 @@ def test_embed_never_touches_values_outside_the_interval():
 
 def test_invalid_bins_rejected():
     plane = np.array([5, 5], dtype=np.uint8)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="must differ"):
         hs.hs_embed(plane, [1], peak=5, zero=5)
-    with pytest.raises(ValueError):
-        hs.hs_embed(plane, [2], peak=5, zero=7)  # bits must be 0/1
+    with pytest.raises(DimensionMismatch, match="byte values"):
+        hs.hs_extract(plane, peak=5, zero=256, nbits=1)
+    with pytest.raises(DimensionMismatch, match="0 or 1"):
+        hs.hs_embed(plane, [2], peak=5, zero=7)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +172,7 @@ def test_invalid_bins_rejected():
 def test_embed_refuses_bits_that_are_not_integer_0_or_1(bits):
     # a uint8 cast would embed 256, 257 as 0, 1 and 1.0, 0.9 as 1, 0
     plane = np.array([5, 5, 5, 6], dtype=np.uint8)
-    with pytest.raises(ValueError, match="0 or 1"):
+    with pytest.raises(DimensionMismatch, match="0 or 1"):
         hs.hs_embed(plane, bits, 5, 7)
 
 
@@ -199,7 +201,7 @@ def mask_hs_embed(plane, bits, peak, zero):
     hs._check_bins(peak, zero)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     if bits.size and bits.max() > 1:
-        raise ValueError("payload bits must be 0 or 1")
+        raise DimensionMismatch("payload bits must be 0 or 1")
     out = np.array(plane, dtype=np.uint8, order="C")  # so reshape(-1) is a view
     flat = out.reshape(-1)
     if np.any(flat == zero):
@@ -313,7 +315,7 @@ def test_embed_matches_mask_reference():
         want = outcome(mask_hs_embed, plane, bits, peak, zero)
         assert_same(outcome(embedded, plane, bits, peak, zero), want, plane.shape)
         seen.add(want if isinstance(want, type) else ("up" if peak < zero else "down"))
-    assert seen == {"up", "down", ValueError, ZeroBinNotEmpty, CapacityExceeded}
+    assert seen == {"up", "down", DimensionMismatch, ZeroBinNotEmpty, CapacityExceeded}
 
 
 def test_extract_matches_mask_reference():
@@ -330,7 +332,7 @@ def test_extract_matches_mask_reference():
         want = outcome(mask_hs_extract, plane, peak, zero, nbits)
         assert_same(outcome(extracted, plane, peak, zero, nbits), want, plane.shape)
         seen.add(want if isinstance(want, type) else ("up" if peak < zero else "down"))
-    assert seen == {"up", "down", ValueError, PayloadOverrun}
+    assert seen == {"up", "down", DimensionMismatch, PayloadOverrun}
 
 
 def marked_layouts(rng):
@@ -532,7 +534,7 @@ def test_embed_matches_reference_across_mark_steps(layout, peak, zero):
                 assert_same(got, want, plane.shape)
                 assert np.array_equal(buf, build(want.reshape(shape)))
             seen.add(want if isinstance(want, type) else "marked")
-    assert seen == {"marked", CapacityExceeded, ValueError}
+    assert seen == {"marked", CapacityExceeded, DimensionMismatch}
 
 
 @pytest.mark.parametrize("peak, zero", [(100, 140), (100, 60)], ids=["up", "down"])
@@ -608,12 +610,12 @@ def test_error_order_matches_reference():
     for fn in (hs.hs_embed, mask_hs_embed):
         with pytest.raises(ZeroBinNotEmpty):
             fn(plane, [1, 0, 1], 5, 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="0 or 1"):
             fn(plane, [2], 5, 7)  # bad bits come before the zero bin
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="byte values"):
             fn(plane, [1], 256, 7)
     for fn in (hs.hs_extract, mask_hs_extract):
         with pytest.raises(PayloadOverrun):
             fn(plane, 5, 8, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="must differ"):
             fn(plane, 5, 5, 0)

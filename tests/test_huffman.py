@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import random
 import struct
-from unittest import mock
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdhkit import huffman
-from rdhkit.errors import BadMagic, CorruptTable, EmptyInput, RdhError, TooLarge, Truncated
+from rdhkit.errors import BadMagic, CorruptTable, RdhError, TooLarge, Truncated
 
 
 def optimal_code_cost(freqs: list[int]) -> int:
@@ -36,45 +37,43 @@ def optimal_code_cost(freqs: list[int]) -> int:
     return best(weights)
 
 
-def container_lengths(container: bytes) -> list[int]:
-    """The code lengths a HUF1 container lists, in table order."""
-    (count,) = struct.unpack_from(">H", container, 8)
-    return list(container[11 : 10 + 2 * count : 2])
+def dynamic(container: bytes) -> bool:
+    """Whether a container's stream opens with a final dynamic block: BFINAL 1, BTYPE 2."""
+    return container[8] & 7 == 0b101
+
+
+def growth_bound(n: int) -> int:
+    """The container bytes an n-byte input may take: the 8-byte header and 5 per
+    started 65,535 input bytes, one stored block at least."""
+    return n + 8 + 5 * max(1, -(-n // 65535))
 
 
 def test_single_symbol_gets_length_one():
     freq = [0] * 256
     freq[ord("a")] = 7
-    lengths = huffman.code_lengths(freq)
+    lengths = huffman.code_lengths(freq, 15)
     assert lengths[ord("a")] == 1
     assert sum(lengths) == 1
-    assert huffman._assign_canonical(lengths)[ord("a")] == 0
+    assert huffman._pack_codes(np.array([ord("a")]), np.array(lengths)).tolist() == [0]
 
 
 def test_two_equal_symbols():
     freq = [0] * 256
     freq[ord("x")] = 5
     freq[ord("y")] = 5
-    lengths = huffman.code_lengths(freq)
+    lengths = huffman.code_lengths(freq, 15)
     assert lengths[ord("x")] == lengths[ord("y")] == 1
-    codes = huffman._assign_canonical(lengths)
-    assert codes[ord("x")] == 0
-    assert codes[ord("y")] == 1
+    assert huffman._pack_codes(np.array([ord("x"), ord("y")]), np.array(lengths)).tolist() == [0, 1]
 
 
 def test_abracadabra_lengths_and_total():
     freq = [b"abracadabra".count(s) for s in range(256)]
-    lengths = huffman.code_lengths(freq)
+    lengths = huffman.code_lengths(freq, 15)
     assert {ch: lengths[ord(ch)] for ch in "abrcd"} == {"a": 1, "r": 2, "b": 3, "c": 4, "d": 4}
     total = sum(freq[s] * lengths[s] for s in range(256))
     assert total == 23
     # the exhaustive oracle confirms 23 is optimal for these frequencies
     assert optimal_code_cost([5, 2, 2, 1, 1]) == 23
-
-
-def test_empty_frequency_table_rejected():
-    with pytest.raises(EmptyInput):
-        huffman.code_lengths([0] * 256)
 
 
 @pytest.mark.parametrize("num_symbols", [2, 3, 4, 5, 6])
@@ -85,29 +84,38 @@ def test_optimality_matches_exhaustive_oracle(num_symbols):
         symbols = rng.sample(range(256), num_symbols)
         for s in symbols:
             freq[s] = rng.randrange(1, 50)
-        lengths = huffman.code_lengths(freq)
+        lengths = huffman.code_lengths(freq, 15)
         total = sum(freq[s] * lengths[s] for s in symbols)
         assert total == optimal_code_cost([freq[s] for s in symbols])
 
 
 def test_compress_empty():
     container = huffman.huffman_compress(b"")
-    assert container == b"HUF1" + struct.pack(">IH", 0, 0)
+    # one empty stored block: BFINAL 1 and BTYPE 0, LEN 0 and NLEN 0xFFFF
+    assert container == b"HUF2" + struct.pack(">I", 0) + bytes([1, 0, 0, 0xFF, 0xFF])
     assert huffman.huffman_decompress(container) == b""
 
 
 def test_compress_abracadabra_bitstream_is_23_bits():
-    container = huffman.huffman_compress(b"abracadabra")
-    # header 10 + table 2*5 + ceil(23/8)=3 bitstream bytes
-    assert len(container) == 10 + 10 + 3
-    assert huffman.huffman_decompress(container) == b"abracadabra"
+    data = b"abracadabra"
+    lengths = huffman.code_lengths([data.count(s) for s in range(256)], 15)
+    assert huffman._pack_codes(np.frombuffer(data, np.uint8), np.array(lengths)).size == 23
+    # with end-of-block and the 258 code lengths, a dynamic block outweighs
+    # one stored block of the 11 bytes
+    container = huffman.huffman_compress(data)
+    assert container == b"HUF2" + struct.pack(">I", 11) + bytes([1, 11, 0, 0xF4, 0xFF]) + data
+    assert huffman.huffman_decompress(container) == data
 
 
 def test_single_repeated_byte_bitstream():
     data = b"\x42" * 1024
     container = huffman.huffman_compress(data)
-    # 1024 one-bit codes pack into exactly 128 bytes
-    assert len(container) == 10 + 2 + 128
+    # 0x42 and end-of-block get one bit each, the 255 other bytes and the
+    # distance code length 0, so the code-length code gives 0 and 1 one bit
+    # each and is sent up to 1's place, the 18th of the RFC's order: 17 header
+    # bits, 3 x 18, 258 code lengths, 1,024 codes and end-of-block
+    assert dynamic(container)
+    assert len(container) == 8 + (17 + 3 * 18 + 258 + 1024 + 1 + 7) // 8
     assert huffman.huffman_decompress(container) == data
 
 
@@ -128,7 +136,7 @@ LETTER_WEIGHTS = dict(
 
 def seeded_prose(seed: int, nbytes: int) -> bytes:
     """Prose-like bytes: English-frequency letters, rare capitals, spaces and
-    punctuation, so the rarest symbols get codes longer than the peek."""
+    punctuation, so the rarest symbols get long codes."""
     symbols = list(LETTER_WEIGHTS) + [c.upper() for c in LETTER_WEIGHTS] + [" ", ".", ",", "\n"]
     weights = (
         list(LETTER_WEIGHTS.values())
@@ -138,95 +146,135 @@ def seeded_prose(seed: int, nbytes: int) -> bytes:
     return "".join(random.Random(seed).choices(symbols, weights, k=nbytes)).encode()
 
 
-HUF1_DIGESTS = {
-    "prose": "dc57eb8ecbb5fab0a11d39e93c1bf9c37729c840b0077c54124dd1aa8bab483f",
-    "one-symbol": "1138fa58e6c3805051c6dac84d748b7b70e196b27feab81373f5b98d4bf95b61",
-    "empty": "36569ee492a570999b90567cabcd8c5a3a7531bfb7fc50521183ebda4c6ac194",
+def fibonacci_weights(nsymbols: int) -> list[int]:
+    weights = [1, 1]
+    while len(weights) < nsymbols:
+        weights.append(weights[-1] + weights[-2])
+    return weights
+
+
+def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
+    """Shuffled bytes whose counts are Fibonacci numbers: the most skewed tree,
+    with codes up to nsymbols - 1 bits long."""
+    data = bytearray()
+    for sym, weight in enumerate(fibonacci_weights(nsymbols)):
+        data += bytes([sym]) * weight
+    random.Random(seed).shuffle(data)
+    return bytes(data)
+
+
+HUF2_DIGESTS = {
+    "prose": "a66994e2b178101b0b77a35ce0a19deecb890a388a6625aa29931e4456b889f2",
+    "one-symbol": "81dc05da6eedde073173c78067e6e966b68e2e2fd21bf35cda22a1376493f924",
+    "empty": "d8a2208a9e469c83f8d652e464daada1905086eea67bff82e28e1a14f0f55978",
+    "limited": "fbfbad9d1c788b9a8ce49226c9273fe68925d0192e6628856292d2bd397af0de",
 }
 
 
 @pytest.mark.parametrize(
     "name, data",
-    [("prose", seeded_prose(15, 8192)), ("one-symbol", b"\x42" * 1000), ("empty", b"")],
+    [
+        ("prose", seeded_prose(15, 8192)),
+        ("one-symbol", b"\x42" * 1000),
+        ("empty", b""),
+        ("limited", fibonacci_weighted(22, seed=21)),  # codes of up to 22 bits, halved to 12
+    ],
 )
 def test_container_golden_digest(name, data):
     container = huffman.huffman_compress(data)
-    assert hashlib.sha256(container).hexdigest() == HUF1_DIGESTS[name]
+    assert hashlib.sha256(container).hexdigest() == HUF2_DIGESTS[name]
     assert huffman.huffman_decompress(container) == data
-
-
-def test_golden_prose_reaches_the_long_code_path():
-    lengths = container_lengths(huffman.huffman_compress(seeded_prose(15, 8192)))
-    assert max(lengths) > huffman._PEEK_BITS
 
 
 def test_bad_magic():
     container = bytearray(huffman.huffman_compress(b"abracadabra"))
-    container[:4] = b"XUF1"
+    container[:4] = b"XUF2"
     with pytest.raises(BadMagic):
         huffman.huffman_decompress(bytes(container))
+    # a HUF1 container, as written before the codec became Deflate
+    with pytest.raises(BadMagic):
+        huffman.huffman_decompress(b"HUF1" + struct.pack(">IH", 1, 1) + bytes([65, 1]) + b"\x00")
 
 
-def test_corrupt_table_kraft_violation():
-    container = bytearray(huffman.huffman_compress(b"abracadabra"))
-    # growing one listed length breaks the Kraft equality
-    assert container[11] >= 1
-    container[11] += 1
-    with pytest.raises(CorruptTable):
-        huffman.huffman_decompress(bytes(container))
+def mislength(monkeypatch, data: bytes, step: int, symbol: int | None = None) -> bytes:
+    """The container of data with one literal code, the longest unless symbol
+    is given, step bits longer, so that the code it sends is broken."""
+    build = huffman.code_lengths
+
+    def changed(freq, limit):
+        lengths = build(freq, limit)
+        if limit == 15:
+            lengths[lengths.index(max(lengths)) if symbol is None else symbol] += step
+        return lengths
+
+    with monkeypatch.context() as patch:
+        patch.setattr(huffman, "code_lengths", changed)
+        container = huffman.huffman_compress(data)
+    assert dynamic(container)
+    return container
 
 
-def test_corrupt_table_duplicate_symbol():
-    data = b"HUF1" + struct.pack(">IH", 2, 2) + bytes([65, 1, 65, 1]) + b"\x00"
-    with pytest.raises(CorruptTable):
-        huffman.huffman_decompress(data)
-
-
-def test_corrupt_table_zero_length_entry():
-    data = b"HUF1" + struct.pack(">IH", 1, 1) + bytes([65, 0]) + b"\x00"
-    with pytest.raises(CorruptTable):
-        huffman.huffman_decompress(data)
-
-
-@pytest.mark.parametrize(
-    "count, table, reason",
-    [
-        (257, bytes(b for s in list(range(256)) + [7] for b in (s, 8)), "listed twice"),
-        (257, bytes(b for s in range(256) for b in (s, 8)) + bytes([7, 0]), "length 0"),
-        (0xFFFF, bytes(b for s in range(256) for b in (s, 8)), "ends inside the code table"),
-    ],
-    ids=["repeat", "length-0", "short"],
-)
-def test_a_table_of_more_than_256_symbols_is_corrupt(count, table, reason):
-    # 257 one-byte symbols must repeat one, so no count check of its own is needed
-    data = b"HUF1" + struct.pack(">IH", 300, count) + table + bytes(300)
-    with pytest.raises(CorruptTable, match=reason) as exc:
-        huffman.huffman_decompress(data)
+def test_corrupt_table_kraft_violation(monkeypatch):
+    # one code a bit shorter over-subscribes the code: more codewords than fit
+    container = mislength(monkeypatch, seeded_prose(3, 2000), -1)
+    with pytest.raises(CorruptTable, match="literal/lengths set") as exc:
+        huffman.huffman_decompress(container)
     assert exc.type is CorruptTable
+
+
+def test_unfilled_table_slots_raise_rather_than_decode_symbol_zero(monkeypatch):
+    # one code a bit longer leaves the code incomplete: a bit pattern that
+    # starts no codeword, which zlib refuses in the header before any output
+    container = mislength(monkeypatch, seeded_prose(3, 2000), +1)
+    with pytest.raises(CorruptTable, match="literal/lengths set") as exc:
+        huffman.huffman_decompress(container)
+    assert exc.type is CorruptTable
+
+
+def test_corrupt_table_zero_length_entry(monkeypatch):
+    # end-of-block sent with length 0: no codeword could end the block
+    data = seeded_prose(3, 2000)
+    end = huffman.code_lengths([data.count(s) for s in range(256)] + [1], 15)[huffman._END]
+    container = mislength(monkeypatch, data, -end, symbol=huffman._END)
+    with pytest.raises(CorruptTable, match="missing end-of-block") as exc:
+        huffman.huffman_decompress(container)
+    assert exc.type is CorruptTable
+
+
+def stored_block(data: bytes) -> bytes:
+    return struct.pack("<BHH", 1, len(data), len(data) ^ 0xFFFF) + data
 
 
 def test_corrupt_table_no_symbols_for_a_nonempty_input():
-    data = b"HUF1" + struct.pack(">IH", 5, 0)
-    with pytest.raises(CorruptTable, match="no symbols") as exc:
+    data = b"HUF2" + struct.pack(">I", 5) + stored_block(b"")
+    with pytest.raises(CorruptTable, match="exactly 5 bytes") as exc:
         huffman.huffman_decompress(data)
     assert exc.type is CorruptTable
 
 
+@pytest.mark.parametrize("data", [seeded_prose(4, 3000), random.Random(4).randbytes(3000)], ids=["dynamic", "stored"])
+def test_a_declared_length_that_disagrees_with_the_block_raises(data):
+    container = huffman.huffman_compress(data)
+    assert dynamic(container) == (data == seeded_prose(4, 3000))
+    for declared in (0, 1, len(data) - 1, len(data) + 1, 8 * (len(container) - 8)):
+        with pytest.raises(CorruptTable, match=f"exactly {declared} bytes") as exc:
+            huffman.huffman_decompress(container[:4] + struct.pack(">I", declared) + container[8:])
+        assert exc.type is CorruptTable
+
+
+def test_trailing_bytes_after_the_final_block_raise():
+    container = huffman.huffman_compress(seeded_prose(5, 500))
+    for tail in (b"\x00", stored_block(b"")):
+        with pytest.raises(CorruptTable, match="exactly 500 bytes"):
+            huffman.huffman_decompress(container + tail)
+
+
 def test_last_codeword_running_past_the_stream_is_truncated():
-    # codes 0, 10, 11: seven 0s decode, then the stream's last bit starts a 2-bit code
-    data = b"HUF1" + struct.pack(">IH", 8, 3) + bytes([0, 1, 1, 2, 2, 2]) + b"\x01"
-    with pytest.raises(Truncated, match="inside symbol 7") as exc:
-        huffman.huffman_decompress(data)
-    assert exc.type is Truncated
-
-
-def test_long_codeword_running_past_the_stream_is_truncated():
-    # lengths 1..11, then two 12-bit codes; after five 0s come eleven 1s, the
-    # start of a 12-bit code longer than the peek whose last bit is missing
-    table = [b for s in range(13) for b in (s, min(s + 1, 12))]
-    data = b"HUF1" + struct.pack(">IH", 6, 13) + bytes(table) + b"\x07\xff"
-    with pytest.raises(Truncated, match="inside a codeword") as exc:
-        huffman.huffman_decompress(data)
+    # the last byte holds end-of-block's code, or part of it
+    container = huffman.huffman_compress(seeded_prose(6, 700))
+    assert dynamic(container)
+    with pytest.raises(Truncated, match="before its final block") as exc:
+        huffman.huffman_decompress(container[:-1])
     assert exc.type is Truncated
 
 
@@ -260,118 +308,146 @@ def test_roundtrip_property(data):
     assert huffman.huffman_decompress(huffman.huffman_compress(data)) == data
 
 
-def fibonacci_weights(nsymbols: int) -> list[int]:
-    weights = [1, 1]
-    while len(weights) < nsymbols:
-        weights.append(weights[-1] + weights[-2])
-    return weights
+# seeded random bytes, up to past the 65,535 bytes of one stored block
+random_bytes = st.builds(lambda seed, n: random.Random(seed).randbytes(n), st.integers(0, 2**32), st.integers(0, 140_000))
 
 
-def fibonacci_weighted(nsymbols: int, seed: int) -> bytes:
-    """Shuffled bytes whose counts are Fibonacci numbers: the most skewed tree,
-    with codes up to nsymbols - 1 bits long."""
-    data = bytearray()
-    for sym, weight in enumerate(fibonacci_weights(nsymbols)):
-        data += bytes([sym]) * weight
-    random.Random(seed).shuffle(data)
-    return bytes(data)
-
-
-def test_codes_longer_than_the_peek_round_trip():
-    data = fibonacci_weighted(22, seed=21)
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=3000) | random_bytes)
+def test_every_input_round_trips_within_the_growth_bound(data):
     container = huffman.huffman_compress(data)
-    assert max(container_lengths(container)) >= 20 > huffman._PEEK_BITS
+    assert len(container) <= growth_bound(len(data))
     assert huffman.huffman_decompress(container) == data
-    with pytest.raises(Truncated):
-        huffman.huffman_decompress(container[:-1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 65535, 65536, 131070, 131071])
+def test_random_bytes_grow_by_the_stored_block_headers_alone(n):
+    data = random.Random(n).randbytes(n)
+    container = huffman.huffman_compress(data)
+    assert len(container) == growth_bound(n)
+    assert huffman.huffman_decompress(container) == data
+
+
+def test_every_container_inflates_with_plain_zlib():
+    cases = [b"", b"a", b"abracadabra", b"\x42" * 1000, seeded_prose(15, 8192), fibonacci_weighted(22, seed=7)]
+    cases += [random.Random(n).randbytes(n) for n in (100, 70_000)]
+    for data in cases:
+        assert zlib.decompress(huffman.huffman_compress(data)[8:], -15) == data
+
+
+def test_codes_longer_than_the_limit_round_trip():
+    # Fibonacci counts want 22 bits; counts int(1.35^i) want 16 and, halved
+    # once, keep 15-bit codes, the longest a Deflate literal code has
+    geometric = bytearray(b"".join(bytes([i]) * max(1, int(1.35**i)) for i in range(31)))
+    random.Random(31).shuffle(geometric)
+    for data, unlimited, limited in ((fibonacci_weighted(22, seed=21), 22, 12), (bytes(geometric), 16, 15)):
+        freq = [data.count(s) for s in range(256)] + [1]  # and end-of-block
+        assert (max(huffman.code_lengths(freq, 99)), max(huffman.code_lengths(freq, 15))) == (unlimited, limited)
+        container = huffman.huffman_compress(data)
+        assert dynamic(container)
+        assert huffman.huffman_decompress(container) == zlib.decompress(container[8:], -15) == data
+        with pytest.raises(Truncated):
+            huffman.huffman_decompress(container[:-1])
+
+
+def test_a_code_length_code_longer_than_7_bits_is_limited():
+    # n symbols of count 2^(15 - l) for geometric n per code length l: the
+    # 258 literal lengths then want a code-length code of 8 bits, over
+    # Deflate's 7-bit limit for it
+    plan = {1: 1, 2: 1, 3: 1, 5: 1, 6: 1, 7: 2, 8: 3, 9: 5, 10: 8, 11: 13, 12: 21, 13: 34, 14: 55, 15: 89}
+    counts = [1 << (15 - length) for length, n in sorted(plan.items()) for _ in range(n)]
+    data = bytearray(b"".join(bytes([s]) * n for s, n in enumerate(counts)))
+    random.Random(15).shuffle(data)
+    lengths = huffman.code_lengths([data.count(s) for s in range(256)] + [1], 15)
+    cl_freq = [(lengths + [0]).count(n) for n in range(19)]
+    assert (max(huffman.code_lengths(cl_freq, 99)), max(huffman.code_lengths(cl_freq, 7))) == (8, 7)
+    container = huffman.huffman_compress(bytes(data))
+    assert dynamic(container)
+    assert huffman.huffman_decompress(container) == zlib.decompress(container[8:], -15) == data
+
+
+def test_halving_weights_keeps_every_symbol():
+    # weights 1 stay 1 while the large ones halve, so no symbol drops out
+    freq = fibonacci_weights(40) + [0] * 3
+    lengths = huffman.code_lengths(freq, 7)
+    assert max(lengths) <= 7 and lengths[-3:] == [0, 0, 0]
+    assert all(lengths[:40]) and sum(2.0 ** -n for n in lengths[:40]) <= 1
 
 
 @pytest.fixture(scope="module")
 def reference():
-    """The spec reader's bit-by-bit decoder, which shares no code with rdhkit."""
+    """The spec reader's decoder, stdlib zlib's inflater, which shares no code with rdhkit."""
     return pytest.importorskip("spec_reader")._huffman_decode
 
 
 @settings(max_examples=200)
-@given(st.binary(max_size=600), st.integers(1, 64))
-def test_decoder_agrees_with_the_spec_reader(reference, data, chunk):
-    # small table chunks put chunk edges all over the stream
+@given(st.binary(max_size=600))
+def test_decoder_agrees_with_the_spec_reader(reference, data):
     container = huffman.huffman_compress(data)
-    with mock.patch.object(huffman, "_TABLE_CHUNK", chunk):
-        assert huffman.huffman_decompress(container) == reference(container) == data
-
-
-@pytest.mark.parametrize("nsymbols, chunk", [(14, 1), (14, 3), (14, huffman._TABLE_CHUNK), (22, huffman._TABLE_CHUNK)])
-def test_decoder_agrees_with_the_spec_reader_beyond_the_peek(reference, monkeypatch, nsymbols, chunk):
-    monkeypatch.setattr(huffman, "_TABLE_CHUNK", chunk)
-    container = huffman.huffman_compress(fibonacci_weighted(nsymbols, seed=nsymbols))
-    assert max(container_lengths(container)) > huffman._PEEK_BITS
-    assert huffman.huffman_decompress(container) == reference(container)
-
-
-def table_end(container: bytes) -> int:
-    """Where a HUF1 container's bitstream starts."""
-    return 10 + 2 * struct.unpack_from(">H", container, 8)[0]
-
-
-def long_code_across_a_chunk_edge(chunk: int) -> tuple[bytes, bytes]:
-    """(data, container) whose stream spans at least three table chunks of
-    chunk bytes, with a codeword longer than the peek across the first edge."""
-    counts = [24 * chunk] + fibonacci_weights(14)
-    lengths = huffman.code_lengths(counts + [0] * (256 - len(counts)))
-    longest = max(range(len(counts)), key=lengths.__getitem__)
-    lead = (8 * chunk - 1) // lengths[0]  # symbol 0's codes end just before the edge
-    rest = bytearray(b"".join(bytes([s]) * n for s, n in enumerate(counts)))
-    del rest[:lead]
-    rest.remove(longest)
-    random.Random(chunk).shuffle(rest)
-    data = bytes(lead) + bytes([longest]) + rest
-    start, length = lead * lengths[0], lengths[longest]
-    assert length > huffman._PEEK_BITS and start < 8 * chunk < start + length
-    container = huffman.huffman_compress(data)
-    assert len(container) - table_end(container) > 2 * chunk
-    return data, container
-
-
-def test_long_code_across_a_chunk_edge_decodes(reference):
-    data, container = long_code_across_a_chunk_edge(huffman._TABLE_CHUNK)
     assert huffman.huffman_decompress(container) == reference(container) == data
 
 
-def _cut_raises_package_error(container: bytes, cut: int) -> None:
-    expected = BadMagic if cut < 10 else CorruptTable if cut < table_end(container) else Truncated
+def test_every_truncation_across_chunk_edges_is_a_package_error(monkeypatch):
+    # the packer lays out _PACK_CHUNK symbols at a time; 16 puts chunk edges
+    # all over the stream, and the bytes are those of whole-input packing
+    containers = [huffman.huffman_compress(data) for data in (fibonacci_weighted(14, seed=14), seeded_prose(9, 300))]
+    monkeypatch.setattr(huffman, "_PACK_CHUNK", 16)
+    assert [huffman.huffman_compress(data) for data in (fibonacci_weighted(14, seed=14), seeded_prose(9, 300))] == containers
+    for container in containers + [huffman.huffman_compress(random.Random(5).randbytes(300)), huffman.huffman_compress(b"")]:
+        for cut in range(len(container)):
+            _cut_raises(container, cut)
+
+
+def _cut_raises(container: bytes, cut: int) -> None:
+    expected = BadMagic if cut < 8 else Truncated
     with pytest.raises(RdhError) as exc:
         huffman.huffman_decompress(container[:cut])
     assert exc.type is expected, (cut, exc.value)
 
 
-def test_every_truncation_across_chunk_edges_is_a_package_error(monkeypatch):
-    monkeypatch.setattr(huffman, "_TABLE_CHUNK", 16)
-    _, container = long_code_across_a_chunk_edge(16)
-    for cut in range(len(container)):
-        _cut_raises_package_error(container, cut)
-
-
 def test_truncations_at_full_size_chunk_edges_are_truncated():
-    chunk = huffman._TABLE_CHUNK
-    _, container = long_code_across_a_chunk_edge(chunk)
-    edges = {table_end(container) + k * chunk + d for k in (1, 2) for d in range(-2, 3)}
+    # stored blocks of 65,535 bytes: cut around each block's 5-byte header
+    container = huffman.huffman_compress(random.Random(6).randbytes(140_000))
+    assert len(container) == growth_bound(140_000)
+    edges = {8 + k * 65540 + d for k in (1, 2) for d in range(-2, 7)}
     for cut in sorted(edges | {len(container) - 2, len(container) - 1}):
-        _cut_raises_package_error(container, cut)
+        _cut_raises(container, cut)
 
 
-def test_unfilled_table_slots_raise_rather_than_decode_symbol_zero():
-    # one symbol, 0, with a 5-bit code 00000: no codeword starts with a 1 bit
-    header = b"HUF1" + struct.pack(">IH", 1, 1) + bytes([0, 5])
-    assert huffman.huffman_decompress(header + b"\x00") == b"\x00"
-    with pytest.raises(Truncated):
-        huffman.huffman_decompress(header + b"\xff")
+def long_code_at_a_chunk_edge() -> bytes:
+    """Bytes whose longest code, 12 bits once halving has cut 22, starts the packer's second chunk."""
+    data = bytearray(fibonacci_weighted(22, seed=22) * 2)
+    lengths = huffman.code_lengths([data.count(s) for s in range(256)] + [1], 15)
+    longest = lengths.index(max(lengths))
+    assert max(lengths) == 12 and len(data) > huffman._PACK_CHUNK
+    data.remove(longest)
+    data.insert(huffman._PACK_CHUNK, longest)
+    return bytes(data)
+
+
+def test_long_code_across_a_chunk_edge_decodes(reference):
+    data = long_code_at_a_chunk_edge()
+    container = huffman.huffman_compress(data)
+    assert dynamic(container)
+    assert huffman.huffman_decompress(container) == reference(container) == data
+
+
+def test_long_codeword_running_past_the_stream_is_truncated():
+    # end-of-block, at weight 1, gets one of the longest codes, 12 bits, and
+    # ends the stream: the last byte holds its end
+    data = fibonacci_weighted(22, seed=21)
+    lengths = huffman.code_lengths([data.count(s) for s in range(256)] + [1], 15)
+    assert lengths[256] == max(lengths) == 12
+    container = huffman.huffman_compress(data)
+    with pytest.raises(Truncated, match="before its final block") as exc:
+        huffman.huffman_decompress(container[:-1])
+    assert exc.type is Truncated
 
 
 def test_declared_length_beyond_the_stream_is_rejected_before_allocating():
     import tracemalloc
 
-    container = b"HUF1" + struct.pack(">IH", 0xFFFFFFFF, 2) + bytes([65, 1, 66, 1]) + b"\x55"
+    container = b"HUF2" + struct.pack(">I", 0xFFFFFFFF) + stored_block(b"\x55")
     tracemalloc.start()
     try:
         with pytest.raises(Truncated):
@@ -382,23 +458,49 @@ def test_declared_length_beyond_the_stream_is_rejected_before_allocating():
     assert peak < 1 << 20
 
 
+def mutation_cases() -> list[bytes]:
+    """Containers of each kind: dynamic blocks with codes of 1 to 13 bits and
+    of text, stored blocks, and the empty block."""
+    cases = [fibonacci_weighted(14, seed=14), seeded_prose(8, 400), random.Random(8).randbytes(200), b""]
+    return [huffman.huffman_compress(data) for data in cases]
+
+
 def test_mutated_containers_raise_only_package_errors():
     rng = random.Random(4096)
-    # codes of 1 to 13 bits, so mutants reach the long-code path too
-    container = huffman.huffman_compress(fibonacci_weighted(14, seed=14))
-    for _ in range(3000):
-        mutant = bytearray(container)
-        kind = rng.randrange(4)
-        if kind == 0:
+    for container in mutation_cases():
+        for _ in range(1000):
+            mutant = bytearray(container)
+            kind = rng.randrange(4)
+            if kind == 0:
+                for _ in range(rng.randrange(1, 4)):
+                    mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            elif kind == 2:
+                del mutant[rng.randrange(len(mutant) + 1) :]
+            else:
+                mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 9))
+            try:
+                huffman.huffman_decompress(bytes(mutant))
+            except RdhError:
+                pass
+
+
+def test_bit_flips_raise_package_errors_or_give_the_declared_length():
+    # a flip in a stored block's data, or one that swaps two codewords of a
+    # length, still inflates; every other flip must raise a package error
+    rng = random.Random(1408)
+    raised = 0
+    for container in mutation_cases():
+        for _ in range(5000):
+            mutant = bytearray(container)
             for _ in range(rng.randrange(1, 4)):
-                mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
-        elif kind == 1:
-            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
-        elif kind == 2:
-            del mutant[rng.randrange(len(mutant) + 1) :]
-        else:
-            mutant[rng.randrange(len(mutant) + 1) : 0] = rng.randbytes(rng.randrange(1, 9))
-        try:
-            huffman.huffman_decompress(bytes(mutant))
-        except RdhError:
-            pass
+                bit = rng.randrange(8 * len(mutant))
+                mutant[bit >> 3] ^= 1 << (bit & 7)
+            try:
+                out = huffman.huffman_decompress(bytes(mutant))
+            except RdhError:
+                raised += 1
+            else:
+                assert len(out) == struct.unpack_from(">I", mutant, 4)[0]
+    assert raised > 10_000

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import host_hist, image_with_frame, make_cover, max_secret_bytes, random_keys
 from rdhkit import pipeline, video
+from rdhkit.aes import aes_cbc_encrypt
 from rdhkit.blowfish import bf_ctr_transform, bf_key_schedule
 from rdhkit.histshift import hs_embed, hs_extract, plan_hs
 from rdhkit.errors import (
@@ -490,8 +491,10 @@ def test_sizing_and_reservation_take_only_the_whole_hosts_histogram():
     reserve_room_plane(HOST, limit, hist)
     assert np.array_equal(hist, before)
     units = [UNIT.copy(), UNIT.copy()]
-    with pytest.raises(ValueError, match="shorter"):  # one histogram per unit
-        embed_segments(units, RED, [SEGMENT], KEYS, HISTS[1:], PLANES[1:])
+    for hists, planes in ((HISTS[1:], PLANES[1:]), (HISTS[1:] * 2, PLANES[1:]), (HISTS[1:], PLANES[1:] * 2)):
+        with pytest.raises(DimensionMismatch, match="one of each per unit"):  # one histogram per unit
+            embed_segments(units, RED, [SEGMENT], KEYS, hists, planes)
+        assert all(np.array_equal(unit, UNIT) for unit in units)  # refused before any write
 
 
 def bincount_max_embeddable_bits(plane):
@@ -631,9 +634,14 @@ def counted_samples(monkeypatch):
 # one count of a host sizes and reserves it; beyond it max_embeddable_bits
 # counts the HEADER_SLOTS header slots at L = 0 and at most capacity_bits
 # samples more, the reservation the first frame_bits + HEADER_SLOTS, and
-# huffman_compress the secret's bytes.  Counting each host twice crosses it
+# huffman_compress the secret's bytes and the 258 code lengths it sends
+# (huffman_counts).  Counting each host twice crosses it
 def hide_count_bound(n, capacity_bits, frame_bits):
     return n + capacity_bits + frame_bits + 2 * HEADER_SLOTS
+
+
+def huffman_counts(secret):
+    return len(secret) + 258
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "peaked"])
@@ -644,7 +652,7 @@ def test_hide_counts_each_host_sample_once(monkeypatch, kind):
     counted = counted_samples(monkeypatch)
     result = hide(cover, secret, KEYS, iv=IV)
     bound = hide_count_bound(512 * 512, result.capacity_bits, result.frame_bits)
-    assert 0 < sum(counted) <= bound + len(secret)
+    assert 0 < sum(counted) <= bound + huffman_counts(secret)
 
 
 def test_video_hide_counts_each_y_plane_once(monkeypatch):
@@ -656,7 +664,7 @@ def test_video_hide_counts_each_y_plane_once(monkeypatch):
         for _ in range(3)
     ]
     clip = video.Y4mVideo([b"W176", b"H144", b"F25:1", b"C420"], frames, [b""] * 3)
-    secret = rng.bytes(100)
+    secret = rng.bytes(150)
     host = video.y_host(clip)
     capacities = [max_embeddable_bits(f[host], host_hist(f[host])) for f in frames]
     segments = build_frames(secret, KEYS.data_key, IV, capacities)
@@ -665,7 +673,7 @@ def test_video_hide_counts_each_y_plane_once(monkeypatch):
     counted = counted_samples(monkeypatch)
     video.video_hide(clip, secret, KEYS, iv=IV)
     bound = sum(hide_count_bound(n, c, b) for c, b in zip(capacities, bits))
-    assert 0 < sum(counted) <= bound + len(secret)
+    assert 0 < sum(counted) <= bound + huffman_counts(secret)
 
 
 def whole_host_frame(raw, host):
@@ -811,6 +819,18 @@ def test_reveal_of_anything_but_segment_0_of_1_is_a_missing_segment(index, count
     frame = PayloadFrame(index, count, IV, bytes(32) if count else b"")
     with pytest.raises(MissingSegment):
         reveal(image_with_frame(cover, frame, KEYS), KEYS)
+
+
+def test_a_secret_in_the_old_huf1_container_reveals_bad_magic():
+    # a file marked before the codec became Deflate: its secret is no HUF2
+    # container, and its cover is restored all the same
+    cover = make_cover(np.random.default_rng(37), 48, 48)
+    huf1 = b"HUF1" + bytes([0, 0, 0, 1, 0, 1, 65, 1, 0])  # "A", a one-bit code
+    marked = image_with_frame(cover, PayloadFrame(0, 1, IV, aes_cbc_encrypt(huf1, KEYS.data_key, IV)), KEYS)
+    with pytest.raises(BadMagic, match="HUF1"):
+        reveal(marked, KEYS)
+    _, (restored,) = pipeline.recover_units([marked.reshape(-1)], RED, KEYS.image_key, KEYS.nonce)
+    assert np.array_equal(restored, cover.reshape(-1))
 
 
 def test_reveal_needs_matching_nonce():

@@ -1,11 +1,18 @@
 """Marked files read back by tests/spec_reader.py, which shares no code with rdhkit."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import spec_reader
 from conftest import make_cover
 from rdhkit import netpbm, pipeline, video
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import ops  # noqa: E402
+import workloads  # noqa: E402
 
 # a nonce near 2^64, so the counter runs wrap inside the cover
 KEYS = pipeline.StegoKeys(bytes(range(16)), b"spec reader image key", nonce=2**64 - 1000)
@@ -39,3 +46,17 @@ def test_spec_reader_reveals_a_marked_y4m(colorspace):
     secret, restored = spec_reader.reveal_y4m(data, KEYS.data_key, KEYS.image_key)
     assert secret == SECRET
     assert restored == [frame.tobytes() for frame in frames]
+
+
+@pytest.mark.parametrize("name", ["image-1k", "payload-16k", "video-qcif"])
+def test_spec_reader_reveals_the_benchmark_files_at_seed_one(name):
+    inputs = workloads.build(name, 1)
+    hide, _ = ops.OPS[inputs.kind]
+    marked, _ = hide(inputs.cover, inputs.secret)
+    if inputs.kind == "image":
+        secret, raster = spec_reader.reveal_ppm(marked, ops.KEYS.data_key, ops.KEYS.image_key)
+        assert raster == netpbm.load_ppm(inputs.cover)[0].tobytes()
+    else:
+        secret, restored = spec_reader.reveal_y4m(marked, ops.KEYS.data_key, ops.KEYS.image_key)
+        assert restored == [frame.tobytes() for frame in video.parse_y4m(inputs.cover).frames]
+    assert secret == inputs.secret
